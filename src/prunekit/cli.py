@@ -202,8 +202,7 @@ def cmd_inspect(args) -> int:
         purity = "n/a"
         if granularity is not None:
             spec = parse_granularity(granularity, layer.weights.ndim)
-            blocks = enumerate_blocks(spec, layer.weights.shape).blocks
-            vals = layer.mask.ravel()[blocks]
+            vals = enumerate_blocks(spec, layer.weights.shape).rows(layer.mask)
             pure = bool(np.all((vals.min(axis=1) == vals.max(axis=1))))
             purity = "ok" if pure else "VIOLATED"
             if not pure:

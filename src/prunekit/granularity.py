@@ -43,17 +43,37 @@ class GranularitySpec:
 
 @dataclass(frozen=True)
 class BlockPartition:
+    """Blocks of a `shape` tensor under `spec`: rows(a) is a transpose + reshape, one row per
+    block, lexicographic over the indexed axes and strided as a gather with `blocks` would be."""
     spec: GranularitySpec
     shape: tuple
-    blocks: np.ndarray  # [n_blocks, block_size] flat indices, lexicographic over indexed axes
+
+    @property
+    def _order(self) -> list:  # the indexed axes, then the spanned axes
+        return sorted(range(self.spec.rank), key=lambda ax: ax in self.spec.spanned_axes)
 
     @property
     def n_blocks(self) -> int:
-        return self.blocks.shape[0]
+        return math.prod(s for ax, s in enumerate(self.shape) if ax not in self.spec.spanned_axes)
 
     @property
     def block_size(self) -> int:
-        return self.blocks.shape[1]
+        return math.prod(self.shape[ax] for ax in self.spec.spanned_axes)
+
+    @property
+    def blocks(self) -> np.ndarray:  # [n_blocks, block_size] flat indices, for tests and tools
+        return self.rows(np.arange(math.prod(self.shape)).reshape(self.shape))
+
+    def rows(self, a: np.ndarray) -> np.ndarray:
+        """[n_blocks, block_size] view (or reshape copy) of `a`; row means add in gather order."""
+        return np.ascontiguousarray(a).transpose(self._order).reshape(self.n_blocks, self.block_size)
+
+    def unrows(self, rows: np.ndarray, dtype=None) -> np.ndarray:
+        """Inverse of rows: a new `shape` array, block i = rows[i] (broadcast), cast while copied."""
+        order = self._order
+        split = np.broadcast_to(rows, (self.n_blocks, self.block_size))
+        split = split.reshape([self.shape[ax] for ax in order]).transpose(np.argsort(order))
+        return np.array(split, dtype=dtype, order="C")
 
 
 def parse_granularity(name_or_axes, rank: int) -> GranularitySpec:
@@ -85,24 +105,15 @@ def all_specs(rank: int):
 
 
 def enumerate_blocks(spec: GranularitySpec, shape) -> BlockPartition:
-    """Partition all flat indices of `shape` into blocks under `spec`.
-
-    Blocks are ordered lexicographically over the indexed (non-spanned)
-    axes so downstream masks are reproducible.
-    """
+    """Partition `shape` into blocks under `spec`, in the reproducible BlockPartition order."""
     shape = tuple(int(s) for s in shape)
     if spec.rank != len(shape):
         raise ValueError(f"rank mismatch: spec rank {spec.rank}, shape {shape}")
-    indexed = [ax for ax in range(spec.rank) if ax not in spec.spanned_axes]
-    spanned = sorted(spec.spanned_axes)
-    flat = np.arange(math.prod(shape)).reshape(shape)
-    n_blocks = math.prod(shape[ax] for ax in indexed) if indexed else 1
-    blocks = flat.transpose(indexed + spanned).reshape(n_blocks, -1)
-    return BlockPartition(spec=spec, shape=shape, blocks=blocks)
+    return BlockPartition(spec=spec, shape=shape)
 
 
 def aggregate_scores(scores: np.ndarray, partition: BlockPartition) -> np.ndarray:
     """Per-block score = mean of member scores, in partition block order."""
     if tuple(scores.shape) != partition.shape:
         raise ValueError(f"shape mismatch: scores {scores.shape}, partition {partition.shape}")
-    return scores.ravel()[partition.blocks].mean(axis=1)
+    return partition.rows(scores).mean(axis=1)

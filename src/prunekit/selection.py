@@ -1,8 +1,8 @@
 """Turn per-block scores into binary masks under local or global context.
 
-Rounding is floor (never overshoot the requested sparsity) and ties are
-broken by block position (earlier blocks pruned first), so masks are
-fully deterministic.
+Rounding is floor (never overshoot the requested sparsity). Blocks below the
+k-th lowest score (found by np.partition, O(n)) are pruned, then the earliest
+blocks tied at it, so masks are deterministic: the first k of a stable sort.
 """
 
 from dataclasses import dataclass
@@ -41,36 +41,24 @@ def pruned_count(n_blocks: int, sparsity: float) -> int:
     return int(np.floor(n_blocks * sparsity / 100.0))
 
 
-def _mask_from_pruned(partition: BlockPartition, pruned_block_idx: np.ndarray) -> np.ndarray:
-    mask = np.ones(int(np.prod(partition.shape)))
-    if len(pruned_block_idx):
-        mask[partition.blocks[pruned_block_idx].ravel()] = 0.0
-    return mask.reshape(partition.shape)
-
-
 def select_local(layers: list[LayerScores], sparsity: float) -> list[np.ndarray]:
     """Per layer independently, prune the lowest-scoring blocks."""
-    masks = []
-    for layer in layers:
-        k = pruned_count(len(layer.block_scores), sparsity)
-        order = np.argsort(layer.block_scores, kind="stable")
-        masks.append(_mask_from_pruned(layer.partition, order[:k]))
-    return masks
+    return [select_global([layer], sparsity)[0] for layer in layers]
 
 
 def select_global(layers: list[LayerScores], sparsity: float) -> list[np.ndarray]:
     """Prune the lowest-scoring blocks over the concatenation of all layers."""
-    all_scores = np.concatenate([layer.block_scores for layer in layers])
-    k = pruned_count(len(all_scores), sparsity)
-    order = np.argsort(all_scores, kind="stable")
-    pruned = np.zeros(len(all_scores), dtype=bool)
-    pruned[order[:k]] = True
-    masks, offset = [], 0
-    for layer in layers:
-        n = len(layer.block_scores)
-        masks.append(_mask_from_pruned(layer.partition, np.flatnonzero(pruned[offset:offset + n])))
-        offset += n
-    return masks
+    ranked = np.concatenate([layer.block_scores for layer in layers])
+    k = pruned_count(len(ranked), sparsity)
+    if k:
+        ranked.partition(k - 1)  # in place: positions are read from the layers below
+    threshold = ranked[k - 1] if k else -np.inf  # k = 0 prunes nothing
+    pruned = np.concatenate([layer.block_scores < threshold for layer in layers])
+    tied = np.concatenate([layer.block_scores == threshold for layer in layers])
+    pruned[np.flatnonzero(tied)[:k - np.count_nonzero(pruned)]] = True
+    ends = np.cumsum([0] + [len(layer.block_scores) for layer in layers])
+    return [layer.partition.unrows(~pruned[start:end, None], float)
+            for layer, start, end in zip(layers, ends, ends[1:])]
 
 
 def select_per_layer(layers: list[LayerScores], per_layer) -> list[np.ndarray]:

@@ -150,7 +150,7 @@ class SparsifyCallback(Callback):
         self.rewind_snapshot = None
         self.round_counter = 0
         self.tickets: list[Ticket] = []
-        self.update_log: list[dict] = []
+        self.update_log: list[dict] = []  # per update: step, target, boolean keep masks
         self._pending: list[int] = []
 
     # -- internals ---------------------------------------------------------
@@ -193,7 +193,7 @@ class SparsifyCallback(Callback):
             layer.history = layer.weights.copy()
         scalar_target = float(np.mean(target)) if self.plan.per_layer else target
         self.update_log.append({"step": step, "target": scalar_target,
-                                "masks": [m.copy() for m in masks]})
+                                "masks": [m != 0 for m in masks]})
         if self.plan.lth:
             self._restore(state, masked=True)
             if scalar_target > self._last_round_target and scalar_target > 0:

@@ -114,3 +114,34 @@ def test_aggregate_shape_mismatch():
     part = enumerate_blocks(parse_granularity("weight", 2), (2, 2))
     with pytest.raises(ValueError):
         aggregate_scores(np.ones((3, 2)), part)
+
+
+def _index_gather(spec, shape):
+    """Independent [n_blocks, block_size] flat-index array, as numpy's reshape lays it out."""
+    indexed = [ax for ax in range(len(shape)) if ax not in spec.spanned_axes]
+    flat = np.arange(math.prod(shape)).reshape(shape)
+    return flat.transpose(indexed + sorted(spec.spanned_axes)).reshape(
+        math.prod(shape[ax] for ax in indexed), -1)
+
+
+@pytest.mark.parametrize("rank,shape", [(4, (16, 12, 3, 5)), (4, (1, 16, 3, 3)), (2, (40, 24))])
+@pytest.mark.parametrize("layout", ["C", "F"])
+def test_reshape_rows_match_index_gather(rank, shape, layout):
+    """For every spec -- spans that are not trailing (shared_weight, channel,
+    horizontal_slice, column) included -- rows() holds the gathered rows,
+    aggregate_scores is byte-equal to the mean of the gather, and unrows()
+    inverts rows()."""
+    scores = np.asarray(Rng(12).normal(shape), order=layout)
+    specs = list(all_specs(rank))
+    assert len(specs) == 2 ** rank
+    for spec in specs:
+        part = enumerate_blocks(spec, shape)
+        index = _index_gather(spec, shape)
+        np.testing.assert_array_equal(part.blocks, index)
+        gathered = scores.ravel()[index]
+        np.testing.assert_array_equal(part.rows(scores), gathered)
+        np.testing.assert_array_equal(aggregate_scores(scores, part), gathered.mean(axis=1))
+        np.testing.assert_array_equal(part.unrows(part.rows(scores)), scores)
+        keep = (np.arange(part.n_blocks) % 3 != 0).astype(float)
+        np.testing.assert_array_equal(part.unrows(keep[:, None]).ravel()[index],
+                                      np.repeat(keep[:, None], part.block_size, axis=1))

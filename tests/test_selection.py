@@ -154,3 +154,41 @@ def test_block_purity_structured():
         [mask] = select_local([layer], 50)
         vals = mask.ravel()[part.blocks]
         assert np.all(vals.min(axis=1) == vals.max(axis=1))
+
+
+def _sparsity_for(n, k):
+    """A sparsity whose floor rounding prunes exactly k of n blocks."""
+    s = 100.0 * k / n
+    while pruned_count(n, s) < k:
+        s = np.nextafter(s, 101.0)
+    assert pruned_count(n, s) == k
+    return s
+
+
+def _stable_sort_keep(scores, k):
+    keep = np.ones(len(scores))
+    keep[np.argsort(scores, kind="stable")[:k]] = 0.0
+    return keep
+
+
+def test_large_tie_heavy_selection_matches_stable_sort():
+    """2*10^5 scores on a 1/64 grid, so the k-th score sits in long runs of ties."""
+    rng = Rng(45)
+    sizes = (120_000, 50_000, 30_000)
+    scores = np.round(rng.normal(sum(sizes)) * 16) / 64
+    n = len(scores)
+    ranked = np.sort(scores, kind="stable")
+    first = np.searchsorted(ranked, 0.0)
+    run = np.searchsorted(ranked, 0.0, side="right") - first
+    assert run > 1000
+    layers = [singleton_layer(part, li)
+              for li, part in enumerate(np.split(scores, np.cumsum(sizes)[:-1]))]
+    for k in (0, 1, n - 1, n, first + run // 2):
+        s = _sparsity_for(n, k)
+        keep = np.concatenate([m.ravel() for m in select_global(layers, s)])
+        np.testing.assert_array_equal(keep, _stable_sort_keep(scores, k))
+        [mask] = select_local([singleton_layer(scores)], s)
+        np.testing.assert_array_equal(mask.ravel(), _stable_sort_keep(scores, k))
+        for layer, mask in zip(layers, select_local(layers, s)):
+            expected = _stable_sort_keep(layer.block_scores, pruned_count(len(layer.block_scores), s))
+            np.testing.assert_array_equal(mask.ravel(), expected)
