@@ -100,11 +100,11 @@ def update(pk, weights, granularity, context, sparsity):
     return masks, phases
 
 
-def env_record(pk):
+def env_record():
     return {
         "python": platform.python_version(),
         "numpy": np.__version__,
-        "conv_backend": "numba" if pk.kernels.USING_NUMBA else "numpy",
+        "conv_backend": "numpy",
         "cpu_count": os.cpu_count(),
         "cores_usable": len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else None,
         "machine": platform.machine(),
@@ -155,7 +155,7 @@ def main(argv=None):
                     "time.perf_counter medians in ms over `reps` repetitions, masks checked "
                     "against a full stable-sort oracle first. Written by "
                     "benchmarks/bench_selection.py.")
-    doc.setdefault("runs", {})[args.label] = {"env": env_record(pk), "cases": cases}
+    doc.setdefault("runs", {})[args.label] = {"env": env_record(), "cases": cases}
     out.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
     print(f"wrote run {args.label!r} to {out}")
 

@@ -24,13 +24,18 @@ def _enc_array(a: np.ndarray | None, as_int=False):
     return {"shape": list(a.shape), "data": data}
 
 
-def _dec_array(obj, field: str) -> np.ndarray | None:
+def _dec_array(obj, field: str, shape: tuple | None) -> np.ndarray | None:
+    """Decode obj, which must be None or an array of `shape`; a layer
+    without weights (shape None) holds no arrays."""
     if obj is None:
         return None
     try:
         arr = np.array(obj["data"], dtype=np.float64).reshape(obj["shape"])
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"corrupt checkpoint field {field!r}: {exc}") from None
+    if arr.shape != shape:
+        raise ValueError(f"{field}: shape {list(arr.shape)} != "
+                         f"{None if shape is None else list(shape)}")
     return arr
 
 
@@ -80,18 +85,24 @@ def load(path) -> Checkpoint:
     if doc.get("format_version") != FORMAT_VERSION:
         raise ValueError(f"unsupported checkpoint format_version {doc.get('format_version')!r}")
     model = Model.from_specs([entry["spec"] for entry in doc["layers"]])
-    for layer, entry in zip(model.layers, doc["layers"]):
-        layer.weights = _dec_array(entry.get("weights"), "weights")
-        bias = _dec_array(entry.get("bias"), "bias")
+    for i, (layer, entry) in enumerate(zip(model.layers, doc["layers"])):
+        shape = layer.weight_shape
+        bias_shape = None if shape is None else shape[1:2]
+        layer.weights = _dec_array(entry.get("weights"), f"layers[{i}].weights", shape)
+        bias = _dec_array(entry.get("bias"), f"layers[{i}].bias", bias_shape)
         if bias is not None:
             layer.bias = bias
         if layer.prunable:
-            layer.mask = _dec_array(entry.get("mask"), "mask")
-            layer.history = _dec_array(entry.get("history"), "history")
-    snapshot = None
-    if doc.get("rewind_snapshot") is not None:
-        snapshot = [(_dec_array(e["weights"], "rewind_snapshot.weights"),
-                     _dec_array(e["bias"], "rewind_snapshot.bias"))
-                    for e in doc["rewind_snapshot"]]
+            layer.mask = _dec_array(entry.get("mask"), f"layers[{i}].mask", shape)
+            layer.history = _dec_array(entry.get("history"), f"layers[{i}].history", shape)
+    snapshot = doc.get("rewind_snapshot")
+    if snapshot is not None:
+        shapes = [l.weight_shape for l in model.layers if l.weight_shape is not None]
+        if len(snapshot) != len(shapes):
+            raise ValueError(f"rewind_snapshot: {len(snapshot)} entries != "
+                             f"{len(shapes)} layers with weights")
+        snapshot = [(_dec_array(e["weights"], f"rewind_snapshot[{j}].weights", shape),
+                     _dec_array(e["bias"], f"rewind_snapshot[{j}].bias", shape[1:2]))
+                    for j, (e, shape) in enumerate(zip(snapshot, shapes))]
     return Checkpoint(model, rewind_snapshot=snapshot, plan=doc.get("plan"),
                       metrics_tail=doc.get("metrics_tail", []), meta=doc.get("meta", {}))

@@ -22,7 +22,7 @@ from .schedule import BUILTIN_SCHEDULES, ScheduleSpec, _custom_registry, eval_sc
 from .sparsifier import Sparsifier, SparsifyCallback, model_sparsity
 from .svgplot import line_chart
 from .tensor import sparsity_of
-from .train import fit
+from .train import TrainingAborted, fit
 
 
 def _out_root() -> Path:
@@ -73,6 +73,14 @@ def _metrics_rows(log):
 METRICS_HEADER = ["epoch", "step", "train_loss", "train_acc", "model_sparsity", "target_sparsity"]
 
 
+def _crash_saver(out: Path, config):
+    """fit's abort_handler: save the model as it was when training stopped."""
+    def save(state):
+        checkpoint.save(out / "crash_checkpoint.json", state["model"],
+                        meta={"name": config.name, "seed": config.seed, "aborted": True})
+    return save
+
+
 def cmd_run(args) -> int:
     config = load_config(args.config, seed_override=args.seed)
     out = _run_dir(config)
@@ -82,12 +90,8 @@ def cmd_run(args) -> int:
     plan = config.plan
     if plan is not None:
         callbacks.append(SparsifyCallback(plan, rng=rng.child("criterion")))
-
-    def abort_handler(state):
-        checkpoint.save(out / "crash_checkpoint.json", state["model"],
-                        meta={"name": config.name, "seed": config.seed, "aborted": True})
-
-    model, log = fit(model, config.train, callbacks=callbacks, abort_handler=abort_handler)
+    model, log = fit(model, config.train, callbacks=callbacks,
+                     abort_handler=_crash_saver(out, config))
     _write_csv(out / "metrics.csv", METRICS_HEADER, _metrics_rows(log))
     snapshot = callbacks[0].rewind_snapshot if callbacks else None
     checkpoint.save(out / "checkpoint.json", model,
@@ -157,7 +161,8 @@ def cmd_lth(args) -> int:
     rng = Rng(config.seed)
     model = config.build_model(rng.child("init"))
     callback = SparsifyCallback(plan, rng=rng.child("criterion"))
-    model, log = fit(model, config.train, callbacks=[callback])
+    model, log = fit(model, config.train, callbacks=[callback],
+                     abort_handler=_crash_saver(out, config))
     _write_csv(out / "metrics.csv", METRICS_HEADER, _metrics_rows(log))
     rows = []
     for ticket in callback.tickets:
@@ -267,10 +272,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(str(exc), file=sys.stderr)
         return 2
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (ValueError, OSError, TrainingAborted) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

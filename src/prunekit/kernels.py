@@ -1,131 +1,43 @@
-"""Conv2d inner loops, the only hot numeric kernels in the engine.
-
-Two interchangeable backends:
-
-  * numba @njit loops (default when numba imports cleanly)
-  * pure numpy via sliding windows + einsum
-
-Set PRUNEKIT_NO_NUMBA=1 to force the numpy path. Both are exposed under
-``_np`` / ``_nb`` suffixes for the benchmark in benchmarks/bench_kernels.py.
+"""Conv2d kernels, the only hot numeric loops in the engine, in numpy.
 
 Conventions: inputs [N, I, H, W], weights [I, O, Kx, Ky], valid
 cross-correlation with stride 1 and no padding.
-"""
 
-import os
+The forward pass is one einsum over sliding windows. Both gradients loop
+over the Kx*Ky kernel offsets instead and do one matmul per offset, with
+the N*Ho*Wo output positions as the contracted axis (grad_w) or as rows
+added into a shifted channels-last window (grad_x). This beat the einsum
+formulation at every shape in benchmarks/bench_kernels.py.
+"""
 
 import numpy as np
 
 
-def _windows(x, kx, ky):
-    # [N, C, Ho, Wo, kx, ky]
-    return np.lib.stride_tricks.sliding_window_view(x, (kx, ky), axis=(2, 3))
+def conv2d_forward(x, w):
+    windows = np.lib.stride_tricks.sliding_window_view(x, w.shape[2:], axis=(2, 3))
+    return np.einsum("nihwxy,ioxy->nohw", windows, w, optimize=True)
 
 
-def conv2d_forward_np(x, w):
-    return np.einsum("nihwxy,ioxy->nohw", _windows(x, w.shape[2], w.shape[3]), w, optimize=True)
-
-
-def conv2d_grad_w_np(x, gout):
-    # gout: [N, O, Ho, Wo] -> dw [I, O, Kx, Ky]
-    ho, wo = gout.shape[2], gout.shape[3]
-    kx, ky = x.shape[2] - ho + 1, x.shape[3] - wo + 1
-    win = np.lib.stride_tricks.sliding_window_view(x, (ho, wo), axis=(2, 3))
-    # win: [N, I, Kx, Ky, Ho, Wo]
-    return np.einsum("nixyhw,nohw->ioxy", win, gout, optimize=True)
-
-
-def conv2d_grad_x_np(gout, w):
-    # full correlation of gout with the flipped kernel, summed over O
-    kx, ky = w.shape[2], w.shape[3]
-    padded = np.pad(gout, ((0, 0), (0, 0), (kx - 1, kx - 1), (ky - 1, ky - 1)))
-    return np.einsum("nohwxy,ioxy->nihw", _windows(padded, kx, ky), w[:, :, ::-1, ::-1], optimize=True)
-
-
-# loop nests keep the image column index innermost so reads and writes
-# stay contiguous
-
-def _forward_loops(x, w, out):
-    n, ci, h, wd = x.shape
-    _, co, kx, ky = w.shape
-    ho, wo = h - kx + 1, wd - ky + 1
-    for b in range(n):
-        for o in range(co):
-            for i in range(ci):
-                for u in range(kx):
-                    for v in range(ky):
-                        wv = w[i, o, u, v]
-                        for p in range(ho):
-                            for q in range(wo):
-                                out[b, o, p, q] += x[b, i, p + u, q + v] * wv
-    return out
-
-
-def _grad_w_loops(x, gout, dw):
-    n, ci = x.shape[0], x.shape[1]
-    co, ho, wo = gout.shape[1], gout.shape[2], gout.shape[3]
-    kx, ky = dw.shape[2], dw.shape[3]
-    for b in range(n):
-        for o in range(co):
-            for i in range(ci):
-                for u in range(kx):
-                    for v in range(ky):
-                        acc = 0.0
-                        for p in range(ho):
-                            for q in range(wo):
-                                acc += x[b, i, p + u, q + v] * gout[b, o, p, q]
-                        dw[i, o, u, v] += acc
+def conv2d_grad_w(x, gout):
+    """dw [I, O, Kx, Ky] from inputs x and output gradient gout [N, O, Ho, Wo]."""
+    _, o, ho, wo = gout.shape
+    ci, kx, ky = x.shape[1], x.shape[2] - ho + 1, x.shape[3] - wo + 1
+    g = np.ascontiguousarray(gout.transpose(1, 0, 2, 3)).reshape(o, -1)
+    xc = np.ascontiguousarray(x.transpose(0, 2, 3, 1))
+    dw = np.empty((ci, o, kx, ky))
+    for u in range(kx):
+        for v in range(ky):
+            dw[:, :, u, v] = (g @ xc[:, u:u + ho, v:v + wo].reshape(-1, ci)).T
     return dw
 
 
-def _grad_x_loops(gout, w, dx):
-    n, co, ho, wo = gout.shape
+def conv2d_grad_x(gout, w):
+    """dx [N, I, H, W]: each offset's g @ w[:, :, u, v].T lands in its shifted window."""
+    n, o, ho, wo = gout.shape
     ci, _, kx, ky = w.shape
-    for b in range(n):
-        for o in range(co):
-            for i in range(ci):
-                for u in range(kx):
-                    for v in range(ky):
-                        wv = w[i, o, u, v]
-                        for p in range(ho):
-                            for q in range(wo):
-                                dx[b, i, p + u, q + v] += gout[b, o, p, q] * wv
-    return dx
-
-
-_DISABLED = os.environ.get("PRUNEKIT_NO_NUMBA", "").lower() in ("1", "true", "yes")
-
-try:
-    if _DISABLED:
-        raise ImportError
-    from numba import njit
-
-    _forward_jit = njit(cache=True)(_forward_loops)
-    _grad_w_jit = njit(cache=True)(_grad_w_loops)
-    _grad_x_jit = njit(cache=True)(_grad_x_loops)
-
-    def conv2d_forward_nb(x, w):
-        n, _, h, wd = x.shape
-        _, co, kx, ky = w.shape
-        out = np.zeros((n, co, h - kx + 1, wd - ky + 1))
-        return _forward_jit(np.ascontiguousarray(x), np.ascontiguousarray(w), out)
-
-    def conv2d_grad_w_nb(x, gout):
-        ho, wo = gout.shape[2], gout.shape[3]
-        dw = np.zeros((x.shape[1], gout.shape[1], x.shape[2] - ho + 1, x.shape[3] - wo + 1))
-        return _grad_w_jit(np.ascontiguousarray(x), np.ascontiguousarray(gout), dw)
-
-    def conv2d_grad_x_nb(gout, w):
-        kx, ky = w.shape[2], w.shape[3]
-        dx = np.zeros((gout.shape[0], w.shape[0], gout.shape[2] + kx - 1, gout.shape[3] + ky - 1))
-        return _grad_x_jit(np.ascontiguousarray(gout), np.ascontiguousarray(w), dx)
-
-    USING_NUMBA = True
-    conv2d_forward = conv2d_forward_nb
-    conv2d_grad_w = conv2d_grad_w_nb
-    conv2d_grad_x = conv2d_grad_x_nb
-except ImportError:
-    USING_NUMBA = False
-    conv2d_forward = conv2d_forward_np
-    conv2d_grad_w = conv2d_grad_w_np
-    conv2d_grad_x = conv2d_grad_x_np
+    g = np.ascontiguousarray(gout.transpose(0, 2, 3, 1)).reshape(-1, o)
+    dx = np.zeros((n, ho + kx - 1, wo + ky - 1, ci))
+    for u in range(kx):
+        for v in range(ky):
+            dx[:, u:u + ho, v:v + wo] += (g @ w[:, :, u, v].T).reshape(n, ho, wo, ci)
+    return dx.transpose(0, 3, 1, 2)

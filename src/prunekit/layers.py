@@ -15,6 +15,7 @@ from .tensor import init_weights
 class Layer:
     kind = "base"
     prunable = False
+    weight_shape: tuple | None = None  # bias, where a layer has one, is [weight_shape[1]]
     weights: np.ndarray | None = None
     bias: np.ndarray | None = None
 
@@ -37,6 +38,7 @@ class Dense(Layer):
 
     def __init__(self, n_in: int, n_out: int):
         self.n_in, self.n_out = n_in, n_out
+        self.weight_shape = (n_in, n_out)
         self.weights = None
         self.bias = np.zeros(n_out)
         self.mask = None
@@ -45,7 +47,7 @@ class Dense(Layer):
         self.grad_b = None
 
     def init(self, rng):
-        self.weights = init_weights((self.n_in, self.n_out), "uniform", rng)
+        self.weights = init_weights(self.weight_shape, "uniform", rng)
         self.bias = np.zeros(self.n_out)
 
     def forward(self, x):
@@ -69,6 +71,7 @@ class Conv2d(Layer):
 
     def __init__(self, in_ch: int, out_ch: int, kx: int, ky: int):
         self.in_ch, self.out_ch, self.kx, self.ky = in_ch, out_ch, kx, ky
+        self.weight_shape = (in_ch, out_ch, kx, ky)
         self.weights = None
         self.bias = np.zeros(out_ch)
         self.mask = None
@@ -77,7 +80,7 @@ class Conv2d(Layer):
         self.grad_b = None
 
     def init(self, rng):
-        self.weights = init_weights((self.in_ch, self.out_ch, self.kx, self.ky), "uniform", rng)
+        self.weights = init_weights(self.weight_shape, "uniform", rng)
         self.bias = np.zeros(self.out_ch)
 
     def forward(self, x):

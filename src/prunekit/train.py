@@ -51,10 +51,11 @@ class Callback:
 
 
 class TrainingAborted(RuntimeError):
-    """A callback raised; training state was checkpointed if a handler was given."""
+    """A callback raised or the loss went non-finite; training state was
+    checkpointed if a handler was given."""
 
     def __init__(self, cause, state):
-        super().__init__(f"training aborted by callback: {cause}")
+        super().__init__(f"training aborted: {cause}")
         self.cause = cause
         self.state = state
 
@@ -89,14 +90,18 @@ def accuracy(model: Model, inputs, labels) -> float:
     return float((logits.argmax(axis=1) == labels).mean())
 
 
+def _abort(cause, state, abort_handler) -> TrainingAborted:
+    if abort_handler is not None:
+        abort_handler(state)
+    return TrainingAborted(cause, state)
+
+
 def _fire(callbacks, event, state, abort_handler):
     for cb in callbacks:
         try:
             getattr(cb, event)(state)
         except Exception as exc:
-            if abort_handler is not None:
-                abort_handler(state)
-            raise TrainingAborted(exc, state) from exc
+            raise _abort(exc, state, abort_handler) from exc
 
 
 def fit(model: Model, config: TrainConfig, callbacks=(), data=None, abort_handler=None):
@@ -133,6 +138,9 @@ def fit(model: Model, config: TrainConfig, callbacks=(), data=None, abort_handle
             xb, yb = x_train[batch], y_train[batch]
             logits = model.forward(xb)
             loss, grad = softmax_cross_entropy(logits, yb)
+            if not math.isfinite(loss):
+                raise _abort(f"non-finite train_loss {loss} at epoch {epoch}, step {step}",
+                             state, abort_handler)
             model.backward(grad)
             sgd_step(model, config.learning_rate, config.momentum, velocities)
             state["step"] = step

@@ -220,3 +220,73 @@ def test_checkpoint_roundtrip_byte_identical(workdir):
     ckpt = checkpoint.load(p1)
     checkpoint.save(p2, ckpt.model, meta=ckpt.meta)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+def _shape_test_checkpoint(path):
+    """BASE_CONFIG's model with every optional array present: masks, histories, a snapshot."""
+    model = Model.from_specs(BASE_CONFIG["model"], Rng(8).child("init"))
+    for layer in model.prunable_layers():
+        layer.mask = np.ones_like(layer.weights)
+        layer.history = layer.weights.copy()
+    snapshot = [(l.weights.copy(), l.bias.copy()) for l in model.prunable_layers()]
+    checkpoint.save(path, model, rewind_snapshot=snapshot)
+
+
+def _reshaped(array, shape):
+    assert np.prod(shape) == np.prod(array["shape"])
+    return dict(array, shape=shape)
+
+
+@pytest.mark.parametrize("field, edit", [
+    ("layers[0].weights: shape [16, 2] != [2, 16]",
+     lambda d: d["layers"][0].update(weights=_reshaped(d["layers"][0]["weights"], [16, 2]))),
+    ("layers[2].bias: shape [1, 2] != [2]",
+     lambda d: d["layers"][2].update(bias=_reshaped(d["layers"][2]["bias"], [1, 2]))),
+    ("layers[2].mask: shape [2, 16] != [16, 2]",
+     lambda d: d["layers"][2].update(mask=_reshaped(d["layers"][2]["mask"], [2, 16]))),
+    ("layers[0].history: shape [32] != [2, 16]",
+     lambda d: d["layers"][0].update(history=_reshaped(d["layers"][0]["history"], [32]))),
+    ("layers[1].weights: shape [2, 16] != None",
+     lambda d: d["layers"][1].update(weights=d["layers"][0]["weights"])),
+    ("rewind_snapshot[1].weights: shape [2, 16] != [16, 2]",
+     lambda d: d["rewind_snapshot"][1].update(
+         weights=_reshaped(d["rewind_snapshot"][1]["weights"], [2, 16]))),
+    ("rewind_snapshot[0].bias: shape [4, 4] != [16]",
+     lambda d: d["rewind_snapshot"][0].update(
+         bias=_reshaped(d["rewind_snapshot"][0]["bias"], [4, 4]))),
+    ("rewind_snapshot: 1 entries != 2 layers with weights",
+     lambda d: d["rewind_snapshot"].pop()),
+])
+def test_load_rejects_shape_mismatch(workdir, capsys, field, edit):
+    path = workdir / "ckpt.json"
+    _shape_test_checkpoint(path)
+    assert main(["inspect", str(path)]) == 0
+    capsys.readouterr()
+    doc = json.loads(path.read_text())
+    edit(doc)
+    path.write_text(json.dumps(doc))
+    for command in (["inspect", str(path)], ["prune", str(path), "--sparsity", "50"]):
+        assert main(command) == 1
+        assert f"error: {field}" in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                            "ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("command, prune", [("run", None), ("run", {}), ("lth", {"lth": True})],
+                         ids=["run_no_prune", "run_prune", "lth"])
+def test_non_finite_loss_exits_1(workdir, capsys, command, prune):
+    doc = json.loads(json.dumps(BASE_CONFIG))
+    doc["train"]["learning_rate"] = 1e300
+    if prune is None:
+        del doc["prune"]
+    else:
+        doc["prune"].update(prune)
+    cfg = workdir / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    assert main([command, str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert "error: training aborted: non-finite train_loss" in err
+    assert "Traceback" not in err
+    out = workdir / "demo-seed42"
+    assert (out / "crash_checkpoint.json").exists()
+    assert not (out / "checkpoint.json").exists()
