@@ -97,7 +97,7 @@ def main(argv=None):
     for label, (x_shape, w_shape) in SHAPES.items():
         x, w = rng.normal(size=x_shape), rng.normal(size=w_shape)
         gout = rng.normal(size=forward_loops(x, w).shape)
-        reps = args.reps // 10 if label == "large" else args.reps
+        reps = max(2, args.reps // 10 if label == "large" else args.reps)
         for name, fn, ref, fargs in (
                 ("forward", kernels.conv2d_forward, forward_loops, (x, w)),
                 ("grad_w", kernels.conv2d_grad_w, grad_w_loops, (x, gout)),
