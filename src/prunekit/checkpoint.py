@@ -1,27 +1,69 @@
 """Versioned JSON checkpoints: model weights, masks, weight histories,
 optional rewind snapshot, plan echo, and a metric-log tail.
 
-Numbers are serialized with Python's repr, which round-trips float64
-exactly; serialization is key-sorted so identical state produces
-byte-identical files.
+A checkpoint file is `json.dumps(doc, sort_keys=True, separators=(",", ":"))`
+plus a newline, so identical state produces byte-identical files and
+finite floats are written with Python's repr, which round-trips float64
+exactly (non-finite ones as NaN/Infinity/-Infinity). `save` writes the
+document skeleton itself and hands each array's data to the C encoder
+`_CHUNK` numbers at a time, which keeps only one chunk's Python floats
+and strings alive. Every array is `{"data": [...], "shape": [...]}`.
 """
 
 import json
 
 import numpy as np
 
-from .layers import Model
+from .layers import Model, layer_from_spec
 
 FORMAT_VERSION = 1
+_CHUNK = 1 << 13  # numbers per json.dumps call
 
 
-def _enc_array(a: np.ndarray | None, as_int=False):
-    if a is None:
-        return None
-    data = a.ravel().tolist()
-    if as_int:
-        data = [int(v) for v in data]
-    return {"shape": list(a.shape), "data": data}
+def _dumps(obj) -> str:
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+
+def _write_array(fh, a: np.ndarray) -> None:
+    flat = a.ravel()
+    fh.write('{"data":[')
+    for start in range(0, flat.size, _CHUNK):
+        fh.write(("," if start else "") + _dumps(flat[start:start + _CHUNK].tolist())[1:-1])
+    fh.write(f'],"shape":{_dumps(list(a.shape))}}}')
+
+
+def _write_object(fh, fields: dict) -> None:
+    """Write fields as a JSON object in sorted key order, arrays through _write_array."""
+    for n, key in enumerate(sorted(fields)):
+        fh.write(("," if n else "{") + f'"{key}":')
+        value = fields[key]
+        if isinstance(value, np.ndarray):
+            _write_array(fh, value)
+        else:
+            fh.write(_dumps(value))
+    fh.write("}")
+
+
+def _write_list(fh, objects) -> None:
+    """Write a JSON list of objects, taking one from the iterable at a time."""
+    fh.write("[")
+    for n, fields in enumerate(objects):
+        fh.write("," if n else "")
+        _write_object(fh, fields)
+    fh.write("]")
+
+
+def _expect(value, kind: type, field: str):
+    if not isinstance(value, kind):
+        raise ValueError(f"{field}: expected {'an object' if kind is dict else 'a list'}, "
+                         f"got {type(value).__name__}")
+    return value
+
+
+def _member(obj: dict, key: str, prefix: str = ""):
+    if key not in obj:
+        raise ValueError(f"{prefix}{key}: missing")
+    return obj[key]
 
 
 def _dec_array(obj, field: str, shape: tuple | None) -> np.ndarray | None:
@@ -29,10 +71,12 @@ def _dec_array(obj, field: str, shape: tuple | None) -> np.ndarray | None:
     without weights (shape None) holds no arrays."""
     if obj is None:
         return None
+    _expect(obj, dict, field)
+    data, dims = _member(obj, "data", f"{field}."), _member(obj, "shape", f"{field}.")
     try:
-        arr = np.array(obj["data"], dtype=np.float64).reshape(obj["shape"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValueError(f"corrupt checkpoint field {field!r}: {exc}") from None
+        arr = np.array(data, dtype=np.float64).reshape(dims)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{field}: corrupt array: {exc}") from None
     if arr.shape != shape:
         raise ValueError(f"{field}: shape {list(arr.shape)} != "
                          f"{None if shape is None else list(shape)}")
@@ -49,46 +93,56 @@ class Checkpoint:
         self.meta = meta or {}
 
 
+def _layer_fields(layer) -> dict:
+    fields = {"spec": layer.spec(), "weights": layer.weights,
+              "bias": None if layer.bias is None or layer.weights is None else layer.bias}
+    if layer.prunable:
+        fields["mask"] = None if layer.mask is None else layer.mask.astype(np.int64)
+        fields["history"] = layer.history
+    return fields
+
+
 def save(path, model: Model, rewind_snapshot=None, plan: dict | None = None,
          metrics_tail: list | None = None, meta: dict | None = None) -> None:
-    doc = {
-        "format_version": FORMAT_VERSION,
-        "layers": [],
-        "rewind_snapshot": None,
-        "plan": plan,
-        "metrics_tail": metrics_tail or [],
-        "meta": meta or {},
-    }
-    for layer in model.layers:
-        entry = {"spec": layer.spec(),
-                 "weights": _enc_array(layer.weights),
-                 "bias": None if layer.bias is None or layer.weights is None
-                         else _enc_array(layer.bias)}
-        if layer.prunable:
-            entry["mask"] = _enc_array(layer.mask, as_int=True)
-            entry["history"] = _enc_array(layer.history)
-        doc["layers"].append(entry)
-    if rewind_snapshot is not None:
-        doc["rewind_snapshot"] = [{"weights": _enc_array(w), "bias": _enc_array(b)}
-                                  for w, b in rewind_snapshot]
     with open(path, "w") as fh:
-        json.dump(doc, fh, sort_keys=True, separators=(",", ":"))
-        fh.write("\n")
+        fh.write(f'{{"format_version":{FORMAT_VERSION},"layers":')
+        _write_list(fh, map(_layer_fields, model.layers))
+        fh.write(f',"meta":{_dumps(meta or {})},"metrics_tail":{_dumps(metrics_tail or [])}'
+                 f',"plan":{_dumps(plan)},"rewind_snapshot":')
+        if rewind_snapshot is None:
+            fh.write("null")
+        else:
+            _write_list(fh, ({"weights": w, "bias": b} for w, b in rewind_snapshot))
+        fh.write("}\n")
 
 
 def load(path) -> Checkpoint:
+    """Read a checkpoint; a missing, mistyped or misshapen field raises
+    ValueError naming its path, e.g. `layers[0].spec.out: missing`."""
     with open(path) as fh:
         try:
             doc = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ValueError(f"corrupt checkpoint {path}: {exc.msg} at offset {exc.pos}") from None
+    _expect(doc, dict, "checkpoint")
     if doc.get("format_version") != FORMAT_VERSION:
         raise ValueError(f"unsupported checkpoint format_version {doc.get('format_version')!r}")
-    model = Model.from_specs([entry["spec"] for entry in doc["layers"]])
-    for i, (layer, entry) in enumerate(zip(model.layers, doc["layers"])):
+    entries = _expect(_member(doc, "layers"), list, "layers")
+    layers = []
+    for i, entry in enumerate(entries):
+        at = f"layers[{i}]"
+        spec = _expect(_member(_expect(entry, dict, at), "spec", f"{at}."), dict, f"{at}.spec")
+        try:
+            layers.append(layer_from_spec(spec))
+        except ValueError as exc:
+            raise ValueError(f"{at}.spec.{exc}") from None
+    model = Model(layers)
+    for i, (layer, entry) in enumerate(zip(model.layers, entries)):
         shape = layer.weight_shape
         bias_shape = None if shape is None else shape[1:2]
         layer.weights = _dec_array(entry.get("weights"), f"layers[{i}].weights", shape)
+        if layer.weights is None and shape is not None:
+            raise ValueError(f"layers[{i}].weights: missing")
         bias = _dec_array(entry.get("bias"), f"layers[{i}].bias", bias_shape)
         if bias is not None:
             layer.bias = bias
@@ -97,12 +151,20 @@ def load(path) -> Checkpoint:
             layer.history = _dec_array(entry.get("history"), f"layers[{i}].history", shape)
     snapshot = doc.get("rewind_snapshot")
     if snapshot is not None:
+        _expect(snapshot, list, "rewind_snapshot")
         shapes = [l.weight_shape for l in model.layers if l.weight_shape is not None]
         if len(snapshot) != len(shapes):
             raise ValueError(f"rewind_snapshot: {len(snapshot)} entries != "
                              f"{len(shapes)} layers with weights")
-        snapshot = [(_dec_array(e["weights"], f"rewind_snapshot[{j}].weights", shape),
-                     _dec_array(e["bias"], f"rewind_snapshot[{j}].bias", shape[1:2]))
-                    for j, (e, shape) in enumerate(zip(snapshot, shapes))]
+        decoded = []
+        for j, (e, shape) in enumerate(zip(snapshot, shapes)):
+            at = f"rewind_snapshot[{j}]"
+            _expect(e, dict, at)
+            decoded.append((_dec_array(_member(e, "weights", f"{at}."), f"{at}.weights", shape),
+                            _dec_array(_member(e, "bias", f"{at}."), f"{at}.bias", shape[1:2])))
+        snapshot = decoded
+    for key in ("plan", "meta"):
+        if doc.get(key) is not None:
+            _expect(doc[key], dict, key)
     return Checkpoint(model, rewind_snapshot=snapshot, plan=doc.get("plan"),
                       metrics_tail=doc.get("metrics_tail", []), meta=doc.get("meta", {}))

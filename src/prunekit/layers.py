@@ -15,6 +15,7 @@ from .tensor import init_weights
 class Layer:
     kind = "base"
     prunable = False
+    spec_keys: tuple = ()  # integer constructor arguments, in order, as named in spec()
     weight_shape: tuple | None = None  # bias, where a layer has one, is [weight_shape[1]]
     weights: np.ndarray | None = None
     bias: np.ndarray | None = None
@@ -26,7 +27,12 @@ class Layer:
         raise NotImplementedError
 
     def backward(self, gout):
+        """Store the parameter gradients and return the input gradient."""
         raise NotImplementedError
+
+    def backward_params(self, gout):
+        """Store the parameter gradients only, for a layer whose input
+        gradient nothing reads."""
 
     def spec(self) -> dict:
         return {"kind": self.kind}
@@ -35,6 +41,7 @@ class Layer:
 class Dense(Layer):
     kind = "dense"
     prunable = True
+    spec_keys = ("in", "out")
 
     def __init__(self, n_in: int, n_out: int):
         self.n_in, self.n_out = n_in, n_out
@@ -56,9 +63,12 @@ class Dense(Layer):
         self._x = x
         return x @ self.weights + self.bias
 
-    def backward(self, gout):
+    def backward_params(self, gout):
         self.grad_w = self._x.T @ gout
         self.grad_b = gout.sum(axis=0)
+
+    def backward(self, gout):
+        self.backward_params(gout)
         return gout @ self.weights.T
 
     def spec(self):
@@ -68,6 +78,7 @@ class Dense(Layer):
 class Conv2d(Layer):
     kind = "conv2d"
     prunable = True
+    spec_keys = ("in_ch", "out_ch", "kx", "ky")
 
     def __init__(self, in_ch: int, out_ch: int, kx: int, ky: int):
         self.in_ch, self.out_ch, self.kx, self.ky = in_ch, out_ch, kx, ky
@@ -91,9 +102,12 @@ class Conv2d(Layer):
         self._x = x
         return kernels.conv2d_forward(x, self.weights) + self.bias[None, :, None, None]
 
-    def backward(self, gout):
+    def backward_params(self, gout):
         self.grad_w = kernels.conv2d_grad_w(self._x, gout)
         self.grad_b = gout.sum(axis=(0, 2, 3))
+
+    def backward(self, gout):
+        self.backward_params(gout)
         return kernels.conv2d_grad_x(gout, self.weights)
 
     def spec(self):
@@ -127,14 +141,20 @@ _LAYER_KINDS = {"dense": Dense, "conv2d": Conv2d, "relu": ReLU, "flatten": Flatt
 
 
 def layer_from_spec(spec: dict) -> Layer:
+    """Build a layer from its spec; a bad spec raises ValueError("<key>: <problem>")."""
     kind = spec.get("kind")
-    if kind == "dense":
-        return Dense(int(spec["in"]), int(spec["out"]))
-    if kind == "conv2d":
-        return Conv2d(int(spec["in_ch"]), int(spec["out_ch"]), int(spec["kx"]), int(spec["ky"]))
-    if kind in ("relu", "flatten"):
-        return _LAYER_KINDS[kind]()
-    raise ValueError(f"unknown layer kind {kind!r}")
+    cls = _LAYER_KINDS.get(kind) if isinstance(kind, str) else None
+    if cls is None:
+        raise ValueError(f"kind: unknown layer kind {kind!r}")
+    args = []
+    for key in cls.spec_keys:
+        if key not in spec:
+            raise ValueError(f"{key}: missing")
+        try:
+            args.append(int(spec[key]))
+        except (TypeError, ValueError):
+            raise ValueError(f"{key}: not an integer: {spec[key]!r}") from None
+    return cls(*args)
 
 
 class Model:
@@ -157,10 +177,14 @@ class Model:
             x = layer.forward(x)
         return x
 
-    def backward(self, gout: np.ndarray) -> np.ndarray:
-        for layer in reversed(self.layers):
+    def backward(self, gout: np.ndarray) -> None:
+        """Store every layer's parameter gradients. Nothing reads the
+        gradient with respect to the model input, so the first layer does
+        not compute its input gradient."""
+        for layer in reversed(self.layers[1:]):
             gout = layer.backward(gout)
-        return gout
+        if self.layers:
+            self.layers[0].backward_params(gout)
 
     def prunable_layers(self) -> list[Layer]:
         return [l for l in self.layers if l.prunable]

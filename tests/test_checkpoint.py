@@ -1,0 +1,106 @@
+import json
+
+import numpy as np
+import pytest
+
+from prunekit import Model, Rng, checkpoint
+
+CHUNK = checkpoint._CHUNK
+
+
+def canonical(text):
+    return json.dumps(json.loads(text), sort_keys=True, separators=(",", ":")) + "\n"
+
+
+def one_shot_text(model, rewind_snapshot=None, plan=None, metrics_tail=None, meta=None):
+    """The checkpoint document as one json.dumps call over nested Python lists."""
+    def array(a, as_int=False):
+        if a is None:
+            return None
+        data = a.ravel().tolist()
+        return {"shape": list(a.shape), "data": [int(v) for v in data] if as_int else data}
+
+    layers = []
+    for layer in model.layers:
+        entry = {"spec": layer.spec(), "weights": array(layer.weights),
+                 "bias": None if layer.bias is None or layer.weights is None
+                         else array(layer.bias)}
+        if layer.prunable:
+            entry["mask"] = array(layer.mask, as_int=True)
+            entry["history"] = array(layer.history)
+        layers.append(entry)
+    doc = {"format_version": checkpoint.FORMAT_VERSION, "layers": layers,
+           "rewind_snapshot": None if rewind_snapshot is None else
+           [{"weights": array(w), "bias": array(b)} for w, b in rewind_snapshot],
+           "plan": plan, "metrics_tail": metrics_tail or [], "meta": meta or {}}
+    return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+def conv_relu_flatten(masked=True):
+    """conv2d -> relu -> flatten -> dense; the conv layer masked, the dense one not."""
+    model = Model.from_specs(
+        [{"kind": "conv2d", "in_ch": 2, "out_ch": 3, "kx": 3, "ky": 2}, {"kind": "relu"},
+         {"kind": "flatten"}, {"kind": "dense", "in": 3 * 4 * 5, "out": 2}], Rng(11))
+    conv = model.layers[0]
+    if masked:
+        conv.mask = (Rng(12).normal(conv.weights.shape) > 0).astype(float)
+        conv.history = conv.weights * 0.5
+    return model
+
+
+def snapshot_of(model):
+    return [(l.weights.copy(), l.bias.copy()) for l in model.layers if l.weights is not None]
+
+
+def dense_of(n_out):
+    model = Model.from_specs([{"kind": "dense", "in": 1, "out": n_out}], Rng(n_out))
+    model.layers[0].mask = np.ones((1, n_out))
+    model.layers[0].history = model.layers[0].weights.copy()
+    return model
+
+
+def non_finite():
+    model = conv_relu_flatten()
+    flat = model.layers[3].weights.ravel()
+    flat[:4] = [np.nan, np.inf, -np.inf, -0.0]
+    model.layers[0].history.ravel()[0] = np.nan
+    return model
+
+
+CASES = {
+    "relu_flatten_mask_and_none": lambda: (conv_relu_flatten(), {}),
+    "no_masks": lambda: (conv_relu_flatten(masked=False), {}),
+    "snapshot_none": lambda: (conv_relu_flatten(), {"rewind_snapshot": None}),
+    "snapshot_empty": lambda: (conv_relu_flatten(), {"rewind_snapshot": []}),
+    "snapshot": lambda: (lambda m: (m, {"rewind_snapshot": snapshot_of(m)}))(conv_relu_flatten()),
+    "nested_plan_meta_metrics": lambda: (conv_relu_flatten(), {
+        "plan": {"sparsity": [10.0, 20.5], "schedule": {"kind": "gradual", "alpha": None},
+                 "context": "global"},
+        "meta": {"seed": 3, "name": "x", "nested": {"b": [1, {"z": 0.1, "a": True}]}},
+        "metrics_tail": [(0, 1, 0.25, 1e-300, 50.0), (0, 2, 1 / 3, 2.0, 50.0)]}),
+    "non_finite_weights": lambda: (non_finite(), {"meta": {"aborted": True}}),
+    "chunk_minus_1": lambda: (dense_of(CHUNK - 1), {}),
+    "chunk": lambda: (dense_of(CHUNK), {}),
+    "chunk_plus_1": lambda: (dense_of(CHUNK + 1), {}),
+}
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_save_writes_canonical_json(tmp_path, case):
+    model, kwargs = CASES[case]()
+    path = tmp_path / "ckpt.json"
+    checkpoint.save(path, model, **kwargs)
+    text = path.read_text()
+    assert text == canonical(text)
+    assert text == one_shot_text(model, **kwargs)
+
+
+def test_non_finite_weights_round_trip(tmp_path):
+    model = non_finite()
+    path = tmp_path / "ckpt.json"
+    checkpoint.save(path, model)
+    assert '"data":[NaN,Infinity,-Infinity,-0.0,' in path.read_text()
+    loaded = checkpoint.load(path).model
+    for a, b in zip(model.layers, loaded.layers):
+        if a.weights is not None:
+            np.testing.assert_array_equal(a.weights, b.weights)

@@ -270,6 +270,58 @@ def test_load_rejects_shape_mismatch(workdir, capsys, field, edit):
         assert f"error: {field}" in capsys.readouterr().err
 
 
+def _drop(*path):
+    """An edit that deletes the field at `path` and returns the document."""
+    def edit(doc):
+        obj = doc
+        for key in path[:-1]:
+            obj = obj[key]
+        del obj[path[-1]]
+        return doc
+    return edit
+
+
+def _put(value, *path):
+    """An edit that sets the field at `path` to `value` and returns the document."""
+    def edit(doc):
+        obj = doc
+        for key in path[:-1]:
+            obj = obj[key]
+        obj[path[-1]] = value
+        return doc
+    return edit
+
+
+@pytest.mark.parametrize("field, edit", [
+    ("layers: missing", _drop("layers")),
+    ("layers: expected a list, got dict", _put({}, "layers")),
+    ("layers[0]: expected an object, got int", _put(5, "layers", 0)),
+    ("layers[0].spec: missing", _drop("layers", 0, "spec")),
+    ("layers[0].spec: expected an object, got str", _put("dense", "layers", 0, "spec")),
+    ("layers[0].spec.out: missing", _drop("layers", 0, "spec", "out")),
+    ("layers[0].spec.out: not an integer: 'x'", _put("x", "layers", 0, "spec", "out")),
+    ("layers[1].spec.kind: unknown layer kind 'gelu'", _put("gelu", "layers", 1, "spec", "kind")),
+    ("layers[2].weights: missing", _drop("layers", 2, "weights")),
+    ("layers[2].weights.data: missing", _drop("layers", 2, "weights", "data")),
+    ("layers[0].mask.shape: missing", _drop("layers", 0, "mask", "shape")),
+    ("rewind_snapshot[0].weights: missing", _drop("rewind_snapshot", 0, "weights")),
+    ("rewind_snapshot[1].bias: missing", _drop("rewind_snapshot", 1, "bias")),
+    ("rewind_snapshot[1]: expected an object, got list", _put([], "rewind_snapshot", 1)),
+    ("plan: expected an object, got list", _put([], "plan")),
+    ("checkpoint: expected an object, got list", lambda d: [d]),
+])
+def test_load_rejects_missing_field(workdir, capsys, field, edit):
+    path = workdir / "ckpt.json"
+    _shape_test_checkpoint(path)
+    doc = edit(json.loads(path.read_text()))
+    path.write_text(json.dumps(doc))
+    for command in (["inspect", str(path)], ["prune", str(path), "--sparsity", "50"]):
+        assert main(command) == 1
+        err = capsys.readouterr().err
+        assert f"error: {field}" in err
+        assert "Traceback" not in err
+
+
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
                             "ignore:invalid value:RuntimeWarning")
 @pytest.mark.parametrize("command, prune", [("run", None), ("run", {}), ("lth", {"lth": True})],

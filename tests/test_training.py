@@ -188,6 +188,24 @@ def test_hook_counts_and_order():
     assert events[1:-1] == expected_epoch * 3
 
 
+def test_first_layer_input_gradient_not_computed(monkeypatch):
+    from prunekit import kernels
+    grad_x = kernels.conv2d_grad_x
+    calls = []
+    monkeypatch.setattr(kernels, "conv2d_grad_x",
+                        lambda gout, w: calls.append(w.shape) or grad_x(gout, w))
+    model = Model.from_specs(
+        [{"kind": "conv2d", "in_ch": 1, "out_ch": 2, "kx": 3, "ky": 3}, {"kind": "relu"},
+         {"kind": "conv2d", "in_ch": 2, "out_ch": 3, "kx": 3, "ky": 3}, {"kind": "relu"},
+         {"kind": "flatten"}, {"kind": "dense", "in": 48, "out": 2}], Rng(0))
+    cfg = TrainConfig(epochs=1, batch_size=64, learning_rate=0.1, seed=0,
+                      dataset={"kind": "patterns8x8", "n": 40, "noise": 0.1})
+    _, log = fit(model, cfg)
+    assert len(log) == 1
+    assert calls == [(2, 3, 3, 3)]  # the second conv layer only
+    assert model.layers[0].grad_w.shape == (1, 2, 3, 3)
+
+
 def test_fit_deterministic():
     cfg = TrainConfig(epochs=5, batch_size=32, learning_rate=0.1, seed=23, dataset=BLOBS)
     m1, log1 = fit(mlp(Rng(23).child("init")), cfg)
