@@ -44,6 +44,7 @@ CONV = [{"kind": "conv2d", "in_ch": a, "out_ch": b, "kx": 3, "ky": 3}
 MLP = [{"kind": "dense", "in": 2, "out": 256}, {"kind": "relu"},
        {"kind": "dense", "in": 256, "out": 256}, {"kind": "relu"},
        {"kind": "dense", "in": 256, "out": 2}]
+REPS = 9  # saves and loads timed per model
 # name: (layer specs, granularity, context, criterion, sparsity)
 MODELS = {
     "prune_sweep": (CONV, "kernel", "global", "magnitude_increase", 70.0),
@@ -94,7 +95,6 @@ def main(argv=None):
     parser.add_argument("--label", required=True, help="name of this run in the JSON")
     parser.add_argument("--src", default=str(ROOT / "src"), help="directory holding prunekit/")
     parser.add_argument("--out", default=str(ROOT / "BENCH_checkpoint.json"))
-    parser.add_argument("--reps", type=int, default=9, help="saves and loads timed per model")
     args = parser.parse_args(argv)
     src = Path(args.src).resolve()
     sys.path.insert(0, str(src))
@@ -117,10 +117,10 @@ def main(argv=None):
             case = {"model": name, "weights": sum(l.weights.size for l in model.prunable_layers()),
                     "bytes": path.stat().st_size,
                     "sha256": hashlib.sha256(path.read_bytes()).hexdigest(),
-                    "reps": args.reps, "save_peak_mb": peak / 2**20}
+                    "reps": REPS, "save_peak_mb": peak / 2**20}
             for op, fn in (("save", lambda: checkpoint.save(path, model, **kwargs)),
                            ("load", lambda: checkpoint.load(path))):
-                case[op] = timings_ms(fn, args.reps)
+                case[op] = timings_ms(fn, REPS)
             cases.append(case)
             print(f"{name:<12} {case['weights']:>7} weights {case['bytes']:>8} B  "
                   f"save {case['save']['median_ms']:8.1f} ms  load {case['load']['median_ms']:7.1f} ms"

@@ -32,7 +32,9 @@ class Layer:
 
     def backward_params(self, gout):
         """Store the parameter gradients only, for a layer whose input
-        gradient nothing reads."""
+        gradient nothing reads. Layers with parameters override this to
+        skip the input gradient; the default runs backward and drops it."""
+        self.backward(gout)
 
     def spec(self) -> dict:
         return {"kind": self.kind}
@@ -151,9 +153,12 @@ def layer_from_spec(spec: dict) -> Layer:
         if key not in spec:
             raise ValueError(f"{key}: missing")
         try:
-            args.append(int(spec[key]))
-        except (TypeError, ValueError):
+            value = int(spec[key])
+        except (TypeError, ValueError, OverflowError):
             raise ValueError(f"{key}: not an integer: {spec[key]!r}") from None
+        if value < 1:
+            raise ValueError(f"{key}: not a positive integer: {spec[key]!r}")
+        args.append(value)
     return cls(*args)
 
 

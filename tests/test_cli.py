@@ -309,6 +309,9 @@ def _put(value, *path):
     ("rewind_snapshot[1]: expected an object, got list", _put([], "rewind_snapshot", 1)),
     ("plan: expected an object, got list", _put([], "plan")),
     ("checkpoint: expected an object, got list", lambda d: [d]),
+    ("layers[0].spec.out: not an integer: inf", _put(float("inf"), "layers", 0, "spec", "out")),
+    ("layers[0].spec.out: not a positive integer: -1", _put(-1, "layers", 0, "spec", "out")),
+    ("layers[0].spec.in: not a positive integer: 0", _put(0, "layers", 0, "spec", "in")),
 ])
 def test_load_rejects_missing_field(workdir, capsys, field, edit):
     path = workdir / "ckpt.json"

@@ -206,6 +206,29 @@ def test_first_layer_input_gradient_not_computed(monkeypatch):
     assert model.layers[0].grad_w.shape == (1, 2, 3, 3)
 
 
+def test_first_layer_overriding_only_backward_gets_gradients():
+    from prunekit.layers import Layer
+
+    class Scale(Layer):  # a parameter layer that defines backward() only
+        weights = np.array(2.0)
+
+        def forward(self, x):
+            self._x = x
+            return x * self.weights
+
+        def backward(self, gout):
+            self.grad_w = (self._x * gout).sum()
+            return gout * self.weights
+
+    model = Model([Scale(), Dense(2, 2)])
+    model.init(Rng(0))
+    x = np.random.default_rng(0).normal(size=(5, 2))
+    model.forward(x)
+    model.backward(np.ones((5, 2)))
+    want = (x * model.layers[1].weights.sum(axis=1)).sum()
+    assert model.layers[0].grad_w == pytest.approx(want)
+
+
 def test_fit_deterministic():
     cfg = TrainConfig(epochs=5, batch_size=32, learning_rate=0.1, seed=23, dataset=BLOBS)
     m1, log1 = fit(mlp(Rng(23).child("init")), cfg)
