@@ -2,22 +2,22 @@
 optional rewind snapshot, plan echo, and a metric-log tail.
 
 A checkpoint file is `json.dumps(doc, sort_keys=True, separators=(",", ":"))`
-plus a newline, so identical state produces byte-identical files and
-finite floats are written with Python's repr, which round-trips float64
-exactly (non-finite ones as NaN/Infinity/-Infinity). `save` writes the
-document skeleton itself and hands each array's data to the C encoder
-`_CHUNK` numbers at a time, which keeps only one chunk's Python floats
-and strings alive. Every array is `{"data": [...], "shape": [...]}`.
+plus a newline, so identical state produces byte-identical files. Every
+array, masks included, is `{"data": "<base64>", "shape": [...]}`, where the
+data is the base64 of the array's C-order little-endian float64 bytes, so
+a round trip is bit-exact (NaN payloads and -0.0 too). `save` writes the
+document skeleton itself and each array's base64 in one write, so only one
+array's encoding is held at a time.
 """
 
+import base64
 import json
 
 import numpy as np
 
 from .layers import Model, layer_from_spec
 
-FORMAT_VERSION = 1
-_CHUNK = 1 << 13  # numbers per json.dumps call
+FORMAT_VERSION = 2
 
 
 def _dumps(obj) -> str:
@@ -25,11 +25,9 @@ def _dumps(obj) -> str:
 
 
 def _write_array(fh, a: np.ndarray) -> None:
-    flat = a.ravel()
-    fh.write('{"data":[')
-    for start in range(0, flat.size, _CHUNK):
-        fh.write(("," if start else "") + _dumps(flat[start:start + _CHUNK].tolist())[1:-1])
-    fh.write(f'],"shape":{_dumps(list(a.shape))}}}')
+    fh.write('{"data":"')
+    fh.write(base64.b64encode(a.astype("<f8", copy=False).tobytes()).decode())
+    fh.write(f'","shape":{_dumps(list(a.shape))}}}')
 
 
 def _write_object(fh, fields: dict) -> None:
@@ -73,14 +71,13 @@ def _dec_array(obj, field: str, shape: tuple | None) -> np.ndarray | None:
         return None
     _expect(obj, dict, field)
     data, dims = _member(obj, "data", f"{field}."), _member(obj, "shape", f"{field}.")
+    if shape is None or dims != list(shape):
+        raise ValueError(f"{field}: shape {dims} != {None if shape is None else list(shape)}")
     try:
-        arr = np.array(data, dtype=np.float64).reshape(dims)
+        arr = np.frombuffer(base64.b64decode(data, validate=True), "<f8").reshape(shape)
     except (TypeError, ValueError) as exc:
         raise ValueError(f"{field}: corrupt array: {exc}") from None
-    if arr.shape != shape:
-        raise ValueError(f"{field}: shape {list(arr.shape)} != "
-                         f"{None if shape is None else list(shape)}")
-    return arr
+    return arr.astype(np.float64)  # a writable native copy of the read-only buffer
 
 
 class Checkpoint:
@@ -97,7 +94,7 @@ def _layer_fields(layer) -> dict:
     fields = {"spec": layer.spec(), "weights": layer.weights,
               "bias": None if layer.bias is None or layer.weights is None else layer.bias}
     if layer.prunable:
-        fields["mask"] = None if layer.mask is None else layer.mask.astype(np.int64)
+        fields["mask"] = layer.mask
         fields["history"] = layer.history
     return fields
 
@@ -134,8 +131,8 @@ def load(path) -> Checkpoint:
         spec = _expect(_member(_expect(entry, dict, at), "spec", f"{at}."), dict, f"{at}.spec")
         try:
             layers.append(layer_from_spec(spec))
-        except ValueError as exc:
-            raise ValueError(f"{at}.spec.{exc}") from None
+        except ValueError as exc:  # "<key>: <problem>", or numpy's own message for a huge size
+            raise ValueError(f"{at}.spec.{exc}" if ": " in str(exc) else f"{at}.spec: {exc}") from None
     model = Model(layers)
     for i, (layer, entry) in enumerate(zip(model.layers, entries)):
         shape = layer.weight_shape

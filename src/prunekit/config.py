@@ -4,7 +4,7 @@ import json
 
 from .criteria import CRITERIA
 from .granularity import parse_granularity
-from .layers import Model
+from .layers import Model, layer_from_spec
 from .schedule import BUILTIN_SCHEDULES, ScheduleSpec, _custom_registry
 from .sparsifier import SparsifyPlan
 from .train import TrainConfig
@@ -103,9 +103,15 @@ def load_config(path, seed_override: int | None = None) -> ExperimentConfig:
     if not isinstance(model_specs, list) or not model_specs:
         raise ConfigError("model", "must be a non-empty list of layer specs")
     for i, spec in enumerate(model_specs):
-        if not isinstance(spec, dict) or spec.get("kind") not in ("dense", "conv2d", "relu", "flatten"):
-            raise ConfigError(f"model[{i}].kind", f"unknown layer kind {spec.get('kind')!r}"
-                              if isinstance(spec, dict) else "layer spec must be an object")
+        if not isinstance(spec, dict):
+            raise ConfigError(f"model[{i}]", "layer spec must be an object")
+        try:
+            layer_from_spec(spec)
+        except ValueError as exc:  # "<key>: <problem>", or numpy's own message for a huge size
+            key, sep, problem = str(exc).partition(": ")
+            if not sep:
+                raise ConfigError(f"model[{i}]", str(exc)) from None
+            raise ConfigError(f"model[{i}].{key}", problem) from None
     dataset = _require(doc, "dataset", "")
     if dataset.get("kind") not in ("blobs2d", "patterns8x8"):
         raise ConfigError("dataset.kind", f"unknown dataset kind {dataset.get('kind')!r}")

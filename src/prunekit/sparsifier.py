@@ -22,7 +22,7 @@ from .layers import Model
 from .rng import Rng
 from .schedule import ProgressClock, ScheduleSpec, current_target, window_steps
 from .selection import ContextSpec, LayerScores, select
-from .tensor import apply_mask, sparsity_of
+from .tensor import apply_mask
 from .train import Callback, accuracy
 
 
@@ -81,7 +81,7 @@ def model_sparsity(layers) -> float:
     masks = [l.mask for l in layers if l.mask is not None]
     if not masks:
         return 0.0
-    return sparsity_of(np.concatenate([m.ravel() for m in masks]))
+    return sum(m.size - np.count_nonzero(m) for m in masks) / sum(m.size for m in masks)
 
 
 class Sparsifier:

@@ -77,7 +77,9 @@ def sgd_step(model: Model, lr: float, momentum: float, velocities: dict) -> None
     for idx, layer in enumerate(model.layers):
         if layer.weights is None:
             continue
-        vw, vb = velocities.setdefault(idx, (np.zeros_like(layer.weights), np.zeros_like(layer.bias)))
+        if idx not in velocities:
+            velocities[idx] = (np.zeros_like(layer.weights), np.zeros_like(layer.bias))
+        vw, vb = velocities[idx]
         vw = momentum * vw + layer.grad_w
         vb = momentum * vb + layer.grad_b
         velocities[idx] = (vw, vb)

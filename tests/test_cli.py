@@ -1,3 +1,4 @@
+import base64
 import json
 import os
 
@@ -73,6 +74,27 @@ def test_invalid_granularity_exit_2(workdir, capsys):
     cfg = write_config(workdir / "cfg.json", prune={"granularity": "hexagon"})
     assert main(["run", str(cfg)]) == 2
     assert "granularity" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field, model", [
+    ("model[0].out: missing", [{"kind": "dense", "in": 2}]),
+    ("model[2].in: not a positive integer: 0",
+     [{"kind": "dense", "in": 2, "out": 16}, {"kind": "relu"}, {"kind": "dense", "in": 0, "out": 2}]),
+    ("model[0].kx: not an integer: 'three'",
+     [{"kind": "conv2d", "in_ch": 1, "out_ch": 2, "kx": "three", "ky": 3}]),
+    ("model[1].kind: unknown layer kind 'gelu'", [{"kind": "dense", "in": 2, "out": 2},
+                                                  {"kind": "gelu"}]),
+])
+def test_bad_model_spec_exit_2(workdir, capsys, field, model):
+    cfg = write_config(workdir / "cfg.json", model=model)
+    assert main(["run", str(cfg)]) == 2
+    assert capsys.readouterr().err.strip() == f"config error at {field}"
+
+
+def test_huge_model_size_exit_2(workdir, capsys):
+    cfg = write_config(workdir / "cfg.json", model=[{"kind": "dense", "in": 2, "out": 2**62}])
+    assert main(["run", str(cfg)]) == 2
+    assert capsys.readouterr().err.startswith("config error at model[0]: array is too big")
 
 
 def test_missing_seed_exit_2(workdir):
@@ -200,7 +222,10 @@ def test_inspect_tampered_mask(workdir, capsys):
     out = workdir / "pruned.json"
     main(["prune", str(src), "--sparsity", "50", "--out", str(out)])
     doc = json.loads(out.read_text())
-    doc["layers"][0]["mask"]["data"][0] = 2
+    mask = doc["layers"][0]["mask"]
+    values = np.frombuffer(base64.b64decode(mask["data"]), "<f8").copy()
+    values[0] = 2
+    mask["data"] = base64.b64encode(values.tobytes()).decode()
     out.write_text(json.dumps(doc))
     assert main(["inspect", str(out)]) == 1
     assert "non-binary" in capsys.readouterr().err
@@ -292,6 +317,17 @@ def _put(value, *path):
     return edit
 
 
+def _edit_data(change, *path):
+    """An edit that replaces the base64 data of the array at `path` by change(data)."""
+    def edit(doc):
+        array = doc
+        for key in path:
+            array = array[key]
+        array["data"] = change(array["data"])
+        return doc
+    return edit
+
+
 @pytest.mark.parametrize("field, edit", [
     ("layers: missing", _drop("layers")),
     ("layers: expected a list, got dict", _put({}, "layers")),
@@ -312,6 +348,18 @@ def _put(value, *path):
     ("layers[0].spec.out: not an integer: inf", _put(float("inf"), "layers", 0, "spec", "out")),
     ("layers[0].spec.out: not a positive integer: -1", _put(-1, "layers", 0, "spec", "out")),
     ("layers[0].spec.in: not a positive integer: 0", _put(0, "layers", 0, "spec", "in")),
+    ("layers[0].spec: array is too big", _put(2**62, "layers", 0, "spec", "out")),
+    ("layers[0].weights: corrupt array:",  # a character outside the alphabet
+     _edit_data(lambda data: data[:4] + "!" + data[4:], "layers", 0, "weights")),
+    ("layers[2].history: corrupt array:",  # 255 bytes, not a whole number of float64
+     _edit_data(lambda data: data[:-4], "layers", 2, "history")),
+    ("layers[2].weights: corrupt array:",  # 15 float64 for a [16, 2] array
+     _edit_data(lambda data: data[:160], "layers", 2, "weights")),
+    ("layers[0].mask: corrupt array: Incorrect padding",
+     _edit_data(lambda data: data[:-1], "layers", 0, "mask")),
+    ("rewind_snapshot[0].bias: corrupt array:",  # a version-1 array: a list of numbers
+     _put([0.0] * 16, "rewind_snapshot", 0, "bias", "data")),
+    ("unsupported checkpoint format_version 1", _put(1, "format_version")),
 ])
 def test_load_rejects_missing_field(workdir, capsys, field, edit):
     path = workdir / "ckpt.json"
