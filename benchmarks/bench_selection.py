@@ -93,7 +93,7 @@ def update(pk, weights, granularity, context, sparsity):
         raw = timed("score", pk.score, criterion, w)
         part = timed("partition", pk.enumerate_blocks,
                      pk.parse_granularity(granularity, w.ndim), w.shape)
-        scored.append(pk.LayerScores(0, part, timed("aggregate", pk.aggregate_scores, raw, part)))
+        scored.append(pk.LayerScores(part, timed("aggregate", pk.aggregate_scores, raw, part)))
     masks = timed("select", pk.select, scored, pk.ContextSpec(context), sparsity)
     for w, m in zip(weights, masks):
         timed("apply", pk.apply_mask, w, m)

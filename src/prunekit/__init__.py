@@ -8,6 +8,7 @@ lottery-ticket experiments through run_lth.
 
 from .criteria import CRITERIA, Criterion, WeightHistory, score, update_history
 from .datasets import make_dataset, train_eval_split
+from .fields import FieldError
 from .granularity import (BlockPartition, GranularitySpec, aggregate_scores, all_specs,
                           enumerate_blocks, parse_granularity)
 from .layers import Conv2d, Dense, Flatten, Model, ReLU

@@ -16,10 +16,12 @@ import numpy as np
 from . import checkpoint
 from .config import ConfigError, load_config
 from .criteria import CRITERIA
+from .fields import under
 from .granularity import parse_granularity, enumerate_blocks
 from .rng import Rng
-from .schedule import BUILTIN_SCHEDULES, ScheduleSpec, _custom_registry, eval_schedule
-from .sparsifier import Sparsifier, SparsifyCallback, model_sparsity
+from .schedule import ScheduleSpec, eval_schedule
+from .selection import CONTEXTS
+from .sparsifier import Sparsifier, SparsifyCallback, SparsifyPlan, model_sparsity
 from .svgplot import line_chart
 from .tensor import sparsity_of
 from .train import TrainingAborted, fit
@@ -48,23 +50,6 @@ def _write_csv(path, header, rows):
             writer.writerow([_fmt(v) for v in row])
 
 
-def _plan_dict(plan) -> dict:
-    sched = plan.schedule
-    return {
-        "sparsity": list(plan.sparsity) if plan.per_layer else plan.sparsity,
-        "granularity": plan.granularity, "context": plan.context,
-        "criterion": plan.criterion, "lth": plan.lth,
-        "rewind_epoch": plan.rewind_epoch, "reset_end": plan.reset_end,
-        "save_tickets": plan.save_tickets,
-        "schedule": None if sched is None else {
-            "kind": sched.kind, "final_sparsity": sched.final_sparsity,
-            "start_epoch": sched.start_epoch, "end_epoch": sched.end_epoch,
-            "update_frequency": sched.update_frequency, "n_steps": sched.n_steps,
-            "alpha": sched.alpha, "beta": sched.beta,
-        },
-    }
-
-
 def _metrics_rows(log):
     return [(r["epoch"], r["step"], r["train_loss"], r["train_acc"],
              r["model_sparsity"], r["target_sparsity"]) for r in log]
@@ -81,24 +66,29 @@ def _crash_saver(out: Path, config):
     return save
 
 
-def cmd_run(args) -> int:
-    config = load_config(args.config, seed_override=args.seed)
+def _train(config):
+    """Train the config's model under its plan, if any, and write metrics.csv
+    and checkpoint.json; returns the output directory, the metric log and the
+    plan's callback (None without a plan)."""
     out = _run_dir(config)
     rng = Rng(config.seed)
-    model = config.build_model(rng.child("init"))
-    callbacks = []
     plan = config.plan
-    if plan is not None:
-        callbacks.append(SparsifyCallback(plan, rng=rng.child("criterion")))
-    model, log = fit(model, config.train, callbacks=callbacks,
+    callback = None if plan is None else SparsifyCallback(plan, rng=rng.child("criterion"))
+    model, log = fit(config.build_model(rng.child("init")), config.train,
+                     callbacks=[] if callback is None else [callback],
                      abort_handler=_crash_saver(out, config))
     _write_csv(out / "metrics.csv", METRICS_HEADER, _metrics_rows(log))
-    snapshot = callbacks[0].rewind_snapshot if callbacks else None
     checkpoint.save(out / "checkpoint.json", model,
-                    rewind_snapshot=snapshot,
-                    plan=None if plan is None else _plan_dict(plan),
+                    rewind_snapshot=None if callback is None else callback.rewind_snapshot,
+                    plan=None if plan is None else plan.to_dict(),
                     metrics_tail=_metrics_rows(log)[-5:],
                     meta={"name": config.name, "seed": config.seed})
+    return out, log, callback
+
+
+def cmd_run(args) -> int:
+    config = load_config(args.config, seed_override=args.seed)
+    out, log, _ = _train(config)
     last = log[-1]
     with open(out / "summary.txt", "w") as fh:
         fh.write(f"experiment: {config.name}\nseed: {config.seed}\n"
@@ -115,11 +105,12 @@ def cmd_run(args) -> int:
 
 
 def cmd_schedule(args) -> int:
-    if args.kind not in BUILTIN_SCHEDULES and args.kind not in _custom_registry:
-        print(f"unknown schedule kind {args.kind!r}", file=sys.stderr)
+    try:
+        spec = ScheduleSpec(kind=args.kind, final_sparsity=args.sparsity,
+                            n_steps=args.n_steps, alpha=args.alpha, beta=args.beta)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 2
-    spec = ScheduleSpec(kind=args.kind, final_sparsity=args.sparsity,
-                        n_steps=args.n_steps, alpha=args.alpha, beta=args.beta)
     ts = [i / (args.samples - 1) for i in range(args.samples)]
     values = [eval_schedule(spec, t) for t in ts]
     out = _out_root()
@@ -132,16 +123,14 @@ def cmd_schedule(args) -> int:
 
 
 def cmd_prune(args) -> int:
+    plan = SparsifyPlan(args.sparsity, args.granularity, args.context, args.criterion,
+                        schedule=None)
     ckpt = checkpoint.load(args.checkpoint)
     model = ckpt.model
-    sp = Sparsifier(model, args.granularity, args.context, args.criterion,
-                    rng=Rng(args.seed) if args.seed is not None else Rng(0))
-    sp.prune_model(args.sparsity)
+    Sparsifier(model, plan.granularity, plan.context, plan.criterion,
+               rng=Rng(args.seed)).prune_model(plan.sparsity)
     out_path = args.out or str(args.checkpoint) + ".pruned.json"
-    plan = {"sparsity": args.sparsity, "granularity": args.granularity,
-            "context": args.context, "criterion": args.criterion, "schedule": None,
-            "lth": False, "rewind_epoch": 0, "reset_end": False, "save_tickets": False}
-    checkpoint.save(out_path, model, plan=plan, meta=dict(ckpt.meta, pruned=True))
+    checkpoint.save(out_path, model, plan=plan.to_dict(), meta=dict(ckpt.meta, pruned=True))
     print(f"wrote {out_path}")
     for i, layer in enumerate(model.prunable_layers()):
         print(f"layer {i} ({layer.kind} {list(layer.weights.shape)}): "
@@ -154,16 +143,8 @@ def cmd_lth(args) -> int:
     config = load_config(args.config, seed_override=args.seed)
     if config.plan is None or not config.plan.lth:
         raise ConfigError("prune.lth", "lth command needs a config with lth enabled")
-    plan = config.plan
-    if not plan.save_tickets:
-        plan.save_tickets = True
-    out = _run_dir(config)
-    rng = Rng(config.seed)
-    model = config.build_model(rng.child("init"))
-    callback = SparsifyCallback(plan, rng=rng.child("criterion"))
-    model, log = fit(model, config.train, callbacks=[callback],
-                     abort_handler=_crash_saver(out, config))
-    _write_csv(out / "metrics.csv", METRICS_HEADER, _metrics_rows(log))
+    config.plan.save_tickets = True
+    out, log, callback = _train(config)
     rows = []
     for ticket in callback.tickets:
         ticket_model = config.build_model()
@@ -174,15 +155,11 @@ def cmd_lth(args) -> int:
             layer.mask = mask.copy()
             layer.weights = layer.weights * mask
         checkpoint.save(out / f"ticket_{ticket.round}.json", ticket_model,
-                        rewind_snapshot=ticket.snapshot, plan=_plan_dict(plan),
+                        rewind_snapshot=ticket.snapshot, plan=config.plan.to_dict(),
                         meta={"name": config.name, "seed": config.seed, "round": ticket.round,
                               "target_sparsity": ticket.target_sparsity})
         rows.append((ticket.round, ticket.target_sparsity, ticket.accuracy))
     _write_csv(out / "rounds.csv", ["round", "sparsity", "accuracy"], rows)
-    checkpoint.save(out / "checkpoint.json", model,
-                    rewind_snapshot=callback.rewind_snapshot, plan=_plan_dict(plan),
-                    metrics_tail=_metrics_rows(log)[-5:],
-                    meta={"name": config.name, "seed": config.seed})
     print(f"wrote {len(rows)} tickets and rounds.csv to {out}")
     return 0
 
@@ -191,7 +168,7 @@ def cmd_inspect(args) -> int:
     ckpt = checkpoint.load(args.checkpoint)
     failures = []
     all_masks = []
-    granularity = (ckpt.plan or {}).get("granularity")
+    granularity = None if ckpt.plan is None else under("plan", SparsifyPlan.from_dict, ckpt.plan).granularity
     for i, layer in enumerate(ckpt.model.layers):
         if not layer.prunable:
             continue
@@ -247,9 +224,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_prune.add_argument("checkpoint")
     p_prune.add_argument("--sparsity", type=float, required=True)
     p_prune.add_argument("--granularity", default="weight")
-    p_prune.add_argument("--context", default="local", choices=["local", "global"])
-    p_prune.add_argument("--criterion", default="large_final", choices=list(CRITERIA))
-    p_prune.add_argument("--seed", type=int, default=None)
+    p_prune.add_argument("--context", default="local", choices=CONTEXTS)
+    p_prune.add_argument("--criterion", default="large_final", choices=CRITERIA)
+    p_prune.add_argument("--seed", type=int, default=0)
     p_prune.add_argument("--out", default=None)
     p_prune.set_defaults(func=cmd_prune)
 

@@ -8,6 +8,7 @@ and weight-history snapshot managed by the sparsifier.
 import numpy as np
 
 from . import kernels
+from .fields import FieldError, integer
 from .rng import Rng
 from .tensor import init_weights
 
@@ -143,22 +144,20 @@ _LAYER_KINDS = {"dense": Dense, "conv2d": Conv2d, "relu": ReLU, "flatten": Flatt
 
 
 def layer_from_spec(spec: dict) -> Layer:
-    """Build a layer from its spec; a bad spec raises ValueError("<key>: <problem>")."""
+    """Build a layer from its spec; a bad spec raises FieldError("<key>: <problem>")."""
+    if not isinstance(spec, dict):
+        raise FieldError("", "layer spec must be an object")
     kind = spec.get("kind")
     cls = _LAYER_KINDS.get(kind) if isinstance(kind, str) else None
     if cls is None:
-        raise ValueError(f"kind: unknown layer kind {kind!r}")
+        raise FieldError("kind", f"unknown layer kind {kind!r}")
     args = []
     for key in cls.spec_keys:
         if key not in spec:
-            raise ValueError(f"{key}: missing")
-        try:
-            value = int(spec[key])
-        except (TypeError, ValueError, OverflowError):
-            raise ValueError(f"{key}: not an integer: {spec[key]!r}") from None
-        if value < 1:
-            raise ValueError(f"{key}: not a positive integer: {spec[key]!r}")
-        args.append(value)
+            raise FieldError(key, "missing")
+        args.append(integer(spec[key], key))
+        if args[-1] < 1:
+            raise FieldError(key, f"not a positive integer: {spec[key]!r}")
     return cls(*args)
 
 

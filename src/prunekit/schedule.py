@@ -3,8 +3,10 @@ target sparsity percentage, plus the window logic (start/end epoch) that
 embeds a schedule into a training run.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 import math
+
+from .fields import FieldError, integer, number, percent
 
 DEFAULT_ALPHA = 14.0
 DEFAULT_BETA = 6.0
@@ -28,18 +30,16 @@ class ScheduleSpec:
     beta: float = DEFAULT_BETA
 
     def __post_init__(self):
-        if self.kind not in BUILTIN_SCHEDULES and self.kind not in _custom_registry:
-            raise ValueError(f"unknown schedule {self.kind!r}")
-        if not 0 <= self.final_sparsity <= 100:
-            raise ValueError(f"final_sparsity {self.final_sparsity} out of [0, 100]")
-        if self.n_steps < 1:
-            raise ValueError("n_steps must be >= 1")
-        if self.update_frequency < 1:
-            raise ValueError("update_frequency must be >= 1")
-        if self.start_epoch < 0:
-            raise ValueError("start_epoch must be >= 0")
-        if self.end_epoch is not None and self.end_epoch <= self.start_epoch:
-            raise ValueError("pruning window is degenerate: end_epoch must exceed start_epoch")
+        """Check every field, naming it in the FieldError; integral floats become ints."""
+        if self.kind not in BUILTIN_SCHEDULES + tuple(_custom_registry):
+            raise FieldError("kind", f"unknown schedule {self.kind!r}")
+        for name, low in (("start_epoch", 0), ("update_frequency", 1), ("n_steps", 1)):
+            object.__setattr__(self, name, integer(getattr(self, name), name, low))
+        if self.end_epoch is not None:
+            object.__setattr__(self, "end_epoch", integer(self.end_epoch, "end_epoch", self.start_epoch + 1))
+        object.__setattr__(self, "final_sparsity", percent(self.final_sparsity, "final_sparsity"))
+        for name in ("alpha", "beta"):
+            object.__setattr__(self, name, number(getattr(self, name), name))
 
 
 @dataclass

@@ -11,26 +11,20 @@ import numpy as np
 
 from .granularity import BlockPartition
 
-CONTEXTS = ("local", "global", "per_layer_list")
+CONTEXTS = ("local", "global")
 
 
 @dataclass(frozen=True)
 class ContextSpec:
     kind: str
-    per_layer: tuple | None = None
 
     def __post_init__(self):
         if self.kind not in CONTEXTS:
             raise ValueError(f"unknown context {self.kind!r}; expected one of {CONTEXTS}")
-        if (self.kind == "per_layer_list") != (self.per_layer is not None):
-            raise ValueError("per_layer list present iff kind is 'per_layer_list'")
-        if self.per_layer is not None and any(s < 0 or s > 100 for s in self.per_layer):
-            raise ValueError("per-layer sparsities must lie in [0, 100]")
 
 
 @dataclass(frozen=True)
 class LayerScores:
-    layer_id: int
     partition: BlockPartition
     block_scores: np.ndarray
 
@@ -69,8 +63,9 @@ def select_per_layer(layers: list[LayerScores], per_layer) -> list[np.ndarray]:
 
 
 def select(layers: list[LayerScores], context: ContextSpec, sparsity) -> list[np.ndarray]:
+    """A list of sparsities gives each layer its own target, whatever the context."""
+    if isinstance(sparsity, (list, tuple)):
+        return select_per_layer(layers, sparsity)
     if context.kind == "local":
         return select_local(layers, sparsity)
-    if context.kind == "global":
-        return select_global(layers, sparsity)
-    return select_per_layer(layers, context.per_layer if sparsity is None else sparsity)
+    return select_global(layers, sparsity)

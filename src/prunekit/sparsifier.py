@@ -12,11 +12,12 @@ zero because the callback re-applies the current masks after every
 optimizer step.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
 from .criteria import Criterion, score
+from .fields import FieldError, integer, percent, under
 from .granularity import enumerate_blocks, aggregate_scores, parse_granularity
 from .layers import Model
 from .rng import Rng
@@ -26,48 +27,106 @@ from .tensor import apply_mask
 from .train import Callback, accuracy
 
 
+def _object(doc, keys, required: str) -> dict:
+    """doc, checked to be an object that has `required` and no key outside `keys`."""
+    if not isinstance(doc, dict):
+        raise FieldError("", f"expected an object, got {type(doc).__name__}")
+    for key in doc:
+        if key not in keys:
+            raise FieldError(str(key), "unknown key")
+    if required not in doc:
+        raise FieldError(required, "missing")
+    return doc
+
+
 @dataclass
 class SparsifyPlan:
+    """The one place that knows a plan's schema; a bad field raises FieldError
+    naming its path. `sparsity`, a scalar or one value per prunable layer, is
+    the only target: the schedule's final_sparsity is set from it (the mean of
+    a list) and left out of to_dict()."""
     sparsity: float | list
     granularity: str = "weight"
     context: str = "local"
     criterion: str = "large_final"
-    schedule: ScheduleSpec | None = None
+    schedule: ScheduleSpec | None = ScheduleSpec("one_shot")
     lth: bool = False
     rewind_epoch: int = 0
     reset_end: bool = False
     save_tickets: bool = False
 
     def __post_init__(self):
-        Criterion(self.criterion)  # validates the name
-        if self.context not in ("local", "global"):
-            raise ValueError(f"unknown context {self.context!r}")
         if isinstance(self.sparsity, (list, tuple)):
-            if any(not 0 <= s <= 100 for s in self.sparsity):
-                raise ValueError("per-layer sparsities must lie in [0, 100]")
-        elif not 0 <= self.sparsity <= 100:
-            raise ValueError(f"sparsity {self.sparsity} out of [0, 100]")
-        if self.rewind_epoch < 0:
-            raise ValueError("rewind_epoch must be >= 0")
+            if not self.sparsity:
+                raise FieldError("sparsity", "empty per-layer list")
+            self.sparsity = [percent(s, f"sparsity[{i}]") for i, s in enumerate(self.sparsity)]
+        else:
+            self.sparsity = percent(self.sparsity, "sparsity")
+        if not isinstance(self.granularity, str):
+            raise FieldError("granularity", f"not a string: {self.granularity!r}")
+        under("context", ContextSpec, self.context)
+        under("criterion", Criterion, self.criterion)
+        for name in ("lth", "reset_end", "save_tickets"):
+            if not isinstance(getattr(self, name), bool):
+                raise FieldError(name, f"not a boolean: {getattr(self, name)!r}")
+        self.rewind_epoch = integer(self.rewind_epoch, "rewind_epoch", low=0)
+        if self.schedule is not None:
+            self.schedule = replace(self.schedule, final_sparsity=float(np.mean(self.sparsity)))
 
     @property
     def per_layer(self) -> bool:
-        return isinstance(self.sparsity, (list, tuple))
+        return isinstance(self.sparsity, list)
 
     def context_spec(self) -> ContextSpec:
-        if self.per_layer:
-            return ContextSpec("per_layer_list", tuple(self.sparsity))
         return ContextSpec(self.context)
+
+    def to_dict(self) -> dict:
+        """The plan as JSON values, as echoed into checkpoints."""
+        doc = asdict(self)
+        if self.schedule is not None:
+            del doc["schedule"]["final_sparsity"]
+        return doc
+
+    @classmethod
+    def from_dict(cls, doc: dict) -> "SparsifyPlan":
+        """Inverse of to_dict; a key left out takes the constructor's default."""
+        doc = dict(_object(doc, cls.__dataclass_fields__, "sparsity"))
+        if doc.get("schedule") is not None:
+            keys = set(ScheduleSpec.__dataclass_fields__) - {"final_sparsity"}
+            doc["schedule"] = under("schedule", lambda d: ScheduleSpec(**_object(d, keys, "kind")),
+                                    doc["schedule"])
+        return cls(**doc)
+
+    def check_model(self, model: Model, epochs: int | None = None) -> None:
+        """Check the plan against the model's prunable layers and, for pruning
+        during training, against the run's `epochs`."""
+        layers = model.prunable_layers()
+        if not layers:
+            raise FieldError("", "model has no prunable layer")
+        for rank in sorted({len(layer.weight_shape) for layer in layers}):
+            under("granularity", parse_granularity, self.granularity, rank)
+        if self.per_layer and len(self.sparsity) != len(layers):
+            raise FieldError("sparsity", f"per-layer list length {len(self.sparsity)} != "
+                                         f"prunable layer count {len(layers)}")
+        if epochs is None:
+            return
+        spec = self.schedule
+        if spec is None:
+            raise FieldError("schedule", "pruning during training needs a schedule")
+        end_epoch = epochs if spec.end_epoch is None else spec.end_epoch
+        if end_epoch > epochs or spec.start_epoch >= end_epoch:
+            raise FieldError("schedule.end_epoch" if end_epoch > epochs else "schedule.start_epoch",
+                             f"pruning window [{spec.start_epoch}, {end_epoch}] does not fit "
+                             f"in {epochs} epochs")
+        if (self.lth or self.reset_end) and self.rewind_epoch > spec.start_epoch:
+            raise FieldError("rewind_epoch", f"must not exceed the pruning window start {spec.start_epoch}")
 
 
 def layer_block_scores(layer, granularity: str, criterion: Criterion, rng: Rng | None) -> LayerScores:
     spec = parse_granularity(granularity, layer.weights.ndim)
     partition = enumerate_blocks(spec, layer.weights.shape)
-    wi = layer.history
-    if criterion.needs_history and wi is None:
-        raise ValueError(f"criterion {criterion.kind!r} requires a weight history, none available")
-    raw = score(criterion, layer.weights, wi, rng)
-    return LayerScores(layer_id=0, partition=partition, block_scores=aggregate_scores(raw, partition))
+    raw = score(criterion, layer.weights, layer.history, rng)
+    return LayerScores(partition=partition, block_scores=aggregate_scores(raw, partition))
 
 
 def compute_masks(layers, granularity, context: ContextSpec, criterion: Criterion,
@@ -109,13 +168,8 @@ class Sparsifier:
         layers = self.model.prunable_layers()
         if not layers:
             raise ValueError("model has no prunable layer")
-        if isinstance(sparsity, (list, tuple)):
-            if len(sparsity) != len(layers):
-                raise ValueError(f"per-layer list length {len(sparsity)} != prunable layer count {len(layers)}")
-            context = ContextSpec("per_layer_list", tuple(sparsity))
-        else:
-            context = ContextSpec(self.context)
-        masks = compute_masks(layers, self.granularity, context, self.criterion, sparsity, self.rng)
+        masks = compute_masks(layers, self.granularity, ContextSpec(self.context), self.criterion,
+                              sparsity, self.rng)
         for layer, mask in zip(layers, masks):
             layer.mask = mask
             layer.weights = apply_mask(layer.weights, mask)
@@ -142,8 +196,6 @@ class SparsifyCallback(Callback):
     """
 
     def __init__(self, plan: SparsifyPlan, rng: Rng | None = None):
-        if plan.schedule is None:
-            raise ValueError("dynamic pruning needs a schedule")
         self.plan = plan
         self.rng = rng
         self.criterion = Criterion(plan.criterion)
@@ -179,14 +231,14 @@ class SparsifyCallback(Callback):
         spec = self.plan.schedule
         if self.plan.per_layer:
             return [current_target(clock, spec, s) for s in self.plan.sparsity]
-        return current_target(clock, spec)
+        return current_target(clock, spec, self.plan.sparsity)
 
     def _update_masks(self, state, step: int):
         model = state["model"]
         layers = model.prunable_layers()
         target = self._targets(self._clock(state, step))
-        context = self.plan.context_spec() if self.plan.per_layer else ContextSpec(self.plan.context)
-        masks = compute_masks(layers, self.plan.granularity, context, self.criterion, target, self.rng)
+        masks = compute_masks(layers, self.plan.granularity, self.plan.context_spec(), self.criterion,
+                              target, self.rng)
         for layer, mask in zip(layers, masks):
             layer.mask = mask
             layer.weights = apply_mask(layer.weights, mask)
@@ -227,30 +279,16 @@ class SparsifyCallback(Callback):
     # -- hooks -------------------------------------------------------------
 
     def on_train_begin(self, state):
-        model, config = state["model"], state["config"]
-        layers = model.prunable_layers()
-        if not layers:
-            raise ValueError("model has no prunable layer")
+        model = state["model"]
+        self.plan.check_model(model, state["total_epochs"])
         spec = self.plan.schedule
-        total = state["total_epochs"]
-        end_epoch = total if spec.end_epoch is None else spec.end_epoch
-        if end_epoch > total or spec.start_epoch >= end_epoch:
-            raise ValueError(f"pruning window [{spec.start_epoch}, {end_epoch}] does not fit "
-                             f"in {total} epochs")
-        if self.plan.per_layer and len(self.plan.sparsity) != len(layers):
-            raise ValueError(f"per-layer list length {len(self.plan.sparsity)} != "
-                             f"prunable layer count {len(layers)}")
-        if (self.plan.lth or self.plan.reset_end) and self.plan.rewind_epoch > spec.start_epoch:
-            raise ValueError("rewind_epoch must not exceed the pruning window start")
-        for layer in layers:
-            parse_granularity(self.plan.granularity, layer.weights.ndim)
+        for layer in model.prunable_layers():
             layer.history = layer.weights.copy()
             layer.mask = None
         spe = state["steps_per_epoch"]
-        clock = ProgressClock(0, spe, total)
-        start_step, end_step = window_steps(spec, clock)
+        _, end_step = window_steps(spec, self._clock(state, 0))
         steps = set()
-        for epoch in range(spec.start_epoch, end_epoch):
+        for epoch in range(spec.start_epoch, end_step // spe):
             for j in range(spec.update_frequency):
                 steps.add(epoch * spe + (j * spe) // spec.update_frequency)
         steps.add(end_step)

@@ -17,13 +17,6 @@ def check_congruent(w: np.ndarray, m: np.ndarray) -> None:
         raise ValueError(f"shape mismatch: {w.shape} vs {m.shape}")
 
 
-def check_mask(m: np.ndarray) -> None:
-    """A mask must contain only 0s and 1s."""
-    bad = (m != 0) & (m != 1)
-    if np.any(bad):
-        raise ValueError(f"mask contains non-binary value at flat index {int(np.flatnonzero(bad)[0])}")
-
-
 def apply_mask(w: np.ndarray, m: np.ndarray) -> np.ndarray:
     """Elementwise w * m: zero where the mask is 0, keep where it is 1."""
     check_congruent(w, m)

@@ -13,6 +13,7 @@ import math
 import numpy as np
 
 from .datasets import make_dataset, train_eval_split
+from .fields import FieldError
 from .layers import Model
 from .rng import Rng
 
@@ -27,8 +28,11 @@ class TrainConfig:
     dataset: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.epochs <= 0 or self.batch_size <= 0 or self.learning_rate <= 0:
-            raise ValueError("epochs, batch_size and learning_rate must be positive")
+        for name in ("epochs", "batch_size", "learning_rate"):
+            if getattr(self, name) <= 0:
+                raise FieldError(name, f"must be positive, got {getattr(self, name)!r}")
+        if not 0 <= self.momentum < 1:
+            raise FieldError("momentum", f"{self.momentum!r} out of [0, 1)")
 
 
 class Callback:

@@ -77,7 +77,7 @@ def test_criterion_3_granularity_partition_and_purity():
             part = enumerate_blocks(spec, shape)
             np.testing.assert_array_equal(np.sort(part.blocks.ravel()), np.arange(total))
             assert part.n_blocks * part.block_size == total
-            layer = LayerScores(0, part, scores.ravel()[part.blocks].mean(axis=1))
+            layer = LayerScores(part, scores.ravel()[part.blocks].mean(axis=1))
             [mask] = select_local([layer], 50)
             vals = mask.ravel()[part.blocks]
             assert np.all(vals.min(axis=1) == vals.max(axis=1))  # block purity

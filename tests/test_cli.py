@@ -84,6 +84,10 @@ def test_invalid_granularity_exit_2(workdir, capsys):
      [{"kind": "conv2d", "in_ch": 1, "out_ch": 2, "kx": "three", "ky": 3}]),
     ("model[1].kind: unknown layer kind 'gelu'", [{"kind": "dense", "in": 2, "out": 2},
                                                   {"kind": "gelu"}]),
+    ("model[0].in: not an integer: 2.7", [{"kind": "dense", "in": 2.7, "out": 2}]),
+    ("model[0].out: not an integer: '16'", [{"kind": "dense", "in": 2, "out": "16"}]),
+    ("model[0].ky: not an integer: True",
+     [{"kind": "conv2d", "in_ch": 1, "out_ch": 2, "kx": 3, "ky": True}]),
 ])
 def test_bad_model_spec_exit_2(workdir, capsys, field, model):
     cfg = write_config(workdir / "cfg.json", model=model)
@@ -346,6 +350,9 @@ def _edit_data(change, *path):
     ("plan: expected an object, got list", _put([], "plan")),
     ("checkpoint: expected an object, got list", lambda d: [d]),
     ("layers[0].spec.out: not an integer: inf", _put(float("inf"), "layers", 0, "spec", "out")),
+    ("layers[0].spec.out: not an integer: 2.7", _put(2.7, "layers", 0, "spec", "out")),
+    ("layers[0].spec.out: not an integer: '16'", _put("16", "layers", 0, "spec", "out")),
+    ("layers[0].spec.in: not an integer: True", _put(True, "layers", 0, "spec", "in")),
     ("layers[0].spec.out: not a positive integer: -1", _put(-1, "layers", 0, "spec", "out")),
     ("layers[0].spec.in: not a positive integer: 0", _put(0, "layers", 0, "spec", "in")),
     ("layers[0].spec: array is too big", _put(2**62, "layers", 0, "spec", "out")),

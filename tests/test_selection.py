@@ -5,10 +5,12 @@ from prunekit import (LayerScores, enumerate_blocks, parse_granularity, pruned_c
                       select_global, select_local, select_per_layer, sparsity_of, Rng)
 
 
-def singleton_layer(scores, layer_id=0):
+def singleton_layer(scores, position=0):
+    """One block per score. `position` is ignored: selection orders layers by
+    their place in the list it is given."""
     scores = np.asarray(scores, dtype=float)
     part = enumerate_blocks(parse_granularity("weight", 2), (len(scores), 1))
-    return LayerScores(layer_id=layer_id, partition=part, block_scores=scores)
+    return LayerScores(partition=part, block_scores=scores)
 
 
 def bruteforce_masks(layer_scores, sparsity, context):
@@ -150,7 +152,7 @@ def test_block_purity_structured():
     for alias in ("filter", "kernel", "channel", "shared_kernel"):
         spec = parse_granularity(alias, 4)
         part = enumerate_blocks(spec, shape)
-        layer = LayerScores(0, part, scores.ravel()[part.blocks].mean(axis=1))
+        layer = LayerScores(part, scores.ravel()[part.blocks].mean(axis=1))
         [mask] = select_local([layer], 50)
         vals = mask.ravel()[part.blocks]
         assert np.all(vals.min(axis=1) == vals.max(axis=1))
