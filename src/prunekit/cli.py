@@ -16,7 +16,7 @@ import numpy as np
 from . import checkpoint
 from .config import ConfigError, load_config
 from .criteria import CRITERIA
-from .fields import under
+from .fields import integer, under
 from .granularity import parse_granularity, enumerate_blocks
 from .rng import Rng
 from .schedule import ScheduleSpec, eval_schedule
@@ -106,6 +106,7 @@ def cmd_run(args) -> int:
 
 def cmd_schedule(args) -> int:
     try:
+        integer(args.samples, "--samples", low=2)
         spec = ScheduleSpec(kind=args.kind, final_sparsity=args.sparsity,
                             n_steps=args.n_steps, alpha=args.alpha, beta=args.beta)
     except ValueError as exc:

@@ -64,6 +64,14 @@ def _parse(doc: dict, seed_override: int | None) -> ExperimentConfig:
     dataset = _section(doc, "dataset")
     if dataset.get("kind") not in ("blobs2d", "patterns8x8"):
         raise FieldError("dataset.kind", f"unknown dataset kind {dataset.get('kind')!r}")
+    if "n" in dataset:
+        integer(dataset["n"], "dataset.n", low=2)
+    for key in ("separation", "noise"):
+        if key in dataset:
+            number(dataset[key], f"dataset.{key}")
+    output_dir = doc.get("output_dir")
+    if output_dir is not None and not isinstance(output_dir, str):
+        raise FieldError("output_dir", f"not a string: {output_dir!r}")
     train_doc = _section(doc, "train")
     train = under("train", lambda: TrainConfig(
         epochs=integer(_require(train_doc, "epochs"), "epochs"),
@@ -79,4 +87,4 @@ def _parse(doc: dict, seed_override: int | None) -> ExperimentConfig:
         under("prune", plan.check_model, Model(layers), train.epochs)
     return ExperimentConfig(name=str(doc.get("name", "experiment")), seed=seed, model_specs=specs,
                             dataset=dataset, train=train, plan=plan,
-                            output_dir=doc.get("output_dir"))
+                            output_dir=output_dir)

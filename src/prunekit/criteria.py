@@ -36,7 +36,8 @@ class WeightHistory:
 
 def score(criterion: Criterion, wf: np.ndarray, wi: np.ndarray | None = None,
           rng: Rng | None = None) -> np.ndarray:
-    if not np.all(np.isfinite(wf)):
+    magnitude = np.abs(wf)
+    if not np.isfinite(magnitude.max(initial=0.0)):  # NaN and inf both propagate through max
         raise ValueError("non-finite weight values")
     if criterion.needs_history:
         if wi is None:
@@ -47,9 +48,9 @@ def score(criterion: Criterion, wf: np.ndarray, wi: np.ndarray | None = None,
             raise ValueError("criterion 'random' requires an rng")
         return rng.normal(wf.shape)
     if criterion.kind == "large_final":
-        return np.abs(wf)
+        return magnitude
     if criterion.kind == "magnitude_increase":
-        return np.abs(wf) - np.abs(wi)
+        return magnitude - np.abs(wi)
     return np.abs(wf - wi)  # movement
 
 

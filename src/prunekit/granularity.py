@@ -70,6 +70,8 @@ class BlockPartition:
 
     def unrows(self, rows: np.ndarray, dtype=None) -> np.ndarray:
         """Inverse of rows: a new `shape` array, block i = rows[i] (broadcast), cast while copied."""
+        if self.block_size == 1:  # every spanned axis has length 1: the transpose moves nothing
+            return np.array(rows.reshape(self.shape), dtype=dtype)
         order = self._order
         split = np.broadcast_to(rows, (self.n_blocks, self.block_size))
         split = split.reshape([self.shape[ax] for ax in order]).transpose(np.argsort(order))
@@ -116,4 +118,6 @@ def aggregate_scores(scores: np.ndarray, partition: BlockPartition) -> np.ndarra
     """Per-block score = mean of member scores, in partition block order."""
     if tuple(scores.shape) != partition.shape:
         raise ValueError(f"shape mismatch: scores {scores.shape}, partition {partition.shape}")
+    if partition.block_size == 1:  # the mean of one value is that value
+        return scores.reshape(-1)
     return partition.rows(scores).mean(axis=1)

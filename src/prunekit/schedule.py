@@ -5,6 +5,7 @@ embeds a schedule into a training run.
 
 from dataclasses import dataclass
 import math
+import sys
 
 from .fields import FieldError, integer, number, percent
 
@@ -13,6 +14,8 @@ DEFAULT_BETA = 6.0
 DEFAULT_N_STEPS = 5
 
 BUILTIN_SCHEDULES = ("one_shot", "iterative", "gradual", "one_cycle", "dsd")
+
+_LOG_MAX = math.log(sys.float_info.max)  # math.exp overflows above this
 
 # name -> f(sparsity, t, spec) for user-registered schedules
 _custom_registry: dict = {}
@@ -40,6 +43,15 @@ class ScheduleSpec:
         object.__setattr__(self, "final_sparsity", percent(self.final_sparsity, "final_sparsity"))
         for name in ("alpha", "beta"):
             object.__setattr__(self, name, number(getattr(self, name), name))
+        if self.kind == "one_cycle":
+            # the exponent -alpha * t + beta is linear in t, so t = 0 and t = 1 bound it;
+            # s * (1 + exp(beta - alpha)) must also stay finite for s up to 100, and
+            # 1 + e^x <= 2 e^x where it matters, hence the float max / 200
+            for name, exponent, limit in (("beta", self.beta, _LOG_MAX),
+                                          ("alpha", self.beta - self.alpha, _LOG_MAX - math.log(200))):
+                if not exponent <= limit:
+                    raise FieldError(name, f"one_cycle overflows: exp({exponent!r}) at "
+                                           f"alpha={self.alpha!r}, beta={self.beta!r}")
 
 
 @dataclass

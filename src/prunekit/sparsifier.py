@@ -9,7 +9,9 @@ Three entry points:
 
 Masks are recomputed from scratch at every update; pruned weights stay
 zero because the callback re-applies the current masks after every
-optimizer step.
+optimizer step. The callback masks each weights array in place, as the
+optimizer updates it; Sparsifier.prune_model, whose caller's arrays may
+alias the model's, masks into new arrays.
 """
 
 from dataclasses import asdict, dataclass, replace
@@ -23,7 +25,7 @@ from .layers import Model
 from .rng import Rng
 from .schedule import ProgressClock, ScheduleSpec, current_target, window_steps
 from .selection import ContextSpec, LayerScores, select
-from .tensor import apply_mask
+from .tensor import apply_mask, mask_in_place
 from .train import Callback, accuracy
 
 
@@ -202,7 +204,6 @@ class SparsifyCallback(Callback):
         self.rewind_snapshot = None
         self.round_counter = 0
         self.tickets: list[Ticket] = []
-        self.update_log: list[dict] = []  # per update: step, target, boolean keep masks
         self._pending: list[int] = []
 
     # -- internals ---------------------------------------------------------
@@ -219,7 +220,7 @@ class SparsifyCallback(Callback):
                 continue
             w, b = next(params)
             if masked and layer.prunable and layer.mask is not None:
-                layer.weights = apply_mask(w.copy(), layer.mask)
+                layer.weights = mask_in_place(w.copy(), layer.mask)
             else:
                 layer.weights = w.copy()
             layer.bias = b.copy()
@@ -241,11 +242,8 @@ class SparsifyCallback(Callback):
                               target, self.rng)
         for layer, mask in zip(layers, masks):
             layer.mask = mask
-            layer.weights = apply_mask(layer.weights, mask)
-            layer.history = layer.weights.copy()
+            np.copyto(layer.history, mask_in_place(layer.weights, mask))
         scalar_target = float(np.mean(target)) if self.plan.per_layer else target
-        self.update_log.append({"step": step, "target": scalar_target,
-                                "masks": [m != 0 for m in masks]})
         if self.plan.lth:
             self._restore(state, masked=True)
             if scalar_target > self._last_round_target and scalar_target > 0:
@@ -261,14 +259,18 @@ class SparsifyCallback(Callback):
                         accuracy=accuracy(model, state["x_eval"], state["y_eval"]),
                     ))
 
-    def _fire_pending(self, state, completed: int):
+    def _fire_pending(self, state, completed: int) -> bool:
+        """Run the updates due by step `completed`; True if any ran, which leaves the weights masked."""
+        fired = False
         while self._pending and self._pending[0] <= completed:
             self._update_masks(state, self._pending.pop(0))
+            fired = True
+        return fired
 
     def _reapply(self, state):
         for layer in state["model"].prunable_layers():
             if layer.mask is not None:
-                layer.weights = apply_mask(layer.weights, layer.mask)
+                mask_in_place(layer.weights, layer.mask)
 
     def _publish(self, state):
         clock = self._clock(state, state.get("global_step", 0))
@@ -305,8 +307,8 @@ class SparsifyCallback(Callback):
         self._fire_pending(state, state["epoch"] * state["steps_per_epoch"])
 
     def on_step_end(self, state):
-        self._fire_pending(state, state["global_step"])
-        self._reapply(state)
+        if not self._fire_pending(state, state["global_step"]):
+            self._reapply(state)
         self._publish(state)
 
     def on_epoch_end(self, state):
@@ -315,7 +317,6 @@ class SparsifyCallback(Callback):
     def on_train_end(self, state):
         if self.plan.reset_end:
             self._restore(state, masked=True)
-            self._reapply(state)
         self._publish(state)
 
 

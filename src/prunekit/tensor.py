@@ -23,6 +23,12 @@ def apply_mask(w: np.ndarray, m: np.ndarray) -> np.ndarray:
     return w * m
 
 
+def mask_in_place(w: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """apply_mask written into w itself; returns w."""
+    check_congruent(w, m)
+    return np.multiply(w, m, out=w)
+
+
 def sparsity_of(m: np.ndarray) -> float:
     """Fraction of zero entries, in [0, 1]."""
     return float(np.count_nonzero(m == 0)) / m.size

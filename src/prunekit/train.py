@@ -84,9 +84,10 @@ def sgd_step(model: Model, lr: float, momentum: float, velocities: dict) -> None
         if idx not in velocities:
             velocities[idx] = (np.zeros_like(layer.weights), np.zeros_like(layer.bias))
         vw, vb = velocities[idx]
-        vw = momentum * vw + layer.grad_w
-        vb = momentum * vb + layer.grad_b
-        velocities[idx] = (vw, vb)
+        vw *= momentum
+        vw += layer.grad_w
+        vb *= momentum
+        vb += layer.grad_b
         layer.weights -= lr * vw
         layer.bias -= lr * vb
 

@@ -16,6 +16,7 @@ from prunekit.cli import main
 from prunekit.train import softmax_cross_entropy
 
 from test_selection import bruteforce_masks, singleton_layer
+from test_sparsifier import FirstMasks
 from test_training import convnet, grad_check, mlp
 
 BLOBS = {"kind": "blobs2d", "n": 200, "separation": 4.0}
@@ -171,10 +172,10 @@ def test_criterion_8_static_dynamic_consistency():
     plan = SparsifyPlan(sparsity=50.0, context="global",
                         schedule=ScheduleSpec("one_shot", final_sparsity=50.0,
                                               start_epoch=total - 1, end_epoch=total))
-    cb = SparsifyCallback(plan)
+    cb = FirstMasks(plan)
     cfg_dyn = TrainConfig(epochs=total, batch_size=32, learning_rate=0.1, seed=8, dataset=BLOBS)
     fit(mlp(Rng(8).child("init")), cfg_dyn, callbacks=[cb])
-    for dyn, static in zip(cb.update_log[0]["masks"], static_masks):
+    for dyn, static in zip(cb.first_masks, static_masks):
         np.testing.assert_array_equal(dyn, static)
     print("ACCEPT 8 static/dynamic consistency: PASS")
 

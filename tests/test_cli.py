@@ -136,6 +136,18 @@ def test_schedule_unknown_kind(workdir):
     assert main(["schedule", "mystery"]) == 2
 
 
+@pytest.mark.parametrize("argv, field", [
+    (["gradual", "--samples", "1"], "--samples"),
+    (["gradual", "--samples", "0"], "--samples"),
+    (["one_cycle", "--alpha", "-1000"], "alpha"),
+    (["one_cycle", "--beta", "710"], "beta"),
+])
+def test_schedule_bad_arguments_exit_2(workdir, capsys, argv, field):
+    assert main(["schedule"] + argv) == 2
+    assert capsys.readouterr().err.startswith(f"error: {field}: ")
+    assert not list(workdir.iterdir())
+
+
 def test_prune_command(workdir):
     model = Model.from_specs(BASE_CONFIG["model"], Rng(1).child("init"))
     src = workdir / "dense.json"

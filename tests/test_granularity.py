@@ -145,3 +145,43 @@ def test_reshape_rows_match_index_gather(rank, shape, layout):
         keep = (np.arange(part.n_blocks) % 3 != 0).astype(float)
         np.testing.assert_array_equal(part.unrows(keep[:, None]).ravel()[index],
                                       np.repeat(keep[:, None], part.block_size, axis=1))
+
+
+def _one_weight_shapes(rank):
+    """(spec, shape) for every spec, each spanned axis of length 1, so every block holds one weight."""
+    base = {2: (5, 3), 4: (3, 4, 2, 5)}[rank]
+    for spec in all_specs(rank):
+        yield spec, tuple(1 if ax in spec.spanned_axes else s for ax, s in enumerate(base))
+    if rank == 4:
+        yield parse_granularity("shared_kernel", 4), (1, 4, 1, 1)
+        yield parse_granularity({0, 1, 2, 3}, 4), (1, 1, 1, 1)
+
+
+@pytest.mark.parametrize("rank", [2, 4])
+@pytest.mark.parametrize("layout", ["C", "F"])
+def test_one_weight_blocks_match_gather_bitwise(rank, layout):
+    """With one weight per block, aggregate_scores and unrows skip the mean and
+    the transpose; their bytes equal the gather-and-mean path's, non-finite
+    scores included. The one exception is -0.0, which the mean turns into +0.0;
+    the two compare equal, so selection cannot tell them apart."""
+    for spec, shape in _one_weight_shapes(rank):
+        part = enumerate_blocks(spec, shape)
+        assert part.block_size == 1
+        scores = Rng(13).normal(shape)
+        flat = scores.reshape(-1)
+        flat[::3], flat[1::4], flat[2::5], flat[4::7] = -0.0, np.inf, -np.inf, np.nan
+        scores = np.asarray(scores, order=layout)
+        index = _index_gather(spec, shape)
+        want = scores.ravel()[index].mean(axis=1)
+        got = aggregate_scores(scores, part)
+        assert got.dtype == want.dtype and np.array_equal(got, want, equal_nan=True)
+        assert got[want != 0].tobytes() == want[want != 0].tobytes()
+        keep = Rng(14).normal(part.n_blocks)[:, None] > 0
+        for dtype in (None, float):
+            want = np.empty(shape, dtype=keep.dtype if dtype is None else dtype)
+            want.ravel()[index.ravel()] = keep.ravel()
+            got = part.unrows(keep, dtype)
+            assert got.dtype == want.dtype and got.flags.c_contiguous
+            assert got.tobytes() == want.tobytes()
+        with pytest.raises(ValueError):
+            aggregate_scores(np.ones(shape + (1,)), part)

@@ -107,6 +107,12 @@ def _schedule(**fields):
     ("train.epochs", lambda d: d["train"].update(epochs="x")),
     ("seed", lambda d: d.update(seed="42")),
     ("model[0].in", lambda d: d["model"][0].update({"in": 2.7})),
+    ("dataset.n", lambda d: d["dataset"].update(n="x")),
+    ("dataset.n", lambda d: d["dataset"].update(n=1)),
+    ("dataset.separation", lambda d: d["dataset"].update(separation="4")),
+    ("output_dir", lambda d: d.update(output_dir=5)),
+    ("prune.schedule.alpha", _schedule(kind="one_cycle", alpha=-1000)),
+    ("prune.schedule.beta", _schedule(kind="one_cycle", beta=710)),
 ])
 def test_config_error_names_field(workdir, capsys, field, edit):
     doc = json.loads(json.dumps(BASE_CONFIG))
@@ -118,10 +124,10 @@ def test_config_error_names_field(workdir, capsys, field, edit):
 
 
 FUZZ_CONFIG = {
-    "name": "fuzz", "seed": 3,
+    "name": "fuzz", "seed": 3, "output_dir": "fuzz-out",
     "model": [{"kind": "dense", "in": 2, "out": 8}, {"kind": "relu"},
               {"kind": "dense", "in": 8, "out": 2}],
-    "dataset": BLOBS,
+    "dataset": dict(BLOBS, noise=0.1),
     "train": {"epochs": 4, "batch_size": 16, "learning_rate": 0.1, "momentum": 0.5},
     "prune": {"sparsity": 50, "granularity": "weight", "context": "global",
               "criterion": "large_final", "lth": True, "rewind_epoch": 1, "reset_end": False,
@@ -130,8 +136,8 @@ FUZZ_CONFIG = {
                            "update_frequency": 2, "n_steps": 2, "alpha": 14.0, "beta": 6.0}},
 }
 INTEGER_KEYS = {"in", "out", "epochs", "batch_size", "rewind_epoch", "start_epoch", "end_epoch",
-                "update_frequency", "n_steps"}
-NUMBER_KEYS = {"sparsity", "learning_rate", "momentum", "alpha", "beta"}
+                "update_frequency", "n_steps", "n"}
+NUMBER_KEYS = {"sparsity", "learning_rate", "momentum", "alpha", "beta", "separation", "noise"}
 BOOLEAN_KEYS = {"lth", "reset_end", "save_tickets"}
 
 
@@ -139,7 +145,8 @@ def _fuzz_targets():
     """(field path as the error names it, the object holding the key, key) for every key."""
     doc = json.loads(json.dumps(FUZZ_CONFIG))
     targets = [(f"model[{i}].{key}", spec, key) for i, spec in enumerate(doc["model"]) for key in spec]
-    for path, section in (("train.", doc["train"]), ("prune.", doc["prune"]),
+    targets.append(("output_dir", doc, "output_dir"))
+    for path, section in (("dataset.", doc["dataset"]), ("train.", doc["train"]), ("prune.", doc["prune"]),
                           ("prune.schedule.", doc["prune"]["schedule"])):
         targets += [(path + key, section, key) for key in section]
     return doc, targets
@@ -162,7 +169,7 @@ def _corruptions(key, valid, rng):
         "rewind_epoch": 1 + n,  # past the window start, 1
         "end_epoch": 4 + n,  # past train.epochs, 4
         "sparsity": [-u, 100 + u][n % 2], "learning_rate": -u, "momentum": 1 + u,
-        "alpha": math.inf, "beta": -math.inf,
+        "alpha": math.inf, "beta": -math.inf, "n": 2 - n, "separation": math.nan, "noise": math.inf,
         "kind": f"unknown{n}", "granularity": f"unknown{n}", "context": f"unknown{n}",
         "criterion": f"unknown{n}",
     }

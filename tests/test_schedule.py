@@ -70,6 +70,25 @@ def test_one_cycle_monotone():
     assert all(a <= b for a, b in zip(vals, vals[1:]))
 
 
+def test_one_cycle_overflow_rejected_at_build():
+    """exp(-alpha * t + beta) is largest at t = 0 or t = 1, so a spec that builds
+    evaluates to a finite value everywhere, at any sparsity up to 100; one ulp
+    past either limit is refused."""
+    top = math.log(np.finfo(float).max)
+    num_top = top - math.log(200)
+    for alpha, beta in ((14.0, top), (0.0, num_top), (-num_top, 0.0), (1e300, top),
+                        (-400.0, num_top - 400.0)):
+        spec = ScheduleSpec("one_cycle", final_sparsity=100.0, alpha=alpha, beta=beta)
+        assert all(math.isfinite(eval_schedule(spec, t)) for t in np.linspace(0, 1, 101))
+    up = lambda x: float(np.nextafter(x, np.inf))  # noqa: E731
+    for alpha, beta, field in ((14.0, up(top), "beta"), (0.0, up(num_top), "alpha"),
+                               (-up(num_top), 0.0, "alpha"), (-1000.0, 6.0, "alpha"),
+                               (-1e308, 700.0, "alpha"), (-1e308, 1e308, "beta")):
+        with pytest.raises(ValueError, match=f"^{field}: one_cycle overflows"):
+            ScheduleSpec("one_cycle", alpha=alpha, beta=beta)
+    ScheduleSpec("gradual", alpha=-1000.0)  # only one_cycle reads alpha and beta
+
+
 def test_gradual_monotone():
     spec = ScheduleSpec("gradual", final_sparsity=90.0)
     vals = [eval_schedule(spec, t) for t in np.linspace(0, 1, 1001)]

@@ -3,8 +3,10 @@ import pytest
 
 from prunekit import (Callback, Model, Rng, ScheduleSpec, Sparsifier, SparsifyCallback, SparsifyPlan,
                       TrainConfig, fit, model_sparsity, run_lth, sparsity_of)
+from prunekit.sparsifier import compute_masks
 
 BLOBS = {"kind": "blobs2d", "n": 200, "separation": 4.0}
+PATTERNS = {"kind": "patterns8x8", "n": 60, "noise": 0.2}
 
 
 def mlp(seed=None):
@@ -229,9 +231,135 @@ def test_static_dynamic_consistency():
     plan = SparsifyPlan(sparsity=50.0, context="global",
                         schedule=ScheduleSpec("one_shot", final_sparsity=50.0,
                                               start_epoch=total - 1, end_epoch=total))
-    cb = SparsifyCallback(plan)
+    cb = FirstMasks(plan)
     cfg_dyn = TrainConfig(epochs=total, batch_size=32, learning_rate=0.1, seed=18, dataset=BLOBS)
     fit(mlp(18), cfg_dyn, callbacks=[cb])
-    first_update = cb.update_log[0]
-    for dyn, static in zip(first_update["masks"], static_masks):
+    for dyn, static in zip(cb.first_masks, static_masks):
         np.testing.assert_array_equal(dyn, static)
+
+
+class FirstMasks(SparsifyCallback):
+    """SparsifyCallback that keeps a copy of the masks its first update computed."""
+    first_masks = None
+
+    def _update_masks(self, state, step):
+        super()._update_masks(state, step)
+        if self.first_masks is None:
+            self.first_masks = [layer.mask.copy() for layer in state["model"].prunable_layers()]
+
+
+class OutOfPlaceCallback(SparsifyCallback):
+    """The mask lifecycle on new arrays, as an oracle for the in-place one:
+    w * m at every update and after every step, a fresh history copy per
+    update and an out-of-place rewind (no tickets)."""
+
+    def _update_masks(self, state, step):
+        layers = state["model"].prunable_layers()
+        target = self._targets(self._clock(state, step))
+        masks = compute_masks(layers, self.plan.granularity, self.plan.context_spec(),
+                              self.criterion, target, self.rng)
+        for layer, mask in zip(layers, masks):
+            layer.mask = mask
+            layer.weights = layer.weights * mask
+            layer.history = layer.weights.copy()
+        if self.plan.lth:
+            self._restore(state, masked=True)
+
+    def _restore(self, state, masked):
+        params = iter(self.rewind_snapshot)
+        for layer in state["model"].layers:
+            if layer.weights is not None:
+                w, b = next(params)
+                keep = masked and layer.prunable and layer.mask is not None
+                layer.weights = w * layer.mask if keep else w.copy()
+                layer.bias = b.copy()
+
+    def _reapply(self, state):
+        for layer in state["model"].prunable_layers():
+            if layer.mask is not None:
+                layer.weights = layer.weights * layer.mask
+
+    def on_step_end(self, state):
+        self._fire_pending(state, state["global_step"])
+        self._reapply(state)
+        self._publish(state)
+
+    def on_train_end(self, state):
+        if self.plan.reset_end:
+            self._restore(state, masked=True)
+            self._reapply(state)
+        self._publish(state)
+
+
+def _model_bytes(model) -> bytes:
+    """Weights, biases, masks and histories of every layer, as one byte string."""
+    arrays = [getattr(layer, name, None) for layer in model.layers
+              for name in ("weights", "bias", "mask", "history")]
+    return b"|".join(b"-" if a is None else a.tobytes() for a in arrays)
+
+
+class StepBytes(Callback):
+    """Records _model_bytes after every step, once the sparsifier has run."""
+
+    def __init__(self):
+        self.steps = []
+
+    def on_step_end(self, state):
+        self.steps.append(_model_bytes(state["model"]))
+
+
+def convs_only(seed):
+    return Model.from_specs(
+        [{"kind": "conv2d", "in_ch": 1, "out_ch": 3, "kx": 3, "ky": 2}, {"kind": "relu"},
+         {"kind": "conv2d", "in_ch": 3, "out_ch": 2, "kx": 6, "ky": 7}, {"kind": "flatten"}],
+        Rng(seed).child("init"))
+
+
+@pytest.mark.parametrize("model, dataset, plan", [
+    (mlp, BLOBS, dict(sparsity=60.0, context="global", schedule=ScheduleSpec("gradual", update_frequency=8))),
+    (mlp, BLOBS, dict(sparsity=70.0, criterion="movement", schedule=ScheduleSpec("one_cycle", update_frequency=3))),
+    (mlp, BLOBS, dict(sparsity=50.0, criterion="magnitude_increase", context="global",
+                      schedule=ScheduleSpec("iterative", start_epoch=1, update_frequency=2))),
+    (mlp, BLOBS, dict(sparsity=[30.0, 80.0], criterion="movement", schedule=ScheduleSpec("gradual"))),
+    (mlp, BLOBS, dict(sparsity=70.0, reset_end=True, rewind_epoch=1,
+                      schedule=ScheduleSpec("gradual", start_epoch=1, update_frequency=2))),
+    (mlp, BLOBS, dict(sparsity=80.0, context="global", criterion="magnitude_increase", lth=True,
+                      schedule=ScheduleSpec("iterative", n_steps=3, start_epoch=1, update_frequency=2))),
+    (convs_only, PATTERNS, dict(sparsity=50.0, granularity="kernel", context="global",
+                                criterion="movement", schedule=ScheduleSpec("gradual", update_frequency=4))),
+    (convs_only, PATTERNS, dict(sparsity=50.0, granularity="shared_kernel",
+                                schedule=ScheduleSpec("gradual", update_frequency=4))),
+])
+def test_in_place_lifecycle_matches_out_of_place_oracle(model, dataset, plan):
+    """The callback's in-place masking, in-place history refill and skipped
+    reapply after an update leave the same bytes as new arrays at every step."""
+    cfg = TrainConfig(epochs=4, batch_size=16, learning_rate=0.1, momentum=0.9, seed=21, dataset=dataset)
+    runs = []
+    for callback in (SparsifyCallback, OutOfPlaceCallback):
+        trace = StepBytes()
+        trained, log = fit(model(21), cfg, callbacks=[callback(SparsifyPlan(**plan)), trace])
+        runs.append((repr(log), trace.steps, _model_bytes(trained)))
+    assert runs[0] == runs[1]
+    assert 0 < model_sparsity(trained.prunable_layers()) < 1
+
+
+def test_callback_keeps_weights_and_history_arrays():
+    """Masking and the history refill write into the arrays the layers started with."""
+    plan = SparsifyPlan(sparsity=60.0, criterion="movement",
+                        schedule=ScheduleSpec("gradual", update_frequency=8))
+
+    class SameArrays(Callback):
+        def on_train_begin(self, state):
+            self.layers = state["model"].prunable_layers()
+            self.arrays = [(layer.weights, layer.history) for layer in self.layers]
+            self.same = []
+
+        def on_step_end(self, state):
+            self.same.append(all(layer.weights is w and layer.history is h
+                                 for layer, (w, h) in zip(self.layers, self.arrays)))
+
+    probe = SameArrays()
+    cfg = TrainConfig(epochs=3, batch_size=32, learning_rate=0.1, momentum=0.5, seed=22, dataset=BLOBS)
+    model, log = fit(mlp(22), cfg, callbacks=[SparsifyCallback(plan), probe])
+    assert len(probe.same) == len(log) and all(probe.same)
+    assert model_sparsity(model.prunable_layers()) > 0.5
