@@ -62,7 +62,7 @@ def build(pk, specs, granularity, context, criterion, sparsity):
     pk.Sparsifier(model, granularity, context, criterion).prune_model(sparsity)
     plan = {"sparsity": sparsity, "granularity": granularity, "context": context,
             "criterion": criterion, "schedule": None, "lth": False, "rewind_epoch": 0,
-            "reset_end": False, "save_tickets": False}
+            "reset_end": False}
     tail = [(9, step, 0.05 + step / 1000, 1.0, sparsity, sparsity) for step in range(45, 50)]
     return model, {"plan": plan, "metrics_tail": tail, "meta": {"name": "bench", "seed": 1}}
 

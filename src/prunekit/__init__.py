@@ -6,7 +6,7 @@ through Sparsifier, training-time pruning through SparsifyCallback, and
 lottery-ticket experiments through run_lth.
 """
 
-from .criteria import CRITERIA, Criterion, WeightHistory, score, update_history
+from .criteria import CRITERIA, Criterion, score
 from .datasets import make_dataset, train_eval_split
 from .fields import FieldError
 from .granularity import (BlockPartition, GranularitySpec, aggregate_scores, all_specs,

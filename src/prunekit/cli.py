@@ -16,7 +16,7 @@ import numpy as np
 from . import checkpoint
 from .config import ConfigError, load_config
 from .criteria import CRITERIA
-from .fields import integer, under
+from .fields import integer, percent, under
 from .granularity import parse_granularity, enumerate_blocks
 from .rng import Rng
 from .schedule import ScheduleSpec, eval_schedule
@@ -109,11 +109,11 @@ def cmd_schedule(args) -> int:
         integer(args.samples, "--samples", low=2)
         spec = ScheduleSpec(kind=args.kind, final_sparsity=args.sparsity,
                             n_steps=args.n_steps, alpha=args.alpha, beta=args.beta)
+        ts = [i / (args.samples - 1) for i in range(args.samples)]
+        values = [percent(eval_schedule(spec, t), f"{args.kind} at t={t!r}") for t in ts]
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    ts = [i / (args.samples - 1) for i in range(args.samples)]
-    values = [eval_schedule(spec, t) for t in ts]
     out = _out_root()
     out.mkdir(parents=True, exist_ok=True)
     _write_csv(out / f"schedule_{args.kind}.csv", ["t", "sparsity"], list(zip(ts, values)))
@@ -144,19 +144,15 @@ def cmd_lth(args) -> int:
     config = load_config(args.config, seed_override=args.seed)
     if config.plan is None or not config.plan.lth:
         raise ConfigError("prune.lth", "lth command needs a config with lth enabled")
-    config.plan.save_tickets = True
     out, log, callback = _train(config)
+    snapshot = callback.rewind_snapshot
     rows = []
     for ticket in callback.tickets:
         ticket_model = config.build_model()
-        for layer, (w, b) in zip(ticket_model.prunable_layers(), ticket.snapshot):
-            layer.weights = w.copy()
-            layer.bias = b.copy()
-        for layer, mask in zip(ticket_model.prunable_layers(), ticket.masks):
-            layer.mask = mask.copy()
-            layer.weights = layer.weights * mask
+        for layer, (w, b), mask in zip(ticket_model.prunable_layers(), snapshot, ticket.masks):
+            layer.weights, layer.bias, layer.mask = w * mask, b, mask
         checkpoint.save(out / f"ticket_{ticket.round}.json", ticket_model,
-                        rewind_snapshot=ticket.snapshot, plan=config.plan.to_dict(),
+                        rewind_snapshot=snapshot, plan=config.plan.to_dict(),
                         meta={"name": config.name, "seed": config.seed, "round": ticket.round,
                               "target_sparsity": ticket.target_sparsity})
         rows.append((ticket.round, ticket.target_sparsity, ticket.accuracy))

@@ -27,13 +27,6 @@ class Criterion:
         object.__setattr__(self, "needs_history", self.kind in _NEEDS_HISTORY)
 
 
-@dataclass
-class WeightHistory:
-    """Snapshot of layer weights taken at the previous mask-update event."""
-    wi: np.ndarray
-    initialized_at: int = 0
-
-
 def score(criterion: Criterion, wf: np.ndarray, wi: np.ndarray | None = None,
           rng: Rng | None = None) -> np.ndarray:
     magnitude = np.abs(wf)
@@ -53,10 +46,3 @@ def score(criterion: Criterion, wf: np.ndarray, wi: np.ndarray | None = None,
         return magnitude - np.abs(wi)
     return np.abs(wf - wi)  # movement
 
-
-def update_history(history: WeightHistory, wf: np.ndarray, step: int = 0) -> WeightHistory:
-    """Record wf as the new reference point; call right after each mask recomputation."""
-    check_congruent(history.wi, wf)
-    history.wi = wf.copy()
-    history.initialized_at = step
-    return history

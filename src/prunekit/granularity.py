@@ -38,7 +38,6 @@ _ALIASES = {2: ALIASES_RANK2, 4: ALIASES_RANK4}
 class GranularitySpec:
     rank: int
     spanned_axes: frozenset
-    alias: str | None = None
 
 
 @dataclass(frozen=True)
@@ -85,7 +84,7 @@ def parse_granularity(name_or_axes, rank: int) -> GranularitySpec:
     if isinstance(name_or_axes, str):
         name = name_or_axes.strip()
         if name in _ALIASES[rank]:
-            return GranularitySpec(rank, _ALIASES[rank][name], alias=name)
+            return GranularitySpec(rank, _ALIASES[rank][name])
         if name in _ALIASES[6 - rank]:
             raise ValueError(f"granularity {name!r} is not defined for rank {rank}")
         try:

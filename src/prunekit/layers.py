@@ -151,6 +151,9 @@ def layer_from_spec(spec: dict) -> Layer:
     cls = _LAYER_KINDS.get(kind) if isinstance(kind, str) else None
     if cls is None:
         raise FieldError("kind", f"unknown layer kind {kind!r}")
+    for key in spec:
+        if key != "kind" and key not in cls.spec_keys:
+            raise FieldError(str(key), "unknown key")
     args = []
     for key in cls.spec_keys:
         if key not in spec:

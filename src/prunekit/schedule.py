@@ -60,10 +60,6 @@ class ProgressClock:
     steps_per_epoch: int
     total_epochs: int
 
-    @property
-    def total_steps(self) -> int:
-        return self.steps_per_epoch * self.total_epochs
-
 
 def eval_schedule(spec: ScheduleSpec, t: float, sparsity: float | None = None) -> float:
     """Sparsity percentage at normalized progress t."""

@@ -7,11 +7,15 @@ Three entry points:
   * run_lth          -- lottery-ticket experiments (reset to a saved snapshot
                         after each pruning round)
 
-Masks are recomputed from scratch at every update; pruned weights stay
-zero because the callback re-applies the current masks after every
-optimizer step. The callback masks each weights array in place, as the
+The callback acts once per completed step, step 0 being the start of
+training: at step rewind_epoch * steps_per_epoch it first takes the rewind
+snapshot, then it runs the mask update due at that step, if any. Masks are
+recomputed from scratch at every update; pruned weights stay zero because
+the callback re-applies the current masks after each optimizer step
+without an update. The callback masks each weights array in place, as the
 optimizer updates it; Sparsifier.prune_model, whose caller's arrays may
-alias the model's, masks into new arrays.
+alias the model's, masks into new arrays. Every lottery ticket shares the
+one rewind snapshot.
 """
 
 from dataclasses import asdict, dataclass, replace
@@ -23,7 +27,7 @@ from .fields import FieldError, integer, percent, under
 from .granularity import enumerate_blocks, aggregate_scores, parse_granularity
 from .layers import Model
 from .rng import Rng
-from .schedule import ProgressClock, ScheduleSpec, current_target, window_steps
+from .schedule import ProgressClock, ScheduleSpec, current_target, eval_schedule, window_steps
 from .selection import ContextSpec, LayerScores, select
 from .tensor import apply_mask, mask_in_place
 from .train import Callback, accuracy
@@ -55,7 +59,6 @@ class SparsifyPlan:
     lth: bool = False
     rewind_epoch: int = 0
     reset_end: bool = False
-    save_tickets: bool = False
 
     def __post_init__(self):
         if isinstance(self.sparsity, (list, tuple)):
@@ -68,12 +71,18 @@ class SparsifyPlan:
             raise FieldError("granularity", f"not a string: {self.granularity!r}")
         under("context", ContextSpec, self.context)
         under("criterion", Criterion, self.criterion)
-        for name in ("lth", "reset_end", "save_tickets"):
+        for name in ("lth", "reset_end"):
             if not isinstance(getattr(self, name), bool):
                 raise FieldError(name, f"not a boolean: {getattr(self, name)!r}")
         self.rewind_epoch = integer(self.rewind_epoch, "rewind_epoch", low=0)
         if self.schedule is not None:
             self.schedule = replace(self.schedule, final_sparsity=float(np.mean(self.sparsity)))
+            if self.schedule.kind == "one_cycle":  # monotone in t: a negative alpha peaks at t = 0
+                top = max(self.sparsity) if self.per_layer else self.sparsity
+                start = eval_schedule(self.schedule, 0.0, top)
+                if start > 100:
+                    raise FieldError("schedule.alpha", f"one_cycle starts at {start!r} > 100 "
+                                                       f"for sparsity {top!r}")
 
     @property
     def per_layer(self) -> bool:
@@ -180,11 +189,11 @@ class Sparsifier:
 
 @dataclass
 class Ticket:
+    """One lottery-ticket round; its weights are the callback's rewind snapshot under `masks`."""
     round: int
     target_sparsity: float
     mask_sparsity: float
     masks: list
-    snapshot: list
     accuracy: float
 
 
@@ -194,7 +203,8 @@ class SparsifyCallback(Callback):
     Per optimizer step the current masks are re-applied; at schedule
     boundaries inside the pruning window masks are recomputed from
     scratch. With lth set, weights are reset to the rewind snapshot
-    (masked) after each pruning round.
+    (masked) after each pruning round, and each round whose target rises
+    records a Ticket.
     """
 
     def __init__(self, plan: SparsifyPlan, rng: Rng | None = None):
@@ -204,7 +214,6 @@ class SparsifyCallback(Callback):
         self.rewind_snapshot = None
         self.round_counter = 0
         self.tickets: list[Ticket] = []
-        self._pending: list[int] = []
 
     # -- internals ---------------------------------------------------------
 
@@ -212,17 +221,14 @@ class SparsifyCallback(Callback):
         self.rewind_snapshot = [(l.weights.copy(), l.bias.copy()) for l in state["model"].layers
                                 if l.weights is not None]
 
-    def _restore(self, state, masked: bool):
-        model = state["model"]
+    def _restore(self, state):
+        """Put copies of the rewind snapshot in the model, masked by the current masks."""
         params = iter(self.rewind_snapshot)
-        for layer in model.layers:
+        for layer in state["model"].layers:
             if layer.weights is None:
                 continue
             w, b = next(params)
-            if masked and layer.prunable and layer.mask is not None:
-                layer.weights = mask_in_place(w.copy(), layer.mask)
-            else:
-                layer.weights = w.copy()
+            layer.weights = w.copy() if layer.mask is None else mask_in_place(w.copy(), layer.mask)
             layer.bias = b.copy()
 
     def _clock(self, state, step: int) -> ProgressClock:
@@ -245,27 +251,27 @@ class SparsifyCallback(Callback):
             np.copyto(layer.history, mask_in_place(layer.weights, mask))
         scalar_target = float(np.mean(target)) if self.plan.per_layer else target
         if self.plan.lth:
-            self._restore(state, masked=True)
+            self._restore(state)
             if scalar_target > self._last_round_target and scalar_target > 0:
                 self.round_counter += 1
                 self._last_round_target = scalar_target
-                if self.plan.save_tickets:
-                    self.tickets.append(Ticket(
-                        round=self.round_counter,
-                        target_sparsity=scalar_target,
-                        mask_sparsity=model_sparsity(layers),
-                        masks=[m.copy() for m in masks],
-                        snapshot=[(w.copy(), b.copy()) for w, b in self.rewind_snapshot],
-                        accuracy=accuracy(model, state["x_eval"], state["y_eval"]),
-                    ))
+                self.tickets.append(Ticket(
+                    round=self.round_counter,
+                    target_sparsity=scalar_target,
+                    mask_sparsity=model_sparsity(layers),
+                    masks=[m.copy() for m in masks],
+                    accuracy=accuracy(model, state["x_eval"], state["y_eval"]),
+                ))
 
-    def _fire_pending(self, state, completed: int) -> bool:
-        """Run the updates due by step `completed`; True if any ran, which leaves the weights masked."""
-        fired = False
-        while self._pending and self._pending[0] <= completed:
-            self._update_masks(state, self._pending.pop(0))
-            fired = True
-        return fired
+    def _step_done(self, state, step: int) -> bool:
+        """Take the rewind snapshot if `step` is the rewind point, then run the
+        update due at `step`; True if one ran, which leaves the weights masked."""
+        if step == self._rewind_step:
+            self._snapshot(state)
+        if step not in self._update_steps:
+            return False
+        self._update_masks(state, step)
+        return True
 
     def _reapply(self, state):
         for layer in state["model"].prunable_layers():
@@ -289,34 +295,23 @@ class SparsifyCallback(Callback):
             layer.mask = None
         spe = state["steps_per_epoch"]
         _, end_step = window_steps(spec, self._clock(state, 0))
-        steps = set()
-        for epoch in range(spec.start_epoch, end_step // spe):
-            for j in range(spec.update_frequency):
-                steps.add(epoch * spe + (j * spe) // spec.update_frequency)
-        steps.add(end_step)
-        self._pending = sorted(steps)
+        self._update_steps = {epoch * spe + (j * spe) // spec.update_frequency
+                              for epoch in range(spec.start_epoch, end_step // spe)
+                              for j in range(spec.update_frequency)} | {end_step}
+        rewinds = self.plan.lth or self.plan.reset_end
+        self._rewind_step = self.plan.rewind_epoch * spe if rewinds else None
         self._last_round_target = 0.0
-        if (self.plan.lth or self.plan.reset_end) and self.plan.rewind_epoch == 0:
-            self._snapshot(state)
-        self._fire_pending(state, 0)
+        self._step_done(state, 0)
         self._publish(state)
 
-    def on_epoch_begin(self, state):
-        if (self.plan.lth or self.plan.reset_end) and state["epoch"] == self.plan.rewind_epoch > 0:
-            self._snapshot(state)
-        self._fire_pending(state, state["epoch"] * state["steps_per_epoch"])
-
     def on_step_end(self, state):
-        if not self._fire_pending(state, state["global_step"]):
+        if not self._step_done(state, state["global_step"]):
             self._reapply(state)
         self._publish(state)
 
-    def on_epoch_end(self, state):
-        self._fire_pending(state, (state["epoch"] + 1) * state["steps_per_epoch"])
-
     def on_train_end(self, state):
         if self.plan.reset_end:
-            self._restore(state, masked=True)
+            self._restore(state)
         self._publish(state)
 
 

@@ -145,7 +145,7 @@ def test_criterion_7_lth_semantics():
     plan = SparsifyPlan(
         sparsity=80.0, granularity="weight", context="global", criterion="large_final",
         schedule=ScheduleSpec("iterative", final_sparsity=80.0, n_steps=4, start_epoch=1),
-        lth=True, save_tickets=True)
+        lth=True)
     cfg = TrainConfig(epochs=5, batch_size=32, learning_rate=0.1, seed=7, dataset=BLOBS)
     cb = Checking(plan)
     fit(mlp(Rng(7).child("init")), cfg, callbacks=[cb])

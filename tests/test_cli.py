@@ -1,6 +1,7 @@
 import base64
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from prunekit.cli import main
 from prunekit.layers import Model
 from prunekit.rng import Rng
 
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 BASE_CONFIG = {
     "name": "demo",
@@ -88,6 +90,8 @@ def test_invalid_granularity_exit_2(workdir, capsys):
     ("model[0].out: not an integer: '16'", [{"kind": "dense", "in": 2, "out": "16"}]),
     ("model[0].ky: not an integer: True",
      [{"kind": "conv2d", "in_ch": 1, "out_ch": 2, "kx": 3, "ky": True}]),
+    ("model[0].stride: unknown key",
+     [{"kind": "conv2d", "in_ch": 1, "out_ch": 2, "kx": 3, "ky": 3, "stride": 2}]),
 ])
 def test_bad_model_spec_exit_2(workdir, capsys, field, model):
     cfg = write_config(workdir / "cfg.json", model=model)
@@ -141,6 +145,7 @@ def test_schedule_unknown_kind(workdir):
     (["gradual", "--samples", "0"], "--samples"),
     (["one_cycle", "--alpha", "-1000"], "alpha"),
     (["one_cycle", "--beta", "710"], "beta"),
+    (["one_cycle", "--alpha", "-1", "--sparsity", "80", "--samples", "3"], "one_cycle at t=0.0"),
 ])
 def test_schedule_bad_arguments_exit_2(workdir, capsys, argv, field):
     assert main(["schedule"] + argv) == 2
@@ -186,7 +191,7 @@ def test_lth_command(workdir):
         train={"epochs": 5, "batch_size": 32, "learning_rate": 0.1},
         prune={"sparsity": 80, "context": "global",
                "schedule": {"kind": "iterative", "n_steps": 4, "start_epoch": 1},
-               "lth": True, "save_tickets": True})
+               "lth": True})
     assert main(["lth", str(cfg)]) == 0
     out = workdir / "lth-seed42"
     for k in range(1, 5):
@@ -205,6 +210,41 @@ def test_lth_command(workdir):
                 kept = layer.mask == 1
                 np.testing.assert_array_equal(layer.weights[kept], w[kept])
                 assert np.all(layer.weights[layer.mask == 0] == 0)
+
+
+def test_lth_rewind_at_window_start(workdir):
+    """rewind_epoch = start_epoch: the snapshot is taken before that step's
+    mask update, and every ticket is that one snapshot under its own mask."""
+    cfg = write_config(
+        workdir / "lth.json", name="lth",
+        train={"epochs": 5, "batch_size": 32, "learning_rate": 0.1},
+        prune={"sparsity": 80, "context": "global",
+               "schedule": {"kind": "iterative", "n_steps": 4, "start_epoch": 1},
+               "lth": True, "rewind_epoch": 1})
+    assert main(["lth", str(cfg)]) == 0
+    out = workdir / "lth-seed42"
+    snapshot = checkpoint.load(out / "checkpoint.json").rewind_snapshot
+    assert all(np.all(w != 0) for w, _ in snapshot)  # no mask had been applied yet
+    tickets = sorted(out.glob("ticket_*.json"))
+    assert len(tickets) == 4
+    for path in tickets:
+        ckpt = checkpoint.load(path)
+        for layer, (w, b), (shared_w, shared_b) in zip(ckpt.model.prunable_layers(),
+                                                        ckpt.rewind_snapshot, snapshot):
+            np.testing.assert_array_equal(w, shared_w)
+            np.testing.assert_array_equal(b, shared_b)
+            np.testing.assert_array_equal(layer.weights, shared_w * layer.mask)
+            np.testing.assert_array_equal(layer.bias, shared_b)
+
+
+def test_shipped_configs(workdir):
+    """The configs in configs/ run, and inspect passes on every checkpoint they write."""
+    assert main(["run", str(CONFIGS / "blobs_gradual.json")]) == 0
+    assert main(["lth", str(CONFIGS / "lth_blobs.json")]) == 0
+    written = sorted(workdir.glob("*/checkpoint.json")) + sorted(workdir.glob("*/ticket_*.json"))
+    assert len(written) == 2 + 4
+    for path in written:
+        assert main(["inspect", str(path)]) == 0, path
 
 
 def test_lth_requires_lth_config(workdir):
@@ -379,6 +419,7 @@ def _edit_data(change, *path):
     ("rewind_snapshot[0].bias: corrupt array:",  # a version-1 array: a list of numbers
      _put([0.0] * 16, "rewind_snapshot", 0, "bias", "data")),
     ("unsupported checkpoint format_version 1", _put(1, "format_version")),
+    ("layers[0].spec.stride: unknown key", _put(2, "layers", 0, "spec", "stride")),
 ])
 def test_load_rejects_missing_field(workdir, capsys, field, edit):
     path = workdir / "ckpt.json"

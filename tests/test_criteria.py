@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from prunekit import Criterion, Rng, WeightHistory, score, update_history
+from prunekit import Criterion, Rng, score
 
 
 def test_large_final():
@@ -72,20 +72,3 @@ def test_scaling_preserves_order(kind):
         scaled = np.argsort(-score(crit, c * wf, c * wi), kind="stable")
         np.testing.assert_array_equal(base, scaled)
 
-
-def test_update_history():
-    wf = Rng(6).normal((3, 3))
-    hist = WeightHistory(wi=np.zeros((3, 3)))
-    update_history(hist, wf, step=5)
-    np.testing.assert_array_equal(hist.wi, wf)
-    assert hist.initialized_at == 5
-    # movement collapses to zero right after an update
-    np.testing.assert_array_equal(score(Criterion("movement"), wf, hist.wi), np.zeros((3, 3)))
-    # no weight change, no history change
-    update_history(hist, wf)
-    np.testing.assert_array_equal(hist.wi, wf)
-
-
-def test_update_history_shape_mismatch():
-    with pytest.raises(ValueError):
-        update_history(WeightHistory(wi=np.zeros((2, 2))), np.zeros((3, 3)))

@@ -28,7 +28,7 @@ def test_plan_sparsity_is_the_only_target():
     SparsifyPlan(80.0, schedule=ScheduleSpec("gradual", final_sparsity=30.0)),
     SparsifyPlan((10, 90), "row", "global", "movement",
                  ScheduleSpec("one_cycle", start_epoch=1, end_epoch=3, update_frequency=2, alpha=10, beta=5),
-                 lth=True, rewind_epoch=1, reset_end=True, save_tickets=True),
+                 lth=True, rewind_epoch=1, reset_end=True),
     SparsifyPlan(0, "1,2", schedule=None),
 ], ids=["schedule_target", "every_field", "static"])
 def test_to_dict_round_trip(plan):
@@ -54,7 +54,6 @@ def test_checkpoint_plans_load_back(workdir):
                               "lth": True})
     assert main(["lth", str(cfg)]) == 0
     plan = load_config(cfg).plan
-    plan.save_tickets = True  # what the lth command runs
     written = sorted((workdir / "lth").glob("ticket_*.json")) + [workdir / "lth" / "checkpoint.json"]
     assert len(written) == 5
     for path in written:
@@ -71,6 +70,7 @@ def test_checkpoint_plans_load_back(workdir):
     ("plan.schedule.final_sparsity: unknown key",
      {"sparsity": 50.0, "schedule": {"kind": "gradual", "final_sparsity": 50.0}}),
     ("plan.granularity: not a string: 3", {"sparsity": 50.0, "granularity": 3}),
+    ("plan.save_tickets: unknown key", {"sparsity": 50.0, "save_tickets": True}),
 ])
 def test_inspect_rejects_bad_plan(workdir, capsys, field, plan):
     path = workdir / "ckpt.json"
@@ -113,6 +113,7 @@ def _schedule(**fields):
     ("output_dir", lambda d: d.update(output_dir=5)),
     ("prune.schedule.alpha", _schedule(kind="one_cycle", alpha=-1000)),
     ("prune.schedule.beta", _schedule(kind="one_cycle", beta=710)),
+    ("prune.save_tickets", _prune(lth=True, save_tickets=True)),
 ])
 def test_config_error_names_field(workdir, capsys, field, edit):
     doc = json.loads(json.dumps(BASE_CONFIG))
@@ -123,6 +124,20 @@ def test_config_error_names_field(workdir, capsys, field, edit):
     assert not list(workdir.rglob("crash_checkpoint.json"))
 
 
+@pytest.mark.parametrize("prune", [
+    {"sparsity": 80, "schedule": {"kind": "one_cycle", "alpha": -1}},
+    # the mean target, 50, would start at 82.4 and pass; the largest, 90, starts at 148.2
+    {"sparsity": [10, 90], "schedule": {"kind": "one_cycle", "alpha": -0.5}},
+], ids=["scalar", "per_layer"])
+def test_one_cycle_start_above_100_rejected_at_load(workdir, capsys, prune):
+    """A negative alpha makes one_cycle fall from above its target; above 100 it exits 2 at load."""
+    assert main(["run", str(write_config(workdir / "cfg.json", prune=prune))]) == 2
+    assert capsys.readouterr().err.startswith("config error at prune.schedule.alpha: one_cycle starts at ")
+    assert not [p for p in workdir.iterdir() if p.is_dir()]
+    at_100 = {"sparsity": 100, "schedule": {"kind": "one_cycle", "alpha": 0}}  # flat at 100
+    assert load_config(write_config(workdir / "cfg.json", prune=at_100)).plan.schedule.alpha == 0
+
+
 FUZZ_CONFIG = {
     "name": "fuzz", "seed": 3, "output_dir": "fuzz-out",
     "model": [{"kind": "dense", "in": 2, "out": 8}, {"kind": "relu"},
@@ -131,14 +146,13 @@ FUZZ_CONFIG = {
     "train": {"epochs": 4, "batch_size": 16, "learning_rate": 0.1, "momentum": 0.5},
     "prune": {"sparsity": 50, "granularity": "weight", "context": "global",
               "criterion": "large_final", "lth": True, "rewind_epoch": 1, "reset_end": False,
-              "save_tickets": True,
               "schedule": {"kind": "iterative", "start_epoch": 1, "end_epoch": 3,
                            "update_frequency": 2, "n_steps": 2, "alpha": 14.0, "beta": 6.0}},
 }
 INTEGER_KEYS = {"in", "out", "epochs", "batch_size", "rewind_epoch", "start_epoch", "end_epoch",
                 "update_frequency", "n_steps", "n"}
 NUMBER_KEYS = {"sparsity", "learning_rate", "momentum", "alpha", "beta", "separation", "noise"}
-BOOLEAN_KEYS = {"lth", "reset_end", "save_tickets"}
+BOOLEAN_KEYS = {"lth", "reset_end"}
 
 
 def _fuzz_targets():

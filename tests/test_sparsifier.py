@@ -150,7 +150,7 @@ def lth_plan(n_steps=4, s=80.0, start=1, **kw):
     return SparsifyPlan(
         sparsity=s, granularity="weight", context="global", criterion="large_final",
         schedule=ScheduleSpec("iterative", final_sparsity=s, n_steps=n_steps, start_epoch=start),
-        lth=True, save_tickets=True, **kw)
+        lth=True, **kw)
 
 
 def test_lth_resets_and_nesting():
@@ -199,6 +199,23 @@ def test_lth_rewind_epoch_snapshot_differs_from_init():
     fit(model, cfg, callbacks=[cb])
     snap_w = [w for w, b in cb.rewind_snapshot]
     assert any(not np.array_equal(a, b) for a, b in zip(w0, snap_w))
+
+
+def test_lth_rewind_at_window_start_snapshots_before_the_update():
+    """At rewind_epoch = start_epoch the snapshot holds the weights the optimizer
+    left at step rewind_epoch * steps_per_epoch, before that step's mask update."""
+    class WeightsAtRewind(Callback):
+        def on_step_end(self, state):
+            if state["global_step"] == state["steps_per_epoch"]:
+                self.params = [(l.weights.copy(), l.bias.copy()) for l in state["model"].prunable_layers()]
+
+    probe, cb = WeightsAtRewind(), SparsifyCallback(lth_plan(start=1, rewind_epoch=1))
+    cfg = TrainConfig(epochs=5, batch_size=32, learning_rate=0.1, seed=14, dataset=BLOBS)
+    fit(mlp(14), cfg, callbacks=[probe, cb])
+    assert len(cb.tickets) == 4
+    for (w, b), (snap_w, snap_b) in zip(probe.params, cb.rewind_snapshot):
+        np.testing.assert_array_equal(snap_w, w)
+        np.testing.assert_array_equal(snap_b, b)
 
 
 def test_lth_rewind_after_window_start_rejected():
@@ -280,7 +297,7 @@ class OutOfPlaceCallback(SparsifyCallback):
                 layer.weights = layer.weights * layer.mask
 
     def on_step_end(self, state):
-        self._fire_pending(state, state["global_step"])
+        self._step_done(state, state["global_step"])
         self._reapply(state)
         self._publish(state)
 
