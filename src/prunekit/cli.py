@@ -164,7 +164,7 @@ def cmd_lth(args) -> int:
 def cmd_inspect(args) -> int:
     ckpt = checkpoint.load(args.checkpoint)
     failures = []
-    all_masks = []
+    binary = []
     granularity = None if ckpt.plan is None else under("plan", SparsifyPlan.from_dict, ckpt.plan).granularity
     for i, layer in enumerate(ckpt.model.layers):
         if not layer.prunable:
@@ -188,9 +188,9 @@ def cmd_inspect(args) -> int:
                 failures.append(f"layer {i}: mask is not block-pure under {granularity!r}")
         print(f"layer {i} ({layer.kind} {shape}): sparsity {sparsity_of(layer.mask):.4f}, "
               f"blocks {purity}")
-        all_masks.append(layer.mask.ravel())
-    if all_masks:
-        print(f"global sparsity: {sparsity_of(np.concatenate(all_masks)):.4f}")
+        binary.append(layer)
+    if binary:
+        print(f"global sparsity: {model_sparsity(binary):.4f}")
     if failures:
         for f in failures:
             print(f"integrity failure: {f}", file=sys.stderr)

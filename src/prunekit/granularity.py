@@ -68,9 +68,11 @@ class BlockPartition:
         return np.ascontiguousarray(a).transpose(self._order).reshape(self.n_blocks, self.block_size)
 
     def unrows(self, rows: np.ndarray, dtype=None) -> np.ndarray:
-        """Inverse of rows: a new `shape` array, block i = rows[i] (broadcast), cast while copied."""
+        """Inverse of rows: a C-contiguous `shape` array, block i = rows[i] (broadcast), cast
+        while copied. With one weight per block it is rows reshaped, a view where no cast or
+        copy is needed."""
         if self.block_size == 1:  # every spanned axis has length 1: the transpose moves nothing
-            return np.array(rows.reshape(self.shape), dtype=dtype)
+            return np.asarray(rows.reshape(self.shape), dtype=dtype, order="C")
         order = self._order
         split = np.broadcast_to(rows, (self.n_blocks, self.block_size))
         split = split.reshape([self.shape[ax] for ax in order]).transpose(np.argsort(order))

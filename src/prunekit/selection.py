@@ -1,8 +1,12 @@
 """Turn per-block scores into binary masks under local or global context.
 
-Rounding is floor (never overshoot the requested sparsity). Blocks below the
-k-th lowest score (found by np.partition, O(n)) are pruned, then the earliest
-blocks tied at it, so masks are deterministic: the first k of a stable sort.
+Rounding is floor (never overshoot the requested sparsity). np.partition
+finds the k-th lowest score in O(n); one comparison per layer then writes its
+float64 keep-mask, pruning every block at or below that score. Only when a
+tie straddles the cut (a block past the first k of the partition also scores
+the k-th score) are the tied blocks after the earliest ones kept again, in
+layer-then-block order. So masks are deterministic: the first k of a stable
+sort of (score, layer, block).
 """
 
 from dataclasses import dataclass
@@ -43,16 +47,20 @@ def select_local(layers: list[LayerScores], sparsity: float) -> list[np.ndarray]
 def select_global(layers: list[LayerScores], sparsity: float) -> list[np.ndarray]:
     """Prune the lowest-scoring blocks over the concatenation of all layers."""
     ranked = np.concatenate([layer.block_scores for layer in layers])
-    k = pruned_count(len(ranked), sparsity)
+    n = len(ranked)
+    k = pruned_count(n, sparsity)
     if k:
         ranked.partition(k - 1)  # in place: positions are read from the layers below
     threshold = ranked[k - 1] if k else -np.inf  # k = 0 prunes nothing
-    pruned = np.concatenate([layer.block_scores < threshold for layer in layers])
-    tied = np.concatenate([layer.block_scores == threshold for layer in layers])
-    pruned[np.flatnonzero(tied)[:k - np.count_nonzero(pruned)]] = True
-    ends = np.cumsum([0] + [len(layer.block_scores) for layer in layers])
-    return [layer.partition.unrows(~pruned[start:end, None], float)
-            for layer, start, end in zip(layers, ends, ends[1:])]
+    keeps = [np.greater(layer.block_scores, threshold, out=np.empty(len(layer.block_scores)))
+             for layer in layers]  # every tie pruned: exactly k unless a tie straddles the cut
+    if k < n and ranked[k:].min() == threshold:
+        pruned_ties = k - np.count_nonzero(ranked[:k] < threshold)
+        for layer, keep in zip(layers, keeps):
+            tied = np.flatnonzero(layer.block_scores == threshold)
+            keep[tied[pruned_ties:]] = 1.0
+            pruned_ties = max(0, pruned_ties - len(tied))
+    return [layer.partition.unrows(keep[:, None]) for layer, keep in zip(layers, keeps)]
 
 
 def select_per_layer(layers: list[LayerScores], per_layer) -> list[np.ndarray]:

@@ -151,7 +151,8 @@ def model_sparsity(layers) -> float:
     masks = [l.mask for l in layers if l.mask is not None]
     if not masks:
         return 0.0
-    return sum(m.size - np.count_nonzero(m) for m in masks) / sum(m.size for m in masks)
+    pruned = sum(m.size - m.sum() for m in masks)  # an exact count for 0/1 masks
+    return float(pruned / sum(m.size for m in masks))
 
 
 class Sparsifier:
@@ -211,6 +212,8 @@ class SparsifyCallback(Callback):
         self.plan = plan
         self.rng = rng
         self.criterion = Criterion(plan.criterion)
+        if self.criterion.kind == "random" and rng is None:
+            raise ValueError("criterion 'random' requires an rng")
         self.rewind_snapshot = None
         self.round_counter = 0
         self.tickets: list[Ticket] = []

@@ -10,6 +10,7 @@ from prunekit import checkpoint
 from prunekit.cli import main
 from prunekit.layers import Model
 from prunekit.rng import Rng
+from prunekit.tensor import sparsity_of
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -285,6 +286,18 @@ def test_inspect_tampered_mask(workdir, capsys):
     out.write_text(json.dumps(doc))
     assert main(["inspect", str(out)]) == 1
     assert "non-binary" in capsys.readouterr().err
+
+
+def test_inspect_global_sparsity_over_binary_layers(workdir, capsys):
+    """A layer whose mask fails the binary check is left out of the global figure."""
+    model = Model.from_specs(BASE_CONFIG["model"], Rng(7).child("init"))
+    a, b = model.prunable_layers()
+    a.mask = np.full(a.weights.shape, 0.5)
+    b.mask = (np.arange(b.weights.size) % 4 != 0).astype(float).reshape(b.weights.shape)
+    src = workdir / "masked.json"
+    checkpoint.save(src, model)
+    assert main(["inspect", str(src)]) == 1
+    assert f"global sparsity: {sparsity_of(b.mask):.4f}" in capsys.readouterr().out
 
 
 def test_inspect_corrupt_file(workdir, capsys):

@@ -194,3 +194,59 @@ def test_large_tie_heavy_selection_matches_stable_sort():
         for layer, mask in zip(layers, select_local(layers, s)):
             expected = _stable_sort_keep(layer.block_scores, pruned_count(len(layer.block_scores), s))
             np.testing.assert_array_equal(mask.ravel(), expected)
+
+
+def _assert_matches_oracle(layers, sparsity):
+    for ours, oracle in zip(select_global(layers, sparsity), bruteforce_masks(layers, sparsity, "global")):
+        assert ours.shape == oracle.shape and ours.tobytes() == oracle.tobytes()
+
+
+def test_tie_run_across_three_layers_prunes_earliest():
+    """The run of scores tied at the cut starts in layer 0 and runs through layers 1
+    and 2; only its earliest members are pruned, the rest are kept again."""
+    layers = [singleton_layer([0.1, 0.5, 0.5]), singleton_layer([0.5, 0.5, 0.9], 1),
+              singleton_layer([0.5, 0.0, 0.5, 0.7], 2)]
+    n = sum(len(layer.block_scores) for layer in layers)
+    for k in range(n + 1):
+        _assert_matches_oracle(layers, _sparsity_for(n, k))
+    a, b, c = select_global(layers, _sparsity_for(n, 5))  # 0.0, 0.1, then three of six 0.5 ties
+    np.testing.assert_array_equal(a.ravel(), [0, 0, 0])
+    np.testing.assert_array_equal(b.ravel(), [0, 1, 1])
+    np.testing.assert_array_equal(c.ravel(), [1, 0, 1, 1])
+
+
+@pytest.mark.parametrize("scores", [[[0.3, -1.0], [2.0, 0.3, 0.3]], [[0.5] * 3, [0.5] * 4, [0.5]]])
+def test_selection_extremes_match_oracle(scores):
+    """Every k from 0 to n, for distinct and for all-equal scores."""
+    layers = [singleton_layer(s, li) for li, s in enumerate(scores)]
+    n = sum(map(len, scores))
+    for k in range(n + 1):
+        _assert_matches_oracle(layers, _sparsity_for(n, k))
+
+
+def test_signed_zeros_tie_at_the_cut():
+    """0.0 and -0.0 compare equal, so they tie and the earlier position is pruned."""
+    layers = [singleton_layer([0.0, 1.0, -0.0]), singleton_layer([-0.0, -1.0, 0.0], 1)]
+    for k in range(7):
+        _assert_matches_oracle(layers, _sparsity_for(6, k))
+    a, b = select_global(layers, _sparsity_for(6, 3))
+    np.testing.assert_array_equal(a.ravel(), [0, 1, 0])
+    np.testing.assert_array_equal(b.ravel(), [1, 0, 1])
+
+
+@pytest.mark.parametrize("alias", ["weight", "kernel", "channel"])
+def test_masks_are_fresh_float64_arrays(alias):
+    """Every mask is its own writable, C-contiguous float64 array: no view of the
+    scores or of another mask, at one weight per block and above."""
+    rng = Rng(46)
+    parts = [enumerate_blocks(parse_granularity(alias, 4), shape)
+             for shape in ((3, 4, 2, 2), (4, 2, 2, 2))]
+    layers = [LayerScores(p, np.round(rng.normal(p.n_blocks) * 2) / 4) for p in parts]
+    assert (parts[0].block_size == 1) == (alias == "weight")
+    for select_fn in (select_global, select_local):
+        masks = select_fn(layers, 60.0)
+        for i, (mask, part) in enumerate(zip(masks, parts)):
+            assert mask.dtype == np.float64 and mask.shape == part.shape
+            assert mask.flags.writeable and mask.flags.c_contiguous
+            assert not any(np.shares_memory(mask, layer.block_scores) for layer in layers)
+            assert not any(np.shares_memory(mask, other) for other in masks[i + 1:])

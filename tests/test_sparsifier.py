@@ -93,6 +93,27 @@ def test_prune_model_per_layer_list():
     assert sparsity_of(masks[0]) == 0.0 and sparsity_of(masks[1]) == 1.0
 
 
+def test_callback_random_criterion_needs_rng():
+    """Refused at construction, not at the first mask update mid-run."""
+    plan = SparsifyPlan(sparsity=50.0, criterion="random",
+                        schedule=ScheduleSpec("gradual", start_epoch=1))
+    with pytest.raises(ValueError, match="rng"):
+        SparsifyCallback(plan)
+    SparsifyCallback(plan, rng=Rng(0))
+
+
+def test_model_sparsity_counts_zeros_of_binary_masks():
+    model = mlp(8)
+    layers = model.prunable_layers()
+    assert model_sparsity(layers) == 0.0
+    rng = Rng(9)
+    for layer in layers:
+        layer.mask = (rng.normal(layer.weights.shape) > 0.3).astype(float)
+    got = model_sparsity(layers)
+    zeros = sum(np.count_nonzero(l.mask == 0) for l in layers)
+    assert type(got) is float and got == zeros / sum(l.mask.size for l in layers)
+
+
 def test_callback_pruning_at_initialization():
     plan = SparsifyPlan(sparsity=50.0, schedule=ScheduleSpec("one_shot", final_sparsity=50.0))
     cb = SparsifyCallback(plan)
