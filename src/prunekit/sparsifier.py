@@ -252,6 +252,7 @@ class SparsifyCallback(Callback):
         for layer, mask in zip(layers, masks):
             layer.mask = mask
             np.copyto(layer.history, mask_in_place(layer.weights, mask))
+        self._model_sparsity = model_sparsity(layers)
         scalar_target = float(np.mean(target)) if self.plan.per_layer else target
         if self.plan.lth:
             self._restore(state)
@@ -261,7 +262,7 @@ class SparsifyCallback(Callback):
                 self.tickets.append(Ticket(
                     round=self.round_counter,
                     target_sparsity=scalar_target,
-                    mask_sparsity=model_sparsity(layers),
+                    mask_sparsity=self._model_sparsity,
                     masks=[m.copy() for m in masks],
                     accuracy=accuracy(model, state["x_eval"], state["y_eval"]),
                 ))
@@ -285,7 +286,7 @@ class SparsifyCallback(Callback):
         clock = self._clock(state, state.get("global_step", 0))
         target = self._targets(clock)
         state["target_sparsity"] = float(np.mean(target)) if self.plan.per_layer else target
-        state["model_sparsity"] = model_sparsity(state["model"].prunable_layers())
+        state["model_sparsity"] = self._model_sparsity
 
     # -- hooks -------------------------------------------------------------
 
@@ -304,6 +305,7 @@ class SparsifyCallback(Callback):
         rewinds = self.plan.lth or self.plan.reset_end
         self._rewind_step = self.plan.rewind_epoch * spe if rewinds else None
         self._last_round_target = 0.0
+        self._model_sparsity = 0.0  # of the current masks; they change only in _update_masks
         self._step_done(state, 0)
         self._publish(state)
 
@@ -319,11 +321,14 @@ class SparsifyCallback(Callback):
 
 
 def run_lth(model: Model, config, plan: SparsifyPlan, rng: Rng | None = None):
-    """Full lottery-ticket run; returns (model, metric_log, tickets)."""
+    """Full lottery-ticket run; returns (model, metric_log, tickets, rewind_snapshot).
+
+    rewind_snapshot is one (weights, bias) pair per layer with weights; every
+    ticket's weights are those weights times its masks, under the same bias."""
     from .train import fit
 
     if not plan.lth:
         raise ValueError("run_lth needs a plan with lth set")
     callback = SparsifyCallback(plan, rng=rng)
     model, log = fit(model, config, callbacks=[callback])
-    return model, log, callback.tickets
+    return model, log, callback.tickets, callback.rewind_snapshot

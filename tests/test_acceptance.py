@@ -11,7 +11,7 @@ import pytest
 from prunekit import (Callback, Criterion, LayerScores, Model, Rng, ScheduleSpec, Sparsifier,
                       SparsifyCallback, SparsifyPlan, TrainConfig, accuracy, all_specs,
                       enumerate_blocks, eval_schedule, fit, make_dataset, parse_granularity,
-                      run_lth, score, select_global, select_local, sparsity_of)
+                      run_lth, score, select_global, select_local, sparsity_of, train_eval_split)
 from prunekit.cli import main
 from prunekit.train import softmax_cross_entropy
 
@@ -128,6 +128,33 @@ def test_criterion_6_dynamic_pruning_run():
     pruned_acc = accuracy(pruned, *data)
     assert pruned_acc >= 0.90
     print(f"ACCEPT 6 dynamic pruning run: PASS (dense {dense_acc:.3f}, pruned {pruned_acc:.3f})")
+
+
+CONV_TRAIN = [  # perfbench's conv-train model
+    {"kind": "conv2d", "in_ch": 1, "out_ch": 8, "kx": 3, "ky": 3}, {"kind": "relu"},
+    {"kind": "conv2d", "in_ch": 8, "out_ch": 16, "kx": 3, "ky": 3}, {"kind": "relu"},
+    {"kind": "flatten"}, {"kind": "dense", "in": 256, "out": 2},
+]
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_criterion_6_conv_pruning_run(seed):
+    patterns = {"kind": "patterns8x8", "n": 2000, "noise": 0.1}
+    cfg = TrainConfig(epochs=10, batch_size=32, learning_rate=0.05, seed=seed, dataset=patterns)
+    plan = SparsifyPlan(sparsity=80.0, granularity="weight", context="global",
+                        criterion="large_final", schedule=ScheduleSpec("gradual"))
+    model = Model.from_specs(CONV_TRAIN, Rng(seed).child("init"))
+    pruned, log = fit(model, cfg, callbacks=[SparsifyCallback(plan)])
+    masks = [layer.mask for layer in pruned.prunable_layers()]
+    n_weights = sum(m.size for m in masks)
+    n_pruned = n_weights * 80 // 100  # floor(n_blocks * s / 100) at one weight per block
+    assert sum(int(np.sum(m == 0)) for m in masks) == n_pruned
+    assert log[-1]["model_sparsity"] == n_pruned / n_weights
+    assert all(np.all(layer.weights[layer.mask == 0] == 0) for layer in pruned.prunable_layers())
+    _, (x_eval, y_eval) = train_eval_split(*make_dataset(patterns, Rng(seed).child("data")))
+    acc = accuracy(pruned, x_eval, y_eval)
+    assert acc >= 0.95
+    print(f"ACCEPT 6 conv pruning run, seed {seed}: PASS (eval accuracy {acc:.3f})")
 
 
 def test_criterion_7_lth_semantics():

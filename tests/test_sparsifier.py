@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from prunekit import (Callback, Model, Rng, ScheduleSpec, Sparsifier, SparsifyCallback, SparsifyPlan,
-                      TrainConfig, fit, model_sparsity, run_lth, sparsity_of)
+                      TrainConfig, accuracy, fit, make_dataset, model_sparsity, run_lth, sparsity_of,
+                      train_eval_split)
 from prunekit.sparsifier import compute_masks
 
 BLOBS = {"kind": "blobs2d", "n": 200, "separation": 4.0}
@@ -176,7 +177,7 @@ def lth_plan(n_steps=4, s=80.0, start=1, **kw):
 
 def test_lth_resets_and_nesting():
     cfg = TrainConfig(epochs=5, batch_size=32, learning_rate=0.1, seed=12, dataset=BLOBS)
-    model, log, tickets = run_lth(mlp(12), cfg, lth_plan())
+    model, log, tickets, snapshot = run_lth(mlp(12), cfg, lth_plan())
     assert len(tickets) == 4
     targets = [t.target_sparsity for t in tickets]
     assert targets == [20.0, 40.0, 60.0, 80.0]
@@ -189,6 +190,19 @@ def test_lth_resets_and_nesting():
         prev_pruned = pruned
         # sparsity within one block-quantum of the round target
         assert abs(ticket.mask_sparsity - ticket.target_sparsity / 100) <= 1.0 / 64
+
+
+def test_lth_tickets_rebuild_from_returned_snapshot():
+    """snapshot x masks, under the snapshot's biases, scores exactly each ticket's accuracy."""
+    cfg = TrainConfig(epochs=5, batch_size=32, learning_rate=0.1, seed=12, dataset=BLOBS)
+    _, _, tickets, snapshot = run_lth(mlp(12), cfg, lth_plan())
+    _, (x_eval, y_eval) = train_eval_split(*make_dataset(BLOBS, Rng(cfg.seed).child("data")))
+    assert len(tickets) == 4
+    for ticket in tickets:
+        model = mlp()
+        for layer, (w, b), mask in zip(model.prunable_layers(), snapshot, ticket.masks, strict=True):
+            layer.weights, layer.bias, layer.mask = w * mask, b, mask
+        assert accuracy(model, x_eval, y_eval) == ticket.accuracy
 
 
 def test_lth_weights_equal_snapshot_after_reset():
@@ -289,7 +303,8 @@ class FirstMasks(SparsifyCallback):
 class OutOfPlaceCallback(SparsifyCallback):
     """The mask lifecycle on new arrays, as an oracle for the in-place one:
     w * m at every update and after every step, a fresh history copy per
-    update and an out-of-place rewind (no tickets)."""
+    update, an out-of-place rewind (no tickets) and the model sparsity
+    recomputed from the masks at every step."""
 
     def _update_masks(self, state, step):
         layers = state["model"].prunable_layers()
@@ -316,6 +331,10 @@ class OutOfPlaceCallback(SparsifyCallback):
         for layer in state["model"].prunable_layers():
             if layer.mask is not None:
                 layer.weights = layer.weights * layer.mask
+
+    def _publish(self, state):
+        super()._publish(state)
+        state["model_sparsity"] = model_sparsity(state["model"].prunable_layers())
 
     def on_step_end(self, state):
         self._step_done(state, state["global_step"])
