@@ -13,8 +13,8 @@ from .granularity import (BlockPartition, GranularitySpec, aggregate_scores, all
                           enumerate_blocks, parse_granularity)
 from .layers import Conv2d, Dense, Flatten, Model, ReLU
 from .rng import Rng
-from .schedule import (BUILTIN_SCHEDULES, ProgressClock, ScheduleSpec, current_target,
-                       eval_schedule, normalized_t, register_custom_schedule)
+from .schedule import (BUILTIN_SCHEDULES, ScheduleSpec, current_target, eval_schedule,
+                       register_custom_schedule, window_steps)
 from .selection import (ContextSpec, LayerScores, pruned_count, select, select_global,
                         select_local, select_per_layer)
 from .sparsifier import (Sparsifier, SparsifyCallback, SparsifyPlan, Ticket,

@@ -16,7 +16,7 @@ import numpy as np
 from . import checkpoint
 from .config import ConfigError, load_config
 from .criteria import CRITERIA
-from .fields import integer, percent, under
+from .fields import FieldError, integer, percent, under
 from .granularity import parse_granularity, enumerate_blocks
 from .rng import Rng
 from .schedule import ScheduleSpec, eval_schedule
@@ -107,10 +107,10 @@ def cmd_run(args) -> int:
 def cmd_schedule(args) -> int:
     try:
         integer(args.samples, "--samples", low=2)
-        spec = ScheduleSpec(kind=args.kind, final_sparsity=args.sparsity,
-                            n_steps=args.n_steps, alpha=args.alpha, beta=args.beta)
+        spec = ScheduleSpec(kind=args.kind, n_steps=args.n_steps, alpha=args.alpha, beta=args.beta)
+        sparsity = percent(args.sparsity, "--sparsity")
         ts = [i / (args.samples - 1) for i in range(args.samples)]
-        values = [percent(eval_schedule(spec, t), f"{args.kind} at t={t!r}") for t in ts]
+        values = [percent(eval_schedule(spec, t, sparsity), f"{args.kind} at t={t!r}") for t in ts]
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -123,11 +123,26 @@ def cmd_schedule(args) -> int:
     return 0
 
 
+def _flag_error(exc: FieldError) -> int:
+    """Report a plan field set from the command line as a usage error naming its flag."""
+    print(f"error: --{exc}", file=sys.stderr)
+    return 2
+
+
 def cmd_prune(args) -> int:
-    plan = SparsifyPlan(args.sparsity, args.granularity, args.context, args.criterion,
-                        schedule=None)
+    try:
+        plan = SparsifyPlan(args.sparsity, args.granularity, args.context, args.criterion,
+                            schedule=None)
+    except FieldError as exc:
+        return _flag_error(exc)
     ckpt = checkpoint.load(args.checkpoint)
     model = ckpt.model
+    try:
+        plan.check_model(model)
+    except FieldError as exc:
+        if not exc.field:  # about the checkpoint, not a flag
+            raise
+        return _flag_error(exc)
     Sparsifier(model, plan.granularity, plan.context, plan.criterion,
                rng=Rng(args.seed)).prune_model(plan.sparsity)
     out_path = args.out or str(args.checkpoint) + ".pruned.json"

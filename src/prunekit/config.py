@@ -3,7 +3,7 @@
 from dataclasses import dataclass
 import json
 
-from .fields import FieldError, integer, number, under
+from .fields import FieldError, checked_object, integer, number, under
 from .layers import Model, layer_from_spec
 from .sparsifier import SparsifyPlan
 from .train import TrainConfig
@@ -21,10 +21,8 @@ def _require(doc: dict, field: str):
     return doc[field]
 
 
-def _section(doc: dict, field: str) -> dict:
-    if not isinstance(_require(doc, field), dict):
-        raise FieldError(field, f"expected an object, got {type(doc[field]).__name__}")
-    return doc[field]
+def _section(doc: dict, field: str, keys) -> dict:
+    return under(field, checked_object, _require(doc, field), keys)
 
 
 @dataclass
@@ -56,12 +54,13 @@ def load_config(path, seed_override: int | None = None) -> ExperimentConfig:
 
 
 def _parse(doc: dict, seed_override: int | None) -> ExperimentConfig:
+    checked_object(doc, ("name", "seed", "model", "dataset", "train", "prune", "output_dir"))
     seed = integer(_require(doc, "seed") if seed_override is None else seed_override, "seed")
     specs = _require(doc, "model")
     if not isinstance(specs, list) or not specs:
         raise FieldError("model", "must be a non-empty list of layer specs")
     layers = [under(f"model[{i}]", layer_from_spec, spec) for i, spec in enumerate(specs)]
-    dataset = _section(doc, "dataset")
+    dataset = _section(doc, "dataset", ("kind", "n", "separation", "noise"))
     if dataset.get("kind") not in ("blobs2d", "patterns8x8"):
         raise FieldError("dataset.kind", f"unknown dataset kind {dataset.get('kind')!r}")
     if "n" in dataset:
@@ -72,7 +71,7 @@ def _parse(doc: dict, seed_override: int | None) -> ExperimentConfig:
     output_dir = doc.get("output_dir")
     if output_dir is not None and not isinstance(output_dir, str):
         raise FieldError("output_dir", f"not a string: {output_dir!r}")
-    train_doc = _section(doc, "train")
+    train_doc = _section(doc, "train", ("epochs", "batch_size", "learning_rate", "momentum"))
     train = under("train", lambda: TrainConfig(
         epochs=integer(_require(train_doc, "epochs"), "epochs"),
         batch_size=integer(_require(train_doc, "batch_size"), "batch_size"),

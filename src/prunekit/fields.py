@@ -22,6 +22,19 @@ def under(prefix: str, build, *args):
         raise FieldError(prefix, str(exc)) from None
 
 
+def checked_object(doc, keys, *required: str) -> dict:
+    """doc, checked to be an object that has every `required` key and no key outside `keys`."""
+    if not isinstance(doc, dict):
+        raise FieldError("", f"expected an object, got {type(doc).__name__}")
+    for key in doc:
+        if key not in keys:
+            raise FieldError(str(key), "unknown key")
+    for key in required:
+        if key not in doc:
+            raise FieldError(key, "missing")
+    return doc
+
+
 def integer(value, field: str, low: int | None = None) -> int:
     """value as an int: an integral number, not a bool, a string or a fraction."""
     if isinstance(value, float) and value.is_integer():

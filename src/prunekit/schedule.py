@@ -1,13 +1,14 @@
-"""Sparsity schedules: map normalized training progress t in [0, 1] to a
-target sparsity percentage, plus the window logic (start/end epoch) that
-embeds a schedule into a training run.
+"""Sparsity schedules: a curve that maps normalized training progress t in
+[0, 1] to a fraction of the plan's target sparsity, plus the window (start
+and end epoch) that embeds the curve into a training run. A schedule holds
+no target of its own; every evaluation is given one.
 """
 
 from dataclasses import dataclass
 import math
 import sys
 
-from .fields import FieldError, integer, number, percent
+from .fields import FieldError, integer, number
 
 DEFAULT_ALPHA = 14.0
 DEFAULT_BETA = 6.0
@@ -24,9 +25,8 @@ _custom_registry: dict = {}
 @dataclass(frozen=True)
 class ScheduleSpec:
     kind: str
-    final_sparsity: float = 50.0
     start_epoch: int = 0
-    end_epoch: int | None = None  # resolved to total_epochs at plan build
+    end_epoch: int | None = None  # None: the run's last epoch, resolved by window_steps
     update_frequency: int = 1
     n_steps: int = DEFAULT_N_STEPS
     alpha: float = DEFAULT_ALPHA
@@ -40,7 +40,6 @@ class ScheduleSpec:
             object.__setattr__(self, name, integer(getattr(self, name), name, low))
         if self.end_epoch is not None:
             object.__setattr__(self, "end_epoch", integer(self.end_epoch, "end_epoch", self.start_epoch + 1))
-        object.__setattr__(self, "final_sparsity", percent(self.final_sparsity, "final_sparsity"))
         for name in ("alpha", "beta"):
             object.__setattr__(self, name, number(getattr(self, name), name))
         if self.kind == "one_cycle":
@@ -54,50 +53,43 @@ class ScheduleSpec:
                                            f"alpha={self.alpha!r}, beta={self.beta!r}")
 
 
-@dataclass
-class ProgressClock:
-    current_step: int
-    steps_per_epoch: int
-    total_epochs: int
-
-
-def eval_schedule(spec: ScheduleSpec, t: float, sparsity: float | None = None) -> float:
-    """Sparsity percentage at normalized progress t."""
+def eval_schedule(spec: ScheduleSpec, t: float, sparsity: float) -> float:
+    """Sparsity percentage at normalized progress t towards the target `sparsity`."""
     if not 0.0 <= t <= 1.0:
         raise ValueError(f"t={t} out of [0, 1]")
-    s = spec.final_sparsity if sparsity is None else sparsity
     if spec.kind == "one_shot":
-        return s
+        return sparsity
     if spec.kind == "iterative":
-        return (s / spec.n_steps) * math.ceil(t * spec.n_steps)
+        return (sparsity / spec.n_steps) * math.ceil(t * spec.n_steps)
     if spec.kind == "gradual":
-        return s * (1.0 - (1.0 - t) ** 3)
+        return sparsity * (1.0 - (1.0 - t) ** 3)
     if spec.kind == "one_cycle":
         a, b = spec.alpha, spec.beta
-        return s * (1.0 + math.exp(-a + b)) / (1.0 + math.exp(-a * t + b))
+        return sparsity * (1.0 + math.exp(-a + b)) / (1.0 + math.exp(-a * t + b))
     if spec.kind == "dsd":
-        return s * (1.0 - math.cos(2.0 * math.pi * t)) / 2.0
-    return _custom_registry[spec.kind](s, t)
+        return sparsity * (1.0 - math.cos(2.0 * math.pi * t)) / 2.0
+    return _custom_registry[spec.kind](sparsity, t)
 
 
-def window_steps(spec: ScheduleSpec, clock: ProgressClock) -> tuple[int, int]:
-    end_epoch = clock.total_epochs if spec.end_epoch is None else spec.end_epoch
-    return spec.start_epoch * clock.steps_per_epoch, end_epoch * clock.steps_per_epoch
+def window_steps(spec: ScheduleSpec, steps_per_epoch: int, total_epochs: int) -> tuple[int, int]:
+    """The pruning window [start, end) in steps of a run of `total_epochs`; an
+    end_epoch of None is the run's last epoch. A window that does not fit in
+    the run raises a FieldError naming start_epoch or end_epoch."""
+    end_epoch = total_epochs if spec.end_epoch is None else spec.end_epoch
+    if end_epoch > total_epochs or spec.start_epoch >= end_epoch:
+        raise FieldError("end_epoch" if end_epoch > total_epochs else "start_epoch",
+                         f"pruning window [{spec.start_epoch}, {end_epoch}] does not fit "
+                         f"in {total_epochs} epochs")
+    return spec.start_epoch * steps_per_epoch, end_epoch * steps_per_epoch
 
 
-def normalized_t(clock: ProgressClock, spec: ScheduleSpec) -> float:
-    start, end = window_steps(spec, clock)
-    if end <= start:
-        raise ValueError("pruning window is degenerate")
-    return min(1.0, max(0.0, (clock.current_step - start) / (end - start)))
-
-
-def current_target(clock: ProgressClock, spec: ScheduleSpec, sparsity: float | None = None) -> float:
-    """0 before the window, the schedule inside it, held at t=1 after it."""
-    start, _ = window_steps(spec, clock)
-    if clock.current_step < start:
+def current_target(spec: ScheduleSpec, sparsity: float, step: int, window: tuple[int, int]) -> float:
+    """Target at `step` for a window from window_steps: 0 before the window, the
+    schedule inside it, held at t=1 after it."""
+    start, end = window
+    if step < start:
         return 0.0
-    return eval_schedule(spec, normalized_t(clock, spec), sparsity)
+    return eval_schedule(spec, min(1.0, (step - start) / (end - start)), sparsity)
 
 
 def register_custom_schedule(name: str, f) -> str:

@@ -18,39 +18,26 @@ alias the model's, masks into new arrays. Every lottery ticket shares the
 one rewind snapshot.
 """
 
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .criteria import Criterion, score
-from .fields import FieldError, integer, percent, under
+from .fields import FieldError, checked_object, integer, percent, under
 from .granularity import enumerate_blocks, aggregate_scores, parse_granularity
 from .layers import Model
 from .rng import Rng
-from .schedule import ProgressClock, ScheduleSpec, current_target, eval_schedule, window_steps
+from .schedule import ScheduleSpec, current_target, eval_schedule, window_steps
 from .selection import ContextSpec, LayerScores, select
 from .tensor import apply_mask, mask_in_place
 from .train import Callback, accuracy
-
-
-def _object(doc, keys, required: str) -> dict:
-    """doc, checked to be an object that has `required` and no key outside `keys`."""
-    if not isinstance(doc, dict):
-        raise FieldError("", f"expected an object, got {type(doc).__name__}")
-    for key in doc:
-        if key not in keys:
-            raise FieldError(str(key), "unknown key")
-    if required not in doc:
-        raise FieldError(required, "missing")
-    return doc
 
 
 @dataclass
 class SparsifyPlan:
     """The one place that knows a plan's schema; a bad field raises FieldError
     naming its path. `sparsity`, a scalar or one value per prunable layer, is
-    the only target: the schedule's final_sparsity is set from it (the mean of
-    a list) and left out of to_dict()."""
+    the only target; the schedule is a curve and a window towards it."""
     sparsity: float | list
     granularity: str = "weight"
     context: str = "local"
@@ -75,14 +62,13 @@ class SparsifyPlan:
             if not isinstance(getattr(self, name), bool):
                 raise FieldError(name, f"not a boolean: {getattr(self, name)!r}")
         self.rewind_epoch = integer(self.rewind_epoch, "rewind_epoch", low=0)
-        if self.schedule is not None:
-            self.schedule = replace(self.schedule, final_sparsity=float(np.mean(self.sparsity)))
-            if self.schedule.kind == "one_cycle":  # monotone in t: a negative alpha peaks at t = 0
-                top = max(self.sparsity) if self.per_layer else self.sparsity
-                start = eval_schedule(self.schedule, 0.0, top)
-                if start > 100:
-                    raise FieldError("schedule.alpha", f"one_cycle starts at {start!r} > 100 "
-                                                       f"for sparsity {top!r}")
+        # one_cycle is monotone in t: a negative alpha peaks at t = 0
+        if self.schedule is not None and self.schedule.kind == "one_cycle":
+            top = max(self.sparsity) if self.per_layer else self.sparsity
+            start = eval_schedule(self.schedule, 0.0, top)
+            if start > 100:
+                raise FieldError("schedule.alpha", f"one_cycle starts at {start!r} > 100 "
+                                                   f"for sparsity {top!r}")
 
     @property
     def per_layer(self) -> bool:
@@ -93,19 +79,15 @@ class SparsifyPlan:
 
     def to_dict(self) -> dict:
         """The plan as JSON values, as echoed into checkpoints."""
-        doc = asdict(self)
-        if self.schedule is not None:
-            del doc["schedule"]["final_sparsity"]
-        return doc
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, doc: dict) -> "SparsifyPlan":
         """Inverse of to_dict; a key left out takes the constructor's default."""
-        doc = dict(_object(doc, cls.__dataclass_fields__, "sparsity"))
+        doc = dict(checked_object(doc, cls.__dataclass_fields__, "sparsity"))
         if doc.get("schedule") is not None:
-            keys = set(ScheduleSpec.__dataclass_fields__) - {"final_sparsity"}
-            doc["schedule"] = under("schedule", lambda d: ScheduleSpec(**_object(d, keys, "kind")),
-                                    doc["schedule"])
+            doc["schedule"] = under("schedule", lambda d: ScheduleSpec(
+                **checked_object(d, ScheduleSpec.__dataclass_fields__, "kind")), doc["schedule"])
         return cls(**doc)
 
     def check_model(self, model: Model, epochs: int | None = None) -> None:
@@ -124,11 +106,7 @@ class SparsifyPlan:
         spec = self.schedule
         if spec is None:
             raise FieldError("schedule", "pruning during training needs a schedule")
-        end_epoch = epochs if spec.end_epoch is None else spec.end_epoch
-        if end_epoch > epochs or spec.start_epoch >= end_epoch:
-            raise FieldError("schedule.end_epoch" if end_epoch > epochs else "schedule.start_epoch",
-                             f"pruning window [{spec.start_epoch}, {end_epoch}] does not fit "
-                             f"in {epochs} epochs")
+        under("schedule", window_steps, spec, 1, epochs)  # raises if the window does not fit
         if (self.lth or self.reset_end) and self.rewind_epoch > spec.start_epoch:
             raise FieldError("rewind_epoch", f"must not exceed the pruning window start {spec.start_epoch}")
 
@@ -215,7 +193,6 @@ class SparsifyCallback(Callback):
         if self.criterion.kind == "random" and rng is None:
             raise ValueError("criterion 'random' requires an rng")
         self.rewind_snapshot = None
-        self.round_counter = 0
         self.tickets: list[Ticket] = []
 
     # -- internals ---------------------------------------------------------
@@ -234,19 +211,16 @@ class SparsifyCallback(Callback):
             layer.weights = w.copy() if layer.mask is None else mask_in_place(w.copy(), layer.mask)
             layer.bias = b.copy()
 
-    def _clock(self, state, step: int) -> ProgressClock:
-        return ProgressClock(step, state["steps_per_epoch"], state["total_epochs"])
-
-    def _targets(self, clock):
-        spec = self.plan.schedule
+    def _targets(self, step: int):
+        spec, window = self.plan.schedule, self._window
         if self.plan.per_layer:
-            return [current_target(clock, spec, s) for s in self.plan.sparsity]
-        return current_target(clock, spec, self.plan.sparsity)
+            return [current_target(spec, s, step, window) for s in self.plan.sparsity]
+        return current_target(spec, self.plan.sparsity, step, window)
 
     def _update_masks(self, state, step: int):
         model = state["model"]
         layers = model.prunable_layers()
-        target = self._targets(self._clock(state, step))
+        target = self._targets(step)
         masks = compute_masks(layers, self.plan.granularity, self.plan.context_spec(), self.criterion,
                               target, self.rng)
         for layer, mask in zip(layers, masks):
@@ -256,11 +230,9 @@ class SparsifyCallback(Callback):
         scalar_target = float(np.mean(target)) if self.plan.per_layer else target
         if self.plan.lth:
             self._restore(state)
-            if scalar_target > self._last_round_target and scalar_target > 0:
-                self.round_counter += 1
-                self._last_round_target = scalar_target
+            if scalar_target > (self.tickets[-1].target_sparsity if self.tickets else 0.0):
                 self.tickets.append(Ticket(
-                    round=self.round_counter,
+                    round=len(self.tickets) + 1,
                     target_sparsity=scalar_target,
                     mask_sparsity=self._model_sparsity,
                     masks=[m.copy() for m in masks],
@@ -283,8 +255,7 @@ class SparsifyCallback(Callback):
                 mask_in_place(layer.weights, layer.mask)
 
     def _publish(self, state):
-        clock = self._clock(state, state.get("global_step", 0))
-        target = self._targets(clock)
+        target = self._targets(state.get("global_step", 0))
         state["target_sparsity"] = float(np.mean(target)) if self.plan.per_layer else target
         state["model_sparsity"] = self._model_sparsity
 
@@ -298,13 +269,13 @@ class SparsifyCallback(Callback):
             layer.history = layer.weights.copy()
             layer.mask = None
         spe = state["steps_per_epoch"]
-        _, end_step = window_steps(spec, self._clock(state, 0))
+        self._window = window_steps(spec, spe, state["total_epochs"])
+        end_step = self._window[1]
         self._update_steps = {epoch * spe + (j * spe) // spec.update_frequency
                               for epoch in range(spec.start_epoch, end_step // spe)
                               for j in range(spec.update_frequency)} | {end_step}
         rewinds = self.plan.lth or self.plan.reset_end
         self._rewind_step = self.plan.rewind_epoch * spe if rewinds else None
-        self._last_round_target = 0.0
         self._model_sparsity = 0.0  # of the current masks; they change only in _update_masks
         self._step_done(state, 0)
         self._publish(state)

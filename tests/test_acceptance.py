@@ -38,14 +38,14 @@ FROZEN_S80 = {
 
 def test_criterion_1_schedule_closed_forms():
     for kind, frozen in FROZEN_S80.items():
-        spec = ScheduleSpec(kind, final_sparsity=80.0, n_steps=5)
+        spec = ScheduleSpec(kind, n_steps=5)
         for t, expected in zip(TS, frozen):
-            assert abs(eval_schedule(spec, t) - expected) < 1e-12, (kind, t)
-    assert eval_schedule(ScheduleSpec("one_cycle", final_sparsity=63.0), 1.0) == 63.0
-    dsd = ScheduleSpec("dsd", final_sparsity=80.0)
-    assert eval_schedule(dsd, 0.0) == 0.0 and eval_schedule(dsd, 1.0) == 0.0
-    it5 = ScheduleSpec("iterative", final_sparsity=80.0, n_steps=5)
-    assert len({eval_schedule(it5, t) for t in np.linspace(0, 1, 1001)}) == 6
+            assert abs(eval_schedule(spec, t, 80.0) - expected) < 1e-12, (kind, t)
+    assert eval_schedule(ScheduleSpec("one_cycle"), 1.0, 63.0) == 63.0
+    dsd = ScheduleSpec("dsd")
+    assert eval_schedule(dsd, 0.0, 80.0) == 0.0 and eval_schedule(dsd, 1.0, 80.0) == 0.0
+    it5 = ScheduleSpec("iterative", n_steps=5)
+    assert len({eval_schedule(it5, t, 80.0) for t in np.linspace(0, 1, 1001)}) == 6
     print("ACCEPT 1 schedule closed forms: PASS")
 
 
@@ -120,7 +120,7 @@ def test_criterion_6_dynamic_pruning_run():
     dense_acc = accuracy(dense, *data)
     assert dense_acc >= 0.95
 
-    plan = SparsifyPlan(sparsity=50.0, schedule=ScheduleSpec("gradual", final_sparsity=50.0))
+    plan = SparsifyPlan(sparsity=50.0, schedule=ScheduleSpec("gradual"))
     pruned, log = fit(mlp(Rng(6).child("init")), cfg, callbacks=[SparsifyCallback(plan)])
     sp = [r["model_sparsity"] for r in log]
     assert all(a <= b + 1e-12 for a, b in zip(sp, sp[1:]))
@@ -171,7 +171,7 @@ def test_criterion_7_lth_semantics():
 
     plan = SparsifyPlan(
         sparsity=80.0, granularity="weight", context="global", criterion="large_final",
-        schedule=ScheduleSpec("iterative", final_sparsity=80.0, n_steps=4, start_epoch=1),
+        schedule=ScheduleSpec("iterative", n_steps=4, start_epoch=1),
         lth=True)
     cfg = TrainConfig(epochs=5, batch_size=32, learning_rate=0.1, seed=7, dataset=BLOBS)
     cb = Checking(plan)
@@ -197,8 +197,7 @@ def test_criterion_8_static_dynamic_consistency():
     static_masks = Sparsifier(dense.copy(), "weight", "global", "large_final").prune_model(50)
 
     plan = SparsifyPlan(sparsity=50.0, context="global",
-                        schedule=ScheduleSpec("one_shot", final_sparsity=50.0,
-                                              start_epoch=total - 1, end_epoch=total))
+                        schedule=ScheduleSpec("one_shot", start_epoch=total - 1, end_epoch=total))
     cb = FirstMasks(plan)
     cfg_dyn = TrainConfig(epochs=total, batch_size=32, learning_rate=0.1, seed=8, dataset=BLOBS)
     fit(mlp(Rng(8).child("init")), cfg_dyn, callbacks=[cb])

@@ -147,6 +147,7 @@ def test_schedule_unknown_kind(workdir):
     (["one_cycle", "--alpha", "-1000"], "alpha"),
     (["one_cycle", "--beta", "710"], "beta"),
     (["one_cycle", "--alpha", "-1", "--sparsity", "80", "--samples", "3"], "one_cycle at t=0.0"),
+    (["gradual", "--sparsity", "150"], "--sparsity"),
 ])
 def test_schedule_bad_arguments_exit_2(workdir, capsys, argv, field):
     assert main(["schedule"] + argv) == 2
@@ -176,6 +177,20 @@ def test_prune_zero_sparsity_identity(workdir):
     ckpt = checkpoint.load(out)
     for orig, pruned in zip(model.prunable_layers(), ckpt.model.prunable_layers()):
         np.testing.assert_array_equal(orig.weights, pruned.weights)
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["--sparsity", "150"], "--sparsity"),
+    (["--sparsity", "nan"], "--sparsity"),
+    (["--sparsity", "50", "--granularity", "kernel"], "--granularity"),
+    (["--sparsity", "50", "--granularity", "0,5"], "--granularity"),
+])
+def test_prune_bad_flag_exit_2(workdir, capsys, argv, flag):
+    src = workdir / "dense.json"
+    checkpoint.save(src, Model.from_specs(BASE_CONFIG["model"], Rng(3).child("init")))
+    assert main(["prune", str(src)] + argv) == 2
+    assert capsys.readouterr().err.startswith(f"error: {flag}: ")
+    assert sorted(workdir.iterdir()) == [src]
 
 
 def test_prune_history_criterion_without_history(workdir, capsys):

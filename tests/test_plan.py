@@ -14,7 +14,7 @@ BLOBS = {"kind": "blobs2d", "n": 200, "separation": 4.0}
 
 
 def test_plan_sparsity_is_the_only_target():
-    """The schedule's default final_sparsity (50) must not cap a plan that asks for 80."""
+    """A schedule carries no target: a plan that asks for 80 reaches 80."""
     model = Model.from_specs(BASE_CONFIG["model"], Rng(1).child("init"))
     plan = SparsifyPlan(sparsity=80.0, schedule=ScheduleSpec("gradual"))
     cfg = TrainConfig(epochs=4, batch_size=32, learning_rate=0.1, seed=1, dataset=BLOBS)
@@ -25,7 +25,7 @@ def test_plan_sparsity_is_the_only_target():
 
 
 @pytest.mark.parametrize("plan", [
-    SparsifyPlan(80.0, schedule=ScheduleSpec("gradual", final_sparsity=30.0)),
+    SparsifyPlan(80.0, schedule=ScheduleSpec("gradual", end_epoch=3)),
     SparsifyPlan((10, 90), "row", "global", "movement",
                  ScheduleSpec("one_cycle", start_epoch=1, end_epoch=3, update_frequency=2, alpha=10, beta=5),
                  lth=True, rewind_epoch=1, reset_end=True),
@@ -96,6 +96,7 @@ def _schedule(**fields):
     ("prune.sparsity", _prune(sparsity="abc")),
     ("prune.sparsity", _prune(sparsity=[50, 50, 50])),
     ("prune.schedule.end_epoch", _schedule(end_epoch=9)),
+    ("prune.schedule.start_epoch", _schedule(start_epoch=4)),
     ("prune.rewind_epoch", _prune(lth=True, rewind_epoch=2, schedule={"kind": "gradual", "start_epoch": 1})),
     ("prune.lth", _prune(lth="false")),
     ("prune.rewind_epoch", _prune(rewind_epoch=1.5)),
@@ -114,6 +115,9 @@ def _schedule(**fields):
     ("prune.schedule.alpha", _schedule(kind="one_cycle", alpha=-1000)),
     ("prune.schedule.beta", _schedule(kind="one_cycle", beta=710)),
     ("prune.save_tickets", _prune(lth=True, save_tickets=True)),
+    ("prnue", lambda d: d.update(prnue=d.pop("prune"))),
+    ("train.learning_rte", lambda d: d["train"].update(learning_rte=0.1)),
+    ("dataset.nosie", lambda d: d["dataset"].update(nosie=0.2)),
 ])
 def test_config_error_names_field(workdir, capsys, field, edit):
     doc = json.loads(json.dumps(BASE_CONFIG))

@@ -116,7 +116,7 @@ def test_model_sparsity_counts_zeros_of_binary_masks():
 
 
 def test_callback_pruning_at_initialization():
-    plan = SparsifyPlan(sparsity=50.0, schedule=ScheduleSpec("one_shot", final_sparsity=50.0))
+    plan = SparsifyPlan(sparsity=50.0, schedule=ScheduleSpec("one_shot"))
     cb = SparsifyCallback(plan)
     seen = []
 
@@ -132,7 +132,7 @@ def test_callback_pruning_at_initialization():
 
 def test_masks_frozen_after_window():
     plan = SparsifyPlan(sparsity=50.0, criterion="movement",
-                        schedule=ScheduleSpec("gradual", final_sparsity=50.0, end_epoch=3))
+                        schedule=ScheduleSpec("gradual", end_epoch=3))
     cb = SparsifyCallback(plan)
     cfg = TrainConfig(epochs=6, batch_size=32, learning_rate=0.1, seed=9, dataset=BLOBS)
     model, log = fit(mlp(9), cfg, callbacks=[cb])
@@ -142,7 +142,7 @@ def test_masks_frozen_after_window():
 
 
 def test_gradual_run_nondecreasing_to_target():
-    plan = SparsifyPlan(sparsity=50.0, schedule=ScheduleSpec("gradual", final_sparsity=50.0))
+    plan = SparsifyPlan(sparsity=50.0, schedule=ScheduleSpec("gradual"))
     cb = SparsifyCallback(plan)
     cfg = TrainConfig(epochs=10, batch_size=32, learning_rate=0.1, seed=10, dataset=BLOBS)
     model, log = fit(mlp(10), cfg, callbacks=[cb])
@@ -152,8 +152,30 @@ def test_gradual_run_nondecreasing_to_target():
     assert abs(sp[-1] - 0.5) <= 1.0 / 32  # one block-quantum of the smaller layer
 
 
+def test_published_target_matches_closed_form():
+    """Log row k (step k + 1) publishes 0 before the window [1, 3) epochs, the mean
+    of the per-layer gradual curves s * (1 - (1 - t)^3) inside it and the mean
+    target, 50, after it."""
+    plan = SparsifyPlan(sparsity=[30.0, 70.0],
+                        schedule=ScheduleSpec("gradual", start_epoch=1, end_epoch=3))
+    cfg = TrainConfig(epochs=5, batch_size=32, learning_rate=0.1, seed=19, dataset=BLOBS)
+    _, log = fit(mlp(19), cfg, callbacks=[SparsifyCallback(plan)])
+    spe = len(log) // 5
+    start, end = spe, 3 * spe
+    for k, row in enumerate(log):
+        step = k + 1
+        if step < start:
+            expected = 0.0
+        elif step < end:
+            t = (step - start) / (end - start)
+            expected = np.mean([s * (1 - (1 - t) ** 3) for s in (30.0, 70.0)])
+        else:
+            expected = 50.0
+        assert abs(row["target_sparsity"] - expected) <= 1e-12, (k, row["target_sparsity"], expected)
+
+
 def test_post_step_reapplication():
-    plan = SparsifyPlan(sparsity=60.0, schedule=ScheduleSpec("one_shot", final_sparsity=60.0))
+    plan = SparsifyPlan(sparsity=60.0, schedule=ScheduleSpec("one_shot"))
     cb = SparsifyCallback(plan)
     checks = []
 
@@ -171,7 +193,7 @@ def test_post_step_reapplication():
 def lth_plan(n_steps=4, s=80.0, start=1, **kw):
     return SparsifyPlan(
         sparsity=s, granularity="weight", context="global", criterion="large_final",
-        schedule=ScheduleSpec("iterative", final_sparsity=s, n_steps=n_steps, start_epoch=start),
+        schedule=ScheduleSpec("iterative", n_steps=n_steps, start_epoch=start),
         lth=True, **kw)
 
 
@@ -263,7 +285,7 @@ def test_lth_rewind_after_window_start_rejected():
 def test_reset_end_restores_snapshot():
     cfg = TrainConfig(epochs=4, batch_size=32, learning_rate=0.1, seed=16, dataset=BLOBS)
     plan = SparsifyPlan(sparsity=50.0, reset_end=True,
-                        schedule=ScheduleSpec("one_shot", final_sparsity=50.0))
+                        schedule=ScheduleSpec("one_shot"))
     cb = SparsifyCallback(plan)
     model, _ = fit(mlp(16), cfg, callbacks=[cb])
     layers = [l for l in model.layers if l.weights is not None]
@@ -281,8 +303,7 @@ def test_static_dynamic_consistency():
                               "large_final").prune_model(50)
 
     plan = SparsifyPlan(sparsity=50.0, context="global",
-                        schedule=ScheduleSpec("one_shot", final_sparsity=50.0,
-                                              start_epoch=total - 1, end_epoch=total))
+                        schedule=ScheduleSpec("one_shot", start_epoch=total - 1, end_epoch=total))
     cb = FirstMasks(plan)
     cfg_dyn = TrainConfig(epochs=total, batch_size=32, learning_rate=0.1, seed=18, dataset=BLOBS)
     fit(mlp(18), cfg_dyn, callbacks=[cb])
@@ -308,7 +329,7 @@ class OutOfPlaceCallback(SparsifyCallback):
 
     def _update_masks(self, state, step):
         layers = state["model"].prunable_layers()
-        target = self._targets(self._clock(state, step))
+        target = self._targets(step)
         masks = compute_masks(layers, self.plan.granularity, self.plan.context_spec(),
                               self.criterion, target, self.rng)
         for layer, mask in zip(layers, masks):
