@@ -1,0 +1,205 @@
+"""Time one training step layer by layer: each layer's forward and backward,
+the loss and sgd_step.
+
+Usage:
+    python3 benchmarks/bench_step.py --label NAME [--src DIR]
+        [--baseline LABEL=DIR] [--rounds R] [--reps N] [--out BENCH_step.json]
+
+Workloads: one step at batch 32 of perfbench's conv-train model (conv,
+relu, conv, relu, flatten, dense on patterns8x8) and of its mlp-perstep
+model (dense 2-256-256-2 with relus on blobs2d), from the first batch of
+each workload's training split.
+
+A step runs the phases that train.fit runs, one call at a time so that
+each is timed on its own: every layer's forward in training mode, the
+loss, every layer's backward in reverse order (the first layer's
+backward_params, as Model.backward does) and sgd_step at learning rate
+0.05 without momentum, as in perfbench.
+
+prunekit is imported from DIR/prunekit (--src, the repo's src by
+default). --baseline imports a second tree, e.g. an unpacked older
+commit, and times it in the same process: each workload runs R rounds,
+and in every round both trees run `reps` steps back to back, each going
+first in every other round. Before any timing, one step from the same
+initial weights is run in every tree, and a second time in the first
+tree: the logits, loss, gradients and updated parameters must be
+byte-equal.
+
+Each phase stores the time.perf_counter median and quartiles in us over
+all rounds' steps, and the median of each round (round_medians_us; round
+r of the two trees ran back to back). "step" is the sum of a step's
+phases. BLAS runs on OPENBLAS_NUM_THREADS threads, 1 unless set, as in
+perfbench. Each tree's run is stored under its label in the output JSON,
+next to the runs already there, with an environment record.
+"""
+
+import os
+
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
+import argparse
+import importlib.util
+import json
+import statistics
+import sys
+import time
+from pathlib import Path
+
+from bench_selection import ROOT, env_record
+
+BATCH = 32
+LEARNING_RATE = 0.05
+WORKLOADS = {
+    "conv-train": (
+        [{"kind": "conv2d", "in_ch": 1, "out_ch": 8, "kx": 3, "ky": 3}, {"kind": "relu"},
+         {"kind": "conv2d", "in_ch": 8, "out_ch": 16, "kx": 3, "ky": 3}, {"kind": "relu"},
+         {"kind": "flatten"}, {"kind": "dense", "in": 256, "out": 2}],
+        {"kind": "patterns8x8", "n": 4000, "noise": 0.1}),
+    "mlp-perstep": (
+        [{"kind": "dense", "in": 2, "out": 256}, {"kind": "relu"},
+         {"kind": "dense", "in": 256, "out": 256}, {"kind": "relu"},
+         {"kind": "dense", "in": 256, "out": 2}],
+        {"kind": "blobs2d", "n": 2000, "separation": 4.0}),
+}
+
+
+def quartiles(times):
+    """q1, median, q3; a single time is all three."""
+    return statistics.quantiles(times, n=4) if len(times) > 1 else times * 3
+
+
+def load_prunekit(src, name):
+    """The prunekit package in DIR/prunekit, imported as module `name`."""
+    pkg = Path(src).resolve() / "prunekit"
+    spec = importlib.util.spec_from_file_location(name, pkg / "__init__.py",
+                                                  submodule_search_locations=[str(pkg)])
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module  # the package's relative imports look it up here
+    spec.loader.exec_module(module)
+    return module
+
+
+class Step:
+    """One tree's model and first batch for a workload, and its timed step."""
+
+    def __init__(self, pk, workload, seed):
+        specs, dataset = WORKLOADS[workload]
+        rng = pk.Rng(seed)
+        (x, y), _ = pk.train_eval_split(*pk.make_dataset(dataset, rng.child("data")))
+        self.x, self.y = x[:BATCH], y[:BATCH]
+        self.pk = pk
+        self.model = pk.Model.from_specs(specs, rng.child("init"))
+        self.velocities = {}
+        self.phases = [f"{l.kind}[{i}].forward" for i, l in enumerate(self.model.layers)]
+        self.phases.append("loss")
+        self.phases += [f"{l.kind}[{i}].backward" for i, l in enumerate(self.model.layers)][::-1]
+        self.phases.append("sgd_step")
+
+    def run(self, times=None):
+        """One step; with `times`, appends each phase's seconds to times[phase].
+        Returns the logits and loss."""
+        clock = time.perf_counter
+        stamps = [clock()]
+        layers = self.model.layers
+        out = self.x
+        for layer in layers:
+            out = layer.forward(out)
+            stamps.append(clock())
+        logits = out
+        loss, grad = self.pk.train.softmax_cross_entropy(logits, self.y)
+        stamps.append(clock())
+        for layer in reversed(layers[1:]):
+            grad = layer.backward(grad)
+            stamps.append(clock())
+        layers[0].backward_params(grad)
+        stamps.append(clock())
+        self.pk.sgd_step(self.model, LEARNING_RATE, 0.0, self.velocities)
+        stamps.append(clock())
+        if times is not None:
+            for phase, start, end in zip(self.phases, stamps, stamps[1:]):
+                times[phase].append(end - start)
+            times["step"].append(stamps[-1] - stamps[0])
+        return logits, loss
+
+    def outputs(self):
+        """The bytes of one step's logits, loss, gradients and updated parameters."""
+        logits, loss = self.run()
+        out = [logits.tobytes(), repr(loss).encode()]
+        for layer in self.model.layers:
+            if layer.weights is not None:
+                out += [a.tobytes() for a in (layer.grad_w, layer.grad_b, layer.weights, layer.bias)]
+        return out
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--label", required=True, help="name of this run in the JSON")
+    parser.add_argument("--src", default=str(ROOT / "src"), help="directory holding prunekit/")
+    parser.add_argument("--baseline", metavar="LABEL=DIR",
+                        help="also time DIR/prunekit, alternating with --src, as run LABEL")
+    parser.add_argument("--rounds", type=int, default=1, help="timing rounds per workload")
+    parser.add_argument("--reps", type=int, default=200, help="steps timed per round and tree")
+    parser.add_argument("--seed", type=int, default=1, help="data and weight seed")
+    parser.add_argument("--out", default=str(ROOT / "BENCH_step.json"))
+    args = parser.parse_args(argv)
+    if args.rounds < 1 or args.reps < 1:
+        parser.error("--rounds and --reps must be at least 1")
+    trees = [(args.label, load_prunekit(args.src, "prunekit_src"))]
+    if args.baseline:
+        label, sep, src = args.baseline.partition("=")
+        if not sep or not label or label == args.label:
+            parser.error("--baseline takes LABEL=DIR, with LABEL other than --label")
+        trees.append((label, load_prunekit(src, "prunekit_baseline")))
+
+    cases = {label: [] for label, _ in trees}
+    for workload in WORKLOADS:
+        want = Step(trees[0][1], workload, args.seed).outputs()
+        for label, pk in trees:
+            if Step(pk, workload, args.seed).outputs() != want:
+                sys.exit(f"{label}: one {workload} step differs from {trees[0][0]}'s "
+                         f"(or from its own first run)")
+        steps = {label: Step(pk, workload, args.seed) for label, pk in trees}
+        phases = steps[args.label].phases + ["step"]
+        times = {label: {p: [] for p in phases} for label, _ in trees}
+        round_medians = {label: {p: [] for p in phases} for label, _ in trees}
+        for r in range(args.rounds):
+            for label, _ in (trees if r % 2 == 0 else trees[::-1]):
+                steps[label].run()  # warm-up
+                got = {p: [] for p in phases}
+                for _ in range(args.reps):
+                    steps[label].run(got)
+                for p in phases:
+                    times[label][p] += got[p]
+                    round_medians[label][p].append(statistics.median(got[p]) * 1e6)
+        for p in phases:
+            for label, _ in trees:
+                q1, median, q3 = (t * 1e6 for t in quartiles(times[label][p]))
+                cases[label].append({"workload": workload, "phase": p, "batch": BATCH,
+                                     "reps": args.reps, "rounds": args.rounds,
+                                     "median_us": median, "q1_us": q1, "q3_us": q3,
+                                     "round_medians_us": round_medians[label][p]})
+                print(f"{label:<24}{workload:<13}{p:<22}{median:>9.1f} us [{q1:.1f}, {q3:.1f}]")
+            if len(trees) == 2:
+                (new, _), (base, _) = trees
+                faster = sum(a < b for a, b in zip(round_medians[new][p], round_medians[base][p]))
+                print(f"{'':<24}{workload:<13}{p:<22}{new} faster in {faster}/{args.rounds} rounds")
+
+    out = Path(args.out)
+    doc = json.loads(out.read_text()) if out.exists() else {}
+    doc["about"] = ("One training step at batch 32, phase by phase: each layer's forward and "
+                    "backward, the loss and sgd_step, and their sum as 'step'. time.perf_counter "
+                    "median and quartiles in us over `rounds` x `reps` steps; round_medians_us "
+                    "has each round's median, and runs written together alternate round by "
+                    "round after their step outputs were checked byte-equal. Written by "
+                    "benchmarks/bench_step.py.")
+    env = {**env_record(), "blas_threads": os.environ["OPENBLAS_NUM_THREADS"]}
+    for label, _ in trees:
+        doc.setdefault("runs", {})[label] = {"env": env, "seed": args.seed, "cases": cases[label]}
+        if len(trees) == 2:
+            doc["runs"][label]["paired_with"] = trees[1][0] if label == args.label else args.label
+    out.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
+    print(f"wrote runs {', '.join(repr(label) for label, _ in trees)} to {out}")
+
+
+if __name__ == "__main__":
+    main()

@@ -104,6 +104,10 @@ def cmd_run(args) -> int:
     return 0
 
 
+# ScheduleSpec fields that `prunekit schedule` sets from a flag
+SCHEDULE_FLAGS = {"n_steps": "--n-steps", "alpha": "--alpha", "beta": "--beta"}
+
+
 def cmd_schedule(args) -> int:
     try:
         integer(args.samples, "--samples", low=2)
@@ -111,6 +115,10 @@ def cmd_schedule(args) -> int:
         sparsity = percent(args.sparsity, "--sparsity")
         ts = [i / (args.samples - 1) for i in range(args.samples)]
         values = [percent(eval_schedule(spec, t, sparsity), f"{args.kind} at t={t!r}") for t in ts]
+    except FieldError as exc:
+        print(f"error: {FieldError(SCHEDULE_FLAGS.get(exc.field, exc.field), exc.problem)}",
+              file=sys.stderr)
+        return 2
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

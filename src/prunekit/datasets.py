@@ -10,6 +10,9 @@ import numpy as np
 
 from .rng import Rng
 
+# the keys each dataset kind reads besides "kind" and "n"
+KIND_KEYS = {"blobs2d": ("separation",), "patterns8x8": ("noise",)}
+
 
 def make_dataset(spec: dict, rng: Rng):
     kind = spec.get("kind")

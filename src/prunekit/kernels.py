@@ -7,11 +7,16 @@ The forward pass and grad_w are one matmul each over the same im2col
 columns (Chellapilla et al., 2006): one row per output position, N*Ho*Wo
 rows, and one column per (kernel offset, input channel) pair, channel
 innermost. The columns are gathered from a channels-last copy of the
-input, so each copied run is Ky*I doubles long, not Ky. grad_x loops over
-the Kx*Ky kernel offsets instead and adds one matmul per offset into a
-shifted channels-last window: an im2col grad_x, over the zero-padded
-output gradient, took 2 to 2.5 times as long at the conv_train_1,
-conv_train_2 and large shapes of benchmarks/bench_kernels.py.
+input, so each copied run is Ky*I doubles long, not Ky. The forward pass
+adds the bias into its contiguous [N*Ho*Wo, O] product and can return the
+columns with the output; grad_w multiplies columns it is given instead of
+building them again. Conv2d keeps a training forward's columns until its
+backward and keeps none from an eval forward.
+
+grad_x loops over the Kx*Ky kernel offsets instead and adds one matmul per
+offset into a shifted channels-last window: an im2col grad_x, over the
+zero-padded output gradient, took 2 to 2.5 times as long at the
+conv_train_1, conv_train_2 and large shapes of benchmarks/bench_kernels.py.
 """
 
 import numpy as np
@@ -30,19 +35,29 @@ def _columns(x, kx, ky):
     return windows.reshape(-1, kx * ky * ci)
 
 
-def conv2d_forward(x, w):
+def conv2d_forward(x, w, b=None, return_columns=False):
+    """[N, O, Ho, Wo] output, plus the im2col columns it multiplied when
+    return_columns is set; the bias b [O], if given, is added to the
+    contiguous [N*Ho*Wo, O] product."""
     o, kx, ky = w.shape[1:]
     n, ho, wo = x.shape[0], x.shape[2] - kx + 1, x.shape[3] - ky + 1
-    out = _columns(x, kx, ky) @ w.transpose(2, 3, 0, 1).reshape(-1, o)
-    return out.reshape(n, ho, wo, o).transpose(0, 3, 1, 2)
+    cols = _columns(x, kx, ky)
+    out = cols @ w.transpose(2, 3, 0, 1).reshape(-1, o)
+    if b is not None:
+        out += b
+    out = out.reshape(n, ho, wo, o).transpose(0, 3, 1, 2)
+    return (out, cols) if return_columns else out
 
 
-def conv2d_grad_w(x, gout):
-    """dw [I, O, Kx, Ky] from inputs x and output gradient gout [N, O, Ho, Wo]."""
+def conv2d_grad_w(x, gout, cols=None):
+    """dw [I, O, Kx, Ky] from inputs x and output gradient gout [N, O, Ho, Wo];
+    cols, if given, are x's im2col columns from conv2d_forward."""
     _, o, ho, wo = gout.shape
     ci, kx, ky = x.shape[1], x.shape[2] - ho + 1, x.shape[3] - wo + 1
+    if cols is None:
+        cols = _columns(x, kx, ky)
     g = gout.transpose(0, 2, 3, 1).reshape(-1, o)
-    return (g.T @ _columns(x, kx, ky)).reshape(o, kx, ky, ci).transpose(3, 0, 1, 2)
+    return (g.T @ cols).reshape(o, kx, ky, ci).transpose(3, 0, 1, 2)
 
 
 def conv2d_grad_x(gout, w):

@@ -27,6 +27,13 @@ class Layer:
     def forward(self, x):
         raise NotImplementedError
 
+    def forward_eval(self, x):
+        """forward for a pass whose result is only read, as in evaluation.
+        Layers that keep large buffers for backward override this to keep
+        none; backward after it must still be correct. The default runs
+        forward."""
+        return self.forward(x)
+
     def backward(self, gout):
         """Store the parameter gradients and return the input gradient."""
         raise NotImplementedError
@@ -92,21 +99,34 @@ class Conv2d(Layer):
         self.history = None
         self.grad_w = None
         self.grad_b = None
+        self._cols = None
 
     def init(self, rng):
         self.weights = init_weights(self.weight_shape, "uniform", rng)
         self.bias = np.zeros(self.out_ch)
 
-    def forward(self, x):
+    def _check(self, x):
         if x.ndim != 4 or x.shape[1] != self.in_ch:
             raise ValueError(f"conv2d expects [N, {self.in_ch}, H, W], got {x.shape}")
         if x.shape[2] < self.kx or x.shape[3] < self.ky:
             raise ValueError(f"input {x.shape} smaller than kernel ({self.kx}, {self.ky})")
+
+    def forward(self, x):
+        self._check(x)
         self._x = x
-        return kernels.conv2d_forward(x, self.weights) + self.bias[None, :, None, None]
+        # the im2col columns live until backward multiplies them for grad_w
+        out, self._cols = kernels.conv2d_forward(x, self.weights, self.bias, return_columns=True)
+        return out
+
+    def forward_eval(self, x):
+        self._check(x)
+        self._x, self._cols = x, None
+        return kernels.conv2d_forward(x, self.weights, self.bias)
 
     def backward_params(self, gout):
-        self.grad_w = kernels.conv2d_grad_w(self._x, gout)
+        # without columns from a training forward, grad_w rebuilds them from _x
+        self.grad_w = kernels.conv2d_grad_w(self._x, gout, self._cols)
+        self._cols = None
         self.grad_b = gout.sum(axis=(0, 2, 3))
 
     def backward(self, gout):
@@ -122,8 +142,9 @@ class ReLU(Layer):
     kind = "relu"
 
     def forward(self, x):
+        # a multiply passes a NaN on to the loss; it writes -0.0 for x < 0
         self._keep = x > 0
-        return np.where(self._keep, x, 0.0)
+        return x * self._keep
 
     def backward(self, gout):
         return gout * self._keep
@@ -179,9 +200,10 @@ class Model:
         for i, layer in enumerate(self.layers):
             layer.init(rng.child(f"layer{i}"))
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
+    def forward(self, x: np.ndarray, train: bool = True) -> np.ndarray:
+        """The model output; train=False runs each layer's forward_eval."""
         for layer in self.layers:
-            x = layer.forward(x)
+            x = layer.forward(x) if train else layer.forward_eval(x)
         return x
 
     def backward(self, gout: np.ndarray) -> None:

@@ -93,7 +93,7 @@ def sgd_step(model: Model, lr: float, momentum: float, velocities: dict) -> None
 
 
 def accuracy(model: Model, inputs, labels) -> float:
-    logits = model.forward(inputs)
+    logits = model.forward(inputs, train=False)
     return float((logits.argmax(axis=1) == labels).mean())
 
 

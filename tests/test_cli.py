@@ -144,10 +144,11 @@ def test_schedule_unknown_kind(workdir):
 @pytest.mark.parametrize("argv, field", [
     (["gradual", "--samples", "1"], "--samples"),
     (["gradual", "--samples", "0"], "--samples"),
-    (["one_cycle", "--alpha", "-1000"], "alpha"),
-    (["one_cycle", "--beta", "710"], "beta"),
+    (["one_cycle", "--alpha", "-1000"], "--alpha"),
+    (["one_cycle", "--beta", "710"], "--beta"),
     (["one_cycle", "--alpha", "-1", "--sparsity", "80", "--samples", "3"], "one_cycle at t=0.0"),
     (["gradual", "--sparsity", "150"], "--sparsity"),
+    (["gradual", "--n-steps", "0"], "--n-steps"),
 ])
 def test_schedule_bad_arguments_exit_2(workdir, capsys, argv, field):
     assert main(["schedule"] + argv) == 2
@@ -478,6 +479,33 @@ def test_non_finite_loss_exits_1(workdir, capsys, command, prune):
     err = capsys.readouterr().err
     assert "error: training aborted: non-finite train_loss" in err
     assert "Traceback" not in err
+    out = workdir / "demo-seed42"
+    assert (out / "crash_checkpoint.json").exists()
+    assert not (out / "checkpoint.json").exists()
+
+
+def test_nan_weight_exits_1_with_crash_checkpoint(workdir, capsys, monkeypatch):
+    from prunekit.config import ExperimentConfig
+
+    build = ExperimentConfig.build_model
+
+    def build_with_nan(self, rng=None):
+        model = build(self, rng)
+        model.layers[2].weights[0, 0, 0, 0] = np.nan
+        return model
+
+    monkeypatch.setattr(ExperimentConfig, "build_model", build_with_nan)
+    doc = json.loads(json.dumps(BASE_CONFIG))
+    doc["model"] = [{"kind": "conv2d", "in_ch": 1, "out_ch": 4, "kx": 3, "ky": 3}, {"kind": "relu"},
+                    {"kind": "conv2d", "in_ch": 4, "out_ch": 4, "kx": 3, "ky": 3}, {"kind": "relu"},
+                    {"kind": "flatten"}, {"kind": "dense", "in": 64, "out": 2}]
+    doc["dataset"] = {"kind": "patterns8x8", "n": 200, "noise": 0.1}
+    del doc["prune"]  # a plan's weight check would stop the run before the first step
+    cfg = workdir / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    assert main(["run", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert "error: training aborted: non-finite train_loss nan at epoch 0, step 0" in err
     out = workdir / "demo-seed42"
     assert (out / "crash_checkpoint.json").exists()
     assert not (out / "checkpoint.json").exists()

@@ -116,6 +116,14 @@ def test_grad_x_matches_finite_differences(name):
     np.testing.assert_allclose(kernels.conv2d_grad_x(gout, w), numeric, rtol=1e-6, atol=1e-6)
 
 
+def test_bias_and_reused_columns_change_no_bits():
+    x, w, gout = _case(*SHAPES["conv_train_layer2"])
+    b = Rng(2).normal((w.shape[1],))
+    out, cols = kernels.conv2d_forward(x, w, b, return_columns=True)
+    assert out.tobytes() == (kernels.conv2d_forward(x, w) + b[None, :, None, None]).tobytes()
+    assert kernels.conv2d_grad_w(x, gout, cols).tobytes() == kernels.conv2d_grad_w(x, gout).tobytes()
+
+
 def test_forward_hand_value():
     x = np.arange(16, dtype=float).reshape(1, 1, 4, 4)
     w = np.zeros((1, 1, 2, 2))

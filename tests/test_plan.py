@@ -146,13 +146,18 @@ FUZZ_CONFIG = {
     "name": "fuzz", "seed": 3, "output_dir": "fuzz-out",
     "model": [{"kind": "dense", "in": 2, "out": 8}, {"kind": "relu"},
               {"kind": "dense", "in": 8, "out": 2}],
-    "dataset": dict(BLOBS, noise=0.1),
+    "dataset": BLOBS,
     "train": {"epochs": 4, "batch_size": 16, "learning_rate": 0.1, "momentum": 0.5},
     "prune": {"sparsity": 50, "granularity": "weight", "context": "global",
               "criterion": "large_final", "lth": True, "rewind_epoch": 1, "reset_end": False,
               "schedule": {"kind": "iterative", "start_epoch": 1, "end_epoch": 3,
                            "update_frequency": 2, "n_steps": 2, "alpha": 14.0, "beta": 6.0}},
 }
+# a patterns8x8 variant, for the dataset key only patterns8x8 reads
+PATTERNS_FUZZ_CONFIG = dict(
+    FUZZ_CONFIG, dataset={"kind": "patterns8x8", "n": 40, "noise": 0.1},
+    model=[{"kind": "conv2d", "in_ch": 1, "out_ch": 2, "kx": 3, "ky": 3}, {"kind": "relu"},
+           {"kind": "flatten"}, {"kind": "dense", "in": 72, "out": 2}])
 INTEGER_KEYS = {"in", "out", "epochs", "batch_size", "rewind_epoch", "start_epoch", "end_epoch",
                 "update_frequency", "n_steps", "n"}
 NUMBER_KEYS = {"sparsity", "learning_rate", "momentum", "alpha", "beta", "separation", "noise"}
@@ -160,14 +165,16 @@ BOOLEAN_KEYS = {"lth", "reset_end"}
 
 
 def _fuzz_targets():
-    """(field path as the error names it, the object holding the key, key) for every key."""
+    """(config, field path as the error names it, the object in config holding
+    the key, key) for every key."""
     doc = json.loads(json.dumps(FUZZ_CONFIG))
     targets = [(f"model[{i}].{key}", spec, key) for i, spec in enumerate(doc["model"]) for key in spec]
     targets.append(("output_dir", doc, "output_dir"))
     for path, section in (("dataset.", doc["dataset"]), ("train.", doc["train"]), ("prune.", doc["prune"]),
                           ("prune.schedule.", doc["prune"]["schedule"])):
         targets += [(path + key, section, key) for key in section]
-    return doc, targets
+    patterns = json.loads(json.dumps(PATTERNS_FUZZ_CONFIG))
+    return [(doc, *t) for t in targets] + [(patterns, "dataset.noise", patterns["dataset"], "noise")]
 
 
 def _corruptions(key, valid, rng):
@@ -204,12 +211,12 @@ def _corruptions(key, valid, rng):
 def test_config_fuzz(workdir, capsys, seed):
     """Corrupt one field of a valid config at a time: each exits 2 naming it."""
     path = workdir / "cfg.json"
-    path.write_text(json.dumps(FUZZ_CONFIG))
-    assert load_config(path).plan.schedule.kind == "iterative"
+    for config in (FUZZ_CONFIG, PATTERNS_FUZZ_CONFIG):
+        path.write_text(json.dumps(config))
+        assert load_config(path).plan.schedule.kind == "iterative"
     rng = Rng(seed)
-    doc, targets = _fuzz_targets()
     cases = 0
-    for field, holder, key in targets:
+    for doc, field, holder, key in _fuzz_targets():
         valid = holder[key]
         for value in _corruptions(key, valid, rng):
             holder[key] = value
@@ -222,4 +229,16 @@ def test_config_fuzz(workdir, capsys, seed):
         holder[key] = valid
     assert cases > 80
     assert not list(workdir.rglob("crash_checkpoint.json"))
+    assert not [p for p in workdir.iterdir() if p.is_dir()]
+
+
+@pytest.mark.parametrize("dataset, field", [
+    (dict(BLOBS, noise=0.2), "dataset.noise"),
+    ({"kind": "patterns8x8", "n": 40, "separation": 4.0}, "dataset.separation"),
+])
+def test_dataset_key_of_another_kind_exit_2(workdir, capsys, dataset, field):
+    cfg = write_config(workdir / "cfg.json", dataset=dataset)
+    assert main(["run", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error at {field}: not read by dataset kind "), err
     assert not [p for p in workdir.iterdir() if p.is_dir()]

@@ -24,6 +24,21 @@ def convnet(rng=None):
          {"kind": "dense", "in": 72, "out": 2}], rng)
 
 
+# perfbench's conv-train model
+CONV_TRAIN_SPECS = [
+    {"kind": "conv2d", "in_ch": 1, "out_ch": 8, "kx": 3, "ky": 3}, {"kind": "relu"},
+    {"kind": "conv2d", "in_ch": 8, "out_ch": 16, "kx": 3, "ky": 3}, {"kind": "relu"},
+    {"kind": "flatten"}, {"kind": "dense", "in": 256, "out": 2},
+]
+
+
+def convnet2(rng=None):
+    return Model.from_specs(
+        [{"kind": "conv2d", "in_ch": 1, "out_ch": 2, "kx": 3, "ky": 3}, {"kind": "relu"},
+         {"kind": "conv2d", "in_ch": 2, "out_ch": 3, "kx": 3, "ky": 3},
+         {"kind": "flatten"}, {"kind": "dense", "in": 48, "out": 2}], rng)
+
+
 def test_dense_identity_forward():
     layer = Dense(3, 3)
     layer.weights = np.eye(3)
@@ -80,7 +95,7 @@ def grad_check(model, x, y, h=1e-5):
     return worst
 
 
-@pytest.mark.parametrize("arch", ["mlp", "conv"])
+@pytest.mark.parametrize("arch", ["mlp", "conv", "conv_conv"])
 def test_gradients_match_finite_differences(arch):
     for seed in range(3):
         rng = Rng(seed)
@@ -88,10 +103,56 @@ def test_gradients_match_finite_differences(arch):
             model = mlp(rng.child("init"))
             x = rng.normal((5, 2))
         else:
-            model = convnet(rng.child("init"))
+            model = (convnet if arch == "conv" else convnet2)(rng.child("init"))
             x = rng.normal((3, 1, 8, 8))
         y = np.array(rng.integers(0, 2, len(x)))
         assert grad_check(model, x, y) < 1e-5
+
+
+def _grads(model):
+    return [g for l in model.layers if l.weights is not None for g in (l.grad_w, l.grad_b)]
+
+
+def _assert_same_grads(a, b):
+    for ga, gb in zip(_grads(a), _grads(b), strict=True):
+        assert ga.tobytes() == gb.tobytes()
+
+
+def test_eval_forward_drops_training_columns():
+    # an eval forward on B after a training forward on A (same batch size) must
+    # not leave A's im2col columns for the backward on B's gradient
+    rng = Rng(5)
+    xa, xb = rng.normal((4, 1, 8, 8)), rng.normal((4, 1, 8, 8))
+    gout = rng.normal((4, 2))
+    model = convnet2(Rng(6))
+    model.forward(xa)
+    model.forward(xb, train=False)
+    model.backward(gout)
+    fresh = convnet2(Rng(6))
+    fresh.forward(xb)
+    fresh.backward(gout)
+    _assert_same_grads(model, fresh)
+
+
+def test_backward_same_from_cached_and_rebuilt_columns():
+    rng = Rng(7)
+    x, gout = rng.normal((4, 1, 8, 8)), rng.normal((4, 2))
+    cached, rebuilt = convnet2(Rng(8)), convnet2(Rng(8))
+    cached.forward(x)
+    rebuilt.forward(x, train=False)
+    assert all(l._cols is not None for l in cached.layers if l.kind == "conv2d")
+    cached.backward(gout)
+    rebuilt.backward(gout)
+    _assert_same_grads(cached, rebuilt)
+    assert all(l._cols is None for l in cached.layers if l.kind == "conv2d")
+
+
+def test_accuracy_leaves_no_columns():
+    model = convnet2(Rng(9))
+    x = Rng(10).normal((6, 1, 8, 8))
+    model.forward(x)
+    accuracy(model, x, np.zeros(6, dtype=np.int64))
+    assert all(l._cols is None for l in model.layers if l.kind == "conv2d")
 
 
 def test_uniform_logits_zero_bias_gradient():
@@ -256,6 +317,16 @@ def test_callback_error_aborts_with_checkpoint():
     with pytest.raises(TrainingAborted):
         fit(mlp(Rng(4)), cfg, callbacks=[Boom()], abort_handler=lambda state: saved.append(state))
     assert len(saved) == 1 and saved[0]["epoch"] == 1
+
+
+def test_nan_weight_aborts_at_first_step():
+    # ReLU passes a NaN activation on, so a NaN weight reaches the loss at once
+    model = Model.from_specs(CONV_TRAIN_SPECS, Rng(3).child("init"))
+    model.layers[2].weights[0, 0, 0, 0] = np.nan
+    cfg = TrainConfig(epochs=2, batch_size=32, learning_rate=0.05, seed=3,
+                      dataset={"kind": "patterns8x8", "n": 200, "noise": 0.1})
+    with pytest.raises(TrainingAborted, match="non-finite train_loss nan at epoch 0, step 0"):
+        fit(model, cfg)
 
 
 def test_blobs_separable_and_balanced():
