@@ -1,27 +1,37 @@
 """Time the phases of one mask update: score, partition, aggregate, select, apply.
 
 Usage:
-    python3 benchmarks/bench_selection.py --label NAME [--src DIR] [--out BENCH_selection.json]
+    python3 benchmarks/bench_selection.py --label NAME [--src DIR]
+        [--baseline LABEL=DIR] [--rounds R] [--out BENCH_selection.json]
 
 Each case is a model of two conv layers, [c, 2c, 3, 3] and [2c, c, 3, 3],
 at about 10^4, 10^5 and 10^6 weights, pruned to SPARSITY percent with the
 large_final criterion under weight/kernel/channel granularity and
-local/global context, for two weight distributions: "grid" is N(0, 1/8)
+local/global context, for three weight distributions: "grid" is N(0, 1/8)
 rounded to multiples of 1/64, so many blocks tie and the tie-break by block
-position is exercised; "normal" is N(0, 1/8) as drawn, where ties are rare.
+position is exercised; "normal" is N(0, 1/8) as drawn, where ties are rare;
+"dead" is "normal" with every weight of DEAD_SHARE of the input channels
+at exactly 0, as the pruned weights of dead units are, so most scores tie
+at the minimum in runs of whole rows. The last is the input on which
+numpy 2.x's quickselect stalls when asked for the k-th lowest score.
 
 Before any timing, every mask is checked against an oracle that shares no
 code with prunekit's partition or selection: block scores from a gather
 with flat indices, then a stable argsort of (score, position).
 
-Times are time.perf_counter medians over the repetitions, in ms. The run
-is stored under --label in the output JSON, next to the runs already
-there, with an environment record (numpy version, conv backend, cores).
---src imports prunekit from another source tree, e.g. an unpacked older
-commit, so that both sides are measured by the same script.
+prunekit is imported from DIR/prunekit (--src, the repo's src by
+default). --baseline imports a second tree, e.g. an unpacked older
+commit, and times it in the same process: each case runs R rounds, and in
+every round both trees run `reps` updates back to back, each going first
+in every other round. Times are time.perf_counter medians over all rounds'
+updates, in ms; round_total_ms has each round's median whole update. Each
+tree's run is stored under its label in the output JSON, next to the runs
+already there, with an environment record (numpy version, conv backend,
+cores).
 """
 
 import argparse
+import importlib.util
 import itertools
 import json
 import math
@@ -39,10 +49,31 @@ SIZES = (10_000, 100_000, 1_000_000)
 GRANULARITIES = {"weight": (), "kernel": (2, 3), "channel": (1,)}
 CONTEXTS = ("local", "global")
 SPARSITY = 70.0
+DEAD_SHARE = 0.6
+
+
+def dead_units(rng, shape):
+    w = rng.normal(shape) / 8
+    w[rng.permutation(shape[0])[:round(DEAD_SHARE * shape[0])]] = 0.0
+    return w
+
+
 DISTRIBUTIONS = {
     "grid": lambda rng, shape: np.round(rng.normal(shape) * 8) / 64,
     "normal": lambda rng, shape: rng.normal(shape) / 8,
+    "dead": dead_units,
 }
+
+
+def load_prunekit(src, name):
+    """The prunekit package in DIR/prunekit, imported as module `name`."""
+    pkg = Path(src).resolve() / "prunekit"
+    spec = importlib.util.spec_from_file_location(name, pkg / "__init__.py",
+                                                  submodule_search_locations=[str(pkg)])
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module  # the package's relative imports look it up here
+    spec.loader.exec_module(module)
+    return module
 
 
 def layer_shapes(n_weights):
@@ -116,48 +147,77 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--label", required=True, help="name of this run in the JSON")
     parser.add_argument("--src", default=str(ROOT / "src"), help="directory holding prunekit/")
+    parser.add_argument("--baseline", metavar="LABEL=DIR",
+                        help="also time DIR/prunekit, alternating with --src, as run LABEL")
+    parser.add_argument("--rounds", type=int, default=1, help="timing rounds per case")
     parser.add_argument("--out", default=str(ROOT / "BENCH_selection.json"))
     args = parser.parse_args(argv)
-    src = Path(args.src).resolve()
-    sys.path.insert(0, str(src))
-    import prunekit as pk
-    if not Path(pk.__file__).resolve().is_relative_to(src):
-        sys.exit(f"prunekit imported from {pk.__file__}, not from {src}")
+    if args.rounds < 1:
+        parser.error("--rounds must be at least 1")
+    trees = [(args.label, load_prunekit(args.src, "prunekit_src"))]
+    if args.baseline:
+        label, sep, src = args.baseline.partition("=")
+        if not sep or not label or label == args.label:
+            parser.error("--baseline takes LABEL=DIR, with LABEL other than --label")
+        trees.append((label, load_prunekit(src, "prunekit_baseline")))
 
-    rng = pk.Rng(2022)
-    cases = []
+    rng = trees[0][1].Rng(2022)
+    cases = {label: [] for label, _ in trees}
     for (dist, draw), n_target in itertools.product(DISTRIBUTIONS.items(), SIZES):
         weights = [draw(rng, shape) for shape in layer_shapes(n_target)]
         n = sum(w.size for w in weights)
         for granularity, spanned in GRANULARITIES.items():
             for context in CONTEXTS:
-                masks, _ = update(pk, weights, granularity, context, SPARSITY)
                 want = oracle_masks(weights, spanned, context, SPARSITY)
-                if not all(np.array_equal(g, m) for g, m in zip(masks, want)):
-                    sys.exit(f"mask mismatch: {dist} n={n} {granularity} {context}")
+                for label, pk in trees:
+                    masks, _ = update(pk, weights, granularity, context, SPARSITY)
+                    if not all(np.array_equal(g, m) for g, m in zip(masks, want)):
+                        sys.exit(f"{label}: mask mismatch: {dist} n={n} {granularity} {context}")
                 reps = max(5, min(50, 2_000_000 // n))
-                runs = [update(pk, weights, granularity, context, SPARSITY)[1] for _ in range(reps)]
-                case = {"distribution": dist, "weights": n, "granularity": granularity,
-                        "context": context, "shapes": [list(w.shape) for w in weights],
-                        "n_blocks": sum(len(index_gather(w.shape, spanned)) for w in weights),
-                        "reps": reps}
-                for phase in runs[0]:
-                    case[f"{phase}_ms"] = statistics.median(r[phase] for r in runs) * 1e3
-                case["total_ms"] = statistics.median(sum(r.values()) for r in runs) * 1e3
-                cases.append(case)
-                print(f"{dist:<6} n={n:>8} {granularity:<8} {context:<6} blocks={case['n_blocks']:>8} "
-                      + " ".join(f"{p}={case[p + '_ms']:.3f}" for p in runs[0])
-                      + f" total={case['total_ms']:.3f} ms")
+                runs = {label: [] for label, _ in trees}
+                round_totals = {label: [] for label, _ in trees}
+                for r in range(args.rounds):
+                    for label, pk in (trees if r % 2 == 0 else trees[::-1]):
+                        got = [update(pk, weights, granularity, context, SPARSITY)[1]
+                               for _ in range(reps)]
+                        runs[label] += got
+                        round_totals[label].append(
+                            statistics.median(sum(p.values()) for p in got) * 1e3)
+                for label, _ in trees:
+                    case = {"distribution": dist, "weights": n, "granularity": granularity,
+                            "context": context, "shapes": [list(w.shape) for w in weights],
+                            "n_blocks": sum(len(index_gather(w.shape, spanned)) for w in weights),
+                            "reps": reps, "rounds": args.rounds,
+                            "round_total_ms": round_totals[label]}
+                    phases = runs[label][0]
+                    for phase in phases:
+                        case[f"{phase}_ms"] = statistics.median(r[phase] for r in runs[label]) * 1e3
+                    case["total_ms"] = statistics.median(sum(r.values()) for r in runs[label]) * 1e3
+                    cases[label].append(case)
+                    print(f"{label:<24}{dist:<6} n={n:>8} {granularity:<8} {context:<6} "
+                          f"blocks={case['n_blocks']:>8} "
+                          + " ".join(f"{p}={case[p + '_ms']:.3f}" for p in phases)
+                          + f" total={case['total_ms']:.3f} ms")
+                if len(trees) == 2:
+                    (new, _), (base, _) = trees
+                    faster = sum(a < b for a, b in zip(round_totals[new], round_totals[base]))
+                    print(f"{'':<24}{dist:<6} n={n:>8} {granularity:<8} {context:<6} "
+                          f"{new} faster in {faster}/{args.rounds} rounds")
 
     out = Path(args.out)
     doc = json.loads(out.read_text()) if out.exists() else {}
     doc["about"] = (f"One mask update at sparsity {SPARSITY}% with large_final, phase by phase: "
-                    "time.perf_counter medians in ms over `reps` repetitions, masks checked "
-                    "against a full stable-sort oracle first. Written by "
+                    "time.perf_counter medians in ms over `rounds` x `reps` repetitions (one "
+                    "round where `rounds` is absent), masks checked against a full stable-sort "
+                    "oracle first; round_total_ms has each round's median whole update, and "
+                    "runs written together alternate round by round. Written by "
                     "benchmarks/bench_selection.py.")
-    doc.setdefault("runs", {})[args.label] = {"env": env_record(), "cases": cases}
+    for label, _ in trees:
+        doc.setdefault("runs", {})[label] = {"env": env_record(), "cases": cases[label]}
+        if len(trees) == 2:
+            doc["runs"][label]["paired_with"] = trees[1][0] if label == args.label else args.label
     out.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
-    print(f"wrote run {args.label!r} to {out}")
+    print(f"wrote runs {', '.join(repr(label) for label, _ in trees)} to {out}")
 
 
 if __name__ == "__main__":

@@ -38,14 +38,13 @@ import os
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import argparse
-import importlib.util
 import json
 import statistics
 import sys
 import time
 from pathlib import Path
 
-from bench_selection import ROOT, env_record
+from bench_selection import ROOT, env_record, load_prunekit
 
 BATCH = 32
 LEARNING_RATE = 0.05
@@ -66,17 +65,6 @@ WORKLOADS = {
 def quartiles(times):
     """q1, median, q3; a single time is all three."""
     return statistics.quantiles(times, n=4) if len(times) > 1 else times * 3
-
-
-def load_prunekit(src, name):
-    """The prunekit package in DIR/prunekit, imported as module `name`."""
-    pkg = Path(src).resolve() / "prunekit"
-    spec = importlib.util.spec_from_file_location(name, pkg / "__init__.py",
-                                                  submodule_search_locations=[str(pkg)])
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[name] = module  # the package's relative imports look it up here
-    spec.loader.exec_module(module)
-    return module
 
 
 class Step:

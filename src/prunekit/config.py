@@ -3,7 +3,7 @@
 from dataclasses import dataclass
 import json
 
-from .datasets import KIND_KEYS
+from .datasets import check_spec
 from .fields import FieldError, checked_object, integer, number, under
 from .layers import Model, layer_from_spec
 from .sparsifier import SparsifyPlan
@@ -61,18 +61,7 @@ def _parse(doc: dict, seed_override: int | None) -> ExperimentConfig:
     if not isinstance(specs, list) or not specs:
         raise FieldError("model", "must be a non-empty list of layer specs")
     layers = [under(f"model[{i}]", layer_from_spec, spec) for i, spec in enumerate(specs)]
-    dataset_keys = sum(KIND_KEYS.values(), ())
-    dataset = _section(doc, "dataset", ("kind", "n") + dataset_keys)
-    kind = dataset.get("kind")
-    if not isinstance(kind, str) or kind not in KIND_KEYS:
-        raise FieldError("dataset.kind", f"unknown dataset kind {kind!r}")
-    if "n" in dataset:
-        integer(dataset["n"], "dataset.n", low=2)
-    for key in dataset_keys:
-        if key in dataset:
-            if key not in KIND_KEYS[kind]:
-                raise FieldError(f"dataset.{key}", f"not read by dataset kind {kind!r}")
-            number(dataset[key], f"dataset.{key}")
+    dataset = under("dataset", check_spec, _require(doc, "dataset"))
     output_dir = doc.get("output_dir")
     if output_dir is not None and not isinstance(output_dir, str):
         raise FieldError("output_dir", f"not a string: {output_dir!r}")

@@ -8,22 +8,39 @@ pixel noise.
 
 import numpy as np
 
+from .fields import FieldError, checked_object, integer, number, under
 from .rng import Rng
 
 # the keys each dataset kind reads besides "kind" and "n"
 KIND_KEYS = {"blobs2d": ("separation",), "patterns8x8": ("noise",)}
 
 
-def make_dataset(spec: dict, rng: Rng):
+def check_spec(spec) -> dict:
+    """spec, checked to name a known kind, an integer n >= 2 and only numeric
+    keys that kind reads; a bad field raises FieldError naming it."""
+    all_keys = sum(KIND_KEYS.values(), ())
+    checked_object(spec, ("kind", "n") + all_keys)
     kind = spec.get("kind")
+    if not isinstance(kind, str) or kind not in KIND_KEYS:
+        raise FieldError("kind", f"unknown dataset kind {kind!r}")
+    if "n" in spec:
+        integer(spec["n"], "n", low=2)
+    for key in all_keys:
+        if key in spec:
+            if key not in KIND_KEYS[kind]:
+                raise FieldError(key, f"not read by dataset kind {kind!r}")
+            number(spec[key], key)
+    return spec
+
+
+def make_dataset(spec: dict, rng: Rng):
+    """(inputs, labels) of the dataset that spec describes; a bad spec
+    raises FieldError naming dataset.<key>."""
+    under("dataset", check_spec, spec)
     n = int(spec.get("n", 200))
-    if n < 2:
-        raise ValueError("dataset needs n >= 2")
-    if kind == "blobs2d":
+    if spec["kind"] == "blobs2d":
         return _blobs2d(n, float(spec.get("separation", 4.0)), rng)
-    if kind == "patterns8x8":
-        return _patterns8x8(n, float(spec.get("noise", 0.1)), rng)
-    raise ValueError(f"unknown dataset kind {kind!r}")
+    return _patterns8x8(n, float(spec.get("noise", 0.1)), rng)
 
 
 def _balanced_labels(n: int) -> np.ndarray:

@@ -17,6 +17,9 @@ grad_x loops over the Kx*Ky kernel offsets instead and adds one matmul per
 offset into a shifted channels-last window: an im2col grad_x, over the
 zero-padded output gradient, took 2 to 2.5 times as long at the
 conv_train_1, conv_train_2 and large shapes of benchmarks/bench_kernels.py.
+Each offset multiplies a contiguous [O, I] slice of one transposed copy of
+the weights, made once per call: a strided w[:, :, u, v].T is copied by
+numpy before every matmul, and BLAS gets the same matrix either way.
 """
 
 import numpy as np
@@ -28,10 +31,12 @@ def _columns(x, kx, ky):
     xc = np.ascontiguousarray(x.transpose(0, 2, 3, 1))
     sn, sh, sw, _ = xc.strides
     # windows[n, p, q, u, j] = xc[n, p + u, q + j // ci, j % ci]: a window row's
-    # Ky*I values are one contiguous run of xc. as_strided builds the view in a
-    # third of sliding_window_view's time, which matters at conv-train's shapes.
-    windows = np.lib.stride_tricks.as_strided(
-        xc, (n, h - kx + 1, wd - ky + 1, kx, ky * ci), (sn, sh, sw, sh, xc.itemsize), writeable=False)
+    # Ky*I values are one contiguous run of xc. The ndarray constructor builds
+    # the view in a fifth of as_strided's time, which matters at conv-train's
+    # shapes; read-only, as a 1x1 kernel's columns are a view of x itself.
+    windows = np.ndarray((n, h - kx + 1, wd - ky + 1, kx, ky * ci), xc.dtype, buffer=xc,
+                         offset=0, strides=(sn, sh, sw, sh, xc.itemsize))
+    windows.setflags(write=False)
     return windows.reshape(-1, kx * ky * ci)
 
 
@@ -65,8 +70,9 @@ def conv2d_grad_x(gout, w):
     n, o, ho, wo = gout.shape
     ci, _, kx, ky = w.shape
     g = np.ascontiguousarray(gout.transpose(0, 2, 3, 1)).reshape(-1, o)
+    wt = np.ascontiguousarray(w.transpose(2, 3, 1, 0))  # wt[u, v] is w[:, :, u, v].T, contiguous
     dx = np.zeros((n, ho + kx - 1, wo + ky - 1, ci))
     for u in range(kx):
         for v in range(ky):
-            dx[:, u:u + ho, v:v + wo] += (g @ w[:, :, u, v].T).reshape(n, ho, wo, ci)
+            dx[:, u:u + ho, v:v + wo] += (g @ wt[u, v]).reshape(n, ho, wo, ci)
     return dx.transpose(0, 3, 1, 2)

@@ -142,7 +142,14 @@ class ReLU(Layer):
     kind = "relu"
 
     def forward(self, x):
-        # a multiply passes a NaN on to the loss; it writes -0.0 for x < 0
+        # a multiply passes a NaN on to the loss; it writes -0.0 for x < 0. The
+        # mask is float64 in x's memory layout, so neither multiply casts it.
+        self._keep = np.greater(x, 0, out=np.empty_like(x))
+        return x * self._keep
+
+    def forward_eval(self, x):
+        # a bool mask: at evaluation's large batch a float one costs memory,
+        # and backward after it gives the same bits
         self._keep = x > 0
         return x * self._keep
 

@@ -70,16 +70,25 @@ def softmax_cross_entropy(logits, labels):
     expd = np.exp(shifted)
     probs = expd / expd.sum(axis=1, keepdims=True)
     n = len(labels)
-    loss = -np.log(probs[np.arange(n), labels] + 1e-300).mean()
-    grad = probs.copy()
-    grad[np.arange(n), labels] -= 1.0
-    return loss, grad / n
+    rows = np.arange(n)
+    # sum / n is what ndarray.mean computes, without its Python wrapper
+    loss = -np.log(probs[rows, labels] + 1e-300).sum() / n
+    probs[rows, labels] -= 1.0
+    probs /= n
+    return loss, probs
 
 
 def sgd_step(model: Model, lr: float, momentum: float, velocities: dict) -> None:
-    """w <- w - lr * v with v the momentum-accumulated gradient."""
+    """w <- w - lr * v with v the momentum-accumulated gradient. At momentum 0,
+    v is the gradient and no velocity is kept: 0 * v + g differs from g only
+    for g = -0.0, which no BLAS-computed weight gradient is, and subtracting
+    -0.0 instead of +0.0 changes no bias that started at +0.0."""
     for idx, layer in enumerate(model.layers):
         if layer.weights is None:
+            continue
+        if not momentum:
+            layer.weights -= lr * layer.grad_w
+            layer.bias -= lr * layer.grad_b
             continue
         if idx not in velocities:
             velocities[idx] = (np.zeros_like(layer.weights), np.zeros_like(layer.bias))
@@ -153,7 +162,7 @@ def fit(model: Model, config: TrainConfig, callbacks=(), data=None, abort_handle
             state["step"] = step
             state["global_step"] = epoch * steps_per_epoch + step + 1
             state["train_loss"] = loss
-            state["train_acc"] = float((logits.argmax(axis=1) == yb).mean())
+            state["train_acc"] = np.count_nonzero(logits.argmax(axis=1) == yb) / len(yb)
             _fire(callbacks, "on_step_end", state, abort_handler)
             log.append({
                 "epoch": epoch, "step": step,

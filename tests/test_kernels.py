@@ -52,6 +52,18 @@ def grad_x_loops(gout, w):
     return dx
 
 
+def grad_x_strided_weights(gout, w):
+    """conv2d_grad_x with each offset's matmul on the strided view w[:, :, u, v].T."""
+    n, o, ho, wo = gout.shape
+    ci, _, kx, ky = w.shape
+    g = np.ascontiguousarray(gout.transpose(0, 2, 3, 1)).reshape(-1, o)
+    dx = np.zeros((n, ho + kx - 1, wo + ky - 1, ci))
+    for u in range(kx):
+        for v in range(ky):
+            dx[:, u:u + ho, v:v + wo] += (g @ w[:, :, u, v].T).reshape(n, ho, wo, ci)
+    return dx.transpose(0, 3, 1, 2)
+
+
 def _case(x_shape, w_shape, seed=0):
     rng = Rng(seed)
     x = rng.normal(x_shape)
@@ -122,6 +134,23 @@ def test_bias_and_reused_columns_change_no_bits():
     out, cols = kernels.conv2d_forward(x, w, b, return_columns=True)
     assert out.tobytes() == (kernels.conv2d_forward(x, w) + b[None, :, None, None]).tobytes()
     assert kernels.conv2d_grad_w(x, gout, cols).tobytes() == kernels.conv2d_grad_w(x, gout).tobytes()
+
+
+@pytest.mark.parametrize("x_shape, w_shape", [
+    BATCH32_SHAPES["conv_train_layer1"], BATCH32_SHAPES["conv_train_layer2"],
+    SHAPES["kernel_1x1"], SHAPES["kernel_3x2"]])
+def test_grad_x_bits_equal_strided_weight_matmuls(x_shape, w_shape):
+    _, w, gout = _case(x_shape, w_shape)
+    assert kernels.conv2d_grad_x(gout, w).tobytes() == grad_x_strided_weights(gout, w).tobytes()
+
+
+def test_columns_viewing_the_input_are_read_only():
+    # with a 1x1 kernel and a channels-last input the columns are x's own memory
+    x, w, _ = _case(*SHAPES["kernel_1x1"])
+    x = np.ascontiguousarray(x.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)
+    _, cols = kernels.conv2d_forward(x, w, return_columns=True)
+    assert np.shares_memory(cols, x)
+    assert not cols.flags.writeable
 
 
 def test_forward_hand_value():

@@ -250,3 +250,44 @@ def test_masks_are_fresh_float64_arrays(alias):
             assert mask.flags.writeable and mask.flags.c_contiguous
             assert not any(np.shares_memory(mask, layer.block_scores) for layer in layers)
             assert not any(np.shares_memory(mask, other) for other in masks[i + 1:])
+
+
+def _tied_at_extreme(rng, sizes, tie, run):
+    """Layers whose blocks tie, in runs of `run`, at 0 below every other score
+    ("min", as dead units and pruned weights score) or at 10 above every other
+    score ("max"), three runs of every five."""
+    layers = []
+    for li, size in enumerate(sizes):
+        scores = np.abs(rng.normal(size)) + 0.5
+        scores[np.arange(size) // run % 5 < 3] = 0.0 if tie == "min" else 10.0
+        layers.append(singleton_layer(scores, li))
+    return layers
+
+
+@pytest.mark.parametrize("tie", ["min", "max"])
+def test_over_half_tied_at_an_extreme_match_oracle(tie):
+    """Every k, global and local, when over half the blocks tie at the lowest or
+    at the highest score."""
+    layers = _tied_at_extreme(Rng(47), (13, 21, 8), tie, run=2)
+    n = sum(len(layer.block_scores) for layer in layers)
+    for k in range(n + 1):
+        s = _sparsity_for(n, k)
+        _assert_matches_oracle(layers, s)
+        for ours, oracle in zip(select_local(layers, s), bruteforce_masks(layers, s, "local")):
+            assert ours.tobytes() == oracle.tobytes()
+
+
+@pytest.mark.parametrize("tie", ["min", "max"])
+def test_large_over_half_tied_at_an_extreme_matches_stable_sort(tie):
+    """6*10^4 blocks, 60% tied in runs of 64 at the lowest or the highest score:
+    the cut inside the tied run, just past it and at either end."""
+    layers = _tied_at_extreme(Rng(48), (30_000, 20_000, 10_000), tie, run=64)
+    scores = np.concatenate([layer.block_scores for layer in layers])
+    n = len(scores)
+    for k in (1, n // 3, 2 * n // 3, n - 1):
+        s = _sparsity_for(n, k)
+        keep = np.concatenate([m.ravel() for m in select_global(layers, s)])
+        np.testing.assert_array_equal(keep, _stable_sort_keep(scores, k))
+        for layer, mask in zip(layers, select_local(layers, s)):
+            expected = _stable_sort_keep(layer.block_scores, pruned_count(len(layer.block_scores), s))
+            np.testing.assert_array_equal(mask.ravel(), expected)

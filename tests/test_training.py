@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from prunekit import (Callback, Conv2d, Dense, Flatten, Model, ReLU, Rng, TrainConfig,
-                      TrainingAborted, accuracy, fit, make_dataset, sgd_step)
+from prunekit import (Callback, Conv2d, Dense, FieldError, Flatten, Model, ReLU, Rng,
+                      ScheduleSpec, SparsifyCallback, SparsifyPlan, TrainConfig, TrainingAborted,
+                      accuracy, fit, make_dataset, sgd_step)
+from prunekit import train as train_module
 from prunekit.datasets import train_eval_split
 from prunekit.train import softmax_cross_entropy
 
@@ -213,6 +215,91 @@ def test_sgd_momentum_accumulates():
     assert second == pytest.approx(1.9 * first)
 
 
+def _sgd_step_with_velocity(model, lr, momentum, velocities):
+    """sgd_step with a velocity at every momentum: v <- momentum * v + g."""
+    for idx, layer in enumerate(model.layers):
+        if layer.weights is None:
+            continue
+        if idx not in velocities:
+            velocities[idx] = (np.zeros_like(layer.weights), np.zeros_like(layer.bias))
+        vw, vb = velocities[idx]
+        vw *= momentum
+        vw += layer.grad_w
+        vb *= momentum
+        vb += layer.grad_b
+        layer.weights -= lr * vw
+        layer.bias -= lr * vb
+
+
+def test_momentum_0_keeps_no_velocity_and_changes_no_bits(monkeypatch):
+    # masking writes -0.0 where a negative weight is pruned: the one weight
+    # value where subtracting g and subtracting 0 * v + g could differ
+    cfg = TrainConfig(epochs=3, batch_size=32, learning_rate=0.05, seed=4,
+                      dataset={"kind": "patterns8x8", "n": 200, "noise": 0.1})
+    plan = SparsifyPlan(sparsity=70.0, schedule=ScheduleSpec("gradual"))
+    seen = []
+
+    def recording(model, lr, momentum, velocities):
+        seen.append(velocities)
+        sgd_step(model, lr, momentum, velocities)
+
+    monkeypatch.setattr(train_module, "sgd_step", recording)
+    model, _ = fit(Model.from_specs(CONV_TRAIN_SPECS, Rng(4).child("init")), cfg,
+                   callbacks=[SparsifyCallback(plan)])
+    assert len(seen) == 3 * 5 and all(v == {} for v in seen)
+    monkeypatch.setattr(train_module, "sgd_step", _sgd_step_with_velocity)
+    reference, _ = fit(Model.from_specs(CONV_TRAIN_SPECS, Rng(4).child("init")), cfg,
+                       callbacks=[SparsifyCallback(plan)])
+    assert sum(np.count_nonzero((l.weights == 0) & np.signbit(l.weights))
+               for l in model.prunable_layers()) > 0
+    for got, want in zip(model.layers, reference.layers):
+        if got.weights is not None:
+            assert got.weights.tobytes() == want.weights.tobytes()
+            assert got.bias.tobytes() == want.bias.tobytes()
+
+
+def _loss_with_mean(logits, labels):
+    """softmax_cross_entropy through ndarray.mean and a copied gradient."""
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    expd = np.exp(shifted)
+    probs = expd / expd.sum(axis=1, keepdims=True)
+    n = len(labels)
+    loss = -np.log(probs[np.arange(n), labels] + 1e-300).mean()
+    grad = probs.copy()
+    grad[np.arange(n), labels] -= 1.0
+    return loss, grad / n
+
+
+@pytest.mark.parametrize("n, classes, scale", [(32, 2, 1.0), (7, 10, 3.0), (32, 2, 800.0)])
+def test_loss_bits_equal_mean_formula(n, classes, scale):
+    # scale 800 drives some probabilities to 0, where the 1e-300 term decides
+    rng = Rng(n * classes)
+    logits = scale * rng.normal((n, classes))
+    labels = rng.integers(0, classes, n)
+    loss, grad = softmax_cross_entropy(logits, labels)
+    want_loss, want_grad = _loss_with_mean(logits, labels)
+    assert type(loss) is type(want_loss) and loss.tobytes() == want_loss.tobytes()
+    assert grad.tobytes() == want_grad.tobytes()
+
+
+def test_relu_backward_same_bits_after_forward_and_forward_eval():
+    # a channels-last input, as a conv layer returns it, and an NCHW gradient,
+    # as Flatten hands it back; zeros of both signs sit on the mask's edge
+    rng = Rng(12)
+    x = np.ascontiguousarray(rng.normal((4, 6, 6, 8))).transpose(0, 3, 1, 2)
+    x[:, :, 0] = 0.0
+    x[:, :, 1] = -0.0
+    gout = rng.normal(x.shape)
+    relu = ReLU()
+    out = relu.forward(x)
+    assert relu._keep.dtype == np.float64 and relu._keep.strides == x.strides
+    grad = relu.backward(gout)
+    out_eval = relu.forward_eval(x)
+    grad_eval = relu.backward(gout)
+    assert out.tobytes() == out_eval.tobytes()
+    assert grad.tobytes() == grad_eval.tobytes()
+
+
 def test_fit_baseline_separable():
     cfg = TrainConfig(epochs=30, batch_size=32, learning_rate=0.1, seed=17, dataset=BLOBS)
     model, log = fit(mlp(Rng(17).child("init")), cfg)
@@ -354,3 +441,12 @@ def test_dataset_determinism_and_split():
 def test_dataset_too_small():
     with pytest.raises(ValueError):
         make_dataset({"kind": "blobs2d", "n": 1}, Rng(0))
+
+
+@pytest.mark.parametrize("extra, field", [({"bogus": 1}, "dataset.bogus"),
+                                          ({"noise": 0.2}, "dataset.noise")])
+def test_fit_rejects_dataset_key_its_kind_does_not_read(extra, field):
+    cfg = TrainConfig(epochs=1, batch_size=32, learning_rate=0.1, dataset={**BLOBS, **extra})
+    with pytest.raises(FieldError) as info:
+        fit(mlp(Rng(0)), cfg)
+    assert info.value.field == field
