@@ -15,9 +15,13 @@ import json
 
 import numpy as np
 
-from .layers import Model, layer_from_spec
+from .fields import FieldError, checked_list, checked_object, under
+from .layers import Layer, Model, layer_from_spec
+from .sparsifier import SparsifyPlan
 
 FORMAT_VERSION = 2
+_KEYS = ("format_version", "layers", "meta", "metrics_tail", "plan", "rewind_snapshot")
+_ARRAYS = ("weights", "bias", "mask", "history")  # a layer entry's arrays; mask and history if prunable
 
 
 def _dumps(obj) -> str:
@@ -51,37 +55,23 @@ def _write_list(fh, objects) -> None:
     fh.write("]")
 
 
-def _expect(value, kind: type, field: str):
-    if not isinstance(value, kind):
-        raise ValueError(f"{field}: expected {'an object' if kind is dict else 'a list'}, "
-                         f"got {type(value).__name__}")
-    return value
-
-
-def _member(obj: dict, key: str, prefix: str = ""):
-    if key not in obj:
-        raise ValueError(f"{prefix}{key}: missing")
-    return obj[key]
-
-
-def _dec_array(obj, field: str, shape: tuple | None) -> np.ndarray | None:
-    """Decode obj, which must be None or an array of `shape`; a layer
+def _dec_array(obj, shape: tuple | None, nullable: bool = True) -> np.ndarray | None:
+    """obj decoded: an array of `shape`, or None where `nullable`. A layer
     without weights (shape None) holds no arrays."""
-    if obj is None:
+    if obj is None and nullable:
         return None
-    _expect(obj, dict, field)
-    data, dims = _member(obj, "data", f"{field}."), _member(obj, "shape", f"{field}.")
-    if shape is None or dims != list(shape):
-        raise ValueError(f"{field}: shape {dims} != {None if shape is None else list(shape)}")
+    checked_object(obj, ("data", "shape"), "data", "shape")
+    if shape is None or obj["shape"] != list(shape):
+        raise ValueError(f"shape {obj['shape']} != {None if shape is None else list(shape)}")
     try:
-        arr = np.frombuffer(base64.b64decode(data, validate=True), "<f8").reshape(shape)
+        arr = np.frombuffer(base64.b64decode(obj["data"], validate=True), "<f8").reshape(shape)
     except (TypeError, ValueError) as exc:
-        raise ValueError(f"{field}: corrupt array: {exc}") from None
+        raise ValueError(f"corrupt array: {exc}") from None
     return arr.astype(np.float64)  # a writable native copy of the read-only buffer
 
 
 class Checkpoint:
-    def __init__(self, model: Model, rewind_snapshot=None, plan: dict | None = None,
+    def __init__(self, model: Model, rewind_snapshot=None, plan: SparsifyPlan | None = None,
                  metrics_tail: list | None = None, meta: dict | None = None):
         self.model = model
         self.rewind_snapshot = rewind_snapshot
@@ -113,55 +103,51 @@ def save(path, model: Model, rewind_snapshot=None, plan: dict | None = None,
         fh.write("}\n")
 
 
+def _read_layer(entry) -> Layer:
+    """The layer that one entry of `layers` describes, holding its arrays."""
+    layer = under("spec", layer_from_spec, checked_object(entry, ("spec",) + _ARRAYS, "spec")["spec"])
+    arrays = _ARRAYS if layer.prunable else _ARRAYS[:2]
+    checked_object(entry, ("spec",) + arrays, *arrays)
+    shape = layer.weight_shape
+    layer.weights = under("weights", _dec_array, entry["weights"], shape, shape is None)
+    bias = under("bias", _dec_array, entry["bias"], None if shape is None else shape[1:2])
+    if bias is not None:
+        layer.bias = bias
+    if layer.prunable:
+        layer.mask = under("mask", _dec_array, entry["mask"], shape)
+        layer.history = under("history", _dec_array, entry["history"], shape)
+    return layer
+
+
+def _read_snapshot_entry(entry, shape: tuple) -> tuple:
+    checked_object(entry, ("weights", "bias"), "weights", "bias")
+    return (under("weights", _dec_array, entry["weights"], shape, False),
+            under("bias", _dec_array, entry["bias"], shape[1:2], False))
+
+
 def load(path) -> Checkpoint:
-    """Read a checkpoint; a missing, mistyped or misshapen field raises
-    ValueError naming its path, e.g. `layers[0].spec.out: missing`."""
+    """Read a checkpoint; a missing, mistyped, misshapen or unknown field
+    raises FieldError naming its path, e.g. `layers[0].spec.out: missing`."""
     with open(path) as fh:
         try:
             doc = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ValueError(f"corrupt checkpoint {path}: {exc.msg} at offset {exc.pos}") from None
-    _expect(doc, dict, "checkpoint")
+    under("checkpoint", checked_object, doc)
     if doc.get("format_version") != FORMAT_VERSION:
         raise ValueError(f"unsupported checkpoint format_version {doc.get('format_version')!r}")
-    entries = _expect(_member(doc, "layers"), list, "layers")
-    layers = []
-    for i, entry in enumerate(entries):
-        at = f"layers[{i}]"
-        spec = _expect(_member(_expect(entry, dict, at), "spec", f"{at}."), dict, f"{at}.spec")
-        try:
-            layers.append(layer_from_spec(spec))
-        except ValueError as exc:  # "<key>: <problem>", or numpy's own message for a huge size
-            raise ValueError(f"{at}.spec.{exc}" if ": " in str(exc) else f"{at}.spec: {exc}") from None
-    model = Model(layers)
-    for i, (layer, entry) in enumerate(zip(model.layers, entries)):
-        shape = layer.weight_shape
-        bias_shape = None if shape is None else shape[1:2]
-        layer.weights = _dec_array(entry.get("weights"), f"layers[{i}].weights", shape)
-        if layer.weights is None and shape is not None:
-            raise ValueError(f"layers[{i}].weights: missing")
-        bias = _dec_array(entry.get("bias"), f"layers[{i}].bias", bias_shape)
-        if bias is not None:
-            layer.bias = bias
-        if layer.prunable:
-            layer.mask = _dec_array(entry.get("mask"), f"layers[{i}].mask", shape)
-            layer.history = _dec_array(entry.get("history"), f"layers[{i}].history", shape)
-    snapshot = doc.get("rewind_snapshot")
+    checked_object(doc, _KEYS, *_KEYS)
+    entries = under("layers", checked_list, doc["layers"])
+    model = Model([under(f"layers[{i}]", _read_layer, entry) for i, entry in enumerate(entries)])
+    snapshot = doc["rewind_snapshot"]
     if snapshot is not None:
-        _expect(snapshot, list, "rewind_snapshot")
         shapes = [l.weight_shape for l in model.layers if l.weight_shape is not None]
-        if len(snapshot) != len(shapes):
-            raise ValueError(f"rewind_snapshot: {len(snapshot)} entries != "
-                             f"{len(shapes)} layers with weights")
-        decoded = []
-        for j, (e, shape) in enumerate(zip(snapshot, shapes)):
-            at = f"rewind_snapshot[{j}]"
-            _expect(e, dict, at)
-            decoded.append((_dec_array(_member(e, "weights", f"{at}."), f"{at}.weights", shape),
-                            _dec_array(_member(e, "bias", f"{at}."), f"{at}.bias", shape[1:2])))
-        snapshot = decoded
-    for key in ("plan", "meta"):
-        if doc.get(key) is not None:
-            _expect(doc[key], dict, key)
-    return Checkpoint(model, rewind_snapshot=snapshot, plan=doc.get("plan"),
-                      metrics_tail=doc.get("metrics_tail", []), meta=doc.get("meta", {}))
+        if len(under("rewind_snapshot", checked_list, snapshot)) != len(shapes):
+            raise FieldError("rewind_snapshot", f"{len(snapshot)} entries != "
+                                                f"{len(shapes)} layers with weights")
+        snapshot = [under(f"rewind_snapshot[{j}]", _read_snapshot_entry, entry, shape)
+                    for j, (entry, shape) in enumerate(zip(snapshot, shapes))]
+    plan = None if doc["plan"] is None else under("plan", SparsifyPlan.from_dict, doc["plan"])
+    return Checkpoint(model, rewind_snapshot=snapshot, plan=plan,
+                      metrics_tail=under("metrics_tail", checked_list, doc["metrics_tail"]),
+                      meta=under("meta", checked_object, doc["meta"]))

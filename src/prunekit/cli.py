@@ -16,7 +16,7 @@ import numpy as np
 from . import checkpoint
 from .config import ConfigError, load_config
 from .criteria import CRITERIA
-from .fields import FieldError, integer, percent, under
+from .fields import FieldError, integer, percent
 from .granularity import parse_granularity, enumerate_blocks
 from .rng import Rng
 from .schedule import ScheduleSpec, eval_schedule
@@ -188,7 +188,7 @@ def cmd_inspect(args) -> int:
     ckpt = checkpoint.load(args.checkpoint)
     failures = []
     binary = []
-    granularity = None if ckpt.plan is None else under("plan", SparsifyPlan.from_dict, ckpt.plan).granularity
+    granularity = None if ckpt.plan is None else ckpt.plan.granularity
     for i, layer in enumerate(ckpt.model.layers):
         if not layer.prunable:
             continue

@@ -4,7 +4,7 @@ from dataclasses import dataclass
 import json
 
 from .datasets import check_spec
-from .fields import FieldError, checked_object, integer, number, under
+from .fields import FieldError, checked_list, checked_object, integer, string, under
 from .layers import Model, layer_from_spec
 from .sparsifier import SparsifyPlan
 from .train import TrainConfig
@@ -14,16 +14,6 @@ class ConfigError(ValueError):
     def __init__(self, field: str, message: str):
         super().__init__(f"config error at {field}: {message}")
         self.field = field
-
-
-def _require(doc: dict, field: str):
-    if field not in doc:
-        raise FieldError(field, "missing required field")
-    return doc[field]
-
-
-def _section(doc: dict, field: str, keys) -> dict:
-    return under(field, checked_object, _require(doc, field), keys)
 
 
 @dataclass
@@ -55,29 +45,23 @@ def load_config(path, seed_override: int | None = None) -> ExperimentConfig:
 
 
 def _parse(doc: dict, seed_override: int | None) -> ExperimentConfig:
-    checked_object(doc, ("name", "seed", "model", "dataset", "train", "prune", "output_dir"))
-    seed = integer(_require(doc, "seed") if seed_override is None else seed_override, "seed")
-    specs = _require(doc, "model")
-    if not isinstance(specs, list) or not specs:
+    checked_object(doc, ("name", "seed", "model", "dataset", "train", "prune", "output_dir"),
+                   "model", "dataset", "train", *(("seed",) if seed_override is None else ()))
+    seed = integer(doc["seed"] if seed_override is None else seed_override, "seed")
+    name = string(doc.get("name", "experiment"), "name")
+    output_dir = None if doc.get("output_dir") is None else string(doc["output_dir"], "output_dir")
+    specs = under("model", checked_list, doc["model"])
+    if not specs:
         raise FieldError("model", "must be a non-empty list of layer specs")
     layers = [under(f"model[{i}]", layer_from_spec, spec) for i, spec in enumerate(specs)]
-    dataset = under("dataset", check_spec, _require(doc, "dataset"))
-    output_dir = doc.get("output_dir")
-    if output_dir is not None and not isinstance(output_dir, str):
-        raise FieldError("output_dir", f"not a string: {output_dir!r}")
-    train_doc = _section(doc, "train", ("epochs", "batch_size", "learning_rate", "momentum"))
-    train = under("train", lambda: TrainConfig(
-        epochs=integer(_require(train_doc, "epochs"), "epochs"),
-        batch_size=integer(_require(train_doc, "batch_size"), "batch_size"),
-        learning_rate=number(_require(train_doc, "learning_rate"), "learning_rate"),
-        momentum=number(train_doc.get("momentum", 0.0), "momentum"),
-        seed=seed,
-        dataset=dataset,
-    ))
+    dataset = under("dataset", check_spec, doc["dataset"])
+    train = under("train", lambda section: TrainConfig(
+        **checked_object(section, ("epochs", "batch_size", "learning_rate", "momentum"),
+                         "epochs", "batch_size", "learning_rate"),
+        seed=seed, dataset=dataset), doc["train"])
     plan = None
     if doc.get("prune") is not None:
         plan = under("prune", SparsifyPlan.from_dict, doc["prune"])
         under("prune", plan.check_model, Model(layers), train.epochs)
-    return ExperimentConfig(name=str(doc.get("name", "experiment")), seed=seed, model_specs=specs,
-                            dataset=dataset, train=train, plan=plan,
-                            output_dir=output_dir)
+    return ExperimentConfig(name=name, seed=seed, model_specs=specs, dataset=dataset, train=train,
+                            plan=plan, output_dir=output_dir)

@@ -1,5 +1,6 @@
-"""Typed field checks for the layer, schedule, plan and config readers. A bad
-field raises FieldError, a ValueError reading "<field>: <problem>"."""
+"""Typed field checks for every reader: configs, layer specs, schedules, plans,
+training settings, datasets and checkpoints. A bad field raises FieldError, a
+ValueError reading "<field>: <problem>"."""
 
 import math
 from numbers import Integral, Real
@@ -22,17 +23,30 @@ def under(prefix: str, build, *args):
         raise FieldError(prefix, str(exc)) from None
 
 
-def checked_object(doc, keys, *required: str) -> dict:
-    """doc, checked to be an object that has every `required` key and no key outside `keys`."""
+def checked_object(doc, keys=None, *required: str) -> dict:
+    """doc, checked to be an object that has every `required` key and, unless
+    `keys` is None, no key outside `keys`."""
     if not isinstance(doc, dict):
         raise FieldError("", f"expected an object, got {type(doc).__name__}")
-    for key in doc:
+    for key in () if keys is None else doc:
         if key not in keys:
             raise FieldError(str(key), "unknown key")
     for key in required:
         if key not in doc:
             raise FieldError(key, "missing")
     return doc
+
+
+def checked_list(doc) -> list:
+    if not isinstance(doc, list):
+        raise FieldError("", f"expected a list, got {type(doc).__name__}")
+    return doc
+
+
+def string(value, field: str) -> str:
+    if not isinstance(value, str):
+        raise FieldError(field, f"not a string: {value!r}")
+    return value
 
 
 def integer(value, field: str, low: int | None = None) -> int:

@@ -43,7 +43,7 @@ class GranularitySpec:
 @dataclass(frozen=True)
 class BlockPartition:
     """Blocks of a `shape` tensor under `spec`: rows(a) is a transpose + reshape, one row per
-    block, lexicographic over the indexed axes and strided as a gather with `blocks` would be."""
+    block, lexicographic over the indexed axes; no index array is built."""
     spec: GranularitySpec
     shape: tuple
 
@@ -58,10 +58,6 @@ class BlockPartition:
     @property
     def block_size(self) -> int:
         return math.prod(self.shape[ax] for ax in self.spec.spanned_axes)
-
-    @property
-    def blocks(self) -> np.ndarray:  # [n_blocks, block_size] flat indices, for tests and tools
-        return self.rows(np.arange(math.prod(self.shape)).reshape(self.shape))
 
     def rows(self, a: np.ndarray) -> np.ndarray:
         """[n_blocks, block_size] view (or reshape copy) of `a`; row means add in gather order."""

@@ -8,7 +8,7 @@ and weight-history snapshot managed by the sparsifier.
 import numpy as np
 
 from . import kernels
-from .fields import FieldError, integer
+from .fields import FieldError, checked_object, integer
 from .rng import Rng
 from .tensor import init_weights
 
@@ -173,19 +173,13 @@ _LAYER_KINDS = {"dense": Dense, "conv2d": Conv2d, "relu": ReLU, "flatten": Flatt
 
 def layer_from_spec(spec: dict) -> Layer:
     """Build a layer from its spec; a bad spec raises FieldError("<key>: <problem>")."""
-    if not isinstance(spec, dict):
-        raise FieldError("", "layer spec must be an object")
-    kind = spec.get("kind")
+    kind = checked_object(spec).get("kind")
     cls = _LAYER_KINDS.get(kind) if isinstance(kind, str) else None
     if cls is None:
         raise FieldError("kind", f"unknown layer kind {kind!r}")
-    for key in spec:
-        if key != "kind" and key not in cls.spec_keys:
-            raise FieldError(str(key), "unknown key")
+    checked_object(spec, ("kind",) + cls.spec_keys, *cls.spec_keys)
     args = []
     for key in cls.spec_keys:
-        if key not in spec:
-            raise FieldError(key, "missing")
         args.append(integer(spec[key], key))
         if args[-1] < 1:
             raise FieldError(key, f"not a positive integer: {spec[key]!r}")

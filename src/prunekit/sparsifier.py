@@ -23,7 +23,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .criteria import Criterion, score
-from .fields import FieldError, checked_object, integer, percent, under
+from .fields import FieldError, checked_object, integer, percent, string, under
 from .granularity import enumerate_blocks, aggregate_scores, parse_granularity
 from .layers import Model
 from .rng import Rng
@@ -54,8 +54,7 @@ class SparsifyPlan:
             self.sparsity = [percent(s, f"sparsity[{i}]") for i, s in enumerate(self.sparsity)]
         else:
             self.sparsity = percent(self.sparsity, "sparsity")
-        if not isinstance(self.granularity, str):
-            raise FieldError("granularity", f"not a string: {self.granularity!r}")
+        string(self.granularity, "granularity")
         under("context", ContextSpec, self.context)
         under("criterion", Criterion, self.criterion)
         for name in ("lth", "reset_end"):

@@ -13,13 +13,15 @@ import math
 import numpy as np
 
 from .datasets import make_dataset, train_eval_split
-from .fields import FieldError
+from .fields import FieldError, integer, number
 from .layers import Model
 from .rng import Rng
 
 
 @dataclass
 class TrainConfig:
+    """Training settings. __post_init__ is the one check of the `train`
+    schema: a bad field raises FieldError naming it."""
     epochs: int
     batch_size: int
     learning_rate: float
@@ -28,11 +30,15 @@ class TrainConfig:
     dataset: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        for name in ("epochs", "batch_size", "learning_rate"):
-            if getattr(self, name) <= 0:
-                raise FieldError(name, f"must be positive, got {getattr(self, name)!r}")
+        self.epochs = integer(self.epochs, "epochs", low=1)
+        self.batch_size = integer(self.batch_size, "batch_size", low=1)
+        self.learning_rate = number(self.learning_rate, "learning_rate")
+        if self.learning_rate <= 0:
+            raise FieldError("learning_rate", f"must be positive, got {self.learning_rate!r}")
+        self.momentum = number(self.momentum, "momentum")
         if not 0 <= self.momentum < 1:
             raise FieldError("momentum", f"{self.momentum!r} out of [0, 1)")
+        self.seed = integer(self.seed, "seed")
 
 
 class Callback:

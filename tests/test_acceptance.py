@@ -15,6 +15,7 @@ from prunekit import (Callback, Criterion, LayerScores, Model, Rng, ScheduleSpec
 from prunekit.cli import main
 from prunekit.train import softmax_cross_entropy
 
+from test_granularity import index_gather
 from test_selection import bruteforce_masks, singleton_layer
 from test_sparsifier import FirstMasks
 from test_training import convnet, grad_check, mlp
@@ -76,11 +77,13 @@ def test_criterion_3_granularity_partition_and_purity():
         scores = rng.normal(shape)
         for spec in all_specs(4):
             part = enumerate_blocks(spec, shape)
-            np.testing.assert_array_equal(np.sort(part.blocks.ravel()), np.arange(total))
+            index = index_gather(spec, shape)
+            np.testing.assert_array_equal(np.sort(part.rows(np.arange(total).reshape(shape)).ravel()),
+                                          np.arange(total))
             assert part.n_blocks * part.block_size == total
-            layer = LayerScores(part, scores.ravel()[part.blocks].mean(axis=1))
+            layer = LayerScores(part, scores.ravel()[index].mean(axis=1))
             [mask] = select_local([layer], 50)
-            vals = mask.ravel()[part.blocks]
+            vals = mask.ravel()[index]
             assert np.all(vals.min(axis=1) == vals.max(axis=1))  # block purity
     print("ACCEPT 3 granularity partition + block purity: PASS")
 

@@ -106,12 +106,20 @@ def test_huge_model_size_exit_2(workdir, capsys):
     assert capsys.readouterr().err.startswith("config error at model[0]: array is too big")
 
 
-def test_missing_seed_exit_2(workdir):
+def test_missing_seed_exit_2(workdir, capsys):
     doc = json.loads(json.dumps(BASE_CONFIG))
     del doc["seed"]
     cfg = workdir / "cfg.json"
     cfg.write_text(json.dumps(doc))
     assert main(["run", str(cfg)]) == 2
+    assert capsys.readouterr().err.strip() == "config error at seed: missing"
+
+
+def test_name_not_a_string_exit_2(workdir, capsys):
+    cfg = write_config(workdir / "cfg.json", name={"a": 1})
+    assert main(["run", str(cfg)]) == 2
+    assert capsys.readouterr().err.strip() == "config error at name: not a string: {'a': 1}"
+    assert [p.name for p in workdir.iterdir()] == ["cfg.json"]
 
 
 def test_schedule_command(workdir):
@@ -460,6 +468,108 @@ def test_load_rejects_missing_field(workdir, capsys, field, edit):
         err = capsys.readouterr().err
         assert f"error: {field}" in err
         assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("field, edit", [
+    ("bogus: unknown key", _put(1, "bogus")),
+    ("layers[0].masks: unknown key", _put(1, "layers", 0, "masks")),
+    ("layers[1].mask: unknown key", _put(None, "layers", 1, "mask")),  # relu holds no mask
+    ("layers[0].weights.dtype: unknown key", _put("<f8", "layers", 0, "weights", "dtype")),
+    ("rewind_snapshot[0].x: unknown key", _put(1, "rewind_snapshot", 0, "x")),
+    ("metrics_tail: expected a list, got int", _put(5, "metrics_tail")),
+    ("meta: expected an object, got NoneType", _put(None, "meta")),
+    ("plan.bogus: unknown key", _put({"sparsity": 50, "bogus": 1}, "plan")),
+    ("rewind_snapshot[1].weights: expected an object, got NoneType",
+     _put(None, "rewind_snapshot", 1, "weights")),
+])
+def test_load_rejects_unknown_keys_and_mistyped_parts(workdir, capsys, field, edit):
+    path = workdir / "ckpt.json"
+    _shape_test_checkpoint(path)
+    path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+    for command in (["inspect", str(path)], ["prune", str(path), "--sparsity", "50"]):
+        assert main(command) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {field}"), err
+
+
+FUZZ_MODEL = [{"kind": "conv2d", "in_ch": 1, "out_ch": 2, "kx": 3, "ky": 3}, {"kind": "relu"},
+              {"kind": "flatten"}, {"kind": "dense", "in": 72, "out": 2}]
+WRONG_TYPES = [5, 2.5, "x", True, [], {}]
+
+
+def _fuzz_checkpoint(path):
+    """A conv+dense checkpoint with every part filled: masks, histories, a
+    rewind snapshot, a plan, meta and a metrics tail."""
+    model = Model.from_specs(FUZZ_MODEL, Rng(5).child("init"))
+    snapshot = [(l.weights.copy(), l.bias.copy()) for l in model.prunable_layers()]
+    for layer in model.prunable_layers():
+        layer.history = layer.weights.copy()
+        layer.mask = np.ones_like(layer.weights)
+    checkpoint.save(path, model, rewind_snapshot=snapshot,
+                    plan={"sparsity": 50.0, "context": "global", "schedule": None},
+                    metrics_tail=[[0, 7, 0.69, 0.5, 0.0, 0.0]], meta={"name": "fuzz", "seed": 5})
+
+
+def _checkpoint_keys(obj, path=""):
+    """(path, holder, key) for every key the checkpoint reader owns. The
+    contents of `plan` belong to SparsifyPlan.from_dict (fuzzed through
+    configs); those of `meta` and `metrics_tail` are free-form."""
+    if isinstance(obj, list):
+        for i, item in enumerate(obj):
+            yield from _checkpoint_keys(item, f"{path}[{i}]")
+    elif isinstance(obj, dict):
+        for key, value in obj.items():
+            at = f"{path}.{key}" if path else key
+            yield at, obj, key
+            if at not in ("plan", "meta", "metrics_tail"):
+                yield from _checkpoint_keys(value, at)
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_checkpoint_fuzz(workdir, capsys, seed):
+    """Corrupt one key of a valid checkpoint at a time -- drop it, give it a
+    value of another JSON type, add an unknown sibling: `inspect` and `prune`
+    each exit 1 naming it, with no traceback."""
+    path = workdir / "ckpt.json"
+    _fuzz_checkpoint(path)
+    pruned = workdir / "pruned.json"
+    for command in (["inspect", str(path)], ["prune", str(path), "--sparsity", "50", "--out", str(pruned)]):
+        assert main(command) == 0
+    capsys.readouterr()
+    doc = json.loads(path.read_text())
+    rng = Rng(seed)
+    cases = 0
+    for at, holder, key in list(_checkpoint_keys(doc)):
+        valid = holder[key]
+        wrong = [v for v in WRONG_TYPES if type(v) is not type(valid)]
+        sibling = f"{['masks', 'dtype', 'stride', 'x'][int(rng.integers(0, 4))]}_{cases}"
+        parent = at.rsplit(".", 1)[0] if "." in at else ""
+        corruptions = [
+            ("drop", at),
+            (wrong[int(rng.integers(0, len(wrong)))],
+             parent if key in ("data", "shape") else at),  # an array's parts are one field
+            ("sibling", f"{parent}.{sibling}" if parent else sibling),
+        ]
+        for corruption, field in corruptions:
+            if corruption == "drop":
+                del holder[key]
+            elif corruption == "sibling":
+                holder[sibling] = 1
+            else:
+                holder[key] = corruption
+            path.write_text(json.dumps(doc))
+            holder.pop(sibling, None)
+            holder[key] = valid
+            if key == "format_version" and corruption != "sibling":  # checked before any key
+                field = "unsupported checkpoint format_version"
+            for command in (["inspect", str(path)], ["prune", str(path), "--sparsity", "50"]):
+                assert main(command) == 1, (at, corruption)
+                err = capsys.readouterr().err
+                assert err.startswith(f"error: {field}"), (at, corruption, err)
+                assert "Traceback" not in err
+            cases += 1
+    assert cases > 150
+    assert sorted(p.name for p in workdir.iterdir()) == ["ckpt.json", "pruned.json"]
 
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",

@@ -52,7 +52,7 @@ def test_filter_blocks():
 def test_weight_blocks_are_singletons():
     part = enumerate_blocks(parse_granularity("weight", 2), (2, 2))
     assert part.n_blocks == 4 and part.block_size == 1
-    np.testing.assert_array_equal(part.blocks.ravel(), [0, 1, 2, 3])
+    np.testing.assert_array_equal(part.rows(np.arange(4).reshape(2, 2)).ravel(), [0, 1, 2, 3])
 
 
 def test_shared_kernel_blocks_match_bruteforce():
@@ -64,7 +64,7 @@ def test_shared_kernel_blocks_match_bruteforce():
     for flat, idx in enumerate(itertools.product(*(range(s) for s in shape))):
         groups[idx[1]].append(flat)
     for o in range(3):
-        assert sorted(part.blocks[o]) == groups[o]
+        assert sorted(part.rows(np.arange(24).reshape(shape))[o]) == groups[o]
 
 
 def test_rank_mismatch():
@@ -80,7 +80,7 @@ def test_partition_properties_all_specs():
         total = math.prod(shape)
         for spec in all_specs(4):
             part = enumerate_blocks(spec, shape)
-            flat = np.sort(part.blocks.ravel())
+            flat = np.sort(part.rows(np.arange(total).reshape(shape)).ravel())
             np.testing.assert_array_equal(flat, np.arange(total))  # disjoint + exhaustive
             assert part.n_blocks * part.block_size == total
             assert part.block_size == math.prod(shape[a] for a in spec.spanned_axes)
@@ -116,7 +116,7 @@ def test_aggregate_shape_mismatch():
         aggregate_scores(np.ones((3, 2)), part)
 
 
-def _index_gather(spec, shape):
+def index_gather(spec, shape):
     """Independent [n_blocks, block_size] flat-index array, as numpy's reshape lays it out."""
     indexed = [ax for ax in range(len(shape)) if ax not in spec.spanned_axes]
     flat = np.arange(math.prod(shape)).reshape(shape)
@@ -136,8 +136,7 @@ def test_reshape_rows_match_index_gather(rank, shape, layout):
     assert len(specs) == 2 ** rank
     for spec in specs:
         part = enumerate_blocks(spec, shape)
-        index = _index_gather(spec, shape)
-        np.testing.assert_array_equal(part.blocks, index)
+        index = index_gather(spec, shape)
         gathered = scores.ravel()[index]
         np.testing.assert_array_equal(part.rows(scores), gathered)
         np.testing.assert_array_equal(aggregate_scores(scores, part), gathered.mean(axis=1))
@@ -171,7 +170,7 @@ def test_one_weight_blocks_match_gather_bitwise(rank, layout):
         flat = scores.reshape(-1)
         flat[::3], flat[1::4], flat[2::5], flat[4::7] = -0.0, np.inf, -np.inf, np.nan
         scores = np.asarray(scores, order=layout)
-        index = _index_gather(spec, shape)
+        index = index_gather(spec, shape)
         want = scores.ravel()[index].mean(axis=1)
         got = aggregate_scores(scores, part)
         assert got.dtype == want.dtype and np.array_equal(got, want, equal_nan=True)

@@ -75,8 +75,9 @@ def test_checkpoint_plans_load_back(workdir):
 def test_inspect_rejects_bad_plan(workdir, capsys, field, plan):
     path = workdir / "ckpt.json"
     checkpoint.save(path, Model.from_specs(BASE_CONFIG["model"], Rng(1).child("init")), plan=plan)
-    assert main(["inspect", str(path)]) == 1
-    assert capsys.readouterr().err.strip() == f"error: {field}"
+    for command in (["inspect", str(path)], ["prune", str(path), "--sparsity", "50"]):
+        assert main(command) == 1
+        assert capsys.readouterr().err.strip() == f"error: {field}"
 
 
 def _prune(**fields):
@@ -169,7 +170,7 @@ def _fuzz_targets():
     the key, key) for every key."""
     doc = json.loads(json.dumps(FUZZ_CONFIG))
     targets = [(f"model[{i}].{key}", spec, key) for i, spec in enumerate(doc["model"]) for key in spec]
-    targets.append(("output_dir", doc, "output_dir"))
+    targets += [("output_dir", doc, "output_dir"), ("name", doc, "name")]
     for path, section in (("dataset.", doc["dataset"]), ("train.", doc["train"]), ("prune.", doc["prune"]),
                           ("prune.schedule.", doc["prune"]["schedule"])):
         targets += [(path + key, section, key) for key in section]

@@ -4,6 +4,8 @@ import pytest
 from prunekit import (LayerScores, enumerate_blocks, parse_granularity, pruned_count,
                       select_global, select_local, select_per_layer, sparsity_of, Rng)
 
+from test_granularity import index_gather
+
 
 def singleton_layer(scores, position=0):
     """One block per score. `position` is ignored: selection orders layers by
@@ -39,8 +41,9 @@ def bruteforce_masks(layer_scores, sparsity, context):
 
 def _blocks_to_mask(layer, pruned_blocks):
     mask = np.ones(int(np.prod(layer.partition.shape)))
+    index = index_gather(layer.partition.spec, layer.partition.shape)
     for b in pruned_blocks:
-        mask[layer.partition.blocks[b]] = 0.0
+        mask[index[b]] = 0.0
     return mask.reshape(layer.partition.shape)
 
 
@@ -152,9 +155,10 @@ def test_block_purity_structured():
     for alias in ("filter", "kernel", "channel", "shared_kernel"):
         spec = parse_granularity(alias, 4)
         part = enumerate_blocks(spec, shape)
-        layer = LayerScores(part, scores.ravel()[part.blocks].mean(axis=1))
+        index = index_gather(spec, shape)
+        layer = LayerScores(part, scores.ravel()[index].mean(axis=1))
         [mask] = select_local([layer], 50)
-        vals = mask.ravel()[part.blocks]
+        vals = mask.ravel()[index]
         assert np.all(vals.min(axis=1) == vals.max(axis=1))
 
 

@@ -450,3 +450,29 @@ def test_fit_rejects_dataset_key_its_kind_does_not_read(extra, field):
     with pytest.raises(FieldError) as info:
         fit(mlp(Rng(0)), cfg)
     assert info.value.field == field
+
+
+@pytest.mark.parametrize("bad, problem", [
+    ({"epochs": 2.5}, "not an integer: 2.5"),
+    ({"batch_size": 2.5}, "not an integer: 2.5"),
+    ({"learning_rate": math.nan}, "not a finite number: nan"),
+    ({"epochs": True}, "not an integer: True"),
+    ({"seed": 1.5}, "not an integer: 1.5"),
+    ({"epochs": 0}, "must be >= 1, got 0"),
+    ({"learning_rate": -0.1}, "must be positive, got -0.1"),
+    ({"momentum": 1.0}, "1.0 out of [0, 1)"),
+], ids=["epochs_fraction", "batch_size_fraction", "learning_rate_nan", "epochs_bool", "seed_fraction",
+        "epochs_zero", "learning_rate_negative", "momentum_one"])
+def test_train_config_rejects_bad_field(bad, problem):
+    """TrainConfig checks each field where it is built, not inside fit."""
+    with pytest.raises(FieldError) as info:
+        TrainConfig(**{"epochs": 1, "batch_size": 32, "learning_rate": 0.1, **bad})
+    [field] = bad
+    assert (info.value.field, info.value.problem) == (field, problem)
+
+
+def test_train_config_takes_integral_numbers():
+    cfg = TrainConfig(epochs=2.0, batch_size=np.int64(8), learning_rate=1, seed=np.int64(3))
+    assert (cfg.epochs, cfg.batch_size, cfg.learning_rate, cfg.seed) == (2, 8, 1.0, 3)
+    assert all(type(v) is t for v, t in ((cfg.epochs, int), (cfg.batch_size, int),
+                                         (cfg.learning_rate, float), (cfg.seed, int)))
