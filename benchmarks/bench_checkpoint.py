@@ -25,8 +25,8 @@ output JSON, next to the runs already there, with an environment record.
 commit, so that both sides are measured by the same script.
 """
 
-import argparse
 import hashlib
+import importlib
 import json
 import statistics
 import sys
@@ -37,7 +37,7 @@ from pathlib import Path
 
 import numpy as np
 
-from bench_selection import ROOT, env_record
+import harness
 
 CONV = [{"kind": "conv2d", "in_ch": a, "out_ch": b, "kx": 3, "ky": 3}
         for a, b in ((48, 96), (96, 96), (96, 48))]
@@ -60,9 +60,7 @@ def build(pk, specs, granularity, context, criterion, sparsity):
     for layer, hist in zip(model.prunable_layers(), start.prunable_layers()):
         layer.history = hist.weights
     pk.Sparsifier(model, granularity, context, criterion).prune_model(sparsity)
-    plan = {"sparsity": sparsity, "granularity": granularity, "context": context,
-            "criterion": criterion, "schedule": None, "lth": False, "rewind_epoch": 0,
-            "reset_end": False}
+    plan = pk.SparsifyPlan(sparsity, granularity, context, criterion, schedule=None).to_dict()
     tail = [(9, step, 0.05 + step / 1000, 1.0, sparsity, sparsity) for step in range(45, 50)]
     return model, {"plan": plan, "metrics_tail": tail, "meta": {"name": "bench", "seed": 1}}
 
@@ -91,17 +89,9 @@ def timings_ms(fn, reps):
 
 
 def main(argv=None):
-    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("--label", required=True, help="name of this run in the JSON")
-    parser.add_argument("--src", default=str(ROOT / "src"), help="directory holding prunekit/")
-    parser.add_argument("--out", default=str(ROOT / "BENCH_checkpoint.json"))
-    args = parser.parse_args(argv)
-    src = Path(args.src).resolve()
-    sys.path.insert(0, str(src))
-    import prunekit as pk
-    from prunekit import checkpoint
-    if not Path(pk.__file__).resolve().is_relative_to(src):
-        sys.exit(f"prunekit imported from {pk.__file__}, not from {src}")
+    args = harness.argument_parser(__doc__, "BENCH_checkpoint.json").parse_args(argv)
+    pk = harness.load_prunekit(args.src, "prunekit_src")
+    checkpoint = importlib.import_module(".checkpoint", pk.__name__)
 
     cases = []
     with tempfile.TemporaryDirectory() as tmp:
@@ -126,15 +116,11 @@ def main(argv=None):
                   f"save {case['save']['median_ms']:8.1f} ms  load {case['load']['median_ms']:7.1f} ms"
                   f"  save peak {case['save_peak_mb']:.1f} MB")
 
-    out = Path(args.out)
-    doc = json.loads(out.read_text()) if out.exists() else {}
-    doc["about"] = ("checkpoint.save and checkpoint.load per call: time.perf_counter median and "
-                    "quartiles in ms over `reps` calls, each file checked to be canonical JSON "
-                    "that loads back first; save_peak_mb is tracemalloc's peak over one save. "
-                    "Written by benchmarks/bench_checkpoint.py.")
-    doc.setdefault("runs", {})[args.label] = {"env": env_record(), "cases": cases}
-    out.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
-    print(f"wrote run {args.label!r} to {out}")
+    about = ("checkpoint.save and checkpoint.load per call: time.perf_counter median and "
+             "quartiles in ms over `reps` calls, each file checked to be canonical JSON "
+             "that loads back first; save_peak_mb is tracemalloc's peak over one save. "
+             "Written by benchmarks/bench_checkpoint.py.")
+    harness.write_runs(args.out, about, {args.label: {"env": harness.env_record(), "cases": cases}})
 
 
 if __name__ == "__main__":

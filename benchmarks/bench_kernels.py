@@ -2,20 +2,20 @@
 
 Usage:
     python3 benchmarks/bench_kernels.py --label NAME [--src DIR]
-        [--baseline LABEL=DIR] [--rounds R] [--out BENCH_kernels.json]
+        [--baseline LABEL=DIR] [--rounds R] [--reps N] [--out BENCH_kernels.json]
 
 Shapes (x [N, I, H, W], w [I, O, Kx, Ky]): the two conv layers of
 perfbench's conv-train model at its training batch of 32 ("conv_train_1",
 "conv_train_2"), plus "small" and "large", the shapes perfbench's traced
 pass reports as kernels.shape.*.
 
-The kernels are loaded from DIR/prunekit/kernels.py (--src, the repo's src
-by default). --baseline loads a second kernels.py, e.g. from an unpacked
-older commit, and times it in the same process: each case runs R rounds,
-and in every round both trees are timed back to back, each going first in
-every other round. On shared cores, two runs minutes apart can differ by
-more than two kernel versions do; a pair timed back to back shares most
-of that drift.
+The kernels are prunekit.kernels of the package in DIR/prunekit (--src,
+the repo's src by default), imported whole. --baseline imports a second
+tree, e.g. an unpacked older commit, and times its kernels in the same
+process: each case runs R rounds, and in every round both trees are timed
+back to back, each going first in every other round. On shared cores, two
+runs minutes apart can differ by more than two kernel versions do; a pair
+timed back to back shares most of that drift.
 
 Before any timing, every kernel is checked against direct loops over
 (i, o, u, v) that share no code with prunekit. A round is one warm-up call
@@ -31,17 +31,13 @@ import os
 
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-import argparse
-import importlib.util
-import json
 import statistics
 import sys
 import time
-from pathlib import Path
 
 import numpy as np
 
-from bench_selection import ROOT, env_record
+import harness
 
 SHAPES = {
     "conv_train_1": ((32, 1, 8, 8), (1, 8, 3, 3)),
@@ -86,33 +82,13 @@ def timings_ms(fn, args, reps):
     return times
 
 
-def load_kernels(src, name):
-    path = Path(src).resolve() / "prunekit" / "kernels.py"
-    spec = importlib.util.spec_from_file_location(name, path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 def main(argv=None):
-    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("--label", required=True, help="name of this run in the JSON")
-    parser.add_argument("--src", default=str(ROOT / "src"), help="directory holding prunekit/")
-    parser.add_argument("--baseline", metavar="LABEL=DIR",
-                        help="also time DIR/prunekit/kernels.py, alternating with --src, as run LABEL")
-    parser.add_argument("--rounds", type=int, default=1, help="timing rounds per kernel and shape")
-    parser.add_argument("--out", default=str(ROOT / "BENCH_kernels.json"))
+    parser = harness.argument_parser(__doc__, "BENCH_kernels.json",
+                                     rounds_help="timing rounds per kernel and shape")
     parser.add_argument("--reps", type=int, default=200,
                         help="calls timed per round, kernel and shape; a tenth of that at 'large'")
     args = parser.parse_args(argv)
-    if args.rounds < 1:
-        parser.error("--rounds must be at least 1")
-    trees = [(args.label, load_kernels(args.src, "kernels_src"))]
-    if args.baseline:
-        label, sep, src = args.baseline.partition("=")
-        if not sep or not label or label == args.label:
-            parser.error("--baseline takes LABEL=DIR, with LABEL other than --label")
-        trees.append((label, load_kernels(src, "kernels_baseline")))
+    trees = [(label, pk.kernels) for label, pk in harness.trees(parser, args)]
 
     rng = np.random.default_rng(0)
     cases = {label: [] for label, _ in trees}
@@ -130,11 +106,10 @@ def main(argv=None):
                     sys.exit(f"{label}: {name} at {shape} disagrees with the direct loops")
             times = {label: [] for label, _ in trees}
             round_medians = {label: [] for label, _ in trees}
-            for r in range(args.rounds):
-                for label, kernels in (trees if r % 2 == 0 else trees[::-1]):
-                    t = timings_ms(getattr(kernels, "conv2d_" + name), fargs, reps)
-                    times[label] += t
-                    round_medians[label].append(statistics.median(t))
+            for label, kernels in harness.alternate(trees, args.rounds):
+                t = timings_ms(getattr(kernels, "conv2d_" + name), fargs, reps)
+                times[label] += t
+                round_medians[label].append(statistics.median(t))
             for label, _ in trees:
                 q1, median, q3 = statistics.quantiles(times[label], n=4)
                 case = {"shape": shape, "kernel": name, "x": list(x_shape), "w": list(w_shape),
@@ -142,25 +117,16 @@ def main(argv=None):
                         "q1_ms": q1, "q3_ms": q3, "round_medians_ms": round_medians[label]}
                 cases[label].append(case)
                 print(f"{label:<24}{shape:<14}{name:<9}{median:>9.3f} ms [{q1:.3f}, {q3:.3f}]")
-            if len(trees) == 2:
-                (new, _), (base, _) = trees
-                faster = sum(a < b for a, b in zip(round_medians[new], round_medians[base]))
-                print(f"{'':<24}{shape:<14}{name:<9}{new} faster in {faster}/{args.rounds} rounds")
+            harness.report_faster(trees, round_medians, f"{shape:<14}{name:<9}")
 
-    out = Path(args.out)
-    doc = json.loads(out.read_text()) if out.exists() else {}
-    doc["about"] = ("Conv kernels per call: time.perf_counter median and quartiles in ms over "
-                    "`rounds` x `reps` calls (one round where `rounds` is absent), each kernel "
-                    "checked against direct loops first; round_medians_ms has each round's "
-                    "median, and runs written together alternate round by round. Written by "
-                    "benchmarks/bench_kernels.py.")
-    env = {**env_record(), "blas_threads": os.environ["OPENBLAS_NUM_THREADS"]}
-    for label, _ in trees:
-        doc.setdefault("runs", {})[label] = {"env": env, "cases": cases[label]}
-        if len(trees) == 2:
-            doc["runs"][label]["paired_with"] = trees[1][0] if label == args.label else args.label
-    out.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
-    print(f"wrote runs {', '.join(repr(label) for label, _ in trees)} to {out}")
+    about = ("Conv kernels per call: time.perf_counter median and quartiles in ms over "
+             "`rounds` x `reps` calls (one round where `rounds` is absent), each kernel "
+             "checked against direct loops first; round_medians_ms has each round's "
+             "median, and runs written together alternate round by round. Written by "
+             "benchmarks/bench_kernels.py.")
+    env = {**harness.env_record(), "blas_threads": os.environ["OPENBLAS_NUM_THREADS"]}
+    harness.write_runs(args.out, about,
+                       {label: {"env": env, "cases": cases[label]} for label, _ in trees})
 
 
 if __name__ == "__main__":

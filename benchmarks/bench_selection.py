@@ -30,21 +30,16 @@ already there, with an environment record (numpy version, conv backend,
 cores).
 """
 
-import argparse
-import importlib.util
 import itertools
-import json
 import math
-import os
-import platform
 import statistics
 import sys
 import time
-from pathlib import Path
 
 import numpy as np
 
-ROOT = Path(__file__).resolve().parent.parent
+import harness
+
 SIZES = (10_000, 100_000, 1_000_000)
 GRANULARITIES = {"weight": (), "kernel": (2, 3), "channel": (1,)}
 CONTEXTS = ("local", "global")
@@ -63,17 +58,6 @@ DISTRIBUTIONS = {
     "normal": lambda rng, shape: rng.normal(shape) / 8,
     "dead": dead_units,
 }
-
-
-def load_prunekit(src, name):
-    """The prunekit package in DIR/prunekit, imported as module `name`."""
-    pkg = Path(src).resolve() / "prunekit"
-    spec = importlib.util.spec_from_file_location(name, pkg / "__init__.py",
-                                                  submodule_search_locations=[str(pkg)])
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[name] = module  # the package's relative imports look it up here
-    spec.loader.exec_module(module)
-    return module
 
 
 def layer_shapes(n_weights):
@@ -131,35 +115,11 @@ def update(pk, weights, granularity, context, sparsity):
     return masks, phases
 
 
-def env_record():
-    return {
-        "python": platform.python_version(),
-        "numpy": np.__version__,
-        "conv_backend": "numpy",
-        "cpu_count": os.cpu_count(),
-        "cores_usable": len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else None,
-        "machine": platform.machine(),
-        "system": platform.system(),
-    }
-
-
 def main(argv=None):
-    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("--label", required=True, help="name of this run in the JSON")
-    parser.add_argument("--src", default=str(ROOT / "src"), help="directory holding prunekit/")
-    parser.add_argument("--baseline", metavar="LABEL=DIR",
-                        help="also time DIR/prunekit, alternating with --src, as run LABEL")
-    parser.add_argument("--rounds", type=int, default=1, help="timing rounds per case")
-    parser.add_argument("--out", default=str(ROOT / "BENCH_selection.json"))
+    parser = harness.argument_parser(__doc__, "BENCH_selection.json",
+                                     rounds_help="timing rounds per case")
     args = parser.parse_args(argv)
-    if args.rounds < 1:
-        parser.error("--rounds must be at least 1")
-    trees = [(args.label, load_prunekit(args.src, "prunekit_src"))]
-    if args.baseline:
-        label, sep, src = args.baseline.partition("=")
-        if not sep or not label or label == args.label:
-            parser.error("--baseline takes LABEL=DIR, with LABEL other than --label")
-        trees.append((label, load_prunekit(src, "prunekit_baseline")))
+    trees = harness.trees(parser, args)
 
     rng = trees[0][1].Rng(2022)
     cases = {label: [] for label, _ in trees}
@@ -176,13 +136,12 @@ def main(argv=None):
                 reps = max(5, min(50, 2_000_000 // n))
                 runs = {label: [] for label, _ in trees}
                 round_totals = {label: [] for label, _ in trees}
-                for r in range(args.rounds):
-                    for label, pk in (trees if r % 2 == 0 else trees[::-1]):
-                        got = [update(pk, weights, granularity, context, SPARSITY)[1]
-                               for _ in range(reps)]
-                        runs[label] += got
-                        round_totals[label].append(
-                            statistics.median(sum(p.values()) for p in got) * 1e3)
+                for label, pk in harness.alternate(trees, args.rounds):
+                    got = [update(pk, weights, granularity, context, SPARSITY)[1]
+                           for _ in range(reps)]
+                    runs[label] += got
+                    round_totals[label].append(
+                        statistics.median(sum(p.values()) for p in got) * 1e3)
                 for label, _ in trees:
                     case = {"distribution": dist, "weights": n, "granularity": granularity,
                             "context": context, "shapes": [list(w.shape) for w in weights],
@@ -198,26 +157,17 @@ def main(argv=None):
                           f"blocks={case['n_blocks']:>8} "
                           + " ".join(f"{p}={case[p + '_ms']:.3f}" for p in phases)
                           + f" total={case['total_ms']:.3f} ms")
-                if len(trees) == 2:
-                    (new, _), (base, _) = trees
-                    faster = sum(a < b for a, b in zip(round_totals[new], round_totals[base]))
-                    print(f"{'':<24}{dist:<6} n={n:>8} {granularity:<8} {context:<6} "
-                          f"{new} faster in {faster}/{args.rounds} rounds")
+                harness.report_faster(trees, round_totals, f"{dist:<6} n={n:>8} "
+                                      f"{granularity:<8} {context:<6} ")
 
-    out = Path(args.out)
-    doc = json.loads(out.read_text()) if out.exists() else {}
-    doc["about"] = (f"One mask update at sparsity {SPARSITY}% with large_final, phase by phase: "
-                    "time.perf_counter medians in ms over `rounds` x `reps` repetitions (one "
-                    "round where `rounds` is absent), masks checked against a full stable-sort "
-                    "oracle first; round_total_ms has each round's median whole update, and "
-                    "runs written together alternate round by round. Written by "
-                    "benchmarks/bench_selection.py.")
-    for label, _ in trees:
-        doc.setdefault("runs", {})[label] = {"env": env_record(), "cases": cases[label]}
-        if len(trees) == 2:
-            doc["runs"][label]["paired_with"] = trees[1][0] if label == args.label else args.label
-    out.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
-    print(f"wrote runs {', '.join(repr(label) for label, _ in trees)} to {out}")
+    about = (f"One mask update at sparsity {SPARSITY}% with large_final, phase by phase: "
+             "time.perf_counter medians in ms over `rounds` x `reps` repetitions (one "
+             "round where `rounds` is absent), masks checked against a full stable-sort "
+             "oracle first; round_total_ms has each round's median whole update, and "
+             "runs written together alternate round by round. Written by "
+             "benchmarks/bench_selection.py.")
+    harness.write_runs(args.out, about, {label: {"env": harness.env_record(),
+                                                 "cases": cases[label]} for label, _ in trees})
 
 
 if __name__ == "__main__":

@@ -37,14 +37,11 @@ import os
 
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-import argparse
-import json
 import statistics
 import sys
 import time
-from pathlib import Path
 
-from bench_selection import ROOT, env_record, load_prunekit
+import harness
 
 BATCH = 32
 LEARNING_RATE = 0.05
@@ -120,24 +117,14 @@ class Step:
 
 
 def main(argv=None):
-    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("--label", required=True, help="name of this run in the JSON")
-    parser.add_argument("--src", default=str(ROOT / "src"), help="directory holding prunekit/")
-    parser.add_argument("--baseline", metavar="LABEL=DIR",
-                        help="also time DIR/prunekit, alternating with --src, as run LABEL")
-    parser.add_argument("--rounds", type=int, default=1, help="timing rounds per workload")
+    parser = harness.argument_parser(__doc__, "BENCH_step.json",
+                                     rounds_help="timing rounds per workload")
     parser.add_argument("--reps", type=int, default=200, help="steps timed per round and tree")
     parser.add_argument("--seed", type=int, default=1, help="data and weight seed")
-    parser.add_argument("--out", default=str(ROOT / "BENCH_step.json"))
     args = parser.parse_args(argv)
     if args.rounds < 1 or args.reps < 1:
         parser.error("--rounds and --reps must be at least 1")
-    trees = [(args.label, load_prunekit(args.src, "prunekit_src"))]
-    if args.baseline:
-        label, sep, src = args.baseline.partition("=")
-        if not sep or not label or label == args.label:
-            parser.error("--baseline takes LABEL=DIR, with LABEL other than --label")
-        trees.append((label, load_prunekit(src, "prunekit_baseline")))
+    trees = harness.trees(parser, args)
 
     cases = {label: [] for label, _ in trees}
     for workload in WORKLOADS:
@@ -149,44 +136,34 @@ def main(argv=None):
         steps = {label: Step(pk, workload, args.seed) for label, pk in trees}
         phases = steps[args.label].phases + ["step"]
         times = {label: {p: [] for p in phases} for label, _ in trees}
-        round_medians = {label: {p: [] for p in phases} for label, _ in trees}
-        for r in range(args.rounds):
-            for label, _ in (trees if r % 2 == 0 else trees[::-1]):
-                steps[label].run()  # warm-up
-                got = {p: [] for p in phases}
-                for _ in range(args.reps):
-                    steps[label].run(got)
-                for p in phases:
-                    times[label][p] += got[p]
-                    round_medians[label][p].append(statistics.median(got[p]) * 1e6)
+        round_medians = {p: {label: [] for label, _ in trees} for p in phases}
+        for label, _ in harness.alternate(trees, args.rounds):
+            steps[label].run()  # warm-up
+            got = {p: [] for p in phases}
+            for _ in range(args.reps):
+                steps[label].run(got)
+            for p in phases:
+                times[label][p] += got[p]
+                round_medians[p][label].append(statistics.median(got[p]) * 1e6)
         for p in phases:
             for label, _ in trees:
                 q1, median, q3 = (t * 1e6 for t in quartiles(times[label][p]))
                 cases[label].append({"workload": workload, "phase": p, "batch": BATCH,
                                      "reps": args.reps, "rounds": args.rounds,
                                      "median_us": median, "q1_us": q1, "q3_us": q3,
-                                     "round_medians_us": round_medians[label][p]})
+                                     "round_medians_us": round_medians[p][label]})
                 print(f"{label:<24}{workload:<13}{p:<22}{median:>9.1f} us [{q1:.1f}, {q3:.1f}]")
-            if len(trees) == 2:
-                (new, _), (base, _) = trees
-                faster = sum(a < b for a, b in zip(round_medians[new][p], round_medians[base][p]))
-                print(f"{'':<24}{workload:<13}{p:<22}{new} faster in {faster}/{args.rounds} rounds")
+            harness.report_faster(trees, round_medians[p], f"{workload:<13}{p:<22}")
 
-    out = Path(args.out)
-    doc = json.loads(out.read_text()) if out.exists() else {}
-    doc["about"] = ("One training step at batch 32, phase by phase: each layer's forward and "
-                    "backward, the loss and sgd_step, and their sum as 'step'. time.perf_counter "
-                    "median and quartiles in us over `rounds` x `reps` steps; round_medians_us "
-                    "has each round's median, and runs written together alternate round by "
-                    "round after their step outputs were checked byte-equal. Written by "
-                    "benchmarks/bench_step.py.")
-    env = {**env_record(), "blas_threads": os.environ["OPENBLAS_NUM_THREADS"]}
-    for label, _ in trees:
-        doc.setdefault("runs", {})[label] = {"env": env, "seed": args.seed, "cases": cases[label]}
-        if len(trees) == 2:
-            doc["runs"][label]["paired_with"] = trees[1][0] if label == args.label else args.label
-    out.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
-    print(f"wrote runs {', '.join(repr(label) for label, _ in trees)} to {out}")
+    about = ("One training step at batch 32, phase by phase: each layer's forward and "
+             "backward, the loss and sgd_step, and their sum as 'step'. time.perf_counter "
+             "median and quartiles in us over `rounds` x `reps` steps; round_medians_us "
+             "has each round's median, and runs written together alternate round by "
+             "round after their step outputs were checked byte-equal. Written by "
+             "benchmarks/bench_step.py.")
+    env = {**harness.env_record(), "blas_threads": os.environ["OPENBLAS_NUM_THREADS"]}
+    harness.write_runs(args.out, about, {label: {"env": env, "seed": args.seed,
+                                                 "cases": cases[label]} for label, _ in trees})
 
 
 if __name__ == "__main__":

@@ -16,7 +16,7 @@ import json
 import numpy as np
 
 from .fields import FieldError, checked_list, checked_object, under
-from .layers import Layer, Model, layer_from_spec
+from .layers import Layer, Model, check_chain, layer_from_spec
 from .sparsifier import SparsifyPlan
 
 FORMAT_VERSION = 2
@@ -139,6 +139,7 @@ def load(path) -> Checkpoint:
     checked_object(doc, _KEYS, *_KEYS)
     entries = under("layers", checked_list, doc["layers"])
     model = Model([under(f"layers[{i}]", _read_layer, entry) for i, entry in enumerate(entries)])
+    check_chain(model.layers, "layers[{}].spec")
     snapshot = doc["rewind_snapshot"]
     if snapshot is not None:
         shapes = [l.weight_shape for l in model.layers if l.weight_shape is not None]

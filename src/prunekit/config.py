@@ -5,7 +5,7 @@ import json
 
 from .datasets import check_spec
 from .fields import FieldError, checked_list, checked_object, integer, string, under
-from .layers import Model, layer_from_spec
+from .layers import Model, check_chain, layer_from_spec
 from .sparsifier import SparsifyPlan
 from .train import TrainConfig
 
@@ -54,6 +54,7 @@ def _parse(doc: dict, seed_override: int | None) -> ExperimentConfig:
     if not specs:
         raise FieldError("model", "must be a non-empty list of layer specs")
     layers = [under(f"model[{i}]", layer_from_spec, spec) for i, spec in enumerate(specs)]
+    check_chain(layers, "model[{}]")
     dataset = under("dataset", check_spec, doc["dataset"])
     train = under("train", lambda section: TrainConfig(
         **checked_object(section, ("epochs", "batch_size", "learning_rate", "momentum"),

@@ -13,6 +13,9 @@ from .rng import Rng
 
 # the keys each dataset kind reads besides "kind" and "n"
 KIND_KEYS = {"blobs2d": ("separation",), "patterns8x8": ("noise",)}
+# keeps blobs2d's clusters linearly separable with margin > 0 for virtually
+# every seed at the default separation of 4
+BLOB_STD = 0.5
 
 
 def check_spec(spec) -> dict:
@@ -49,12 +52,10 @@ def _balanced_labels(n: int) -> np.ndarray:
     return labels
 
 
-def _blobs2d(n, separation, rng, cluster_std=0.5):
-    # std 0.5 keeps the clusters linearly separable with margin > 0 for
-    # virtually every seed at the default separation of 4
+def _blobs2d(n, separation, rng):
     labels = _balanced_labels(n)
     centers = np.array([[-separation / 2.0, 0.0], [separation / 2.0, 0.0]])
-    inputs = cluster_std * rng.normal((n, 2)) + centers[labels]
+    inputs = BLOB_STD * rng.normal((n, 2)) + centers[labels]
     perm = rng.permutation(n)
     return inputs[perm], labels[perm]
 

@@ -63,16 +63,16 @@ class BlockPartition:
         """[n_blocks, block_size] view (or reshape copy) of `a`; row means add in gather order."""
         return np.ascontiguousarray(a).transpose(self._order).reshape(self.n_blocks, self.block_size)
 
-    def unrows(self, rows: np.ndarray, dtype=None) -> np.ndarray:
-        """Inverse of rows: a C-contiguous `shape` array, block i = rows[i] (broadcast), cast
-        while copied. With one weight per block it is rows reshaped, a view where no cast or
-        copy is needed."""
+    def unrows(self, rows: np.ndarray) -> np.ndarray:
+        """Inverse of rows: a C-contiguous `shape` array of rows' dtype, block i = rows[i]
+        (broadcast). With one weight per block it is rows reshaped, a view where no copy is
+        needed."""
         if self.block_size == 1:  # every spanned axis has length 1: the transpose moves nothing
-            return np.asarray(rows.reshape(self.shape), dtype=dtype, order="C")
+            return np.asarray(rows.reshape(self.shape), order="C")
         order = self._order
         split = np.broadcast_to(rows, (self.n_blocks, self.block_size))
         split = split.reshape([self.shape[ax] for ax in order]).transpose(np.argsort(order))
-        return np.array(split, dtype=dtype, order="C")
+        return np.array(split, order="C")
 
 
 def parse_granularity(name_or_axes, rank: int) -> GranularitySpec:

@@ -186,6 +186,24 @@ def layer_from_spec(spec: dict) -> Layer:
     return cls(*args)
 
 
+def check_chain(layers: list[Layer], path: str) -> None:
+    """Check that sizes chain where only relu layers lie between two layers of
+    one kind: a dense `in` equals the previous dense `out`, a conv2d `in_ch`
+    the previous conv2d `out_ch`. A mismatch raises FieldError naming
+    `path.format(i)` + the key, e.g. path "model[{}]" gives "model[2].in"."""
+    prev = None
+    for i, layer in enumerate(layers):
+        if isinstance(layer, ReLU):
+            continue
+        if prev is not None and type(layers[prev]) is type(layer) and layer.spec_keys:
+            key_in, key_out = layer.spec_keys[:2]  # dense and conv2d list in, out first
+            n_in, n_out = layer.spec()[key_in], layers[prev].spec()[key_out]
+            if n_in != n_out:
+                raise FieldError(f"{path.format(i)}.{key_in}",
+                                 f"{n_in}, but {path.format(prev)}.{key_out} is {n_out}")
+        prev = i
+
+
 class Model:
     def __init__(self, layers: list[Layer]):
         self.layers = layers

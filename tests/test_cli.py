@@ -26,6 +26,13 @@ BASE_CONFIG = {
 }
 
 
+# sizes that do not chain: only a relu, or nothing, lies between the two layers
+UNCHAINED_DENSE = [{"kind": "dense", "in": 2, "out": 16}, {"kind": "relu"},
+                   {"kind": "dense", "in": 8, "out": 2}]
+UNCHAINED_CONV = [{"kind": "conv2d", "in_ch": 1, "out_ch": 8, "kx": 3, "ky": 3},
+                  {"kind": "conv2d", "in_ch": 4, "out_ch": 2, "kx": 3, "ky": 3}]
+
+
 @pytest.fixture
 def workdir(tmp_path, monkeypatch):
     monkeypatch.setenv("PRUNEKIT_OUTPUT_ROOT", str(tmp_path))
@@ -93,11 +100,14 @@ def test_invalid_granularity_exit_2(workdir, capsys):
      [{"kind": "conv2d", "in_ch": 1, "out_ch": 2, "kx": 3, "ky": True}]),
     ("model[0].stride: unknown key",
      [{"kind": "conv2d", "in_ch": 1, "out_ch": 2, "kx": 3, "ky": 3, "stride": 2}]),
+    ("model[2].in: 8, but model[0].out is 16", UNCHAINED_DENSE),
+    ("model[1].in_ch: 4, but model[0].out_ch is 8", UNCHAINED_CONV),
 ])
 def test_bad_model_spec_exit_2(workdir, capsys, field, model):
     cfg = write_config(workdir / "cfg.json", model=model)
     assert main(["run", str(cfg)]) == 2
     assert capsys.readouterr().err.strip() == f"config error at {field}"
+    assert [p.name for p in workdir.iterdir()] == ["cfg.json"]
 
 
 def test_huge_model_size_exit_2(workdir, capsys):
@@ -468,6 +478,18 @@ def test_load_rejects_missing_field(workdir, capsys, field, edit):
         err = capsys.readouterr().err
         assert f"error: {field}" in err
         assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("field, specs", [
+    ("layers[2].spec.in: 8, but layers[0].spec.out is 16", UNCHAINED_DENSE),
+    ("layers[1].spec.in_ch: 4, but layers[0].spec.out_ch is 8", UNCHAINED_CONV),
+])
+def test_load_rejects_unchained_layers(workdir, capsys, field, specs):
+    path = workdir / "ckpt.json"
+    checkpoint.save(path, Model.from_specs(specs, Rng(8).child("init")))
+    for command in (["inspect", str(path)], ["prune", str(path), "--sparsity", "50"]):
+        assert main(command) == 1
+        assert capsys.readouterr().err.strip() == f"error: {field}"
 
 
 @pytest.mark.parametrize("field, edit", [

@@ -176,11 +176,10 @@ def test_one_weight_blocks_match_gather_bitwise(rank, layout):
         assert got.dtype == want.dtype and np.array_equal(got, want, equal_nan=True)
         assert got[want != 0].tobytes() == want[want != 0].tobytes()
         keep = Rng(14).normal(part.n_blocks)[:, None] > 0
-        for dtype in (None, float):
-            want = np.empty(shape, dtype=keep.dtype if dtype is None else dtype)
-            want.ravel()[index.ravel()] = keep.ravel()
-            got = part.unrows(keep, dtype)
-            assert got.dtype == want.dtype and got.flags.c_contiguous
-            assert got.tobytes() == want.tobytes()
+        want = np.empty(shape, dtype=keep.dtype)
+        want.ravel()[index.ravel()] = keep.ravel()
+        got = part.unrows(keep)
+        assert got.dtype == want.dtype and got.flags.c_contiguous
+        assert got.tobytes() == want.tobytes()
         with pytest.raises(ValueError):
             aggregate_scores(np.ones(shape + (1,)), part)

@@ -1,0 +1,50 @@
+"""benchmarks/harness.py: round order, the checks on --rounds and --baseline,
+and how runs are merged into a benchmark's JSON file."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+_PATH = Path(__file__).resolve().parent.parent / "benchmarks" / "harness.py"
+_SPEC = importlib.util.spec_from_file_location("harness", _PATH)
+harness = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(harness)
+
+
+def test_two_trees_alternate_round_by_round():
+    trees = [("new", 1), ("base", 2)]
+    assert [label for label, _ in harness.alternate(trees, 3)] == [
+        "new", "base", "base", "new", "new", "base"]
+    assert list(harness.alternate(trees[:1], 2)) == [("new", 1), ("new", 1)]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--rounds", "0"], "--rounds must be at least 1"),
+    (["--baseline", "src"], "--baseline takes LABEL=DIR"),
+    (["--baseline", "=src"], "--baseline takes LABEL=DIR"),
+    (["--baseline", "new=src"], "with LABEL other than --label"),
+])
+def test_bad_rounds_or_baseline_exit_2(argv, message, capsys):
+    parser = harness.argument_parser("doc", "BENCH_x.json", rounds_help="rounds")
+    args = parser.parse_args(["--label", "new"] + argv)
+    with pytest.raises(SystemExit) as exc:
+        harness.trees(parser, args)
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+
+
+def test_write_runs_keeps_other_labels_and_pairs_both_ways(tmp_path, capsys):
+    out = tmp_path / "bench.json"
+    out.write_text(json.dumps({"about": "old", "runs": {"old": {"cases": [1]},
+                                                        "new": {"cases": [2]}}}))
+    harness.write_runs(out, "now", {"new": {"cases": [3]}, "base": {"cases": [4]}})
+    assert json.loads(out.read_text()) == {"about": "now", "runs": {
+        "old": {"cases": [1]},
+        "new": {"cases": [3], "paired_with": "base"},
+        "base": {"cases": [4], "paired_with": "new"}}}
+    harness.write_runs(out, "now", {"single": {"cases": [5]}})
+    runs = json.loads(out.read_text())["runs"]
+    assert runs["single"] == {"cases": [5]} and set(runs) == {"old", "new", "base", "single"}
+    assert out.read_text().endswith("}\n")
