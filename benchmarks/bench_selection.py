@@ -14,6 +14,9 @@ position is exercised; "normal" is N(0, 1/8) as drawn, where ties are rare;
 at exactly 0, as the pruned weights of dead units are, so most scores tie
 at the minimum in runs of whole rows. The last is the input on which
 numpy 2.x's quickselect stalls when asked for the k-th lowest score.
+The "apply" phase is prunekit.tensor.mask_in_place on a copy of each
+weights array, made outside the timer, so every repetition scores and
+masks the same unmasked weights.
 
 Before any timing, every mask is checked against an oracle that shares no
 code with prunekit's partition or selection: block scores from a gather
@@ -93,7 +96,7 @@ def oracle_masks(weights, spanned, context, sparsity):
 
 
 def update(pk, weights, granularity, context, sparsity):
-    """One mask update through prunekit's public functions, phase by phase."""
+    """One mask update through prunekit's functions, phase by phase."""
     phases = dict.fromkeys(("score", "partition", "aggregate", "select", "apply"), 0.0)
 
     def timed(phase, fn, *args):
@@ -111,7 +114,7 @@ def update(pk, weights, granularity, context, sparsity):
         scored.append(pk.LayerScores(part, timed("aggregate", pk.aggregate_scores, raw, part)))
     masks = timed("select", pk.select, scored, pk.ContextSpec(context), sparsity)
     for w, m in zip(weights, masks):
-        timed("apply", pk.apply_mask, w, m)
+        timed("apply", pk.tensor.mask_in_place, w.copy(), m)
     return masks, phases
 
 

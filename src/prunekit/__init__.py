@@ -19,7 +19,7 @@ from .selection import (ContextSpec, LayerScores, pruned_count, select, select_g
                         select_local, select_per_layer)
 from .sparsifier import (Sparsifier, SparsifyCallback, SparsifyPlan, Ticket,
                          compute_masks, model_sparsity, run_lth)
-from .tensor import apply_mask, init_weights, sparsity_of
+from .tensor import init_weights, sparsity_of
 from .train import Callback, TrainConfig, TrainingAborted, accuracy, fit, sgd_step
 
 __version__ = "0.1.0"

@@ -48,16 +48,14 @@ class Layer:
         return {"kind": self.kind}
 
 
-class Dense(Layer):
-    kind = "dense"
+class Weighted(Layer):
+    """A prunable layer whose sizes, in spec_keys order, are its weight shape."""
     prunable = True
-    spec_keys = ("in", "out")
 
-    def __init__(self, n_in: int, n_out: int):
-        self.n_in, self.n_out = n_in, n_out
-        self.weight_shape = (n_in, n_out)
+    def __init__(self, *sizes: int):
+        self.weight_shape = sizes
         self.weights = None
-        self.bias = np.zeros(n_out)
+        self.bias = np.zeros(sizes[1])
         self.mask = None
         self.history = None
         self.grad_w = None
@@ -65,11 +63,20 @@ class Dense(Layer):
 
     def init(self, rng):
         self.weights = init_weights(self.weight_shape, "uniform", rng)
-        self.bias = np.zeros(self.n_out)
+        self.bias = np.zeros(self.weight_shape[1])
+
+    def spec(self):
+        return {"kind": self.kind, **dict(zip(self.spec_keys, self.weight_shape))}
+
+
+class Dense(Weighted):
+    kind = "dense"
+    spec_keys = ("in", "out")
 
     def forward(self, x):
-        if x.ndim != 2 or x.shape[1] != self.n_in:
-            raise ValueError(f"dense expects [N, {self.n_in}], got {x.shape}")
+        n_in = self.weight_shape[0]
+        if x.ndim != 2 or x.shape[1] != n_in:
+            raise ValueError(f"dense expects [N, {n_in}], got {x.shape}")
         self._x = x
         return x @ self.weights + self.bias
 
@@ -81,35 +88,18 @@ class Dense(Layer):
         self.backward_params(gout)
         return gout @ self.weights.T
 
-    def spec(self):
-        return {"kind": self.kind, "in": self.n_in, "out": self.n_out}
 
-
-class Conv2d(Layer):
+class Conv2d(Weighted):
     kind = "conv2d"
-    prunable = True
     spec_keys = ("in_ch", "out_ch", "kx", "ky")
-
-    def __init__(self, in_ch: int, out_ch: int, kx: int, ky: int):
-        self.in_ch, self.out_ch, self.kx, self.ky = in_ch, out_ch, kx, ky
-        self.weight_shape = (in_ch, out_ch, kx, ky)
-        self.weights = None
-        self.bias = np.zeros(out_ch)
-        self.mask = None
-        self.history = None
-        self.grad_w = None
-        self.grad_b = None
-        self._cols = None
-
-    def init(self, rng):
-        self.weights = init_weights(self.weight_shape, "uniform", rng)
-        self.bias = np.zeros(self.out_ch)
+    _cols = None
 
     def _check(self, x):
-        if x.ndim != 4 or x.shape[1] != self.in_ch:
-            raise ValueError(f"conv2d expects [N, {self.in_ch}, H, W], got {x.shape}")
-        if x.shape[2] < self.kx or x.shape[3] < self.ky:
-            raise ValueError(f"input {x.shape} smaller than kernel ({self.kx}, {self.ky})")
+        in_ch, _, kx, ky = self.weight_shape
+        if x.ndim != 4 or x.shape[1] != in_ch:
+            raise ValueError(f"conv2d expects [N, {in_ch}, H, W], got {x.shape}")
+        if x.shape[2] < kx or x.shape[3] < ky:
+            raise ValueError(f"input {x.shape} smaller than kernel ({kx}, {ky})")
 
     def forward(self, x):
         self._check(x)
@@ -132,10 +122,6 @@ class Conv2d(Layer):
     def backward(self, gout):
         self.backward_params(gout)
         return kernels.conv2d_grad_x(gout, self.weights)
-
-    def spec(self):
-        return {"kind": self.kind, "in_ch": self.in_ch, "out_ch": self.out_ch,
-                "kx": self.kx, "ky": self.ky}
 
 
 class ReLU(Layer):
@@ -195,9 +181,9 @@ def check_chain(layers: list[Layer], path: str) -> None:
     for i, layer in enumerate(layers):
         if isinstance(layer, ReLU):
             continue
-        if prev is not None and type(layers[prev]) is type(layer) and layer.spec_keys:
-            key_in, key_out = layer.spec_keys[:2]  # dense and conv2d list in, out first
-            n_in, n_out = layer.spec()[key_in], layers[prev].spec()[key_out]
+        if prev is not None and type(layers[prev]) is type(layer) and layer.weight_shape:
+            key_in, key_out = layer.spec_keys[:2]  # a weight shape starts [in, out]
+            n_in, n_out = layer.weight_shape[0], layers[prev].weight_shape[1]
             if n_in != n_out:
                 raise FieldError(f"{path.format(i)}.{key_in}",
                                  f"{n_in}, but {path.format(prev)}.{key_out} is {n_out}")

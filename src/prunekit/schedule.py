@@ -18,7 +18,7 @@ BUILTIN_SCHEDULES = ("one_shot", "iterative", "gradual", "one_cycle", "dsd")
 
 _LOG_MAX = math.log(sys.float_info.max)  # math.exp overflows above this
 
-# name -> f(sparsity, t, spec) for user-registered schedules
+# name -> f(sparsity, t) for user-registered schedules
 _custom_registry: dict = {}
 
 

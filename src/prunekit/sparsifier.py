@@ -2,20 +2,24 @@
 
 Three entry points:
 
-  * Sparsifier      -- static pruning of a layer or whole model
-  * SparsifyCallback -- dynamic pruning during training, driven by a schedule
+  * Sparsifier      -- static pruning of a layer or whole model; the only
+                       code that computes masks and writes them into weights
+  * SparsifyCallback -- dynamic pruning during training: a schedule around
+                        one Sparsifier
   * run_lth          -- lottery-ticket experiments (reset to a saved snapshot
                         after each pruning round)
+
+Sparsifier masks each layer's weights array in place, in static pruning
+and in the callback alike; only an LTH rewind or reset_end puts a copy of
+the rewind snapshot in its place.
 
 The callback acts once per completed step, step 0 being the start of
 training: at step rewind_epoch * steps_per_epoch it first takes the rewind
 snapshot, then it runs the mask update due at that step, if any. Masks are
 recomputed from scratch at every update; pruned weights stay zero because
-the callback re-applies the current masks after each optimizer step
-without an update. The callback masks each weights array in place, as the
-optimizer updates it; Sparsifier.prune_model, whose caller's arrays may
-alias the model's, masks into new arrays. Every lottery ticket shares the
-one rewind snapshot.
+the callback has its Sparsifier re-apply the current masks after each
+optimizer step without an update. Every lottery ticket shares the one
+rewind snapshot.
 """
 
 from dataclasses import asdict, dataclass
@@ -29,7 +33,7 @@ from .layers import Model
 from .rng import Rng
 from .schedule import ScheduleSpec, current_target, eval_schedule, window_steps
 from .selection import ContextSpec, LayerScores, select
-from .tensor import apply_mask, mask_in_place
+from .tensor import mask_in_place
 from .train import Callback, accuracy
 
 
@@ -72,9 +76,6 @@ class SparsifyPlan:
     @property
     def per_layer(self) -> bool:
         return isinstance(self.sparsity, list)
-
-    def context_spec(self) -> ContextSpec:
-        return ContextSpec(self.context)
 
     def to_dict(self) -> dict:
         """The plan as JSON values, as echoed into checkpoints."""
@@ -133,7 +134,7 @@ def model_sparsity(layers) -> float:
 
 
 class Sparsifier:
-    """Static pruning: compute masks for the current weights and apply them."""
+    """Static pruning: compute masks for the current weights and apply them in place."""
 
     def __init__(self, model: Model, granularity: str, context: str, criterion: str,
                  rng: Rng | None = None):
@@ -143,26 +144,31 @@ class Sparsifier:
         self.criterion = Criterion(criterion)
         self.rng = rng
 
+    def _prune(self, layers, context: str, sparsity) -> list[np.ndarray]:
+        masks = compute_masks(layers, self.granularity, ContextSpec(context), self.criterion,
+                              sparsity, self.rng)
+        for layer, mask in zip(layers, masks):
+            layer.mask = mask
+            mask_in_place(layer.weights, mask)
+        return masks
+
     def prune_layer(self, layer_index: int, sparsity: float) -> np.ndarray:
         layer = self.model.layers[layer_index]
         if not layer.prunable:
             raise ValueError(f"layer {layer_index} ({layer.kind}) is not prunable")
-        mask = compute_masks([layer], self.granularity, ContextSpec("local"),
-                             self.criterion, sparsity, self.rng)[0]
-        layer.mask = mask
-        layer.weights = apply_mask(layer.weights, mask)
-        return mask
+        return self._prune([layer], "local", sparsity)[0]
 
     def prune_model(self, sparsity) -> list[np.ndarray]:
         layers = self.model.prunable_layers()
         if not layers:
             raise ValueError("model has no prunable layer")
-        masks = compute_masks(layers, self.granularity, ContextSpec(self.context), self.criterion,
-                              sparsity, self.rng)
-        for layer, mask in zip(layers, masks):
-            layer.mask = mask
-            layer.weights = apply_mask(layer.weights, mask)
-        return masks
+        return self._prune(layers, self.context, sparsity)
+
+    def apply_masks(self) -> None:
+        """Multiply every masked layer's weights by its current mask again."""
+        for layer in self.model.prunable_layers():
+            if layer.mask is not None:
+                mask_in_place(layer.weights, layer.mask)
 
 
 @dataclass
@@ -176,7 +182,8 @@ class Ticket:
 
 
 class SparsifyCallback(Callback):
-    """Dynamic pruning attached to the training loop.
+    """Dynamic pruning attached to the training loop: a schedule around one
+    Sparsifier, built from the plan when training begins.
 
     Per optimizer step the current masks are re-applied; at schedule
     boundaries inside the pruning window masks are recomputed from
@@ -188,8 +195,7 @@ class SparsifyCallback(Callback):
     def __init__(self, plan: SparsifyPlan, rng: Rng | None = None):
         self.plan = plan
         self.rng = rng
-        self.criterion = Criterion(plan.criterion)
-        if self.criterion.kind == "random" and rng is None:
+        if plan.criterion == "random" and rng is None:
             raise ValueError("criterion 'random' requires an rng")
         self.rewind_snapshot = None
         self.tickets: list[Ticket] = []
@@ -204,11 +210,10 @@ class SparsifyCallback(Callback):
         """Put copies of the rewind snapshot in the model, masked by the current masks."""
         params = iter(self.rewind_snapshot)
         for layer in state["model"].layers:
-            if layer.weights is None:
-                continue
-            w, b = next(params)
-            layer.weights = w.copy() if layer.mask is None else mask_in_place(w.copy(), layer.mask)
-            layer.bias = b.copy()
+            if layer.weights is not None:
+                w, b = next(params)
+                layer.weights, layer.bias = w.copy(), b.copy()
+        self._sparsifier.apply_masks()
 
     def _targets(self, step: int):
         spec, window = self.plan.schedule, self._window
@@ -220,11 +225,9 @@ class SparsifyCallback(Callback):
         model = state["model"]
         layers = model.prunable_layers()
         target = self._targets(step)
-        masks = compute_masks(layers, self.plan.granularity, self.plan.context_spec(), self.criterion,
-                              target, self.rng)
-        for layer, mask in zip(layers, masks):
-            layer.mask = mask
-            np.copyto(layer.history, mask_in_place(layer.weights, mask))
+        masks = self._sparsifier.prune_model(target)
+        for layer in layers:
+            np.copyto(layer.history, layer.weights)
         self._model_sparsity = model_sparsity(layers)
         scalar_target = float(np.mean(target)) if self.plan.per_layer else target
         if self.plan.lth:
@@ -234,7 +237,7 @@ class SparsifyCallback(Callback):
                     round=len(self.tickets) + 1,
                     target_sparsity=scalar_target,
                     mask_sparsity=self._model_sparsity,
-                    masks=[m.copy() for m in masks],
+                    masks=masks,
                     accuracy=accuracy(model, state["x_eval"], state["y_eval"]),
                 ))
 
@@ -248,11 +251,6 @@ class SparsifyCallback(Callback):
         self._update_masks(state, step)
         return True
 
-    def _reapply(self, state):
-        for layer in state["model"].prunable_layers():
-            if layer.mask is not None:
-                mask_in_place(layer.weights, layer.mask)
-
     def _publish(self, state):
         target = self._targets(state.get("global_step", 0))
         state["target_sparsity"] = float(np.mean(target)) if self.plan.per_layer else target
@@ -261,9 +259,11 @@ class SparsifyCallback(Callback):
     # -- hooks -------------------------------------------------------------
 
     def on_train_begin(self, state):
-        model = state["model"]
-        self.plan.check_model(model, state["total_epochs"])
-        spec = self.plan.schedule
+        model, plan = state["model"], self.plan
+        plan.check_model(model, state["total_epochs"])
+        self._sparsifier = Sparsifier(model, plan.granularity, plan.context, plan.criterion,
+                                      self.rng)
+        spec = plan.schedule
         for layer in model.prunable_layers():
             layer.history = layer.weights.copy()
             layer.mask = None
@@ -273,15 +273,15 @@ class SparsifyCallback(Callback):
         self._update_steps = {epoch * spe + (j * spe) // spec.update_frequency
                               for epoch in range(spec.start_epoch, end_step // spe)
                               for j in range(spec.update_frequency)} | {end_step}
-        rewinds = self.plan.lth or self.plan.reset_end
-        self._rewind_step = self.plan.rewind_epoch * spe if rewinds else None
+        rewinds = plan.lth or plan.reset_end
+        self._rewind_step = plan.rewind_epoch * spe if rewinds else None
         self._model_sparsity = 0.0  # of the current masks; they change only in _update_masks
         self._step_done(state, 0)
         self._publish(state)
 
     def on_step_end(self, state):
         if not self._step_done(state, state["global_step"]):
-            self._reapply(state)
+            self._sparsifier.apply_masks()
         self._publish(state)
 
     def on_train_end(self, state):

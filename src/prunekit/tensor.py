@@ -17,14 +17,9 @@ def check_congruent(w: np.ndarray, m: np.ndarray) -> None:
         raise ValueError(f"shape mismatch: {w.shape} vs {m.shape}")
 
 
-def apply_mask(w: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """Elementwise w * m: zero where the mask is 0, keep where it is 1."""
-    check_congruent(w, m)
-    return w * m
-
-
 def mask_in_place(w: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """apply_mask written into w itself; returns w."""
+    """Elementwise w * m written into w itself: zero where the mask is 0,
+    kept where it is 1. Returns w."""
     check_congruent(w, m)
     return np.multiply(w, m, out=w)
 

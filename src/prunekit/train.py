@@ -126,7 +126,7 @@ def _fire(callbacks, event, state, abort_handler):
             raise _abort(exc, state, abort_handler) from exc
 
 
-def fit(model: Model, config: TrainConfig, callbacks=(), data=None, abort_handler=None):
+def fit(model: Model, config: TrainConfig, callbacks=(), abort_handler=None):
     """Train the model; returns (model, metric_log).
 
     Metric rows: epoch, step, train_loss, train_acc, model_sparsity,
@@ -134,8 +134,7 @@ def fit(model: Model, config: TrainConfig, callbacks=(), data=None, abort_handle
     by a sparsify callback through the state dict.
     """
     rng = Rng(config.seed)
-    if data is None:
-        data = make_dataset(config.dataset, rng.child("data"))
+    data = make_dataset(config.dataset, rng.child("data"))
     (x_train, y_train), (x_eval, y_eval) = train_eval_split(*data)
     shuffle_rng = rng.child("shuffle")
 

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from prunekit import (Callback, Model, Rng, ScheduleSpec, Sparsifier, SparsifyCallback, SparsifyPlan,
-                      TrainConfig, accuracy, fit, make_dataset, model_sparsity, run_lth, sparsity_of,
-                      train_eval_split)
+from prunekit import (Callback, ContextSpec, Criterion, Model, Rng, ScheduleSpec, Sparsifier,
+                      SparsifyCallback, SparsifyPlan, TrainConfig, accuracy, fit, make_dataset,
+                      model_sparsity, run_lth, sparsity_of, train_eval_split)
 from prunekit.sparsifier import compute_masks
 
 BLOBS = {"kind": "blobs2d", "n": 200, "separation": 4.0}
@@ -20,7 +20,7 @@ def mlp(seed=None):
 def test_prune_layer_weight_granularity():
     model = mlp()
     model.layers[0].weights = np.array([[1.0, 2.0], [3.0, 4.0]])
-    model.layers[0].n_in = model.layers[0].n_out = 2
+    model.layers[0].weight_shape = (2, 2)
     model.layers[0].bias = np.zeros(2)
     sp = Sparsifier(model, "weight", "local", "large_final")
     mask = sp.prune_layer(0, 50)
@@ -55,8 +55,8 @@ def test_prune_conv_filter_granularity():
 def test_prune_model_global_lands_in_low_layer():
     model = mlp()
     for layer in model.prunable_layers():
-        layer.weights = np.ones((layer.n_in, layer.n_out))
-        layer.bias = np.zeros(layer.n_out)
+        layer.weights = np.ones(layer.weight_shape)
+        layer.bias = np.zeros(layer.weight_shape[1])
     model.layers[0].weights *= 0.001  # 32 weights, all tiny
     masks = Sparsifier(model, "weight", "global", "large_final").prune_model(50)
     # 64 total weights: floor(32) pruned, all in the small layer
@@ -92,6 +92,25 @@ def test_prune_model_per_layer_list():
     model = mlp(7)
     masks = Sparsifier(model, "weight", "local", "large_final").prune_model([0, 100])
     assert sparsity_of(masks[0]) == 0.0 and sparsity_of(masks[1]) == 1.0
+
+
+def test_static_pruning_masks_the_model_arrays_in_place():
+    """prune_model and prune_layer write w * mask into each layer's own weights
+    array, and apply_masks masks those arrays again."""
+    model = mlp(23)
+    layers = model.prunable_layers()
+    arrays = [layer.weights for layer in layers]
+    before = [w.copy() for w in arrays]
+    sp = Sparsifier(model, "weight", "global", "large_final")
+    masks = sp.prune_model(40)
+    for layer, w, w0, mask in zip(layers, arrays, before, masks, strict=True):
+        assert layer.weights is w and w.tobytes() == (w0 * mask).tobytes()
+    before = arrays[0].copy()
+    mask = sp.prune_layer(0, 70)
+    assert layers[0].weights is arrays[0] and arrays[0].tobytes() == (before * mask).tobytes()
+    arrays[1] += 1.0
+    sp.apply_masks()
+    assert layers[1].weights is arrays[1] and np.all(arrays[1][masks[1] == 0] == 0)
 
 
 def test_callback_random_criterion_needs_rng():
@@ -330,8 +349,8 @@ class OutOfPlaceCallback(SparsifyCallback):
     def _update_masks(self, state, step):
         layers = state["model"].prunable_layers()
         target = self._targets(step)
-        masks = compute_masks(layers, self.plan.granularity, self.plan.context_spec(),
-                              self.criterion, target, self.rng)
+        masks = compute_masks(layers, self.plan.granularity, ContextSpec(self.plan.context),
+                              Criterion(self.plan.criterion), target, self.rng)
         for layer, mask in zip(layers, masks):
             layer.mask = mask
             layer.weights = layer.weights * mask

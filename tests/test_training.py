@@ -160,8 +160,8 @@ def test_accuracy_leaves_no_columns():
 def test_uniform_logits_zero_bias_gradient():
     model = mlp()
     for layer in model.prunable_layers():
-        layer.weights = np.zeros((layer.n_in, layer.n_out))
-        layer.bias = np.zeros(layer.n_out)
+        layer.weights = np.zeros(layer.weight_shape)
+        layer.bias = np.zeros(layer.weight_shape[1])
     x = Rng(1).normal((4, 2))
     y = np.array([0, 1, 0, 1])  # balanced
     _, grad = softmax_cross_entropy(model.forward(x), y)
