@@ -23,7 +23,7 @@ and in every round both trees run `reps` steps back to back, each going
 first in every other round. Before any timing, one step from the same
 initial weights is run in every tree, and a second time in the first
 tree: the logits, loss, gradients and updated parameters must be
-byte-equal.
+byte-equal, and the exit message names the first array that is not.
 
 Each phase stores the time.perf_counter median and quartiles in us over
 all rounds' steps, and the median of each round (round_medians_us; round
@@ -107,12 +107,14 @@ class Step:
         return logits, loss
 
     def outputs(self):
-        """The bytes of one step's logits, loss, gradients and updated parameters."""
+        """(name, bytes) of one step's logits, loss, gradients and updated
+        parameters; a layer's are named like "conv2d[2].grad_w"."""
         logits, loss = self.run()
-        out = [logits.tobytes(), repr(loss).encode()]
-        for layer in self.model.layers:
+        out = [("logits", logits.tobytes()), ("loss", repr(loss).encode())]
+        for i, layer in enumerate(self.model.layers):
             if layer.weights is not None:
-                out += [a.tobytes() for a in (layer.grad_w, layer.grad_b, layer.weights, layer.bias)]
+                out += [(f"{layer.kind}[{i}].{name}", getattr(layer, name).tobytes())
+                        for name in ("grad_w", "grad_b", "weights", "bias")]
         return out
 
 
@@ -130,9 +132,11 @@ def main(argv=None):
     for workload in WORKLOADS:
         want = Step(trees[0][1], workload, args.seed).outputs()
         for label, pk in trees:
-            if Step(pk, workload, args.seed).outputs() != want:
+            got = Step(pk, workload, args.seed).outputs()
+            differ = [name for (name, a), (_, b) in zip(got, want) if a != b]
+            if differ:
                 sys.exit(f"{label}: one {workload} step differs from {trees[0][0]}'s "
-                         f"(or from its own first run)")
+                         f"(or from its own first run), first in {differ[0]}")
         steps = {label: Step(pk, workload, args.seed) for label, pk in trees}
         phases = steps[args.label].phases + ["step"]
         times = {label: {p: [] for p in phases} for label, _ in trees}

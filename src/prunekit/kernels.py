@@ -3,54 +3,67 @@
 Conventions: inputs [N, I, H, W], weights [I, O, Kx, Ky], valid
 cross-correlation with stride 1 and no padding.
 
-The forward pass and grad_w are one matmul each over the same im2col
-columns (Chellapilla et al., 2006): one row per output position, N*Ho*Wo
-rows, and one column per (kernel offset, input channel) pair, channel
-innermost. The columns are gathered from a channels-last copy of the
-input, so each copied run is Ky*I doubles long, not Ky. The forward pass
-adds the bias into its contiguous [N*Ho*Wo, O] product and can return the
-columns with the output; grad_w multiplies columns it is given instead of
-building them again. Conv2d keeps a training forward's columns until its
-backward and keeps none from an eval forward.
+Activations and gradients are kept batch-innermost, [C, H, W, N] in
+memory (chwn()), as cuda-convnet stores them (Krizhevsky et al., 2012),
+and handed out as [N, C, H, W] views of that memory. An input in any
+other layout is copied once on entry; one in this layout is not copied
+at all, so a conv layer's output, and a ReLU's (which keeps its input's
+layout), is the next conv layer's input as it stands.
 
-grad_x loops over the Kx*Ky kernel offsets instead and adds one matmul per
-offset into a shifted channels-last window: an im2col grad_x, over the
-zero-padded output gradient, took 2 to 2.5 times as long at the
-conv_train_1, conv_train_2 and large shapes of benchmarks/bench_kernels.py.
-Each offset multiplies a contiguous [O, I] slice of one transposed copy of
-the weights, made once per call: a strided w[:, :, u, v].T is copied by
-numpy before every matmul, and BLAS gets the same matrix either way.
+The forward pass and grad_w are one matmul each over the same im2col
+columns (Chellapilla et al., 2006): one row per (kernel offset, input
+channel) pair, channel innermost, and one column per output position,
+Ho*Wo*N columns with the batch innermost. Every run the gather copies is
+one window row of Wo*N doubles. The forward pass computes
+w[O, K] @ columns, adds the bias per row of that contiguous [O, Ho*Wo*N]
+product and can return the columns with the output; grad_w multiplies
+columns it is given instead of building them again, summing over
+(Ho, Wo, N). Conv2d keeps a training forward's columns until its backward
+and keeps none from an eval forward.
+
+grad_x loops over the Kx*Ky kernel offsets instead and adds one
+[I, Ho*Wo*N] matmul per offset into a shifted window of the [I, H, W, N]
+gradient, whose runs are Wo*N doubles long. Each offset multiplies a
+contiguous [I, O] slice of one transposed copy of the weights, made once
+per call; BLAS gets the same matrix as from the strided w[:, :, u, v].
 """
 
 import numpy as np
 
 
+def chwn(a):
+    """a [N, C, H, W] as contiguous [C, H, W, N] memory: a's own memory if a
+    is a view of such memory, else a copy."""
+    return np.ascontiguousarray(a.transpose(1, 2, 3, 0))
+
+
 def _columns(x, kx, ky):
-    """im2col columns [N*Ho*Wo, Kx*Ky*I] of x [N, I, H, W], ordered (u, v, i)."""
+    """im2col columns [Kx*Ky*I, Ho*Wo*N] of x [N, I, H, W], rows ordered (u, v, i)."""
     n, ci, h, wd = x.shape
-    xc = np.ascontiguousarray(x.transpose(0, 2, 3, 1))
-    sn, sh, sw, _ = xc.strides
-    # windows[n, p, q, u, j] = xc[n, p + u, q + j // ci, j % ci]: a window row's
-    # Ky*I values are one contiguous run of xc. The ndarray constructor builds
+    xc = chwn(x)
+    si, sh, sw, _ = xc.strides
+    ho, wo = h - kx + 1, wd - ky + 1
+    # windows[u, v, i, p, r] = xc[i, p + u, v + r // n, r % n]: one window row's
+    # Wo*N values are one contiguous run of xc. The ndarray constructor builds
     # the view in a fifth of as_strided's time, which matters at conv-train's
     # shapes; read-only, as a 1x1 kernel's columns are a view of x itself.
-    windows = np.ndarray((n, h - kx + 1, wd - ky + 1, kx, ky * ci), xc.dtype, buffer=xc,
-                         offset=0, strides=(sn, sh, sw, sh, xc.itemsize))
+    windows = np.ndarray((kx, ky, ci, ho, wo * n), xc.dtype, buffer=xc,
+                         offset=0, strides=(sh, sw, si, sh, xc.itemsize))
     windows.setflags(write=False)
-    return windows.reshape(-1, kx * ky * ci)
+    return windows.reshape(kx * ky * ci, -1)
 
 
 def conv2d_forward(x, w, b=None, return_columns=False):
-    """[N, O, Ho, Wo] output, plus the im2col columns it multiplied when
-    return_columns is set; the bias b [O], if given, is added to the
-    contiguous [N*Ho*Wo, O] product."""
+    """[N, O, Ho, Wo] output, a view of [O, Ho, Wo, N] memory, plus the im2col
+    columns it multiplied when return_columns is set; the bias b [O], if
+    given, is added to each row of the contiguous [O, Ho*Wo*N] product."""
     o, kx, ky = w.shape[1:]
     n, ho, wo = x.shape[0], x.shape[2] - kx + 1, x.shape[3] - ky + 1
     cols = _columns(x, kx, ky)
-    out = cols @ w.transpose(2, 3, 0, 1).reshape(-1, o)
+    out = w.transpose(1, 2, 3, 0).reshape(o, -1) @ cols
     if b is not None:
-        out += b
-    out = out.reshape(n, ho, wo, o).transpose(0, 3, 1, 2)
+        out += b[:, None]
+    out = out.reshape(o, ho, wo, n).transpose(3, 0, 1, 2)
     return (out, cols) if return_columns else out
 
 
@@ -61,18 +74,19 @@ def conv2d_grad_w(x, gout, cols=None):
     ci, kx, ky = x.shape[1], x.shape[2] - ho + 1, x.shape[3] - wo + 1
     if cols is None:
         cols = _columns(x, kx, ky)
-    g = gout.transpose(0, 2, 3, 1).reshape(-1, o)
-    return (g.T @ cols).reshape(o, kx, ky, ci).transpose(3, 0, 1, 2)
+    g = chwn(gout).reshape(o, -1)
+    return (g @ cols.T).reshape(o, kx, ky, ci).transpose(3, 0, 1, 2)
 
 
 def conv2d_grad_x(gout, w):
-    """dx [N, I, H, W]: each offset's g @ w[:, :, u, v].T lands in its shifted window."""
+    """dx [N, I, H, W], a view of [I, H, W, N] memory: each offset's
+    w[:, :, u, v] @ g lands in its shifted window."""
     n, o, ho, wo = gout.shape
     ci, _, kx, ky = w.shape
-    g = np.ascontiguousarray(gout.transpose(0, 2, 3, 1)).reshape(-1, o)
-    wt = np.ascontiguousarray(w.transpose(2, 3, 1, 0))  # wt[u, v] is w[:, :, u, v].T, contiguous
-    dx = np.zeros((n, ho + kx - 1, wo + ky - 1, ci))
+    g = chwn(gout).reshape(o, -1)
+    wt = np.ascontiguousarray(w.transpose(2, 3, 0, 1))  # wt[u, v] is w[:, :, u, v], contiguous
+    dx = np.zeros((ci, ho + kx - 1, wo + ky - 1, n))
     for u in range(kx):
         for v in range(ky):
-            dx[:, u:u + ho, v:v + wo] += (g @ wt[u, v]).reshape(n, ho, wo, ci)
-    return dx.transpose(0, 3, 1, 2)
+            dx[:, u:u + ho, v:v + wo] += (wt[u, v] @ g).reshape(ci, ho, wo, n)
+    return dx.transpose(3, 0, 1, 2)

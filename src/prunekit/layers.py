@@ -86,7 +86,11 @@ class Dense(Weighted):
 
     def backward(self, gout):
         self.backward_params(gout)
-        return gout @ self.weights.T
+        if self._x.flags.c_contiguous:
+            return gout @ self.weights.T
+        # x is a Flatten view of a conv layer's [C, H, W, N] memory, and the
+        # F-ordered input gradient comes back in that layout
+        return (self.weights @ gout.T).T
 
 
 class Conv2d(Weighted):
@@ -114,14 +118,18 @@ class Conv2d(Weighted):
         return kernels.conv2d_forward(x, self.weights, self.bias)
 
     def backward_params(self, gout):
+        g = kernels.chwn(gout)  # no copy when gout is a view of [O, Ho, Wo, N] memory
         # without columns from a training forward, grad_w rebuilds them from _x
-        self.grad_w = kernels.conv2d_grad_w(self._x, gout, self._cols)
+        self.grad_w = kernels.conv2d_grad_w(self._x, g.transpose(3, 0, 1, 2), self._cols)
         self._cols = None
-        self.grad_b = gout.sum(axis=(0, 2, 3))
+        self.grad_b = g.reshape(len(g), -1).sum(axis=1)
 
     def backward(self, gout):
-        self.backward_params(gout)
-        return kernels.conv2d_grad_x(gout, self.weights)
+        # the one batch-innermost copy of gout, if any: grad_w, grad_b and
+        # grad_x all read it
+        g = kernels.chwn(gout).transpose(3, 0, 1, 2)
+        self.backward_params(g)
+        return kernels.conv2d_grad_x(g, self.weights)
 
 
 class ReLU(Layer):

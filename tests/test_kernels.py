@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -16,8 +18,8 @@ SHAPES = {
     "width_1": ((2, 3, 4, 1), (3, 2, 2, 1)),
 }
 
-# perfbench's conv-train layers at the training batch: the im2col matmuls
-# have 32*Ho*Wo rows
+# perfbench's conv-train layers at the training batch: the im2col columns
+# are 32*Ho*Wo long
 BATCH32_SHAPES = {
     "conv_train_layer1": ((32, 1, 8, 8), (1, 8, 3, 3)),
     "conv_train_layer2": ((32, 8, 6, 6), (8, 16, 3, 3)),
@@ -53,15 +55,15 @@ def grad_x_loops(gout, w):
 
 
 def grad_x_strided_weights(gout, w):
-    """conv2d_grad_x with each offset's matmul on the strided view w[:, :, u, v].T."""
+    """conv2d_grad_x with each offset's matmul on the strided view w[:, :, u, v]."""
     n, o, ho, wo = gout.shape
     ci, _, kx, ky = w.shape
-    g = np.ascontiguousarray(gout.transpose(0, 2, 3, 1)).reshape(-1, o)
-    dx = np.zeros((n, ho + kx - 1, wo + ky - 1, ci))
+    g = np.ascontiguousarray(gout.transpose(1, 2, 3, 0)).reshape(o, -1)
+    dx = np.zeros((ci, ho + kx - 1, wo + ky - 1, n))
     for u in range(kx):
         for v in range(ky):
-            dx[:, u:u + ho, v:v + wo] += (g @ w[:, :, u, v].T).reshape(n, ho, wo, ci)
-    return dx.transpose(0, 3, 1, 2)
+            dx[:, u:u + ho, v:v + wo] += (w[:, :, u, v] @ g).reshape(ci, ho, wo, n)
+    return dx.transpose(3, 0, 1, 2)
 
 
 def _case(x_shape, w_shape, seed=0):
@@ -145,12 +147,46 @@ def test_grad_x_bits_equal_strided_weight_matmuls(x_shape, w_shape):
 
 
 def test_columns_viewing_the_input_are_read_only():
-    # with a 1x1 kernel and a channels-last input the columns are x's own memory
+    # with a 1x1 kernel and a batch-innermost input the columns are x's own memory
     x, w, _ = _case(*SHAPES["kernel_1x1"])
-    x = np.ascontiguousarray(x.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)
+    x = np.ascontiguousarray(x.transpose(1, 2, 3, 0)).transpose(3, 0, 1, 2)
     _, cols = kernels.conv2d_forward(x, w, return_columns=True)
     assert np.shares_memory(cols, x)
     assert not cols.flags.writeable
+
+
+def _layouts(a):
+    """a [N, C, H, W] as NCHW-contiguous memory, as an NHWC view and as a CHWN view."""
+    return (np.ascontiguousarray(a),
+            np.ascontiguousarray(a.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2),
+            np.ascontiguousarray(a.transpose(1, 2, 3, 0)).transpose(3, 0, 1, 2))
+
+
+@pytest.mark.parametrize("name", ["conv_train_layer2", "batch_1", "kernel_3x2", "width_1"])
+def test_kernels_same_bytes_from_any_input_layout(name):
+    x, w, gout = _case(*SHAPES[name])
+    runs = [(kernels.conv2d_forward(xl, w).tobytes(), kernels.conv2d_grad_w(xl, gl).tobytes(),
+             kernels.conv2d_grad_x(gl, w).tobytes())
+            for xl, gl in zip(_layouts(x), _layouts(gout))]
+    assert runs[1] == runs[0] and runs[2] == runs[0]
+
+
+def test_forward_and_grad_x_return_batch_innermost_memory():
+    x, w, gout = _case(*SHAPES["conv_train_layer2"])
+    for out in (kernels.conv2d_forward(x, w), kernels.conv2d_grad_x(gout, w)):
+        assert out.transpose(1, 2, 3, 0).flags.c_contiguous
+        assert np.shares_memory(kernels.chwn(out), out)
+
+
+def test_grad_w_reads_batch_innermost_gout_and_columns_without_a_copy():
+    x, w, gout = _case(*BATCH32_SHAPES["conv_train_layer2"])
+    _, cols = kernels.conv2d_forward(x, w, return_columns=True)
+    g = np.ascontiguousarray(gout.transpose(1, 2, 3, 0)).transpose(3, 0, 1, 2)
+    tracemalloc.start()
+    kernels.conv2d_grad_w(x, g, cols)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert peak < gout.nbytes / 2  # dw is 9 kB, gout 64 kB and the columns 330 kB
 
 
 def test_forward_hand_value():

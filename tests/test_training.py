@@ -157,6 +157,59 @@ def test_accuracy_leaves_no_columns():
     assert all(l._cols is None for l in model.layers if l.kind == "conv2d")
 
 
+def _chwn_memory(a):
+    return a.transpose(1, 2, 3, 0).flags.c_contiguous
+
+
+@pytest.mark.parametrize("kx", [3, 1])
+def test_second_conv_layer_reads_its_input_without_a_copy(kx):
+    conv1, relu, conv2 = Conv2d(1, 8, 3, 3), ReLU(), Conv2d(8, 4, kx, kx)
+    for layer in (conv1, conv2):
+        layer.init(Rng(kx))
+    h = relu.forward(conv1.forward(Rng(1).normal((32, 1, 8, 8))))
+    assert _chwn_memory(h)  # so conv2 gathers its columns from h's own memory
+    conv2.forward(h)
+    if kx == 1:  # the columns are then h itself
+        assert np.shares_memory(conv2._cols, h)
+
+
+def test_gradient_reaches_the_last_conv_layer_batch_innermost():
+    # dense, flatten and relu hand the conv layer below its own layout back,
+    # so its backward copies nothing
+    model = Model.from_specs(CONV_TRAIN_SPECS, Rng(5))
+    x = Rng(6).normal((32, 1, 8, 8))
+    model.forward(x)
+    grad = Rng(7).normal((32, 2))
+    for layer in reversed(model.layers[3:]):
+        grad = layer.backward(grad)
+    assert grad.shape == (32, 16, 4, 4) and _chwn_memory(grad)
+
+
+def test_conv_backward_copies_gout_at_most_once(monkeypatch):
+    from prunekit import kernels
+    seen = []  # the gout each of conv2d_grad_w and conv2d_grad_x gets
+    for name, pos in (("conv2d_grad_w", 1), ("conv2d_grad_x", 0)):
+        monkeypatch.setattr(kernels, name, lambda *a, k=getattr(kernels, name), p=pos:
+                            seen.append(a[p]) or k(*a))
+    layer = Conv2d(8, 16, 3, 3)
+    layer.init(Rng(2))
+    x = Rng(3).normal((32, 8, 6, 6))
+    nchw = Rng(4).normal((32, 16, 4, 4))
+    chwn = np.ascontiguousarray(nchw.transpose(1, 2, 3, 0)).transpose(3, 0, 1, 2)
+    results = []
+    for gout in (nchw, chwn):
+        seen.clear()
+        layer.forward(x)
+        grad_x = layer.backward(gout)
+        g_w, g_x = seen
+        # both kernels read one batch-innermost array, and take it as it is
+        assert _chwn_memory(g_w) and np.shares_memory(g_w, g_x)
+        assert np.shares_memory(kernels.chwn(g_w), g_w)
+        results.append([a.tobytes() for a in (grad_x, layer.grad_w, layer.grad_b)])
+    assert np.shares_memory(g_w, chwn)  # already batch-innermost: no copy at all
+    assert results[0] == results[1]
+
+
 def test_uniform_logits_zero_bias_gradient():
     model = mlp()
     for layer in model.prunable_layers():
@@ -283,10 +336,10 @@ def test_loss_bits_equal_mean_formula(n, classes, scale):
 
 
 def test_relu_backward_same_bits_after_forward_and_forward_eval():
-    # a channels-last input, as a conv layer returns it, and an NCHW gradient,
-    # as Flatten hands it back; zeros of both signs sit on the mask's edge
+    # a batch-innermost input, as a conv layer returns it, and an NCHW gradient,
+    # so the two layouts differ; zeros of both signs sit on the mask's edge
     rng = Rng(12)
-    x = np.ascontiguousarray(rng.normal((4, 6, 6, 8))).transpose(0, 3, 1, 2)
+    x = np.ascontiguousarray(rng.normal((8, 6, 6, 4))).transpose(3, 0, 1, 2)
     x[:, :, 0] = 0.0
     x[:, :, 1] = -0.0
     gout = rng.normal(x.shape)
