@@ -1,5 +1,5 @@
-"""Versioned JSON checkpoints: model weights, masks, weight histories,
-optional rewind snapshot, plan echo, and a metric-log tail.
+"""Versioned JSON checkpoints: weights, masks, weight histories (null unless
+the criterion reads one), rewind snapshot, plan echo and a metric-log tail.
 
 A checkpoint file is `json.dumps(doc, sort_keys=True, separators=(",", ":"))`
 plus a newline, so identical state produces byte-identical files. Every
@@ -149,6 +149,8 @@ def load(path) -> Checkpoint:
         snapshot = [under(f"rewind_snapshot[{j}]", _read_snapshot_entry, entry, shape)
                     for j, (entry, shape) in enumerate(zip(snapshot, shapes))]
     plan = None if doc["plan"] is None else under("plan", SparsifyPlan.from_dict, doc["plan"])
+    if plan is not None:
+        under("plan", plan.check_model, model)  # no epochs: a checkpoint does not know them
     return Checkpoint(model, rewind_snapshot=snapshot, plan=plan,
                       metrics_tail=under("metrics_tail", checked_list, doc["metrics_tail"]),
                       meta=under("meta", checked_object, doc["meta"]))

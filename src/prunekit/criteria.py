@@ -1,30 +1,40 @@
-"""Importance criteria: score each weight from its current value and,
-for history-based criteria, its value at the previous mask update.
+"""Importance criteria. _TABLE gives each criterion its score and the one
+input it reads besides the current weights: nothing, the weight history
+(the weights at the previous mask update) or an rng.
 
 Higher score = more important = kept. Pruned weights sit at zero, so
 under large_final they re-prune themselves at the next recomputation.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .rng import Rng
 from .tensor import check_congruent
 
-CRITERIA = ("random", "large_final", "magnitude_increase", "movement")
-_NEEDS_HISTORY = frozenset({"magnitude_increase", "movement"})
+# criterion -> (the input it reads besides the weights, its score from the
+# weights, their magnitude and that input)
+_TABLE = {
+    "random": ("rng", lambda w, magnitude, rng: rng.normal(w.shape)),
+    "large_final": (None, lambda w, magnitude, _: magnitude),
+    "magnitude_increase": ("history", lambda w, magnitude, wi: magnitude - np.abs(wi)),
+    "movement": ("history", lambda w, magnitude, wi: np.abs(w - wi)),
+}
+CRITERIA = tuple(_TABLE)
 
 
 @dataclass(frozen=True)
 class Criterion:
     kind: str
-    needs_history: bool = field(init=False)
 
     def __post_init__(self):
         if self.kind not in CRITERIA:
             raise ValueError(f"unknown criterion {self.kind!r}; expected one of {CRITERIA}")
-        object.__setattr__(self, "needs_history", self.kind in _NEEDS_HISTORY)
+
+    @property
+    def reads(self) -> str | None:
+        return _TABLE[self.kind][0]
 
 
 def score(criterion: Criterion, wf: np.ndarray, wi: np.ndarray | None = None,
@@ -32,17 +42,10 @@ def score(criterion: Criterion, wf: np.ndarray, wi: np.ndarray | None = None,
     magnitude = np.abs(wf)
     if not np.isfinite(magnitude.max(initial=0.0)):  # NaN and inf both propagate through max
         raise ValueError("non-finite weight values")
-    if criterion.needs_history:
-        if wi is None:
-            raise ValueError(f"criterion {criterion.kind!r} requires a weight history")
+    reads, rule = _TABLE[criterion.kind]
+    given = wi if reads == "history" else rng  # a rule that reads nothing ignores it
+    if reads is not None and given is None:
+        raise ValueError(f"criterion {criterion.kind!r} reads {reads!r}, and none was given")
+    if reads == "history":
         check_congruent(wf, wi)
-    if criterion.kind == "random":
-        if rng is None:
-            raise ValueError("criterion 'random' requires an rng")
-        return rng.normal(wf.shape)
-    if criterion.kind == "large_final":
-        return magnitude
-    if criterion.kind == "magnitude_increase":
-        return magnitude - np.abs(wi)
-    return np.abs(wf - wi)  # movement
-
+    return rule(wf, magnitude, given)

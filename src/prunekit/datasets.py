@@ -16,6 +16,8 @@ KIND_KEYS = {"blobs2d": ("separation",), "patterns8x8": ("noise",)}
 # keeps blobs2d's clusters linearly separable with margin > 0 for virtually
 # every seed at the default separation of 4
 BLOB_STD = 0.5
+# the share of samples, from the front, that train_eval_split trains on
+TRAIN_FRACTION = 0.8
 
 
 def check_spec(spec) -> dict:
@@ -74,7 +76,7 @@ def _patterns8x8(n, noise, rng):
     return inputs[perm], labels[perm]
 
 
-def train_eval_split(inputs, labels, fraction: float = 0.8):
-    """Deterministic 80/20 split by position (data is pre-shuffled)."""
-    cut = int(len(labels) * fraction)
+def train_eval_split(inputs, labels):
+    """Deterministic TRAIN_FRACTION split by position (data is pre-shuffled)."""
+    cut = int(len(labels) * TRAIN_FRACTION)
     return (inputs[:cut], labels[:cut]), (inputs[cut:], labels[cut:])

@@ -1,8 +1,8 @@
 """Layer vocabulary and model container for the training substrate.
 
 Dense weights are [I, O] (forward is x @ W + b), conv weights are
-[I, O, Kx, Ky]. Prunable layers (dense, conv2d) carry an optional mask
-and weight-history snapshot managed by the sparsifier.
+[I, O, Kx, Ky]. Prunable layers (dense, conv2d) carry the sparsifier's mask
+and, under a criterion that reads one, its weight history; else None.
 """
 
 import numpy as np
@@ -62,7 +62,7 @@ class Weighted(Layer):
         self.grad_b = None
 
     def init(self, rng):
-        self.weights = init_weights(self.weight_shape, "uniform", rng)
+        self.weights = init_weights(self.weight_shape, rng)
         self.bias = np.zeros(self.weight_shape[1])
 
     def spec(self):

@@ -18,8 +18,9 @@ training: at step rewind_epoch * steps_per_epoch it first takes the rewind
 snapshot, then it runs the mask update due at that step, if any. Masks are
 recomputed from scratch at every update; pruned weights stay zero because
 the callback has its Sparsifier re-apply the current masks after each
-optimizer step without an update. Every lottery ticket shares the one
-rewind snapshot.
+optimizer step without an update. Only under a criterion that reads a
+history are the weights copied into each layer's `history` at every
+update. Every lottery ticket shares the one rewind snapshot.
 """
 
 from dataclasses import asdict, dataclass
@@ -195,8 +196,8 @@ class SparsifyCallback(Callback):
     def __init__(self, plan: SparsifyPlan, rng: Rng | None = None):
         self.plan = plan
         self.rng = rng
-        if plan.criterion == "random" and rng is None:
-            raise ValueError("criterion 'random' requires an rng")
+        if Criterion(plan.criterion).reads == "rng" and rng is None:
+            raise ValueError(f"criterion {plan.criterion!r} reads 'rng', and none was given")
         self.rewind_snapshot = None
         self.tickets: list[Ticket] = []
 
@@ -226,8 +227,9 @@ class SparsifyCallback(Callback):
         layers = model.prunable_layers()
         target = self._targets(step)
         masks = self._sparsifier.prune_model(target)
-        for layer in layers:
-            np.copyto(layer.history, layer.weights)
+        if self._sparsifier.criterion.reads == "history":
+            for layer in layers:
+                np.copyto(layer.history, layer.weights)
         self._model_sparsity = model_sparsity(layers)
         scalar_target = float(np.mean(target)) if self.plan.per_layer else target
         if self.plan.lth:
@@ -264,8 +266,9 @@ class SparsifyCallback(Callback):
         self._sparsifier = Sparsifier(model, plan.granularity, plan.context, plan.criterion,
                                       self.rng)
         spec = plan.schedule
+        keeps_history = self._sparsifier.criterion.reads == "history"
         for layer in model.prunable_layers():
-            layer.history = layer.weights.copy()
+            layer.history = layer.weights.copy() if keeps_history else None
             layer.mask = None
         spe = state["steps_per_epoch"]
         self._window = window_steps(spec, spe, state["total_epochs"])

@@ -37,20 +37,11 @@ def fan_in_of(shape) -> int:
     return shape[0]
 
 
-def init_weights(shape, scheme: str = "uniform", rng: Rng | None = None, value: float = 0.0) -> np.ndarray:
-    """Build a fresh weight tensor.
-
-    scheme "uniform" draws from +-sqrt(6 / fan_in); scheme "constant"
-    fills with `value`. Deterministic given (shape, scheme, rng state).
-    """
+def init_weights(shape, rng: Rng) -> np.ndarray:
+    """A fresh weight tensor drawn uniformly from +-sqrt(6 / fan_in).
+    Deterministic given (shape, rng state)."""
     shape = tuple(int(s) for s in shape)
     if any(s <= 0 for s in shape):
         raise ValueError(f"invalid shape {shape}: axes must be positive")
-    if scheme == "constant":
-        return np.full(shape, float(value))
-    if scheme == "uniform":
-        if rng is None:
-            raise ValueError("uniform init requires an rng")
-        bound = math.sqrt(6.0 / fan_in_of(shape))
-        return rng.uniform(-bound, bound, shape)
-    raise ValueError(f"unknown init scheme {scheme!r}")
+    bound = math.sqrt(6.0 / fan_in_of(shape))
+    return rng.uniform(-bound, bound, shape)

@@ -8,8 +8,10 @@ import pytest
 
 from prunekit import checkpoint
 from prunekit.cli import main
+from prunekit.criteria import CRITERIA, Criterion
 from prunekit.layers import Model
 from prunekit.rng import Rng
+from prunekit.sparsifier import SparsifyCallback
 from prunekit.tensor import sparsity_of
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -213,11 +215,39 @@ def test_prune_bad_flag_exit_2(workdir, capsys, argv, flag):
 
 
 def test_prune_history_criterion_without_history(workdir, capsys):
+    """A checkpoint that holds no history, saved by hand or by a large_final
+    run, cannot be pruned by movement: exit 1 naming it, no file written."""
     model = Model.from_specs(BASE_CONFIG["model"], Rng(3).child("init"))
     src = workdir / "dense.json"
     checkpoint.save(src, model)
-    assert main(["prune", str(src), "--sparsity", "50", "--criterion", "movement"]) == 1
-    assert "movement" in capsys.readouterr().err
+    assert main(["run", str(CONFIGS / "blobs_gradual.json")]) == 0
+    capsys.readouterr()
+    for path in (src, workdir / "blobs-gradual-seed42" / "checkpoint.json"):
+        argv = ["prune", str(path), "--sparsity", "70", "--criterion", "movement",
+                "--context", "global"]
+        assert main(argv) == 1
+        assert "movement" in capsys.readouterr().err
+        assert not Path(str(path) + ".pruned.json").exists()
+
+
+@pytest.mark.parametrize("criterion", CRITERIA)
+def test_history_kept_only_where_the_criterion_reads_it(workdir, monkeypatch, criterion):
+    """Only a history criterion keeps a history, after every step and in
+    checkpoint.json; under any other every prunable layer's is null."""
+    reads_history = Criterion(criterion).reads == "history"
+    kept = []
+
+    def on_step_end(self, state, original=SparsifyCallback.on_step_end):
+        original(self, state)
+        kept.extend(layer.history is not None for layer in state["model"].prunable_layers())
+
+    monkeypatch.setattr(SparsifyCallback, "on_step_end", on_step_end)
+    assert main(["run", str(write_config(workdir / "cfg.json", prune={"criterion": criterion}))]) == 0
+    assert len(kept) == 2 * 4 * 5 and set(kept) == {reads_history}  # 2 layers, 4 epochs of 5 steps
+    text = (workdir / "demo-seed42" / "checkpoint.json").read_text()
+    assert text.count('"history":null') == (0 if reads_history else 2)
+    layers = checkpoint.load(workdir / "demo-seed42" / "checkpoint.json").model.prunable_layers()
+    assert [layer.history is not None for layer in layers] == [reads_history] * 2
 
 
 def test_lth_command(workdir):
@@ -503,6 +533,10 @@ def test_load_rejects_unchained_layers(workdir, capsys, field, specs):
     ("plan.bogus: unknown key", _put({"sparsity": 50, "bogus": 1}, "plan")),
     ("rewind_snapshot[1].weights: expected an object, got NoneType",
      _put(None, "rewind_snapshot", 1, "weights")),
+    ("plan.granularity: granularity 'kernel' is not defined for rank 2",
+     _put({"sparsity": 50, "granularity": "kernel"}, "plan")),
+    ("plan.sparsity: per-layer list length 5 != prunable layer count 2",
+     _put({"sparsity": [10, 20, 30, 40, 50]}, "plan")),
 ])
 def test_load_rejects_unknown_keys_and_mistyped_parts(workdir, capsys, field, edit):
     path = workdir / "ckpt.json"

@@ -25,10 +25,10 @@ def test_movement_zero_displacement():
 
 
 def test_needs_history_flag():
-    assert not Criterion("random").needs_history
-    assert not Criterion("large_final").needs_history
-    assert Criterion("magnitude_increase").needs_history
-    assert Criterion("movement").needs_history
+    assert Criterion("random").reads == "rng"
+    assert Criterion("large_final").reads is None
+    assert Criterion("magnitude_increase").reads == "history"
+    assert Criterion("movement").reads == "history"
 
 
 def test_missing_history_raises():

@@ -343,18 +343,20 @@ class FirstMasks(SparsifyCallback):
 class OutOfPlaceCallback(SparsifyCallback):
     """The mask lifecycle on new arrays, as an oracle for the in-place one:
     w * m at every update and after every step, a fresh history copy per
-    update, an out-of-place rewind (no tickets) and the model sparsity
-    recomputed from the masks at every step."""
+    update where the criterion reads one, an out-of-place rewind (no
+    tickets) and the model sparsity recomputed from the masks at every step."""
 
     def _update_masks(self, state, step):
         layers = state["model"].prunable_layers()
         target = self._targets(step)
+        criterion = Criterion(self.plan.criterion)
         masks = compute_masks(layers, self.plan.granularity, ContextSpec(self.plan.context),
-                              Criterion(self.plan.criterion), target, self.rng)
+                              criterion, target, self.rng)
         for layer, mask in zip(layers, masks):
             layer.mask = mask
             layer.weights = layer.weights * mask
-            layer.history = layer.weights.copy()
+            if criterion.reads == "history":
+                layer.history = layer.weights.copy()
         if self.plan.lth:
             self._restore(state, masked=True)
 

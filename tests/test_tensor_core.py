@@ -53,33 +53,28 @@ def test_sparsity_boundaries_any_shape():
         assert sparsity_of(np.zeros(shape)) == 1.0
 
 
-def test_init_constant():
-    w = init_weights((2, 2), "constant", value=0.0)
-    np.testing.assert_array_equal(w, np.zeros((2, 2)))
-
-
 def test_init_deterministic():
-    a = init_weights((4, 7), "uniform", Rng(99))
-    b = init_weights((4, 7), "uniform", Rng(99))
+    a = init_weights((4, 7), Rng(99))
+    b = init_weights((4, 7), Rng(99))
     np.testing.assert_array_equal(a, b)
 
 
 def test_init_uniform_bound():
     # fan_in = 6 gives bound sqrt(6/6) = 1
-    w = init_weights((6, 1700), "uniform", Rng(5))
+    w = init_weights((6, 1700), Rng(5))
     assert w.size >= 10_000
     assert np.all(np.abs(w) <= 1.0)
 
 
 def test_init_conv_fan_in_bound():
     # conv [I, O, Kx, Ky]: fan_in = I * Kx * Ky
-    w = init_weights((2, 50, 2, 2), "uniform", Rng(6))
+    w = init_weights((2, 50, 2, 2), Rng(6))
     assert np.all(np.abs(w) <= np.sqrt(6.0 / 8.0))
 
 
 def test_init_rejects_zero_axis():
     with pytest.raises(ValueError):
-        init_weights((3, 0), "uniform", Rng(0))
+        init_weights((3, 0), Rng(0))
 
 
 def test_rng_equal_seeds_bit_exact():
