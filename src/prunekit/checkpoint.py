@@ -11,11 +11,13 @@ array's encoding is held at a time.
 """
 
 import base64
+from dataclasses import dataclass
 import json
 
 import numpy as np
 
 from .fields import FieldError, checked_list, checked_object, under
+from .granularity import enumerate_blocks, parse_granularity
 from .layers import Layer, Model, check_chain, layer_from_spec
 from .sparsifier import SparsifyPlan
 
@@ -70,14 +72,13 @@ def _dec_array(obj, shape: tuple | None, nullable: bool = True) -> np.ndarray | 
     return arr.astype(np.float64)  # a writable native copy of the read-only buffer
 
 
+@dataclass
 class Checkpoint:
-    def __init__(self, model: Model, rewind_snapshot=None, plan: SparsifyPlan | None = None,
-                 metrics_tail: list | None = None, meta: dict | None = None):
-        self.model = model
-        self.rewind_snapshot = rewind_snapshot
-        self.plan = plan
-        self.metrics_tail = metrics_tail or []
-        self.meta = meta or {}
+    model: Model
+    rewind_snapshot: list | None
+    plan: SparsifyPlan | None
+    metrics_tail: list
+    meta: dict
 
 
 def _layer_fields(layer) -> dict:
@@ -125,9 +126,21 @@ def _read_snapshot_entry(entry, shape: tuple) -> tuple:
             under("bias", _dec_array, entry["bias"], shape[1:2], False))
 
 
+def _check_mask(mask: np.ndarray, granularity: str | None) -> None:
+    """A mask holds only 0 and 1 and, under the plan's granularity, one value per block."""
+    bad = (mask != 0) & (mask != 1)
+    if bad.any():
+        raise ValueError(f"non-binary value {float(mask.ravel()[np.argmax(bad.ravel())])}")
+    if granularity is not None:
+        blocks = enumerate_blocks(parse_granularity(granularity, mask.ndim), mask.shape).rows(mask)
+        if np.any(blocks.min(axis=1) != blocks.max(axis=1)):
+            raise ValueError(f"not block-pure under {granularity!r}")
+
+
 def load(path) -> Checkpoint:
-    """Read a checkpoint; a missing, mistyped, misshapen or unknown field
-    raises FieldError naming its path, e.g. `layers[0].spec.out: missing`."""
+    """Read a checkpoint; a missing, mistyped, misshapen or unknown field, or a
+    mask that is not binary or not block-pure under the plan, raises FieldError
+    naming its path, e.g. `layers[0].spec.out: missing`."""
     with open(path) as fh:
         try:
             doc = json.load(fh)
@@ -151,6 +164,10 @@ def load(path) -> Checkpoint:
     plan = None if doc["plan"] is None else under("plan", SparsifyPlan.from_dict, doc["plan"])
     if plan is not None:
         under("plan", plan.check_model, model)  # no epochs: a checkpoint does not know them
-    return Checkpoint(model, rewind_snapshot=snapshot, plan=plan,
-                      metrics_tail=under("metrics_tail", checked_list, doc["metrics_tail"]),
-                      meta=under("meta", checked_object, doc["meta"]))
+    granularity = None if plan is None else plan.granularity
+    for i, layer in enumerate(model.layers):
+        if layer.prunable and layer.mask is not None:
+            under(f"layers[{i}].mask", _check_mask, layer.mask, granularity)
+    return Checkpoint(model, snapshot, plan,
+                      under("metrics_tail", checked_list, doc["metrics_tail"]),
+                      under("meta", checked_object, doc["meta"]))

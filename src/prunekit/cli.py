@@ -15,9 +15,8 @@ import numpy as np
 
 from . import checkpoint
 from .config import ConfigError, load_config
-from .criteria import CRITERIA
+from .criteria import CRITERIA, Criterion
 from .fields import FieldError, integer, percent
-from .granularity import parse_granularity, enumerate_blocks
 from .rng import Rng
 from .schedule import ScheduleSpec, eval_schedule
 from .selection import CONTEXTS
@@ -50,14 +49,6 @@ def _write_csv(path, header, rows):
             writer.writerow([_fmt(v) for v in row])
 
 
-def _metrics_rows(log):
-    return [(r["epoch"], r["step"], r["train_loss"], r["train_acc"],
-             r["model_sparsity"], r["target_sparsity"]) for r in log]
-
-
-METRICS_HEADER = ["epoch", "step", "train_loss", "train_acc", "model_sparsity", "target_sparsity"]
-
-
 def _crash_saver(out: Path, config):
     """fit's abort_handler: save the model as it was when training stopped."""
     def save(state):
@@ -77,11 +68,12 @@ def _train(config):
     model, log = fit(config.build_model(rng.child("init")), config.train,
                      callbacks=[] if callback is None else [callback],
                      abort_handler=_crash_saver(out, config))
-    _write_csv(out / "metrics.csv", METRICS_HEADER, _metrics_rows(log))
+    rows = [list(r.values()) for r in log]
+    _write_csv(out / "metrics.csv", list(log[0]), rows)
     checkpoint.save(out / "checkpoint.json", model,
                     rewind_snapshot=None if callback is None else callback.rewind_snapshot,
                     plan=None if plan is None else plan.to_dict(),
-                    metrics_tail=_metrics_rows(log)[-5:],
+                    metrics_tail=rows[-5:],
                     meta={"name": config.name, "seed": config.seed})
     return out, log, callback
 
@@ -137,6 +129,26 @@ def _flag_error(exc: FieldError) -> int:
     return 2
 
 
+def _report(model, plan: SparsifyPlan | None) -> None:
+    """Print each prunable layer's sparsity by its model index, then the
+    sparsity over the masked layers. Every mask is binary and, if there is a
+    plan, block-pure under it: checkpoint.load checks both, and the
+    Sparsifier makes masks that way."""
+    blocks = "n/a" if plan is None else "ok"
+    masked = []
+    for i, layer in enumerate(model.layers):
+        if not layer.prunable:
+            continue
+        about = f"layer {i} ({layer.kind} {list(layer.weights.shape)}):"
+        if layer.mask is None:
+            print(f"{about} no mask, sparsity 0.0000")
+        else:
+            print(f"{about} sparsity {sparsity_of(layer.mask):.4f}, blocks {blocks}")
+            masked.append(layer)
+    if masked:
+        print(f"global sparsity: {model_sparsity(masked):.4f}")
+
+
 def cmd_prune(args) -> int:
     try:
         plan = SparsifyPlan(args.sparsity, args.granularity, args.context, args.criterion,
@@ -151,15 +163,17 @@ def cmd_prune(args) -> int:
         if not exc.field:  # about the checkpoint, not a flag
             raise
         return _flag_error(exc)
+    if Criterion(plan.criterion).reads == "history":
+        for i, layer in enumerate(model.layers):
+            if layer.prunable and np.array_equal(layer.history, layer.weights):
+                raise FieldError(f"layers[{i}].history", f"equals the weights, so every "
+                                                         f"{plan.criterion!r} score is 0")
     Sparsifier(model, plan.granularity, plan.context, plan.criterion,
                rng=Rng(args.seed)).prune_model(plan.sparsity)
     out_path = args.out or str(args.checkpoint) + ".pruned.json"
     checkpoint.save(out_path, model, plan=plan.to_dict(), meta=dict(ckpt.meta, pruned=True))
     print(f"wrote {out_path}")
-    for i, layer in enumerate(model.prunable_layers()):
-        print(f"layer {i} ({layer.kind} {list(layer.weights.shape)}): "
-              f"sparsity {sparsity_of(layer.mask):.4f}")
-    print(f"model sparsity: {model_sparsity(model.prunable_layers()):.4f}")
+    _report(model, plan)
     return 0
 
 
@@ -186,38 +200,7 @@ def cmd_lth(args) -> int:
 
 def cmd_inspect(args) -> int:
     ckpt = checkpoint.load(args.checkpoint)
-    failures = []
-    binary = []
-    granularity = None if ckpt.plan is None else ckpt.plan.granularity
-    for i, layer in enumerate(ckpt.model.layers):
-        if not layer.prunable:
-            continue
-        shape = list(layer.weights.shape)
-        if layer.mask is None:
-            print(f"layer {i} ({layer.kind} {shape}): no mask, sparsity 0.0000")
-            continue
-        bad = (layer.mask != 0) & (layer.mask != 1)
-        if np.any(bad):
-            failures.append(f"layer {i}: mask contains non-binary value "
-                            f"{layer.mask.ravel()[np.argmax(bad.ravel())]}")
-            continue
-        purity = "n/a"
-        if granularity is not None:
-            spec = parse_granularity(granularity, layer.weights.ndim)
-            vals = enumerate_blocks(spec, layer.weights.shape).rows(layer.mask)
-            pure = bool(np.all((vals.min(axis=1) == vals.max(axis=1))))
-            purity = "ok" if pure else "VIOLATED"
-            if not pure:
-                failures.append(f"layer {i}: mask is not block-pure under {granularity!r}")
-        print(f"layer {i} ({layer.kind} {shape}): sparsity {sparsity_of(layer.mask):.4f}, "
-              f"blocks {purity}")
-        binary.append(layer)
-    if binary:
-        print(f"global sparsity: {model_sparsity(binary):.4f}")
-    if failures:
-        for f in failures:
-            print(f"integrity failure: {f}", file=sys.stderr)
-        return 1
+    _report(ckpt.model, ckpt.plan)
     return 0
 
 
@@ -235,17 +218,17 @@ def build_parser() -> argparse.ArgumentParser:
     p_sched.add_argument("kind")
     p_sched.add_argument("--samples", type=int, default=101)
     p_sched.add_argument("--sparsity", type=float, default=50.0)
-    p_sched.add_argument("--alpha", type=float, default=14.0)
-    p_sched.add_argument("--beta", type=float, default=6.0)
-    p_sched.add_argument("--n-steps", type=int, default=5)
+    p_sched.add_argument("--alpha", type=float, default=ScheduleSpec.alpha)
+    p_sched.add_argument("--beta", type=float, default=ScheduleSpec.beta)
+    p_sched.add_argument("--n-steps", type=int, default=ScheduleSpec.n_steps)
     p_sched.set_defaults(func=cmd_schedule)
 
     p_prune = sub.add_parser("prune", help="statically prune a checkpoint")
     p_prune.add_argument("checkpoint")
     p_prune.add_argument("--sparsity", type=float, required=True)
-    p_prune.add_argument("--granularity", default="weight")
-    p_prune.add_argument("--context", default="local", choices=CONTEXTS)
-    p_prune.add_argument("--criterion", default="large_final", choices=CRITERIA)
+    p_prune.add_argument("--granularity", default=SparsifyPlan.granularity)
+    p_prune.add_argument("--context", default=SparsifyPlan.context, choices=CONTEXTS)
+    p_prune.add_argument("--criterion", default=SparsifyPlan.criterion, choices=CRITERIA)
     p_prune.add_argument("--seed", type=int, default=0)
     p_prune.add_argument("--out", default=None)
     p_prune.set_defaults(func=cmd_prune)

@@ -10,10 +10,6 @@ import sys
 
 from .fields import FieldError, integer, number
 
-DEFAULT_ALPHA = 14.0
-DEFAULT_BETA = 6.0
-DEFAULT_N_STEPS = 5
-
 BUILTIN_SCHEDULES = ("one_shot", "iterative", "gradual", "one_cycle", "dsd")
 
 _LOG_MAX = math.log(sys.float_info.max)  # math.exp overflows above this
@@ -28,9 +24,9 @@ class ScheduleSpec:
     start_epoch: int = 0
     end_epoch: int | None = None  # None: the run's last epoch, resolved by window_steps
     update_frequency: int = 1
-    n_steps: int = DEFAULT_N_STEPS
-    alpha: float = DEFAULT_ALPHA
-    beta: float = DEFAULT_BETA
+    n_steps: int = 5
+    alpha: float = 14.0
+    beta: float = 6.0
 
     def __post_init__(self):
         """Check every field, naming it in the FieldError; integral floats become ints."""

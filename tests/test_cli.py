@@ -12,7 +12,6 @@ from prunekit.criteria import CRITERIA, Criterion
 from prunekit.layers import Model
 from prunekit.rng import Rng
 from prunekit.sparsifier import SparsifyCallback
-from prunekit.tensor import sparsity_of
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -33,6 +32,9 @@ UNCHAINED_DENSE = [{"kind": "dense", "in": 2, "out": 16}, {"kind": "relu"},
                    {"kind": "dense", "in": 8, "out": 2}]
 UNCHAINED_CONV = [{"kind": "conv2d", "in_ch": 1, "out_ch": 8, "kx": 3, "ky": 3},
                   {"kind": "conv2d", "in_ch": 4, "out_ch": 2, "kx": 3, "ky": 3}]
+# conv -> relu -> flatten -> dense
+FUZZ_MODEL = [{"kind": "conv2d", "in_ch": 1, "out_ch": 2, "kx": 3, "ky": 3}, {"kind": "relu"},
+              {"kind": "flatten"}, {"kind": "dense", "in": 72, "out": 2}]
 
 
 @pytest.fixture
@@ -216,18 +218,26 @@ def test_prune_bad_flag_exit_2(workdir, capsys, argv, flag):
 
 def test_prune_history_criterion_without_history(workdir, capsys):
     """A checkpoint that holds no history, saved by hand or by a large_final
-    run, cannot be pruned by movement: exit 1 naming it, no file written."""
+    run, cannot be pruned by movement; nor can one of a movement run, whose
+    history is the weights at its last update, so that every score is 0 and
+    the tie rule alone would pick the blocks. Exit 1 naming it, no file written."""
     model = Model.from_specs(BASE_CONFIG["model"], Rng(3).child("init"))
     src = workdir / "dense.json"
     checkpoint.save(src, model)
     assert main(["run", str(CONFIGS / "blobs_gradual.json")]) == 0
+    movement = write_config(workdir / "movement.json", seed=99, prune={
+        "criterion": "movement", "context": "global", "schedule": {"kind": "gradual"}})
+    assert main(["run", str(movement)]) == 0
     capsys.readouterr()
-    for path in (src, workdir / "blobs-gradual-seed42" / "checkpoint.json"):
+    for path in (src, workdir / "blobs-gradual-seed42" / "checkpoint.json",
+                 workdir / "demo-seed99" / "checkpoint.json"):
         argv = ["prune", str(path), "--sparsity", "70", "--criterion", "movement",
                 "--context", "global"]
         assert main(argv) == 1
-        assert "movement" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "movement" in err
         assert not Path(str(path) + ".pruned.json").exists()
+    assert err.startswith("error: layers[0].history: equals the weights")  # the movement run
 
 
 @pytest.mark.parametrize("criterion", CRITERIA)
@@ -342,26 +352,51 @@ def test_inspect_tampered_mask(workdir, capsys):
     checkpoint.save(src, model)
     out = workdir / "pruned.json"
     main(["prune", str(src), "--sparsity", "50", "--out", str(out)])
-    doc = json.loads(out.read_text())
-    mask = doc["layers"][0]["mask"]
-    values = np.frombuffer(base64.b64decode(mask["data"]), "<f8").copy()
-    values[0] = 2
-    mask["data"] = base64.b64encode(values.tobytes()).decode()
+    doc = _edit_data(_first_value(2), "layers", 0, "mask")(json.loads(out.read_text()))
     out.write_text(json.dumps(doc))
-    assert main(["inspect", str(out)]) == 1
-    assert "non-binary" in capsys.readouterr().err
+    again = workdir / "again.json"
+    for command in (["inspect", str(out)], ["prune", str(out), "--sparsity", "50", "--out", str(again)]):
+        assert main(command) == 1
+        assert capsys.readouterr().err == "error: layers[0].mask: non-binary value 2.0\n"
+    assert not again.exists()
 
 
-def test_inspect_global_sparsity_over_binary_layers(workdir, capsys):
-    """A layer whose mask fails the binary check is left out of the global figure."""
+def test_load_rejects_a_non_binary_layer_beside_a_binary_one(workdir, capsys):
+    """One layer's non-binary mask fails the load for every reader, whatever
+    the other layers hold: no partial report, no file written."""
     model = Model.from_specs(BASE_CONFIG["model"], Rng(7).child("init"))
     a, b = model.prunable_layers()
     a.mask = np.full(a.weights.shape, 0.5)
     b.mask = (np.arange(b.weights.size) % 4 != 0).astype(float).reshape(b.weights.shape)
     src = workdir / "masked.json"
     checkpoint.save(src, model)
-    assert main(["inspect", str(src)]) == 1
-    assert f"global sparsity: {sparsity_of(b.mask):.4f}" in capsys.readouterr().out
+    for command in (["inspect", str(src)], ["prune", str(src), "--sparsity", "50"]):
+        assert main(command) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: layers[0].mask: non-binary value 0.5\n"
+        assert captured.out == ""
+    assert sorted(workdir.iterdir()) == [src]
+
+
+@pytest.mark.parametrize("specs, granularity", [
+    (BASE_CONFIG["model"], "row"),
+    (FUZZ_MODEL, "weight"),
+    ([{"kind": "conv2d", "in_ch": 1, "out_ch": 4, "kx": 3, "ky": 3}, {"kind": "relu"},
+      {"kind": "conv2d", "in_ch": 4, "out_ch": 2, "kx": 3, "ky": 3}], "kernel"),
+], ids=["dense_row", "conv_dense_weight", "conv_kernel"])
+def test_prune_reports_what_inspect_reports(workdir, capsys, specs, granularity):
+    """prune prints, after the `wrote` line, the report that inspect prints
+    for the file it wrote: layers by model index, then the global sparsity."""
+    src, out = workdir / "src.json", workdir / "pruned.json"
+    checkpoint.save(src, Model.from_specs(specs, Rng(9).child("init")))
+    assert main(["prune", str(src), "--sparsity", "60", "--granularity", granularity,
+                 "--context", "global", "--out", str(out)]) == 0
+    wrote, report = capsys.readouterr().out.split("\n", 1)
+    assert wrote == f"wrote {out}"
+    assert main(["inspect", str(out)]) == 0
+    assert capsys.readouterr().out == report
+    assert report.splitlines()[-1].startswith("global sparsity: ")
+    assert f"layer {len(specs) - 1} (" in report
 
 
 def test_inspect_corrupt_file(workdir, capsys):
@@ -461,6 +496,15 @@ def _edit_data(change, *path):
     return edit
 
 
+def _first_value(value):
+    """A change to an array's base64 data that sets its first value to `value`."""
+    def change(data):
+        values = np.frombuffer(base64.b64decode(data), "<f8").copy()
+        values[0] = value
+        return base64.b64encode(values.tobytes()).decode()
+    return change
+
+
 @pytest.mark.parametrize("field, edit", [
     ("layers: missing", _drop("layers")),
     ("layers: expected a list, got dict", _put({}, "layers")),
@@ -537,6 +581,10 @@ def test_load_rejects_unchained_layers(workdir, capsys, field, specs):
      _put({"sparsity": 50, "granularity": "kernel"}, "plan")),
     ("plan.sparsity: per-layer list length 5 != prunable layer count 2",
      _put({"sparsity": [10, 20, 30, 40, 50]}, "plan")),
+    ("layers[0].mask: non-binary value 0.5", _edit_data(_first_value(0.5), "layers", 0, "mask")),
+    ("layers[2].mask: not block-pure under 'row'",  # one zero in a row of ones
+     lambda d: _put({"sparsity": 50, "granularity": "row"}, "plan")(
+         _edit_data(_first_value(0.0), "layers", 2, "mask")(d))),
 ])
 def test_load_rejects_unknown_keys_and_mistyped_parts(workdir, capsys, field, edit):
     path = workdir / "ckpt.json"
@@ -548,8 +596,6 @@ def test_load_rejects_unknown_keys_and_mistyped_parts(workdir, capsys, field, ed
         assert err.startswith(f"error: {field}"), err
 
 
-FUZZ_MODEL = [{"kind": "conv2d", "in_ch": 1, "out_ch": 2, "kx": 3, "ky": 3}, {"kind": "relu"},
-              {"kind": "flatten"}, {"kind": "dense", "in": 72, "out": 2}]
 WRONG_TYPES = [5, 2.5, "x", True, [], {}]
 
 
