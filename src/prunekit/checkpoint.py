@@ -18,7 +18,7 @@ import numpy as np
 
 from .fields import FieldError, checked_list, checked_object, under
 from .granularity import enumerate_blocks, parse_granularity
-from .layers import Layer, Model, check_chain, layer_from_spec
+from .layers import Layer, Model, layer_from_spec
 from .sparsifier import SparsifyPlan
 
 FORMAT_VERSION = 2
@@ -150,9 +150,9 @@ def load(path) -> Checkpoint:
     if doc.get("format_version") != FORMAT_VERSION:
         raise ValueError(f"unsupported checkpoint format_version {doc.get('format_version')!r}")
     checked_object(doc, _KEYS, *_KEYS)
-    entries = under("layers", checked_list, doc["layers"])
+    entries = under("layers", checked_list, doc["layers"], True)
     model = Model([under(f"layers[{i}]", _read_layer, entry) for i, entry in enumerate(entries)])
-    check_chain(model.layers, "layers[{}].spec")
+    model.check_shapes(None, "layers[{}].spec")  # a checkpoint records no input shape
     snapshot = doc["rewind_snapshot"]
     if snapshot is not None:
         shapes = [l.weight_shape for l in model.layers if l.weight_shape is not None]

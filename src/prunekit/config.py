@@ -3,9 +3,9 @@
 from dataclasses import dataclass
 import json
 
-from .datasets import check_spec
+from .datasets import check_spec, input_shape
 from .fields import FieldError, checked_list, checked_object, integer, string, under
-from .layers import Model, check_chain, layer_from_spec
+from .layers import Model, layer_from_spec
 from .sparsifier import SparsifyPlan
 from .train import TrainConfig
 
@@ -50,12 +50,10 @@ def _parse(doc: dict, seed_override: int | None) -> ExperimentConfig:
     seed = integer(doc["seed"] if seed_override is None else seed_override, "seed")
     name = string(doc.get("name", "experiment"), "name")
     output_dir = None if doc.get("output_dir") is None else string(doc["output_dir"], "output_dir")
-    specs = under("model", checked_list, doc["model"])
-    if not specs:
-        raise FieldError("model", "must be a non-empty list of layer specs")
-    layers = [under(f"model[{i}]", layer_from_spec, spec) for i, spec in enumerate(specs)]
-    check_chain(layers, "model[{}]")
+    specs = under("model", checked_list, doc["model"], True)
+    model = Model([under(f"model[{i}]", layer_from_spec, spec) for i, spec in enumerate(specs)])
     dataset = under("dataset", check_spec, doc["dataset"])
+    model.check_shapes(input_shape(dataset), "model[{}]")
     train = under("train", lambda section: TrainConfig(
         **checked_object(section, ("epochs", "batch_size", "learning_rate", "momentum"),
                          "epochs", "batch_size", "learning_rate"),
@@ -63,6 +61,6 @@ def _parse(doc: dict, seed_override: int | None) -> ExperimentConfig:
     plan = None
     if doc.get("prune") is not None:
         plan = under("prune", SparsifyPlan.from_dict, doc["prune"])
-        under("prune", plan.check_model, Model(layers), train.epochs)
+        under("prune", plan.check_model, model, train.epochs)
     return ExperimentConfig(name=name, seed=seed, model_specs=specs, dataset=dataset, train=train,
                             plan=plan, output_dir=output_dir)

@@ -13,6 +13,8 @@ from .rng import Rng
 
 # the keys each dataset kind reads besides "kind" and "n"
 KIND_KEYS = {"blobs2d": ("separation",), "patterns8x8": ("noise",)}
+# one sample's input shape for each dataset kind
+INPUT_SHAPES = {"blobs2d": (2,), "patterns8x8": (1, 8, 8)}
 # keeps blobs2d's clusters linearly separable with margin > 0 for virtually
 # every seed at the default separation of 4
 BLOB_STD = 0.5
@@ -38,6 +40,11 @@ def check_spec(spec) -> dict:
     return spec
 
 
+def input_shape(spec: dict) -> tuple:
+    """One sample's input shape in the dataset that a checked spec describes."""
+    return INPUT_SHAPES[spec["kind"]]
+
+
 def make_dataset(spec: dict, rng: Rng):
     """(inputs, labels) of the dataset that spec describes; a bad spec
     raises FieldError naming dataset.<key>."""
@@ -57,21 +64,21 @@ def _balanced_labels(n: int) -> np.ndarray:
 def _blobs2d(n, separation, rng):
     labels = _balanced_labels(n)
     centers = np.array([[-separation / 2.0, 0.0], [separation / 2.0, 0.0]])
-    inputs = BLOB_STD * rng.normal((n, 2)) + centers[labels]
+    inputs = BLOB_STD * rng.normal((n,) + INPUT_SHAPES["blobs2d"]) + centers[labels]
     perm = rng.permutation(n)
     return inputs[perm], labels[perm]
 
 
 def _patterns8x8(n, noise, rng):
     labels = _balanced_labels(n)
-    inputs = np.zeros((n, 1, 8, 8))
+    inputs = np.zeros((n,) + INPUT_SHAPES["patterns8x8"])
     positions = rng.integers(0, 8, n)
     for i in range(n):
         if labels[i] == 0:
             inputs[i, 0, positions[i], :] = 1.0
         else:
             inputs[i, 0, :, positions[i]] = 1.0
-    inputs += noise * rng.normal((n, 1, 8, 8))
+    inputs += noise * rng.normal(inputs.shape)
     perm = rng.permutation(n)
     return inputs[perm], labels[perm]
 

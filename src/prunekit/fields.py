@@ -37,9 +37,11 @@ def checked_object(doc, keys=None, *required: str) -> dict:
     return doc
 
 
-def checked_list(doc) -> list:
+def checked_list(doc, nonempty: bool = False) -> list:
     if not isinstance(doc, list):
         raise FieldError("", f"expected a list, got {type(doc).__name__}")
+    if nonempty and not doc:
+        raise FieldError("", "must be a non-empty list")
     return doc
 
 

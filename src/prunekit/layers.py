@@ -3,12 +3,20 @@
 Dense weights are [I, O] (forward is x @ W + b), conv weights are
 [I, O, Kx, Ky]. Prunable layers (dense, conv2d) carry the sparsifier's mask
 and, under a criterion that reads one, its weight history; else None.
+
+Each layer kind has one shape rule, `out_shape`: one sample's input shape
+to its output shape, with None for a size that is not known. The same rule
+checks a whole model at load (`Model.check_shapes`, from the dataset's
+sample shape for a config and from an unknown shape for a checkpoint) and
+each batch in `Dense.forward` and `Conv2d.forward`.
 """
+
+import math
 
 import numpy as np
 
 from . import kernels
-from .fields import FieldError, checked_object, integer
+from .fields import FieldError, checked_object, integer, under
 from .rng import Rng
 from .tensor import init_weights
 
@@ -23,6 +31,13 @@ class Layer:
 
     def init(self, rng: Rng):
         pass
+
+    def out_shape(self, in_shape: tuple | None) -> tuple | None:
+        """One sample's output shape for its input shape: a tuple whose
+        unknown sizes are None, or None where even the rank is unknown. An
+        input this layer cannot take raises FieldError naming the spec key
+        it contradicts. The default passes the shape through."""
+        return in_shape
 
     def forward(self, x):
         raise NotImplementedError
@@ -63,20 +78,27 @@ class Weighted(Layer):
 
     def init(self, rng):
         self.weights = init_weights(self.weight_shape, rng)
-        self.bias = np.zeros(self.weight_shape[1])
 
     def spec(self):
         return {"kind": self.kind, **dict(zip(self.spec_keys, self.weight_shape))}
+
+    def _refuse(self, key: str, in_shape: tuple):
+        size = self.weight_shape[self.spec_keys.index(key)]
+        raise FieldError(key, f"{size}, but its input is {list(in_shape)}")
 
 
 class Dense(Weighted):
     kind = "dense"
     spec_keys = ("in", "out")
 
+    def out_shape(self, in_shape):
+        """[in] or [None] gives [out]."""
+        if in_shape is not None and in_shape not in (self.weight_shape[:1], (None,)):
+            self._refuse("in", in_shape)
+        return self.weight_shape[1:2]
+
     def forward(self, x):
-        n_in = self.weight_shape[0]
-        if x.ndim != 2 or x.shape[1] != n_in:
-            raise ValueError(f"dense expects [N, {n_in}], got {x.shape}")
+        self.out_shape(x.shape[1:])
         self._x = x
         return x @ self.weights + self.bias
 
@@ -98,22 +120,29 @@ class Conv2d(Weighted):
     spec_keys = ("in_ch", "out_ch", "kx", "ky")
     _cols = None
 
-    def _check(self, x):
-        in_ch, _, kx, ky = self.weight_shape
-        if x.ndim != 4 or x.shape[1] != in_ch:
-            raise ValueError(f"conv2d expects [N, {in_ch}, H, W], got {x.shape}")
-        if x.shape[2] < kx or x.shape[3] < ky:
-            raise ValueError(f"input {x.shape} smaller than kernel ({kx}, {ky})")
+    def out_shape(self, in_shape):
+        """[in_ch, H, W] with H >= kx and W >= ky gives [out_ch, H-kx+1, W-ky+1]."""
+        in_ch, out_ch, kx, ky = self.weight_shape
+        if in_shape is None:
+            return (out_ch, None, None)
+        if len(in_shape) != 3 or in_shape[0] != in_ch:
+            self._refuse("in_ch", in_shape)
+        _, h, w = in_shape
+        if h is not None and h < kx:
+            self._refuse("kx", in_shape)
+        if w is not None and w < ky:
+            self._refuse("ky", in_shape)
+        return (out_ch, None if h is None else h - kx + 1, None if w is None else w - ky + 1)
 
     def forward(self, x):
-        self._check(x)
+        self.out_shape(x.shape[1:])
         self._x = x
         # the im2col columns live until backward multiplies them for grad_w
         out, self._cols = kernels.conv2d_forward(x, self.weights, self.bias, return_columns=True)
         return out
 
     def forward_eval(self, x):
-        self._check(x)
+        self.out_shape(x.shape[1:])
         self._x, self._cols = x, None
         return kernels.conv2d_forward(x, self.weights, self.bias)
 
@@ -154,6 +183,10 @@ class ReLU(Layer):
 class Flatten(Layer):
     kind = "flatten"
 
+    def out_shape(self, in_shape):
+        """[prod of the sizes], or [None] if any is unknown."""
+        return (None,) if in_shape is None or None in in_shape else (math.prod(in_shape),)
+
     def forward(self, x):
         self._shape = x.shape
         return x.reshape(x.shape[0], -1)
@@ -180,24 +213,6 @@ def layer_from_spec(spec: dict) -> Layer:
     return cls(*args)
 
 
-def check_chain(layers: list[Layer], path: str) -> None:
-    """Check that sizes chain where only relu layers lie between two layers of
-    one kind: a dense `in` equals the previous dense `out`, a conv2d `in_ch`
-    the previous conv2d `out_ch`. A mismatch raises FieldError naming
-    `path.format(i)` + the key, e.g. path "model[{}]" gives "model[2].in"."""
-    prev = None
-    for i, layer in enumerate(layers):
-        if isinstance(layer, ReLU):
-            continue
-        if prev is not None and type(layers[prev]) is type(layer) and layer.weight_shape:
-            key_in, key_out = layer.spec_keys[:2]  # a weight shape starts [in, out]
-            n_in, n_out = layer.weight_shape[0], layers[prev].weight_shape[1]
-            if n_in != n_out:
-                raise FieldError(f"{path.format(i)}.{key_in}",
-                                 f"{n_in}, but {path.format(prev)}.{key_out} is {n_out}")
-        prev = i
-
-
 class Model:
     def __init__(self, layers: list[Layer]):
         self.layers = layers
@@ -212,6 +227,15 @@ class Model:
     def init(self, rng: Rng):
         for i, layer in enumerate(self.layers):
             layer.init(rng.child(f"layer{i}"))
+
+    def check_shapes(self, in_shape: tuple | None, path: str) -> tuple | None:
+        """One sample's output shape for its input shape (None if not known),
+        through every layer's out_shape. An input a layer cannot take raises
+        FieldError naming `path.format(i)` + its key, e.g. path "model[{}]"
+        gives "model[3].in"."""
+        for i, layer in enumerate(self.layers):
+            in_shape = under(path.format(i), layer.out_shape, in_shape)
+        return in_shape
 
     def forward(self, x: np.ndarray, train: bool = True) -> np.ndarray:
         """The model output; train=False runs each layer's forward_eval."""

@@ -29,19 +29,13 @@ def sparsity_of(m: np.ndarray) -> float:
     return float(np.count_nonzero(m == 0)) / m.size
 
 
-def fan_in_of(shape) -> int:
-    """Input fan for a weight tensor: I for dense [I, O], I*Kx*Ky for conv [I, O, Kx, Ky]."""
-    shape = tuple(shape)
-    if len(shape) == 4:
-        return shape[0] * shape[2] * shape[3]
-    return shape[0]
-
-
 def init_weights(shape, rng: Rng) -> np.ndarray:
-    """A fresh weight tensor drawn uniformly from +-sqrt(6 / fan_in).
-    Deterministic given (shape, rng state)."""
+    """A fresh weight tensor drawn uniformly from +-sqrt(6 / fan_in), where
+    fan_in is the product of every axis but the output axis 1: I for dense
+    [I, O], I*Kx*Ky for conv [I, O, Kx, Ky]. Deterministic given (shape, rng
+    state)."""
     shape = tuple(int(s) for s in shape)
-    if any(s <= 0 for s in shape):
-        raise ValueError(f"invalid shape {shape}: axes must be positive")
-    bound = math.sqrt(6.0 / fan_in_of(shape))
+    if len(shape) < 2 or any(s <= 0 for s in shape):
+        raise ValueError(f"invalid shape {shape}: needs an output axis 1, and axes must be positive")
+    bound = math.sqrt(6.0 / (math.prod(shape) // shape[1]))
     return rng.uniform(-bound, bound, shape)

@@ -27,11 +27,17 @@ BASE_CONFIG = {
 }
 
 
+PATTERNS = {"kind": "patterns8x8", "n": 200, "noise": 0.1}
 # sizes that do not chain: only a relu, or nothing, lies between the two layers
 UNCHAINED_DENSE = [{"kind": "dense", "in": 2, "out": 16}, {"kind": "relu"},
                    {"kind": "dense", "in": 8, "out": 2}]
 UNCHAINED_CONV = [{"kind": "conv2d", "in_ch": 1, "out_ch": 8, "kx": 3, "ky": 3},
                   {"kind": "conv2d", "in_ch": 4, "out_ch": 2, "kx": 3, "ky": 3}]
+# layers of different kinds whose ranks do not chain
+DENSE_INTO_CONV = [{"kind": "dense", "in": 2, "out": 4}, {"kind": "relu"},
+                   {"kind": "conv2d", "in_ch": 4, "out_ch": 2, "kx": 1, "ky": 1}]
+CONV_INTO_DENSE = [{"kind": "conv2d", "in_ch": 1, "out_ch": 2, "kx": 3, "ky": 3},
+                   {"kind": "dense", "in": 2, "out": 2}]
 # conv -> relu -> flatten -> dense
 FUZZ_MODEL = [{"kind": "conv2d", "in_ch": 1, "out_ch": 2, "kx": 3, "ky": 3}, {"kind": "relu"},
               {"kind": "flatten"}, {"kind": "dense", "in": 72, "out": 2}]
@@ -104,11 +110,21 @@ def test_invalid_granularity_exit_2(workdir, capsys):
      [{"kind": "conv2d", "in_ch": 1, "out_ch": 2, "kx": 3, "ky": True}]),
     ("model[0].stride: unknown key",
      [{"kind": "conv2d", "in_ch": 1, "out_ch": 2, "kx": 3, "ky": 3, "stride": 2}]),
-    ("model[2].in: 8, but model[0].out is 16", UNCHAINED_DENSE),
-    ("model[1].in_ch: 4, but model[0].out_ch is 8", UNCHAINED_CONV),
+    ("model[2].in: 8, but its input is [16]", UNCHAINED_DENSE),
+    # a (model, dataset) pair runs on that dataset instead of BASE_CONFIG's blobs2d
+    ("model[1].in_ch: 4, but its input is [8, 6, 6]", (UNCHAINED_CONV, PATTERNS)),
+    ("model[3].in: 100, but its input is [288]",
+     ([{"kind": "conv2d", "in_ch": 1, "out_ch": 8, "kx": 3, "ky": 3}, {"kind": "relu"},
+       {"kind": "flatten"}, {"kind": "dense", "in": 100, "out": 2}], PATTERNS)),
+    ("model[0].in: 2, but its input is [1, 8, 8]", ([{"kind": "dense", "in": 2, "out": 2}], PATTERNS)),
+    ("model[2].in_ch: 4, but its input is [4]", DENSE_INTO_CONV),
+    ("model[0].kx: 9, but its input is [1, 8, 8]",
+     ([{"kind": "conv2d", "in_ch": 1, "out_ch": 2, "kx": 9, "ky": 3}], PATTERNS)),
 ])
 def test_bad_model_spec_exit_2(workdir, capsys, field, model):
-    cfg = write_config(workdir / "cfg.json", model=model)
+    model, dataset = model if isinstance(model, tuple) else (model, BASE_CONFIG["dataset"])
+    cfg = workdir / "cfg.json"
+    cfg.write_text(json.dumps(dict(BASE_CONFIG, model=model, dataset=dataset)))
     assert main(["run", str(cfg)]) == 2
     assert capsys.readouterr().err.strip() == f"config error at {field}"
     assert [p.name for p in workdir.iterdir()] == ["cfg.json"]
@@ -315,9 +331,10 @@ def test_lth_rewind_at_window_start(workdir):
 def test_shipped_configs(workdir):
     """The configs in configs/ run, and inspect passes on every checkpoint they write."""
     assert main(["run", str(CONFIGS / "blobs_gradual.json")]) == 0
+    assert main(["run", str(CONFIGS / "conv_patterns8x8.json")]) == 0
     assert main(["lth", str(CONFIGS / "lth_blobs.json")]) == 0
     written = sorted(workdir.glob("*/checkpoint.json")) + sorted(workdir.glob("*/ticket_*.json"))
-    assert len(written) == 2 + 4
+    assert len(written) == 3 + 4
     for path in written:
         assert main(["inspect", str(path)]) == 0, path
 
@@ -541,6 +558,7 @@ def _first_value(value):
      _put([0.0] * 16, "rewind_snapshot", 0, "bias", "data")),
     ("unsupported checkpoint format_version 1", _put(1, "format_version")),
     ("layers[0].spec.stride: unknown key", _put(2, "layers", 0, "spec", "stride")),
+    ("layers: must be a non-empty list", _put([], "layers")),
 ])
 def test_load_rejects_missing_field(workdir, capsys, field, edit):
     path = workdir / "ckpt.json"
@@ -555,8 +573,10 @@ def test_load_rejects_missing_field(workdir, capsys, field, edit):
 
 
 @pytest.mark.parametrize("field, specs", [
-    ("layers[2].spec.in: 8, but layers[0].spec.out is 16", UNCHAINED_DENSE),
-    ("layers[1].spec.in_ch: 4, but layers[0].spec.out_ch is 8", UNCHAINED_CONV),
+    ("layers[2].spec.in: 8, but its input is [16]", UNCHAINED_DENSE),
+    ("layers[1].spec.in_ch: 4, but its input is [8, None, None]", UNCHAINED_CONV),
+    ("layers[2].spec.in_ch: 4, but its input is [4]", DENSE_INTO_CONV),
+    ("layers[1].spec.in: 2, but its input is [2, None, None]", CONV_INTO_DENSE),
 ])
 def test_load_rejects_unchained_layers(workdir, capsys, field, specs):
     path = workdir / "ckpt.json"

@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,7 +8,8 @@ from prunekit import (Callback, Conv2d, Dense, FieldError, Flatten, Model, ReLU,
                       ScheduleSpec, SparsifyCallback, SparsifyPlan, TrainConfig, TrainingAborted,
                       accuracy, fit, make_dataset, sgd_step)
 from prunekit import train as train_module
-from prunekit.datasets import train_eval_split
+from prunekit.config import load_config
+from prunekit.datasets import input_shape, train_eval_split
 from prunekit.train import softmax_cross_entropy
 
 BLOBS = {"kind": "blobs2d", "n": 200, "separation": 4.0}
@@ -57,6 +59,81 @@ def test_conv_hand_example():
 
 def test_relu():
     np.testing.assert_array_equal(ReLU().forward(np.array([[-1.0, 2.0]])), [[0.0, 2.0]])
+
+
+def test_shape_rules():
+    conv = Conv2d(2, 4, 3, 2)
+    assert conv.out_shape((2, 5, 2)) == (4, 3, 1)
+    assert conv.out_shape(None) == conv.out_shape((2, None, None)) == (4, None, None)
+    assert Dense(3, 5).out_shape(None) == Dense(3, 5).out_shape((None,)) == (5,)
+    assert Flatten().out_shape((4, 3, 1)) == (12,)
+    assert Flatten().out_shape(None) == Flatten().out_shape((4, None, None)) == (None,)
+    assert ReLU().out_shape((4, None, None)) == (4, None, None)
+    for layer, shape, message in [
+        (Dense(3, 5), (4,), "in: 3, but its input is [4]"),
+        (Dense(3, 5), (3, 1, 1), "in: 3, but its input is [3, 1, 1]"),
+        (Dense(3, 5), (), "in: 3, but its input is []"),
+        (conv, (3, 5, 5), "in_ch: 2, but its input is [3, 5, 5]"),
+        (conv, (2, 5), "in_ch: 2, but its input is [2, 5]"),
+        (conv, (None,), "in_ch: 2, but its input is [None]"),
+        (conv, (2, 2, 5), "kx: 3, but its input is [2, 2, 5]"),
+        (conv, (2, 5, 1), "ky: 2, but its input is [2, 5, 1]"),
+    ]:
+        with pytest.raises(FieldError) as info:
+            layer.out_shape(shape)
+        assert str(info.value) == message
+
+
+def test_forward_checks_its_batch_by_the_shape_rule():
+    dense, conv = Dense(3, 5), Conv2d(2, 4, 3, 2)
+    for layer in (dense, conv):
+        layer.init(Rng(0))
+    with pytest.raises(FieldError, match=r"^in: 3, but its input is \[4\]$"):
+        dense.forward(np.zeros((2, 4)))
+    with pytest.raises(FieldError, match=r"^kx: 3, but its input is \[2, 2, 5\]$"):
+        conv.forward(np.zeros((2, 2, 2, 5)))
+    with pytest.raises(FieldError, match=r"^in_ch: 2, but its input is \[2, 5\]$"):
+        conv.forward_eval(np.zeros((2, 2, 5)))
+
+
+def test_shape_pass_gives_the_forward_output_shape(monkeypatch):
+    """For every shipped config, perfbench model and test model, the pass from
+    its dataset's sample shape gives the shape forward returns, and the pass
+    from an unknown shape, as a checkpoint's, agrees wherever it knows a size."""
+    root = Path(__file__).resolve().parent.parent
+    monkeypatch.syspath_prepend(str(root / "perfbench"))
+    import workloads
+    from test_cli import BASE_CONFIG, FUZZ_MODEL
+    from test_plan import PATTERNS_FUZZ_CONFIG
+    from test_sparsifier import convs_only
+
+    patterns = {"kind": "patterns8x8", "noise": 0.1}
+    cases = [(path.name, config.model_specs, config.dataset)
+             for path in sorted((root / "configs").glob("*.json"))
+             for config in [load_config(path)]]
+    cases += [(w.name, w.config["model"], w.config["dataset"])
+              for w in (workloads.ConvTrain, workloads.MlpPerStep)]
+    cases += [("test_cli", BASE_CONFIG["model"], BASE_CONFIG["dataset"]),
+              ("test_cli fuzz", FUZZ_MODEL, patterns),
+              ("test_plan fuzz", PATTERNS_FUZZ_CONFIG["model"], PATTERNS_FUZZ_CONFIG["dataset"]),
+              ("mlp", mlp().specs(), BLOBS), ("convnet", convnet().specs(), patterns),
+              ("convnet2", convnet2().specs(), patterns), ("convs_only", convs_only(0).specs(), patterns)]
+    assert len(cases) == 3 + 2 + 7
+    batches = {name: make_dataset(dict(dataset, n=4), Rng(1))[0] for name, _, dataset in cases}
+    # prune-sweep has no dataset: its checkpoint is the model alone
+    cases.append(("prune-sweep", workloads.PruneSweep.specs, None))
+    batches["prune-sweep"] = Rng(1).normal((2, 48, 8, 9))
+    for name, specs, dataset in cases:
+        model = Model.from_specs(specs, Rng(0))
+        x = batches[name]
+        want = model.forward(x).shape[1:]
+        assert model.forward(x, train=False).shape[1:] == want, name
+        if dataset is not None:
+            assert input_shape(dataset) == x.shape[1:], name
+        assert model.check_shapes(x.shape[1:], "model[{}]") == want, name
+        unknown = model.check_shapes(None, "layers[{}].spec")
+        assert len(unknown) == len(want), name
+        assert all(u in (None, w) for u, w in zip(unknown, want)), name
 
 
 def test_forward_shape_mismatch():
