@@ -2,8 +2,8 @@
 
 Four orthogonal knobs describe any pruning technique: granularity (how),
 context (where), criterion (what), schedule (when). Static pruning goes
-through Sparsifier, training-time pruning through SparsifyCallback, and
-lottery-ticket experiments through run_lth.
+through Sparsifier, and training-time pruning, lottery-ticket experiments
+included, through SparsifyCallback.
 """
 
 from .criteria import CRITERIA, Criterion, score
@@ -18,7 +18,7 @@ from .schedule import (BUILTIN_SCHEDULES, ScheduleSpec, current_target, eval_sch
 from .selection import (ContextSpec, LayerScores, pruned_count, select, select_global,
                         select_local, select_per_layer)
 from .sparsifier import (Sparsifier, SparsifyCallback, SparsifyPlan, Ticket,
-                         compute_masks, model_sparsity, run_lth)
+                         compute_masks, model_sparsity)
 from .tensor import init_weights, sparsity_of
 from .train import Callback, TrainConfig, TrainingAborted, accuracy, fit, sgd_step
 

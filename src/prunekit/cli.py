@@ -1,6 +1,6 @@
 """Command-line experiment runner.
 
-Subcommands: run, schedule, prune, lth, inspect. Exit codes: 0 success,
+Subcommands: run, schedule, prune, inspect. Exit codes: 0 success,
 1 runtime failure, 2 config/usage error. PRUNEKIT_OUTPUT_ROOT overrides
 the output root directory; --seed overrides the config seed.
 """
@@ -57,10 +57,11 @@ def _crash_saver(out: Path, config):
     return save
 
 
-def _train(config):
-    """Train the config's model under its plan, if any, and write metrics.csv
-    and checkpoint.json; returns the output directory, the metric log and the
-    plan's callback (None without a plan)."""
+def cmd_run(args) -> int:
+    """Train the config's model under its plan, if any. Writes metrics.csv,
+    checkpoint.json, summary.txt and metrics.svg and, when the plan sets
+    lth, one ticket_<round>.json per ticket and rounds.csv."""
+    config = load_config(args.config, seed_override=args.seed)
     out = _run_dir(config)
     rng = Rng(config.seed)
     plan = config.plan
@@ -70,17 +71,13 @@ def _train(config):
                      abort_handler=_crash_saver(out, config))
     rows = [list(r.values()) for r in log]
     _write_csv(out / "metrics.csv", list(log[0]), rows)
+    if plan is not None and plan.lth:
+        _write_tickets(out, config, callback)
     checkpoint.save(out / "checkpoint.json", model,
                     rewind_snapshot=None if callback is None else callback.rewind_snapshot,
                     plan=None if plan is None else plan.to_dict(),
                     metrics_tail=rows[-5:],
                     meta={"name": config.name, "seed": config.seed})
-    return out, log, callback
-
-
-def cmd_run(args) -> int:
-    config = load_config(args.config, seed_override=args.seed)
-    out, log, _ = _train(config)
     last = log[-1]
     with open(out / "summary.txt", "w") as fh:
         fh.write(f"experiment: {config.name}\nseed: {config.seed}\n"
@@ -94,6 +91,24 @@ def cmd_run(args) -> int:
                out / "metrics.svg", title=config.name, xlabel="step")
     print(f"wrote {out}/metrics.csv, checkpoint.json, summary.txt")
     return 0
+
+
+def _write_tickets(out: Path, config, callback) -> None:
+    """One checkpoint per ticket, its weights the rewind snapshot under the
+    ticket's masks, and rounds.csv with one row per ticket."""
+    snapshot = callback.rewind_snapshot
+    rows = []
+    for ticket in callback.tickets:
+        ticket_model = config.build_model()
+        for layer, (w, b), mask in zip(ticket_model.prunable_layers(), snapshot, ticket.masks):
+            layer.weights, layer.bias, layer.mask = w * mask, b, mask
+        checkpoint.save(out / f"ticket_{ticket.round}.json", ticket_model,
+                        rewind_snapshot=snapshot, plan=config.plan.to_dict(),
+                        meta={"name": config.name, "seed": config.seed, "round": ticket.round,
+                              "target_sparsity": ticket.target_sparsity})
+        rows.append((ticket.round, ticket.target_sparsity, ticket.accuracy, ticket.mask_sparsity))
+    _write_csv(out / "rounds.csv", ["round", "sparsity", "accuracy", "model_sparsity"], rows)
+    print(f"wrote {len(rows)} tickets and rounds.csv to {out}")
 
 
 # ScheduleSpec fields that `prunekit schedule` sets from a flag
@@ -177,27 +192,6 @@ def cmd_prune(args) -> int:
     return 0
 
 
-def cmd_lth(args) -> int:
-    config = load_config(args.config, seed_override=args.seed)
-    if config.plan is None or not config.plan.lth:
-        raise ConfigError("prune.lth", "lth command needs a config with lth enabled")
-    out, log, callback = _train(config)
-    snapshot = callback.rewind_snapshot
-    rows = []
-    for ticket in callback.tickets:
-        ticket_model = config.build_model()
-        for layer, (w, b), mask in zip(ticket_model.prunable_layers(), snapshot, ticket.masks):
-            layer.weights, layer.bias, layer.mask = w * mask, b, mask
-        checkpoint.save(out / f"ticket_{ticket.round}.json", ticket_model,
-                        rewind_snapshot=snapshot, plan=config.plan.to_dict(),
-                        meta={"name": config.name, "seed": config.seed, "round": ticket.round,
-                              "target_sparsity": ticket.target_sparsity})
-        rows.append((ticket.round, ticket.target_sparsity, ticket.accuracy))
-    _write_csv(out / "rounds.csv", ["round", "sparsity", "accuracy"], rows)
-    print(f"wrote {len(rows)} tickets and rounds.csv to {out}")
-    return 0
-
-
 def cmd_inspect(args) -> int:
     ckpt = checkpoint.load(args.checkpoint)
     _report(ckpt.model, ckpt.plan)
@@ -232,11 +226,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_prune.add_argument("--seed", type=int, default=0)
     p_prune.add_argument("--out", default=None)
     p_prune.set_defaults(func=cmd_prune)
-
-    p_lth = sub.add_parser("lth", help="run a lottery-ticket experiment")
-    p_lth.add_argument("config")
-    p_lth.add_argument("--seed", type=int, default=None)
-    p_lth.set_defaults(func=cmd_lth)
 
     p_inspect = sub.add_parser("inspect", help="report checkpoint contents and integrity")
     p_inspect.add_argument("checkpoint")

@@ -1,13 +1,13 @@
 """Mask lifecycle orchestration.
 
-Three entry points:
+Two entry points:
 
   * Sparsifier      -- static pruning of a layer or whole model; the only
                        code that computes masks and writes them into weights
   * SparsifyCallback -- dynamic pruning during training: a schedule around
-                        one Sparsifier
-  * run_lth          -- lottery-ticket experiments (reset to a saved snapshot
-                        after each pruning round)
+                        one Sparsifier; with the plan's lth set it also runs
+                        lottery-ticket experiments (reset to a saved snapshot
+                        after each pruning round) and keeps the tickets
 
 Sparsifier masks each layer's weights array in place, in static pruning
 and in the callback alike; only an LTH rewind or reset_end puts a copy of
@@ -292,16 +292,3 @@ class SparsifyCallback(Callback):
             self._restore(state)
         self._publish(state)
 
-
-def run_lth(model: Model, config, plan: SparsifyPlan, rng: Rng | None = None):
-    """Full lottery-ticket run; returns (model, metric_log, tickets, rewind_snapshot).
-
-    rewind_snapshot is one (weights, bias) pair per layer with weights; every
-    ticket's weights are those weights times its masks, under the same bias."""
-    from .train import fit
-
-    if not plan.lth:
-        raise ValueError("run_lth needs a plan with lth set")
-    callback = SparsifyCallback(plan, rng=rng)
-    model, log = fit(model, config, callbacks=[callback])
-    return model, log, callback.tickets, callback.rewind_snapshot

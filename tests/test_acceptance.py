@@ -11,7 +11,7 @@ import pytest
 from prunekit import (Callback, Criterion, LayerScores, Model, Rng, ScheduleSpec, Sparsifier,
                       SparsifyCallback, SparsifyPlan, TrainConfig, accuracy, all_specs,
                       enumerate_blocks, eval_schedule, fit, make_dataset, parse_granularity,
-                      run_lth, score, select_global, select_local, sparsity_of, train_eval_split)
+                      score, select_global, select_local, sparsity_of, train_eval_split)
 from prunekit.cli import main
 from prunekit.train import softmax_cross_entropy
 

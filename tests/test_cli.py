@@ -11,7 +11,7 @@ from prunekit.cli import main
 from prunekit.criteria import CRITERIA, Criterion
 from prunekit.layers import Model
 from prunekit.rng import Rng
-from prunekit.sparsifier import SparsifyCallback
+from prunekit.sparsifier import SparsifyCallback, model_sparsity
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -283,7 +283,7 @@ def test_lth_command(workdir):
         prune={"sparsity": 80, "context": "global",
                "schedule": {"kind": "iterative", "n_steps": 4, "start_epoch": 1},
                "lth": True})
-    assert main(["lth", str(cfg)]) == 0
+    assert main(["run", str(cfg)]) == 0
     out = workdir / "lth-seed42"
     for k in range(1, 5):
         assert (out / f"ticket_{k}.json").exists()
@@ -312,7 +312,7 @@ def test_lth_rewind_at_window_start(workdir):
         prune={"sparsity": 80, "context": "global",
                "schedule": {"kind": "iterative", "n_steps": 4, "start_epoch": 1},
                "lth": True, "rewind_epoch": 1})
-    assert main(["lth", str(cfg)]) == 0
+    assert main(["run", str(cfg)]) == 0
     out = workdir / "lth-seed42"
     snapshot = checkpoint.load(out / "checkpoint.json").rewind_snapshot
     assert all(np.all(w != 0) for w, _ in snapshot)  # no mask had been applied yet
@@ -332,16 +332,33 @@ def test_shipped_configs(workdir):
     """The configs in configs/ run, and inspect passes on every checkpoint they write."""
     assert main(["run", str(CONFIGS / "blobs_gradual.json")]) == 0
     assert main(["run", str(CONFIGS / "conv_patterns8x8.json")]) == 0
-    assert main(["lth", str(CONFIGS / "lth_blobs.json")]) == 0
+    assert main(["run", str(CONFIGS / "lth_blobs.json")]) == 0
     written = sorted(workdir.glob("*/checkpoint.json")) + sorted(workdir.glob("*/ticket_*.json"))
     assert len(written) == 3 + 4
     for path in written:
         assert main(["inspect", str(path)]) == 0, path
 
 
-def test_lth_requires_lth_config(workdir):
-    cfg = write_config(workdir / "cfg.json")
-    assert main(["lth", str(cfg)]) == 2
+def test_run_writes_tickets_only_under_lth(workdir):
+    """One command trains: with the plan's lth set, run also writes one ticket
+    per round and rounds.csv, whose model_sparsity is each ticket's mask sparsity."""
+    lth = write_config(workdir / "lth.json", name="lth",
+                       train={"epochs": 5, "batch_size": 32, "learning_rate": 0.1},
+                       prune={"sparsity": 80, "context": "global",
+                              "schedule": {"kind": "iterative", "n_steps": 4, "start_epoch": 1},
+                              "lth": True})
+    assert main(["run", str(lth)]) == 0
+    assert main(["run", str(write_config(workdir / "cfg.json"))]) == 0
+    run_files = ["checkpoint.json", "metrics.csv", "metrics.svg", "summary.txt"]
+    tickets = [f"ticket_{k}.json" for k in range(1, 5)]
+    assert sorted(p.name for p in (workdir / "lth-seed42").iterdir()) == sorted(
+        run_files + tickets + ["rounds.csv"])
+    assert sorted(p.name for p in (workdir / "demo-seed42").iterdir()) == run_files
+    rows = (workdir / "lth-seed42" / "rounds.csv").read_text().splitlines()
+    assert rows[0] == "round,sparsity,accuracy,model_sparsity"
+    for row, name in zip(rows[1:], tickets, strict=True):
+        layers = checkpoint.load(workdir / "lth-seed42" / name).model.prunable_layers()
+        assert float(row.split(",")[3]) == model_sparsity(layers)
 
 
 def test_inspect_dense(workdir, capsys):
@@ -696,9 +713,8 @@ def test_checkpoint_fuzz(workdir, capsys, seed):
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
                             "ignore:invalid value:RuntimeWarning")
-@pytest.mark.parametrize("command, prune", [("run", None), ("run", {}), ("lth", {"lth": True})],
-                         ids=["run_no_prune", "run_prune", "lth"])
-def test_non_finite_loss_exits_1(workdir, capsys, command, prune):
+@pytest.mark.parametrize("prune", [None, {}, {"lth": True}], ids=["run_no_prune", "run_prune", "lth"])
+def test_non_finite_loss_exits_1(workdir, capsys, prune):
     doc = json.loads(json.dumps(BASE_CONFIG))
     doc["train"]["learning_rate"] = 1e300
     if prune is None:
@@ -707,13 +723,12 @@ def test_non_finite_loss_exits_1(workdir, capsys, command, prune):
         doc["prune"].update(prune)
     cfg = workdir / "cfg.json"
     cfg.write_text(json.dumps(doc))
-    assert main([command, str(cfg)]) == 1
+    assert main(["run", str(cfg)]) == 1
     err = capsys.readouterr().err
     assert "error: training aborted: non-finite train_loss" in err
     assert "Traceback" not in err
     out = workdir / "demo-seed42"
-    assert (out / "crash_checkpoint.json").exists()
-    assert not (out / "checkpoint.json").exists()
+    assert sorted(p.name for p in out.iterdir()) == ["crash_checkpoint.json"]
 
 
 def test_nan_weight_exits_1_with_crash_checkpoint(workdir, capsys, monkeypatch):

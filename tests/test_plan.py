@@ -52,7 +52,7 @@ def test_checkpoint_plans_load_back(workdir):
                        prune={"sparsity": 80, "context": "global",
                               "schedule": {"kind": "iterative", "n_steps": 4, "start_epoch": 1},
                               "lth": True})
-    assert main(["lth", str(cfg)]) == 0
+    assert main(["run", str(cfg)]) == 0
     plan = load_config(cfg).plan
     written = sorted((workdir / "lth").glob("ticket_*.json")) + [workdir / "lth" / "checkpoint.json"]
     assert len(written) == 5

@@ -3,7 +3,7 @@ import pytest
 
 from prunekit import (Callback, ContextSpec, Criterion, Model, Rng, ScheduleSpec, Sparsifier,
                       SparsifyCallback, SparsifyPlan, TrainConfig, accuracy, fit, make_dataset,
-                      model_sparsity, run_lth, sparsity_of, train_eval_split)
+                      model_sparsity, sparsity_of, train_eval_split)
 from prunekit.sparsifier import compute_masks
 
 BLOBS = {"kind": "blobs2d", "n": 200, "separation": 4.0}
@@ -218,7 +218,9 @@ def lth_plan(n_steps=4, s=80.0, start=1, **kw):
 
 def test_lth_resets_and_nesting():
     cfg = TrainConfig(epochs=5, batch_size=32, learning_rate=0.1, seed=12, dataset=BLOBS)
-    model, log, tickets, snapshot = run_lth(mlp(12), cfg, lth_plan())
+    cb = SparsifyCallback(lth_plan())
+    fit(mlp(12), cfg, callbacks=[cb])
+    tickets = cb.tickets
     assert len(tickets) == 4
     targets = [t.target_sparsity for t in tickets]
     assert targets == [20.0, 40.0, 60.0, 80.0]
@@ -236,7 +238,9 @@ def test_lth_resets_and_nesting():
 def test_lth_tickets_rebuild_from_returned_snapshot():
     """snapshot x masks, under the snapshot's biases, scores exactly each ticket's accuracy."""
     cfg = TrainConfig(epochs=5, batch_size=32, learning_rate=0.1, seed=12, dataset=BLOBS)
-    _, _, tickets, snapshot = run_lth(mlp(12), cfg, lth_plan())
+    cb = SparsifyCallback(lth_plan())
+    fit(mlp(12), cfg, callbacks=[cb])
+    tickets, snapshot = cb.tickets, cb.rewind_snapshot
     _, (x_eval, y_eval) = train_eval_split(*make_dataset(BLOBS, Rng(cfg.seed).child("data")))
     assert len(tickets) == 4
     for ticket in tickets:
