@@ -18,8 +18,8 @@ plus a newline) and to load back into the arrays it was written from.
 Times are time.perf_counter medians and quartiles over the repetitions, in
 ms. `save_peak_mb` is tracemalloc's peak over one further save: the most
 memory that save held at once, Python objects and numpy arrays alike.
-`sha256` is the hash of the file, so runs of two source trees can be
-checked to write the same bytes. The run is stored under --label in the
+`bytes` is the file's size and `sha256` its hash, so runs of two source
+trees can be checked to write the same bytes, or compared by size. The run is stored under --label in the
 output JSON, next to the runs already there, with an environment record.
 --src imports prunekit from another source tree, e.g. an unpacked older
 commit, so that both sides are measured by the same script.

@@ -2,17 +2,24 @@
 the criterion reads one), rewind snapshot, plan echo and a metric-log tail.
 
 A checkpoint file is `json.dumps(doc, sort_keys=True, separators=(",", ":"))`
-plus a newline, so identical state produces byte-identical files. Every
-array, masks included, is `{"data": "<base64>", "shape": [...]}`, where the
-data is the base64 of the array's C-order little-endian float64 bytes, so
-a round trip is bit-exact (NaN payloads and -0.0 too). `save` writes the
-document skeleton itself and each array's base64 in one write, so only one
-array's encoding is held at a time.
+plus a newline, so identical state produces byte-identical files.
+- Weights, biases, histories and the rewind snapshot are `{"data":
+  "<base64>", "shape": [...]}`: the base64 of the array's C-order
+  little-endian float64 bytes, so a round trip is bit-exact (NaN payloads
+  and -0.0 too).
+- A mask is `{"bits": "<base64>", "shape": [...]}`: one bit per entry, 1
+  for kept, in C order, packed by `np.packbits` (most significant bit first
+  within each byte), the last byte's unused bits zero. `save` refuses a
+  mask holding any value but 0.0 and 1.0 before it opens the file, and
+  `load` unpacks the bits into the same float64 0/1 array.
+`save` writes the document skeleton itself and each array's base64 in one
+write, so only one weight array's encoding is held at a time.
 """
 
 import base64
 from dataclasses import dataclass
 import json
+import math
 
 import numpy as np
 
@@ -21,9 +28,10 @@ from .granularity import enumerate_blocks, parse_granularity
 from .layers import Layer, Model, layer_from_spec
 from .sparsifier import SparsifyPlan
 
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 _KEYS = ("format_version", "layers", "meta", "metrics_tail", "plan", "rewind_snapshot")
 _ARRAYS = ("weights", "bias", "mask", "history")  # a layer entry's arrays; mask and history if prunable
+_ONE = np.array(1.0, "<f8").view("<u8")  # the bits of 1.0; those of 0.0 are all zero
 
 
 def _dumps(obj) -> str:
@@ -57,19 +65,49 @@ def _write_list(fh, objects) -> None:
     fh.write("]")
 
 
-def _dec_array(obj, shape: tuple | None, nullable: bool = True) -> np.ndarray | None:
-    """obj decoded: an array of `shape`, or None where `nullable`. A layer
-    without weights (shape None) holds no arrays."""
-    if obj is None and nullable:
-        return None
-    checked_object(obj, ("data", "shape"), "data", "shape")
+def _mask_entry(mask: np.ndarray) -> dict:
+    """A mask's entry in the file: its bits, packed, and its shape."""
+    flat = np.ascontiguousarray(mask, "<f8").ravel()
+    bits = flat.view("<u8")
+    ones = bits == _ONE
+    if np.count_nonzero(ones) + np.count_nonzero(bits == 0) != bits.size:
+        raise ValueError(f"value {float(flat[np.argmax(~ones & (bits != 0))])!r} is not 0.0 or 1.0")
+    return {"bits": base64.b64encode(np.packbits(ones)).decode(), "shape": list(mask.shape)}
+
+
+def _payload(obj, key: str, shape: tuple | None, what: str) -> bytes:
+    """The bytes of obj[key]'s base64, obj checked to be {key, "shape"} of
+    `shape`. A layer without weights (shape None) holds no arrays."""
+    checked_object(obj, (key, "shape"), key, "shape")
     if shape is None or obj["shape"] != list(shape):
         raise ValueError(f"shape {obj['shape']} != {None if shape is None else list(shape)}")
     try:
-        arr = np.frombuffer(base64.b64decode(obj["data"], validate=True), "<f8").reshape(shape)
+        return base64.b64decode(obj[key], validate=True)
     except (TypeError, ValueError) as exc:
-        raise ValueError(f"corrupt array: {exc}") from None
-    return arr.astype(np.float64)  # a writable native copy of the read-only buffer
+        raise ValueError(f"corrupt {what}: {exc}") from None
+
+
+def _dec_array(obj, shape: tuple | None, nullable: bool = True) -> np.ndarray | None:
+    """obj decoded: a float64 array of `shape`, or None where `nullable`."""
+    if obj is None and nullable:
+        return None
+    raw = _payload(obj, "data", shape, "array")
+    if len(raw) != 8 * math.prod(shape):
+        raise ValueError(f"corrupt array: {len(raw)} bytes for {math.prod(shape)} float64")
+    return np.frombuffer(raw, "<f8").reshape(shape).astype(np.float64)  # a writable native copy
+
+
+def _dec_mask(obj, shape: tuple) -> np.ndarray | None:
+    """obj decoded: a float64 0/1 mask of `shape`, or None."""
+    if obj is None:
+        return None
+    packed = np.frombuffer(_payload(obj, "bits", shape, "mask"), np.uint8)
+    size = math.prod(shape)
+    if packed.size != (size + 7) // 8:
+        raise ValueError(f"corrupt mask: {packed.size} bytes for {size} bits")
+    if size % 8 and packed[-1] & (0xFF >> size % 8):
+        raise ValueError("corrupt mask: nonzero padding bits")
+    return np.unpackbits(packed, count=size).reshape(shape).astype(np.float64)
 
 
 @dataclass
@@ -81,20 +119,24 @@ class Checkpoint:
     meta: dict
 
 
-def _layer_fields(layer) -> dict:
+def _layer_fields(i: int, layer) -> dict:
     fields = {"spec": layer.spec(), "weights": layer.weights,
               "bias": None if layer.bias is None or layer.weights is None else layer.bias}
     if layer.prunable:
-        fields["mask"] = layer.mask
+        mask = layer.mask
+        fields["mask"] = None if mask is None else under(f"layers[{i}].mask", _mask_entry, mask)
         fields["history"] = layer.history
     return fields
 
 
 def save(path, model: Model, rewind_snapshot=None, plan: dict | None = None,
          metrics_tail: list | None = None, meta: dict | None = None) -> None:
+    """Write the checkpoint; a mask value other than 0.0 or 1.0 raises a
+    FieldError naming the mask, e.g. `layers[0].mask`, and writes nothing."""
+    layers = [_layer_fields(i, layer) for i, layer in enumerate(model.layers)]
     with open(path, "w") as fh:
         fh.write(f'{{"format_version":{FORMAT_VERSION},"layers":')
-        _write_list(fh, map(_layer_fields, model.layers))
+        _write_list(fh, layers)
         fh.write(f',"meta":{_dumps(meta or {})},"metrics_tail":{_dumps(metrics_tail or [])}'
                  f',"plan":{_dumps(plan)},"rewind_snapshot":')
         if rewind_snapshot is None:
@@ -115,7 +157,7 @@ def _read_layer(entry) -> Layer:
     if bias is not None:
         layer.bias = bias
     if layer.prunable:
-        layer.mask = under("mask", _dec_array, entry["mask"], shape)
+        layer.mask = under("mask", _dec_mask, entry["mask"], shape)
         layer.history = under("history", _dec_array, entry["history"], shape)
     return layer
 
@@ -126,20 +168,16 @@ def _read_snapshot_entry(entry, shape: tuple) -> tuple:
             under("bias", _dec_array, entry["bias"], shape[1:2], False))
 
 
-def _check_mask(mask: np.ndarray, granularity: str | None) -> None:
-    """A mask holds only 0 and 1 and, under the plan's granularity, one value per block."""
-    bad = (mask != 0) & (mask != 1)
-    if bad.any():
-        raise ValueError(f"non-binary value {float(mask.ravel()[np.argmax(bad.ravel())])}")
-    if granularity is not None:
-        blocks = enumerate_blocks(parse_granularity(granularity, mask.ndim), mask.shape).rows(mask)
-        if np.any(blocks.min(axis=1) != blocks.max(axis=1)):
-            raise ValueError(f"not block-pure under {granularity!r}")
+def _check_blocks(mask: np.ndarray, granularity: str) -> None:
+    """Under the plan's granularity, each block of the mask holds one value."""
+    rows = enumerate_blocks(parse_granularity(granularity, mask.ndim), mask.shape).rows(mask)
+    if np.any(rows != rows[:, :1]):
+        raise ValueError(f"not block-pure under {granularity!r}")
 
 
 def load(path) -> Checkpoint:
-    """Read a checkpoint; a missing, mistyped, misshapen or unknown field, or a
-    mask that is not binary or not block-pure under the plan, raises FieldError
+    """Read a checkpoint; a missing, mistyped, misshapen, corrupt or unknown
+    field, or a mask that is not block-pure under the plan, raises FieldError
     naming its path, e.g. `layers[0].spec.out: missing`."""
     with open(path) as fh:
         try:
@@ -164,10 +202,9 @@ def load(path) -> Checkpoint:
     plan = None if doc["plan"] is None else under("plan", SparsifyPlan.from_dict, doc["plan"])
     if plan is not None:
         under("plan", plan.check_model, model)  # no epochs: a checkpoint does not know them
-    granularity = None if plan is None else plan.granularity
     for i, layer in enumerate(model.layers):
-        if layer.prunable and layer.mask is not None:
-            under(f"layers[{i}].mask", _check_mask, layer.mask, granularity)
+        if plan is not None and layer.prunable and layer.mask is not None:
+            under(f"layers[{i}].mask", _check_blocks, layer.mask, plan.granularity)
     return Checkpoint(model, snapshot, plan,
                       under("metrics_tail", checked_list, doc["metrics_tail"]),
                       under("meta", checked_object, doc["meta"]))

@@ -146,9 +146,9 @@ def _flag_error(exc: FieldError) -> int:
 
 def _report(model, plan: SparsifyPlan | None) -> None:
     """Print each prunable layer's sparsity by its model index, then the
-    sparsity over the masked layers. Every mask is binary and, if there is a
-    plan, block-pure under it: checkpoint.load checks both, and the
-    Sparsifier makes masks that way."""
+    sparsity over the masked layers. Every mask is binary, as a checkpoint
+    stores it in bits, and, if there is a plan, block-pure under it:
+    checkpoint.load checks that, and the Sparsifier makes masks that way."""
     blocks = "n/a" if plan is None else "ok"
     masked = []
     for i, layer in enumerate(model.layers):

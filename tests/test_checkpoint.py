@@ -12,12 +12,21 @@ def canonical(text):
 
 
 def one_shot_text(model, rewind_snapshot=None, plan=None, metrics_tail=None, meta=None):
-    """The checkpoint document as one json.dumps call, arrays base64-encoded here."""
+    """The checkpoint document as one json.dumps call, arrays base64-encoded
+    here: float64 bytes, or for a mask one bit per entry, in C order."""
     def array(a):
         if a is None:
             return None
         data = base64.b64encode(np.asarray(a, dtype="<f8").tobytes()).decode()
         return {"shape": list(a.shape), "data": data}
+
+    def mask(m):
+        if m is None:
+            return None
+        bits = "".join("1" if v == 1 else "0" for v in m.ravel())
+        bits += "0" * (-len(bits) % 8)
+        packed = bytes(int(bits[i:i + 8], 2) for i in range(0, len(bits), 8))
+        return {"shape": list(m.shape), "bits": base64.b64encode(packed).decode()}
 
     layers = []
     for layer in model.layers:
@@ -25,7 +34,7 @@ def one_shot_text(model, rewind_snapshot=None, plan=None, metrics_tail=None, met
                  "bias": None if layer.bias is None or layer.weights is None
                          else array(layer.bias)}
         if layer.prunable:
-            entry["mask"] = array(layer.mask)
+            entry["mask"] = mask(layer.mask)
             entry["history"] = array(layer.history)
         layers.append(entry)
     doc = {"format_version": checkpoint.FORMAT_VERSION, "layers": layers,
@@ -51,9 +60,9 @@ def snapshot_of(model):
     return [(l.weights.copy(), l.bias.copy()) for l in model.layers if l.weights is not None]
 
 
-def dense_of(n_out):
+def dense_of(n_out, mask=None):
     model = Model.from_specs([{"kind": "dense", "in": 1, "out": n_out}], Rng(n_out))
-    model.layers[0].mask = np.ones((1, n_out))
+    model.layers[0].mask = np.ones((1, n_out)) if mask is None else mask
     model.layers[0].history = model.layers[0].weights.copy()
     return model
 
@@ -80,7 +89,8 @@ CASES = {
         "meta": {"seed": 3, "name": "x", "nested": {"b": [1, {"z": 0.1, "a": True}]}},
         "metrics_tail": [(0, 1, 0.25, 1e-300, 50.0), (0, 2, 1 / 3, 2.0, 50.0)]}),
     "non_finite_weights": lambda: (non_finite(), {"meta": {"aborted": True}}),
-    # 8 bytes a weight: sizes 0, 2 and 1 mod 3 end their base64 in no, one and two "="
+    # 8 bytes a weight: sizes 0, 2 and 1 mod 3 end their base64 in no, one and two "=";
+    # their masks take 1 byte, the first 3, 4 and 5 bits set
     "pad_none": lambda: (dense_of(3), {}),
     "pad_one": lambda: (dense_of(4), {}),
     "pad_two": lambda: (dense_of(5), {}),
@@ -115,3 +125,41 @@ def test_non_finite_weights_round_trip(tmp_path):
                 continue
             assert got.dtype == np.float64 and got.flags.writeable
             assert got.tobytes() == want.tobytes()
+
+
+def two_dense(mask_value):
+    """dense [2, 3] -> relu -> dense [3, 2]; the first layer's mask holds mask_value."""
+    model = Model.from_specs([{"kind": "dense", "in": 2, "out": 3}, {"kind": "relu"},
+                              {"kind": "dense", "in": 3, "out": 2}], Rng(3))
+    first, second = model.prunable_layers()
+    first.mask = np.ones((2, 3))
+    first.mask[1, 2] = mask_value
+    second.mask = np.ones((3, 2))
+    return model
+
+
+@pytest.mark.parametrize("size", range(1, 25))
+def test_mask_bits_round_trip(tmp_path, size):
+    """Masks of every size mod 8, packed into 1-3 bytes (every base64 padding),
+    load back bit-exact, and a save of the loaded model writes the same bytes."""
+    model = dense_of(size, (Rng(size).normal((1, size)) > 0).astype(float))
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    checkpoint.save(a, model)
+    assert a.read_text() == one_shot_text(model)
+    loaded = checkpoint.load(a).model.layers[0].mask
+    assert loaded.dtype == np.float64 and loaded.flags.writeable
+    assert loaded.tobytes() == model.layers[0].mask.tobytes()
+    checkpoint.save(b, checkpoint.load(a).model)
+    assert a.read_bytes() == b.read_bytes()
+
+
+@pytest.mark.parametrize("value", [0.5, 2.0, -0.0, np.nan])
+def test_save_refuses_a_mask_value_other_than_0_or_1(tmp_path, value):
+    """One layer's mask value that is not 0.0 or 1.0 fails the save, whatever
+    the other layer holds: the error names the layer and no file is written.
+    No value is rounded into a bit, -0.0 neither, which would load as 0.0."""
+    path = tmp_path / "ckpt.json"
+    with pytest.raises(ValueError) as err:
+        checkpoint.save(path, two_dense(value))
+    assert str(err.value) == f"layers[0].mask: value {float(value)!r} is not 0.0 or 1.0"
+    assert not path.exists()

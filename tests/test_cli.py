@@ -385,31 +385,14 @@ def test_inspect_tampered_mask(workdir, capsys):
     src = workdir / "dense.json"
     checkpoint.save(src, model)
     out = workdir / "pruned.json"
-    main(["prune", str(src), "--sparsity", "50", "--out", str(out)])
-    doc = _edit_data(_first_value(2), "layers", 0, "mask")(json.loads(out.read_text()))
+    main(["prune", str(src), "--sparsity", "50", "--granularity", "row", "--out", str(out)])
+    doc = _edit_bits(_flip_first_bit, "layers", 0, "mask")(json.loads(out.read_text()))
     out.write_text(json.dumps(doc))
     again = workdir / "again.json"
     for command in (["inspect", str(out)], ["prune", str(out), "--sparsity", "50", "--out", str(again)]):
         assert main(command) == 1
-        assert capsys.readouterr().err == "error: layers[0].mask: non-binary value 2.0\n"
+        assert capsys.readouterr().err == "error: layers[0].mask: not block-pure under 'row'\n"
     assert not again.exists()
-
-
-def test_load_rejects_a_non_binary_layer_beside_a_binary_one(workdir, capsys):
-    """One layer's non-binary mask fails the load for every reader, whatever
-    the other layers hold: no partial report, no file written."""
-    model = Model.from_specs(BASE_CONFIG["model"], Rng(7).child("init"))
-    a, b = model.prunable_layers()
-    a.mask = np.full(a.weights.shape, 0.5)
-    b.mask = (np.arange(b.weights.size) % 4 != 0).astype(float).reshape(b.weights.shape)
-    src = workdir / "masked.json"
-    checkpoint.save(src, model)
-    for command in (["inspect", str(src)], ["prune", str(src), "--sparsity", "50"]):
-        assert main(command) == 1
-        captured = capsys.readouterr()
-        assert captured.err == "error: layers[0].mask: non-binary value 0.5\n"
-        assert captured.out == ""
-    assert sorted(workdir.iterdir()) == [src]
 
 
 @pytest.mark.parametrize("specs, granularity", [
@@ -519,24 +502,26 @@ def _put(value, *path):
     return edit
 
 
-def _edit_data(change, *path):
-    """An edit that replaces the base64 data of the array at `path` by change(data)."""
+def _edit_data(change, *path, key="data"):
+    """An edit that replaces the base64 data (or, with key "bits", a mask's
+    bits) of the array at `path` by change(data)."""
     def edit(doc):
         array = doc
-        for key in path:
-            array = array[key]
-        array["data"] = change(array["data"])
+        for step in path:
+            array = array[step]
+        array[key] = change(array[key])
         return doc
     return edit
 
 
-def _first_value(value):
-    """A change to an array's base64 data that sets its first value to `value`."""
-    def change(data):
-        values = np.frombuffer(base64.b64decode(data), "<f8").copy()
-        values[0] = value
-        return base64.b64encode(values.tobytes()).decode()
-    return change
+def _edit_bits(change, *path):
+    """An edit that replaces the packed bytes of the mask at `path` by change(bytes)."""
+    return _edit_data(lambda bits: base64.b64encode(change(base64.b64decode(bits))).decode(),
+                      *path, key="bits")
+
+
+def _flip_first_bit(packed):
+    return bytes([packed[0] ^ 0x80]) + packed[1:]
 
 
 @pytest.mark.parametrize("field, edit", [
@@ -569,8 +554,8 @@ def _first_value(value):
      _edit_data(lambda data: data[:-4], "layers", 2, "history")),
     ("layers[2].weights: corrupt array:",  # 15 float64 for a [16, 2] array
      _edit_data(lambda data: data[:160], "layers", 2, "weights")),
-    ("layers[0].mask: corrupt array: Incorrect padding",
-     _edit_data(lambda data: data[:-1], "layers", 0, "mask")),
+    ("layers[0].mask: corrupt mask: Incorrect padding",
+     _edit_data(lambda bits: bits[:-1], "layers", 0, "mask", key="bits")),
     ("rewind_snapshot[0].bias: corrupt array:",  # a version-1 array: a list of numbers
      _put([0.0] * 16, "rewind_snapshot", 0, "bias", "data")),
     ("unsupported checkpoint format_version 1", _put(1, "format_version")),
@@ -618,10 +603,12 @@ def test_load_rejects_unchained_layers(workdir, capsys, field, specs):
      _put({"sparsity": 50, "granularity": "kernel"}, "plan")),
     ("plan.sparsity: per-layer list length 5 != prunable layer count 2",
      _put({"sparsity": [10, 20, 30, 40, 50]}, "plan")),
-    ("layers[0].mask: non-binary value 0.5", _edit_data(_first_value(0.5), "layers", 0, "mask")),
+    ("layers[0].mask.data: unknown key",  # a format-2 mask: float64 data, not bits
+     lambda d: _put({"data": d["layers"][0]["weights"]["data"], "shape": [2, 16]},
+                    "layers", 0, "mask")(d)),
     ("layers[2].mask: not block-pure under 'row'",  # one zero in a row of ones
      lambda d: _put({"sparsity": 50, "granularity": "row"}, "plan")(
-         _edit_data(_first_value(0.0), "layers", 2, "mask")(d))),
+         _edit_bits(_flip_first_bit, "layers", 2, "mask")(d))),
 ])
 def test_load_rejects_unknown_keys_and_mistyped_parts(workdir, capsys, field, edit):
     path = workdir / "ckpt.json"
@@ -631,6 +618,40 @@ def test_load_rejects_unknown_keys_and_mistyped_parts(workdir, capsys, field, ed
         assert main(command) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: {field}"), err
+
+
+ODD_MODEL = [{"kind": "dense", "in": 3, "out": 5}, {"kind": "relu"},
+             {"kind": "dense", "in": 5, "out": 2}]  # masks of 15 and 10 bits, 2 bytes each
+
+
+@pytest.mark.parametrize("field, edit", [
+    ("layers[0].mask: corrupt mask: nonzero padding bits",
+     _edit_bits(lambda b: b[:-1] + bytes([b[-1] | 1]), "layers", 0, "mask")),
+    ("layers[2].mask: corrupt mask: nonzero padding bits",
+     _edit_bits(lambda b: b[:-1] + bytes([b[-1] | 0x20]), "layers", 2, "mask")),
+    ("layers[0].mask: corrupt mask: 1 bytes for 15 bits",
+     _edit_bits(lambda b: b[:-1], "layers", 0, "mask")),
+    ("layers[2].mask: corrupt mask: 3 bytes for 10 bits",
+     _edit_bits(lambda b: b + b"\0", "layers", 2, "mask")),
+    ("layers[0].mask: corrupt mask:",  # a character outside the alphabet
+     _edit_data(lambda bits: "!" + bits[1:], "layers", 0, "mask", key="bits")),
+    ("unsupported checkpoint format_version 2", _put(2, "format_version")),
+])
+def test_load_rejects_corrupt_mask_bits(workdir, capsys, field, edit):
+    """A mask whose bits do not fit its shape fails the load for every reader,
+    whatever the other layer holds: no report, no file written."""
+    model = Model.from_specs(ODD_MODEL, Rng(3).child("init"))
+    for layer in model.prunable_layers():
+        layer.mask = (Rng(4).normal(layer.weights.shape) > 0).astype(float)
+    path = workdir / "ckpt.json"
+    checkpoint.save(path, model)
+    path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+    for command in (["inspect", str(path)], ["prune", str(path), "--sparsity", "50"]):
+        assert main(command) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {field}"), captured.err
+        assert captured.out == ""
+    assert sorted(workdir.iterdir()) == [path]
 
 
 WRONG_TYPES = [5, 2.5, "x", True, [], {}]
@@ -678,7 +699,9 @@ def test_checkpoint_fuzz(workdir, capsys, seed):
     doc = json.loads(path.read_text())
     rng = Rng(seed)
     cases = 0
-    for at, holder, key in list(_checkpoint_keys(doc)):
+    keys = list(_checkpoint_keys(doc))
+    assert {at for at, _, _ in keys} >= {"layers[0].mask.bits", "layers[3].mask.bits"}
+    for at, holder, key in keys:
         valid = holder[key]
         wrong = [v for v in WRONG_TYPES if type(v) is not type(valid)]
         sibling = f"{['masks', 'dtype', 'stride', 'x'][int(rng.integers(0, 4))]}_{cases}"
@@ -686,7 +709,7 @@ def test_checkpoint_fuzz(workdir, capsys, seed):
         corruptions = [
             ("drop", at),
             (wrong[int(rng.integers(0, len(wrong)))],
-             parent if key in ("data", "shape") else at),  # an array's parts are one field
+             parent if key in ("data", "bits", "shape") else at),  # an array's parts are one field
             ("sibling", f"{parent}.{sibling}" if parent else sibling),
         ]
         for corruption, field in corruptions:
