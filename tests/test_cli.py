@@ -520,6 +520,15 @@ def _edit_bits(change, *path):
                       *path, key="bits")
 
 
+def _float_mask(layer):
+    """An edit that stores layer `layer`'s mask as format 2 did: float64 data, not bits."""
+    def edit(doc):
+        weights = doc["layers"][layer]["weights"]
+        doc["layers"][layer]["mask"] = {"data": weights["data"], "shape": weights["shape"]}
+        return doc
+    return edit
+
+
 def _flip_first_bit(packed):
     return bytes([packed[0] ^ 0x80]) + packed[1:]
 
@@ -603,9 +612,7 @@ def test_load_rejects_unchained_layers(workdir, capsys, field, specs):
      _put({"sparsity": 50, "granularity": "kernel"}, "plan")),
     ("plan.sparsity: per-layer list length 5 != prunable layer count 2",
      _put({"sparsity": [10, 20, 30, 40, 50]}, "plan")),
-    ("layers[0].mask.data: unknown key",  # a format-2 mask: float64 data, not bits
-     lambda d: _put({"data": d["layers"][0]["weights"]["data"], "shape": [2, 16]},
-                    "layers", 0, "mask")(d)),
+    ("layers[0].mask.data: unknown key", _float_mask(0)),
     ("layers[2].mask: not block-pure under 'row'",  # one zero in a row of ones
      lambda d: _put({"sparsity": 50, "granularity": "row"}, "plan")(
          _edit_bits(_flip_first_bit, "layers", 2, "mask")(d))),
