@@ -1,7 +1,8 @@
 """Time checkpoint.save and checkpoint.load at the sizes perfbench writes.
 
 Usage:
-    python3 benchmarks/bench_checkpoint.py --label NAME [--src DIR] [--out BENCH_checkpoint.json]
+    python3 benchmarks/bench_checkpoint.py --label NAME [--src DIR]
+        [--baseline LABEL=DIR] [--rounds R] [--out BENCH_checkpoint.json]
 
 Models:
   prune_sweep  perfbench prune-sweep's three conv layers ([48, 96], [96, 96],
@@ -22,7 +23,12 @@ memory that save held at once, Python objects and numpy arrays alike.
 trees can be checked to write the same bytes, or compared by size. The run is stored under --label in the
 output JSON, next to the runs already there, with an environment record.
 --src imports prunekit from another source tree, e.g. an unpacked older
-commit, so that both sides are measured by the same script.
+commit, so that both sides are measured by the same script. --baseline
+imports a second tree and times it in the same process: each model runs R
+rounds, and in every round both trees save and load `reps` times back to
+back, each going first in every other round; the quartiles are then over
+all rounds, and round_total_ms has each round's median save plus median
+load.
 """
 
 import hashlib
@@ -78,49 +84,72 @@ def check(pk, path, model):
                 sys.exit(f"layers[{i}].{name} did not load back from {path}")
 
 
-def timings_ms(fn, reps):
+def times_ms(fn, reps):
     times = []
     for _ in range(reps):
         start = time.perf_counter()
         fn()
         times.append((time.perf_counter() - start) * 1e3)
+    return times
+
+
+def quartiles(times):
     q1, median, q3 = statistics.quantiles(times, n=4)
     return {"median_ms": median, "q1_ms": q1, "q3_ms": q3}
 
 
 def main(argv=None):
-    args = harness.argument_parser(__doc__, "BENCH_checkpoint.json").parse_args(argv)
-    pk = harness.load_prunekit(args.src, "prunekit_src")
-    checkpoint = importlib.import_module(".checkpoint", pk.__name__)
+    parser = harness.argument_parser(__doc__, "BENCH_checkpoint.json",
+                                     rounds_help="timing rounds per model")
+    args = parser.parse_args(argv)
+    trees = harness.trees(parser, args)
 
-    cases = []
+    cases = {label: [] for label, _ in trees}
     with tempfile.TemporaryDirectory() as tmp:
         for name, setup in MODELS.items():
-            model, kwargs = build(pk, *setup)
-            path = Path(tmp) / f"{name}.json"
-            checkpoint.save(path, model, **kwargs)
-            check(pk, path, model)
-            tracemalloc.start()
-            checkpoint.save(path, model, **kwargs)
-            peak = tracemalloc.get_traced_memory()[1]
-            tracemalloc.stop()
-            case = {"model": name, "weights": sum(l.weights.size for l in model.prunable_layers()),
-                    "bytes": path.stat().st_size,
-                    "sha256": hashlib.sha256(path.read_bytes()).hexdigest(),
-                    "reps": REPS, "save_peak_mb": peak / 2**20}
-            for op, fn in (("save", lambda: checkpoint.save(path, model, **kwargs)),
-                           ("load", lambda: checkpoint.load(path))):
-                case[op] = timings_ms(fn, REPS)
-            cases.append(case)
-            print(f"{name:<12} {case['weights']:>7} weights {case['bytes']:>8} B  "
-                  f"save {case['save']['median_ms']:8.1f} ms  load {case['load']['median_ms']:7.1f} ms"
-                  f"  save peak {case['save_peak_mb']:.1f} MB")
+            runs = {}  # label: (checkpoint module, path, model, save kwargs, case, times)
+            round_totals = {label: [] for label, _ in trees}
+            for n, (label, pk) in enumerate(trees):
+                checkpoint = importlib.import_module(".checkpoint", pk.__name__)
+                model, kwargs = build(pk, *setup)
+                path = Path(tmp) / f"{name}-{n}.json"
+                checkpoint.save(path, model, **kwargs)
+                check(pk, path, model)
+                tracemalloc.start()
+                checkpoint.save(path, model, **kwargs)
+                peak = tracemalloc.get_traced_memory()[1]
+                tracemalloc.stop()
+                case = {"model": name, "weights": sum(l.weights.size for l in model.prunable_layers()),
+                        "bytes": path.stat().st_size,
+                        "sha256": hashlib.sha256(path.read_bytes()).hexdigest(),
+                        "reps": REPS, "rounds": args.rounds, "save_peak_mb": peak / 2**20}
+                runs[label] = (checkpoint, path, model, kwargs, case, {"save": [], "load": []})
+            for label, _ in harness.alternate(trees, args.rounds):
+                checkpoint, path, model, kwargs, case, times = runs[label]
+                this_round = {"save": times_ms(lambda: checkpoint.save(path, model, **kwargs), REPS),
+                              "load": times_ms(lambda: checkpoint.load(path), REPS)}
+                for op, got in this_round.items():
+                    times[op] += got
+                round_totals[label].append(sum(map(statistics.median, this_round.values())))
+            for label, _ in trees:
+                *_, case, times = runs[label]
+                for op in ("save", "load"):
+                    case[op] = quartiles(times[op])
+                case["round_total_ms"] = round_totals[label]
+                cases[label].append(case)
+                print(f"{label:<24}{name:<12} {case['weights']:>7} weights {case['bytes']:>8} B  "
+                      f"save {case['save']['median_ms']:8.1f} ms  load {case['load']['median_ms']:7.1f} ms"
+                      f"  save peak {case['save_peak_mb']:.1f} MB")
+            harness.report_faster(trees, round_totals, f"{name:<12} ")
 
     about = ("checkpoint.save and checkpoint.load per call: time.perf_counter median and "
-             "quartiles in ms over `reps` calls, each file checked to be canonical JSON "
-             "that loads back first; save_peak_mb is tracemalloc's peak over one save. "
+             "quartiles in ms over `rounds` x `reps` calls (`reps` where `rounds` is absent), "
+             "each file checked to be canonical JSON that loads back first; round_total_ms "
+             "has each round's median save plus median load, and runs written together "
+             "alternate round by round; save_peak_mb is tracemalloc's peak over one save. "
              "Written by benchmarks/bench_checkpoint.py.")
-    harness.write_runs(args.out, about, {args.label: {"env": harness.env_record(), "cases": cases}})
+    harness.write_runs(args.out, about, {label: {"env": harness.env_record(),
+                                                 "cases": cases[label]} for label, _ in trees})
 
 
 if __name__ == "__main__":

@@ -5,8 +5,9 @@ finds the k-th lowest score in O(n); one comparison per layer then writes its
 float64 keep-mask, pruning every block at or below that score. Only when a
 tie straddles the cut (a block past the first k of the partition also scores
 the k-th score) are the tied blocks after the earliest ones kept again, in
-layer-then-block order. So masks are deterministic: the first k of a stable
-sort of (score, layer, block).
+layer-then-block order: counting ties in halving ranges finds the last pruned
+one, and one comparison from just past it keeps the rest. So masks are
+deterministic: the first k of a stable sort of (score, layer, block).
 """
 
 from dataclasses import dataclass
@@ -16,6 +17,7 @@ import numpy as np
 from .granularity import BlockPartition
 
 CONTEXTS = ("local", "global")
+_SPAN = 4096  # _past_nth's last range: below it, halving steps cost more than they save
 
 
 @dataclass(frozen=True)
@@ -67,10 +69,30 @@ def select_global(layers: list[LayerScores], sparsity: float) -> list[np.ndarray
     if 0 < k < n and flipped[:n - k].max() == flipped[n - k]:
         pruned_ties = k - np.count_nonzero(flipped[n - k:] > flipped[n - k])
         for layer, keep in zip(layers, keeps):
-            tied = np.flatnonzero(layer.block_scores == threshold)
-            keep[tied[pruned_ties:]] = 1.0
-            pruned_ties = max(0, pruned_ties - len(tied))
+            cut = 0  # every tie from here on is kept
+            if pruned_ties:
+                tied = layer.block_scores == threshold
+                count = np.count_nonzero(tied)
+                cut = len(tied) if count <= pruned_ties else _past_nth(tied, pruned_ties)
+                pruned_ties = max(0, pruned_ties - count)
+            np.greater_equal(layer.block_scores[cut:], threshold, out=keep[cut:])
     return [layer.partition.unrows(keep[:, None]) for layer, keep in zip(layers, keeps)]
+
+
+def _past_nth(flags: np.ndarray, n: int) -> int:
+    """The index just past the n-th True of flags (1 <= n <= their count).
+    Halving steps, each counting one half of the range left, narrow it to
+    _SPAN flags, so the counts add up to one pass and the index array is
+    built over that short range only, not over every True."""
+    lo, hi = 0, len(flags)
+    while hi - lo > _SPAN:
+        mid = (lo + hi) // 2
+        left = np.count_nonzero(flags[lo:mid])
+        if left >= n:
+            hi = mid
+        else:
+            lo, n = mid, n - left
+    return lo + int(np.flatnonzero(flags[lo:hi])[n - 1]) + 1
 
 
 def select_per_layer(layers: list[LayerScores], per_layer) -> list[np.ndarray]:

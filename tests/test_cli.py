@@ -357,8 +357,13 @@ def test_run_writes_tickets_only_under_lth(workdir):
     rows = (workdir / "lth-seed42" / "rounds.csv").read_text().splitlines()
     assert rows[0] == "round,sparsity,accuracy,model_sparsity"
     for row, name in zip(rows[1:], tickets, strict=True):
-        layers = checkpoint.load(workdir / "lth-seed42" / name).model.prunable_layers()
+        path = workdir / "lth-seed42" / name
+        layers = checkpoint.load(path).model.prunable_layers()
         assert float(row.split(",")[3]) == model_sparsity(layers)
+        # a ticket's weights are the snapshot under its masks: only the kept ones are stored
+        stored = [base64.b64decode(entry["weights"]["data"])
+                  for entry in json.loads(path.read_text())["layers"] if entry["weights"]]
+        assert [len(raw) for raw in stored] == [8 * np.count_nonzero(l.mask) for l in layers]
 
 
 def test_inspect_dense(workdir, capsys):
@@ -666,12 +671,14 @@ WRONG_TYPES = [5, 2.5, "x", True, [], {}]
 
 def _fuzz_checkpoint(path):
     """A conv+dense checkpoint with every part filled: masks, histories, a
-    rewind snapshot, a plan, meta and a metrics tail."""
+    rewind snapshot, a plan, meta and a metrics tail. The weights are masked,
+    so each layer stores only the ones its mask keeps."""
     model = Model.from_specs(FUZZ_MODEL, Rng(5).child("init"))
     snapshot = [(l.weights.copy(), l.bias.copy()) for l in model.prunable_layers()]
     for layer in model.prunable_layers():
         layer.history = layer.weights.copy()
-        layer.mask = np.ones_like(layer.weights)
+        layer.mask = (Rng(6).normal(layer.weights.shape) > 0).astype(float)
+        layer.weights *= layer.mask
     checkpoint.save(path, model, rewind_snapshot=snapshot,
                     plan={"sparsity": 50.0, "context": "global", "schedule": None},
                     metrics_tail=[[0, 7, 0.69, 0.5, 0.0, 0.0]], meta={"name": "fuzz", "seed": 5})
@@ -707,7 +714,11 @@ def test_checkpoint_fuzz(workdir, capsys, seed):
     rng = Rng(seed)
     cases = 0
     keys = list(_checkpoint_keys(doc))
-    assert {at for at, _, _ in keys} >= {"layers[0].mask.bits", "layers[3].mask.bits"}
+    assert {at for at, _, _ in keys} >= {"layers[0].mask.bits", "layers[3].mask.bits",
+                                          "layers[0].weights.data", "layers[3].weights.data"}
+    for i in (0, 3):  # kept-only: fewer float64 than the layer has weights
+        weights = doc["layers"][i]["weights"]
+        assert len(base64.b64decode(weights["data"])) < 8 * np.prod(weights["shape"])
     for at, holder, key in keys:
         valid = holder[key]
         wrong = [v for v in WRONG_TYPES if type(v) is not type(valid)]

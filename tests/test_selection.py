@@ -200,6 +200,18 @@ def test_large_tie_heavy_selection_matches_stable_sort():
             np.testing.assert_array_equal(mask.ravel(), expected)
 
 
+def test_all_tied_cut_at_every_halving_boundary():
+    """Every block ties, in a layer longer than the range that counting the ties
+    halves down to, then a shorter one: cuts on either side of each halving
+    boundary prune exactly the earliest k blocks."""
+    sizes = (16_384, 5_000)
+    layers = [singleton_layer(np.zeros(size), li) for li, size in enumerate(sizes)]
+    n = sum(sizes)
+    for k in (1, 4095, 4096, 4097, 8191, 8192, 8193, 16_383, 16_384, 16_385, n - 1):
+        keep = np.concatenate([m.ravel() for m in select_global(layers, _sparsity_for(n, k))])
+        np.testing.assert_array_equal(keep, _stable_sort_keep(np.zeros(n), k))
+
+
 def _assert_matches_oracle(layers, sparsity):
     for ours, oracle in zip(select_global(layers, sparsity), bruteforce_masks(layers, sparsity, "global")):
         assert ours.shape == oracle.shape and ours.tobytes() == oracle.tobytes()
