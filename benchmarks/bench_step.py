@@ -1,5 +1,5 @@
 """Time one training step layer by layer: each layer's forward and backward,
-the loss and sgd_step.
+the loss and sgd_step; and time train.accuracy on the eval split.
 
 Usage:
     python3 benchmarks/bench_step.py --label NAME [--src DIR]
@@ -25,6 +25,15 @@ initial weights is run in every tree, and a second time in the first
 tree: the logits, loss, gradients and updated parameters must be
 byte-equal, and the exit message names the first array that is not.
 
+The eval case times accuracy (phase "accuracy") on each workload's
+untrained model over its eval split and over that split tiled 4 times
+("batch" is the row count), reps // 10 calls per round and tree, at least
+one. Before timing, every tree's whole-batch forward(train=False) logits
+must be byte-equal, those of its eval_chunks (where it has them) equal to
+them, and its accuracy equal to their hit count over n. Each tree's
+tracemalloc peak of one accuracy call, after a warm-up call, is stored as
+peak_bytes.
+
 Each phase stores the time.perf_counter median and quartiles in us over
 all rounds' steps, and the median of each round (round_medians_us; round
 r of the two trees ran back to back). "step" is the sum of a step's
@@ -40,11 +49,15 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 import statistics
 import sys
 import time
+import tracemalloc
+
+import numpy as np
 
 import harness
 
 BATCH = 32
 LEARNING_RATE = 0.05
+EVAL_SCALES = (1, 4)  # the eval split, and the split tiled 4 times
 WORKLOADS = {
     "conv-train": (
         [{"kind": "conv2d", "in_ch": 1, "out_ch": 8, "kx": 3, "ky": 3}, {"kind": "relu"},
@@ -118,6 +131,82 @@ class Step:
         return out
 
 
+def eval_case(pk, workload, seed, scale):
+    """(model, inputs, labels): the workload's untrained model, as Step
+    builds it, and its eval split tiled `scale` times."""
+    specs, dataset = WORKLOADS[workload]
+    rng = pk.Rng(seed)
+    _, (x, y) = pk.train_eval_split(*pk.make_dataset(dataset, rng.child("data")))
+    model = pk.Model.from_specs(specs, rng.child("init"))
+    return model, np.concatenate([x] * scale), np.concatenate([y] * scale)
+
+
+def eval_differs(pk, model, x, y, want):
+    """The first of one tree's eval checks that fails, or None: its
+    whole-batch logits must have the bytes `want`, those of its eval_chunks
+    the same, and its accuracy must be their hit count over n."""
+    whole = model.forward(x, train=False)
+    chunks = getattr(pk.train, "eval_chunks", lambda n: [slice(0, n)])(len(y))
+    chunked = np.concatenate([model.forward(x[c], train=False) for c in chunks])
+    if whole.tobytes() != want:
+        return "whole-batch logits"
+    if chunked.tobytes() != want:
+        return "eval_chunks logits"
+    if pk.accuracy(model, x, y) != np.count_nonzero(whole.argmax(axis=1) == y) / len(y):
+        return "accuracy"
+    return None
+
+
+def peak_bytes(fn):
+    """tracemalloc peak of one call of fn, after a warm-up call."""
+    fn()
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def time_eval(trees, args, cases):
+    """The eval case: check, then time and trace accuracy per workload and scale."""
+    reps = max(1, args.reps // 10)
+    for workload in WORKLOADS:
+        for scale in EVAL_SCALES:
+            runs = {label: eval_case(pk, workload, args.seed, scale) for label, pk in trees}
+            model, x, _ = runs[trees[0][0]]
+            want = model.forward(x, train=False).tobytes()
+            for label, pk in trees:
+                differ = eval_differs(pk, *runs[label], want)
+                if differ:
+                    sys.exit(f"{label}: {workload} eval x{scale}: {differ} differ "
+                             f"from {trees[0][0]}'s whole-batch forward")
+            n = len(x)
+            calls = {label: (lambda pk=pk, run=runs[label]: pk.accuracy(*run)) for label, pk in trees}
+            peaks = {label: peak_bytes(calls[label]) for label, _ in trees}
+            times = {label: [] for label, _ in trees}
+            round_medians = {label: [] for label, _ in trees}
+            for label, _ in harness.alternate(trees, args.rounds):
+                calls[label]()  # warm-up
+                got = []
+                for _ in range(reps):
+                    start = time.perf_counter()
+                    calls[label]()
+                    got.append(time.perf_counter() - start)
+                times[label] += got
+                round_medians[label].append(statistics.median(got) * 1e6)
+            for label, _ in trees:
+                q1, median, q3 = (t * 1e6 for t in quartiles(times[label]))
+                cases[label].append({"workload": workload, "phase": "accuracy", "batch": n,
+                                     "reps": reps, "rounds": args.rounds,
+                                     "median_us": median, "q1_us": q1, "q3_us": q3,
+                                     "round_medians_us": round_medians[label],
+                                     "peak_bytes": peaks[label]})
+                print(f"{label:<24}{workload:<13}{f'accuracy n={n}':<22}{median:>9.1f} us "
+                      f"[{q1:.1f}, {q3:.1f}]  peak {peaks[label] / 1e6:.2f} MB")
+            harness.report_faster(trees, round_medians, f"{workload:<13}{f'accuracy n={n}':<22}")
+
+
 def main(argv=None):
     parser = harness.argument_parser(__doc__, "BENCH_step.json",
                                      rounds_help="timing rounds per workload")
@@ -158,13 +247,17 @@ def main(argv=None):
                                      "round_medians_us": round_medians[p][label]})
                 print(f"{label:<24}{workload:<13}{p:<22}{median:>9.1f} us [{q1:.1f}, {q3:.1f}]")
             harness.report_faster(trees, round_medians[p], f"{workload:<13}{p:<22}")
+    time_eval(trees, args, cases)
 
     about = ("One training step at batch 32, phase by phase: each layer's forward and "
              "backward, the loss and sgd_step, and their sum as 'step'. time.perf_counter "
              "median and quartiles in us over `rounds` x `reps` steps; round_medians_us "
              "has each round's median, and runs written together alternate round by "
-             "round after their step outputs were checked byte-equal. Written by "
-             "benchmarks/bench_step.py.")
+             "round after their step outputs were checked byte-equal. Phase 'accuracy' "
+             "times train.accuracy of the untrained model on `batch` eval rows (the eval "
+             "split and 4 times it), `reps` calls a round, with peak_bytes the tracemalloc "
+             "peak of one call; its logits were checked byte-equal to one whole-batch "
+             "forward first. Written by benchmarks/bench_step.py.")
     env = {**harness.env_record(), "blas_threads": os.environ["OPENBLAS_NUM_THREADS"]}
     harness.write_runs(args.out, about, {label: {"env": env, "seed": args.seed,
                                                  "cases": cases[label]} for label, _ in trees})

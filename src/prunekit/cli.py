@@ -23,7 +23,7 @@ from .selection import CONTEXTS
 from .sparsifier import Sparsifier, SparsifyCallback, SparsifyPlan, model_sparsity
 from .svgplot import line_chart
 from .tensor import sparsity_of
-from .train import TrainingAborted, fit
+from .train import Callback, TrainingAborted, accuracy, fit
 
 
 def _out_root() -> Path:
@@ -57,6 +57,14 @@ def _crash_saver(out: Path, config):
     return save
 
 
+class _FinalEval(Callback):
+    """Registered last: the accuracy of the weights fit returns, on the
+    run's own eval split, once every other callback's on_train_end ran."""
+
+    def on_train_end(self, state):
+        self.accuracy = accuracy(state["model"], state["x_eval"], state["y_eval"])
+
+
 def cmd_run(args) -> int:
     """Train the config's model under its plan, if any. Writes metrics.csv,
     checkpoint.json, summary.txt and metrics.svg and, when the plan sets
@@ -66,8 +74,9 @@ def cmd_run(args) -> int:
     rng = Rng(config.seed)
     plan = config.plan
     callback = None if plan is None else SparsifyCallback(plan, rng=rng.child("criterion"))
+    final_eval = _FinalEval()
     model, log = fit(config.build_model(rng.child("init")), config.train,
-                     callbacks=[] if callback is None else [callback],
+                     callbacks=([] if callback is None else [callback]) + [final_eval],
                      abort_handler=_crash_saver(out, config))
     rows = [list(r.values()) for r in log]
     _write_csv(out / "metrics.csv", list(log[0]), rows)
@@ -84,7 +93,8 @@ def cmd_run(args) -> int:
                  f"epochs: {config.train.epochs}\n"
                  f"final train_loss: {last['train_loss']:.6f}\n"
                  f"final train_acc: {last['train_acc']:.4f}\n"
-                 f"final model_sparsity: {last['model_sparsity']:.4f}\n")
+                 f"final model_sparsity: {last['model_sparsity']:.4f}\n"
+                 f"final eval_acc: {final_eval.accuracy:.4f}\n")
     line_chart([("train_loss", [i for i in range(len(log))], [r["train_loss"] for r in log]),
                 ("model_sparsity/100", [i for i in range(len(log))],
                  [r["model_sparsity"] for r in log])],

@@ -5,6 +5,11 @@ Hooks fire in registration order, exactly once per event:
 on_train_begin, per epoch on_epoch_begin, per batch on_step_end (after
 the optimizer update), per epoch on_epoch_end, on_train_end. Each hook
 receives the mutable training state dict.
+
+accuracy forwards the eval set in contiguous chunks of about EVAL_BATCH
+rows and sums their hit counts, so it holds one chunk's activations at a
+time, whatever the eval set's size. The chunks are cut so that their
+logits are those of one whole-batch forward (see EVAL_BATCH).
 """
 
 from dataclasses import dataclass, field
@@ -107,9 +112,36 @@ def sgd_step(model: Model, lr: float, momentum: float, velocities: dict) -> None
         layer.bias -= lr * vb
 
 
+# About the rows per forward in accuracy. BLAS picks kernels by shape: a
+# forward of 1-7 rows moved logits by up to 3.6e-15 against a whole-batch
+# one, and a dense layer's last n % 4 rows take another kernel than the rest.
+# So the eval set is cut at multiples of 32 rows into ceil(n / EVAL_BATCH)
+# near-equal chunks of at least 64 rows. Their logits were byte-equal to one
+# whole-batch forward at every eval size up to 3200 on perfbench's conv model,
+# and below 1954 on its mlp, whose whole-batch [n, 256] @ [256, 2] switches
+# kernel there.
+EVAL_BATCH = 128
+
+
+def eval_chunks(n: int) -> list:
+    """Contiguous slices covering range(n): one if n <= EVAL_BATCH, else
+    ceil(n / EVAL_BATCH) of 64-159 rows, each starting at a multiple of 32."""
+    k = -(-n // EVAL_BATCH)
+    bounds = [i * n // k // 32 * 32 for i in range(k)] + [n]
+    return [slice(a, b) for a, b in zip(bounds, bounds[1:])]
+
+
 def accuracy(model: Model, inputs, labels) -> float:
-    logits = model.forward(inputs, train=False)
-    return float((logits.argmax(axis=1) == labels).mean())
+    """Share of inputs whose argmax logit is their label: the hit count of
+    each eval_chunks forward, summed and divided by n. Inputs and labels of
+    different lengths, or none, raise ValueError."""
+    n = len(labels)
+    if len(inputs) != n or n == 0:
+        raise ValueError(f"accuracy needs as many inputs as labels, at least one: "
+                         f"got {len(inputs)} inputs and {n} labels")
+    hits = sum(np.count_nonzero(model.forward(inputs[s], train=False).argmax(axis=1) == labels[s])
+               for s in eval_chunks(n))
+    return float(hits / n)
 
 
 def _abort(cause, state, abort_handler) -> TrainingAborted:

@@ -6,8 +6,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from prunekit import checkpoint
+from prunekit import accuracy, checkpoint, make_dataset, train, train_eval_split
 from prunekit.cli import main
+from prunekit.config import load_config
 from prunekit.criteria import CRITERIA, Criterion
 from prunekit.layers import Model
 from prunekit.rng import Rng
@@ -337,6 +338,22 @@ def test_shipped_configs(workdir):
     assert len(written) == 3 + 4
     for path in written:
         assert main(["inspect", str(path)]) == 0, path
+
+
+def test_summary_gives_eval_acc_of_the_saved_weights(workdir, monkeypatch):
+    """summary.txt's last line is the accuracy of checkpoint.json's weights on
+    the run's own eval split, from the one dataset fit draws. lth_blobs
+    collapses a layer: its last batch reads 1.0, its saved weights chance."""
+    draws = []
+    monkeypatch.setattr(train, "make_dataset", lambda *a: draws.append(a) or make_dataset(*a))
+    assert main(["run", str(CONFIGS / "lth_blobs.json")]) == 0
+    assert len(draws) == 1
+    config = load_config(CONFIGS / "lth_blobs.json")
+    _, (x_eval, y_eval) = train_eval_split(*make_dataset(config.dataset, Rng(config.seed).child("data")))
+    model = checkpoint.load(workdir / "lth-blobs-seed7" / "checkpoint.json").model
+    lines = (workdir / "lth-blobs-seed7" / "summary.txt").read_text().splitlines()
+    assert lines[-1] == f"final eval_acc: {accuracy(model, x_eval, y_eval):.4f}" == "final eval_acc: 0.5000"
+    assert "final train_acc: 1.0000" in lines
 
 
 def test_run_writes_tickets_only_under_lth(workdir):

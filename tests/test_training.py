@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -232,6 +233,79 @@ def test_accuracy_leaves_no_columns():
     model.forward(x)
     accuracy(model, x, np.zeros(6, dtype=np.int64))
     assert all(l._cols is None for l in model.layers if l.kind == "conv2d")
+
+
+# perfbench's mlp-perstep model
+MLP_PERSTEP_SPECS = [
+    {"kind": "dense", "in": 2, "out": 256}, {"kind": "relu"},
+    {"kind": "dense", "in": 256, "out": 256}, {"kind": "relu"},
+    {"kind": "dense", "in": 256, "out": 2},
+]
+EVAL_BATCH = train_module.EVAL_BATCH
+EVAL_SIZES = [1, 2, EVAL_BATCH - 1, EVAL_BATCH, EVAL_BATCH + 1, 2 * EVAL_BATCH + 1, 800]
+
+
+def _eval_model_and_data(kind, seed=3):
+    specs, dataset = {
+        "conv": (CONV_TRAIN_SPECS, {"kind": "patterns8x8", "n": 1000, "noise": 0.1}),
+        "mlp": (MLP_PERSTEP_SPECS, {"kind": "blobs2d", "n": 1000, "separation": 4.0}),
+    }[kind]
+    rng = Rng(seed)
+    return Model.from_specs(specs, rng.child("init")), make_dataset(dataset, rng.child("data"))
+
+
+def test_eval_chunks_cover_the_set_in_aligned_near_equal_chunks():
+    for n in range(1, 3000):
+        chunks = train_module.eval_chunks(n)
+        assert len(chunks) == math.ceil(n / EVAL_BATCH)
+        assert [c.start for c in chunks[1:]] == [c.stop for c in chunks[:-1]]
+        assert chunks[0].start == 0 and chunks[-1].stop == n
+        assert all(c.start % 32 == 0 for c in chunks)
+        if len(chunks) > 1:
+            assert all(64 <= c.stop - c.start < EVAL_BATCH + 32 for c in chunks), n
+
+
+@pytest.mark.parametrize("n", EVAL_SIZES)
+@pytest.mark.parametrize("kind", ["conv", "mlp"])
+def test_chunked_logits_bit_equal_whole_batch(kind, n):
+    model, (x, _) = _eval_model_and_data(kind)
+    whole = model.forward(x[:n], train=False)
+    chunked = np.concatenate([model.forward(x[:n][c], train=False)
+                              for c in train_module.eval_chunks(n)])
+    assert chunked.tobytes() == whole.tobytes()
+
+
+@pytest.mark.parametrize("n", EVAL_SIZES)
+def test_accuracy_is_hit_count_over_n(n):
+    model, (x, _) = _eval_model_and_data("conv")
+    labels = Rng(4).integers(0, 2, n)
+    hits = np.count_nonzero(model.forward(x[:n], train=False).argmax(axis=1) == labels)
+    got = accuracy(model, x[:n], labels)
+    assert type(got) is float and got == hits / n
+
+
+def test_accuracy_peak_memory_does_not_grow_with_the_eval_set():
+    model = Model.from_specs(CONV_TRAIN_SPECS, Rng(5))
+    x = Rng(6).normal((8 * EVAL_BATCH, 1, 8, 8))
+    y = np.zeros(len(x), dtype=np.int64)
+    peaks = []
+    for n in (EVAL_BATCH, 8 * EVAL_BATCH):
+        accuracy(model, x[:n], y[:n])  # warm-up
+        tracemalloc.start()
+        try:
+            accuracy(model, x[:n], y[:n])
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.5 * peaks[0], peaks
+
+
+@pytest.mark.parametrize("n_labels", [1, 0, 11])
+def test_accuracy_refuses_inputs_and_labels_of_different_lengths(n_labels):
+    model = mlp(Rng(7))
+    x = Rng(8).normal((10, 2))
+    with pytest.raises(ValueError, match=f"got 10 inputs and {n_labels} labels"):
+        accuracy(model, x, np.ones(n_labels, dtype=np.int64))
 
 
 def _chwn_memory(a):
