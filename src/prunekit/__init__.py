@@ -9,14 +9,14 @@ included, through SparsifyCallback.
 from .criteria import CRITERIA, Criterion, score
 from .datasets import make_dataset, train_eval_split
 from .fields import FieldError
-from .granularity import (BlockPartition, GranularitySpec, aggregate_scores, all_specs,
-                          enumerate_blocks, parse_granularity)
+from .granularity import (BlockPartition, aggregate_scores, all_specs, enumerate_blocks,
+                          parse_granularity)
 from .layers import Conv2d, Dense, Flatten, Model, ReLU
 from .rng import Rng
 from .schedule import (BUILTIN_SCHEDULES, ScheduleSpec, current_target, eval_schedule,
                        register_custom_schedule, window_steps)
 from .selection import (ContextSpec, LayerScores, pruned_count, select, select_global,
-                        select_local, select_per_layer)
+                        select_local)
 from .sparsifier import (Sparsifier, SparsifyCallback, SparsifyPlan, Ticket,
                          compute_masks, model_sparsity)
 from .tensor import init_weights, sparsity_of

@@ -31,7 +31,7 @@ import math
 import numpy as np
 
 from .fields import FieldError, checked_list, checked_object, under
-from .granularity import enumerate_blocks, parse_granularity
+from .granularity import enumerate_blocks
 from .layers import Layer, Model, layer_from_spec
 from .sparsifier import SparsifyPlan
 
@@ -155,8 +155,9 @@ class Checkpoint:
 
 
 def _layer_fields(i: int, layer) -> dict:
-    fields = {"spec": layer.spec(), "weights": layer.weights,
-              "bias": None if layer.bias is None or layer.weights is None else layer.bias}
+    if layer.weights is None and layer.weight_shape is not None:
+        raise FieldError(f"layers[{i}].weights", "None: the model was never initialized")
+    fields = {"spec": layer.spec(), "weights": layer.weights, "bias": layer.bias}
     if layer.prunable:
         fields["mask"], fields["history"] = None, layer.history
         if layer.mask is not None:
@@ -168,9 +169,10 @@ def _layer_fields(i: int, layer) -> dict:
 
 def save(path, model: Model, rewind_snapshot=None, plan: dict | None = None,
          metrics_tail: list | None = None, meta: dict | None = None) -> None:
-    """Write the checkpoint; a mask value other than 0.0 or 1.0, or a mask
-    shaped unlike its weights, raises a FieldError naming the mask, e.g.
-    `layers[0].mask`, and writes nothing."""
+    """Write the checkpoint; a layer with a weight shape but no weights, a
+    mask value other than 0.0 or 1.0, or a mask shaped unlike its weights
+    raises a FieldError naming the field, e.g. `layers[0].mask`, and writes
+    nothing."""
     layers = [_layer_fields(i, layer) for i, layer in enumerate(model.layers)]
     with open(path, "wb") as fh:
         fh.write(b'{"format_version":%d,"layers":' % FORMAT_VERSION)
@@ -214,7 +216,7 @@ def _read_snapshot_entry(entry, shape: tuple) -> tuple:
 
 def _check_blocks(mask: np.ndarray, granularity: str) -> None:
     """Under the plan's granularity, each block of the mask holds one value."""
-    rows = enumerate_blocks(parse_granularity(granularity, mask.ndim), mask.shape).rows(mask)
+    rows = enumerate_blocks(granularity, mask.shape).rows(mask)
     if np.any(rows != rows[:, :1]):
         raise ValueError(f"not block-pure under {granularity!r}")
 

@@ -49,14 +49,6 @@ def _write_csv(path, header, rows):
             writer.writerow([_fmt(v) for v in row])
 
 
-def _crash_saver(out: Path, config):
-    """fit's abort_handler: save the model as it was when training stopped."""
-    def save(state):
-        checkpoint.save(out / "crash_checkpoint.json", state["model"],
-                        meta={"name": config.name, "seed": config.seed, "aborted": True})
-    return save
-
-
 class _FinalEval(Callback):
     """Registered last: the accuracy of the weights fit returns, on the
     run's own eval split, once every other callback's on_train_end ran."""
@@ -68,16 +60,22 @@ class _FinalEval(Callback):
 def cmd_run(args) -> int:
     """Train the config's model under its plan, if any. Writes metrics.csv,
     checkpoint.json, summary.txt and metrics.svg and, when the plan sets
-    lth, one ticket_<round>.json per ticket and rounds.csv."""
+    lth, one ticket_<round>.json per ticket and rounds.csv. If training
+    aborts, it saves the model as crash_checkpoint.json and re-raises."""
     config = load_config(args.config, seed_override=args.seed)
     out = _run_dir(config)
     rng = Rng(config.seed)
     plan = config.plan
     callback = None if plan is None else SparsifyCallback(plan, rng=rng.child("criterion"))
     final_eval = _FinalEval()
-    model, log = fit(config.build_model(rng.child("init")), config.train,
-                     callbacks=([] if callback is None else [callback]) + [final_eval],
-                     abort_handler=_crash_saver(out, config))
+    model = config.build_model(rng.child("init"))
+    try:
+        model, log = fit(model, config.train,
+                         callbacks=([] if callback is None else [callback]) + [final_eval])
+    except TrainingAborted:  # save the model as it was when training stopped
+        checkpoint.save(out / "crash_checkpoint.json", model,
+                        meta={"name": config.name, "seed": config.seed, "aborted": True})
+        raise
     rows = [list(r.values()) for r in log]
     _write_csv(out / "metrics.csv", list(log[0]), rows)
     if plan is not None and plan.lth:

@@ -35,29 +35,24 @@ _ALIASES = {2: ALIASES_RANK2, 4: ALIASES_RANK4}
 
 
 @dataclass(frozen=True)
-class GranularitySpec:
-    rank: int
-    spanned_axes: frozenset
-
-
-@dataclass(frozen=True)
 class BlockPartition:
-    """Blocks of a `shape` tensor under `spec`: rows(a) is a transpose + reshape, one row per
-    block, lexicographic over the indexed axes; no index array is built."""
-    spec: GranularitySpec
+    """Blocks of a `shape` tensor under the granularity `spec`, the set of
+    axes they span: rows(a) is a transpose + reshape, one row per block,
+    lexicographic over the indexed axes; no index array is built."""
+    spec: frozenset
     shape: tuple
 
     @property
     def _order(self) -> list:  # the indexed axes, then the spanned axes
-        return sorted(range(self.spec.rank), key=lambda ax: ax in self.spec.spanned_axes)
+        return sorted(range(len(self.shape)), key=lambda ax: ax in self.spec)
 
     @property
     def n_blocks(self) -> int:
-        return math.prod(s for ax, s in enumerate(self.shape) if ax not in self.spec.spanned_axes)
+        return math.prod(s for ax, s in enumerate(self.shape) if ax not in self.spec)
 
     @property
     def block_size(self) -> int:
-        return math.prod(self.shape[ax] for ax in self.spec.spanned_axes)
+        return math.prod(self.shape[ax] for ax in self.spec)
 
     def rows(self, a: np.ndarray) -> np.ndarray:
         """[n_blocks, block_size] view (or reshape copy) of `a`; row means add in gather order."""
@@ -75,14 +70,15 @@ class BlockPartition:
         return np.array(split, order="C")
 
 
-def parse_granularity(name_or_axes, rank: int) -> GranularitySpec:
-    """Resolve an alias string, a comma-separated axis string, or an axis iterable."""
+def parse_granularity(name_or_axes, rank: int) -> frozenset:
+    """The spanned axes, at `rank`, of an alias string, a comma-separated
+    axis string, or an axis iterable."""
     if rank not in (2, 4):
         raise ValueError(f"unsupported rank {rank}: expected 2 or 4")
     if isinstance(name_or_axes, str):
         name = name_or_axes.strip()
         if name in _ALIASES[rank]:
-            return GranularitySpec(rank, _ALIASES[rank][name])
+            return _ALIASES[rank][name]
         if name in _ALIASES[6 - rank]:
             raise ValueError(f"granularity {name!r} is not defined for rank {rank}")
         try:
@@ -93,22 +89,22 @@ def parse_granularity(name_or_axes, rank: int) -> GranularitySpec:
         axes = frozenset(int(a) for a in name_or_axes)
     if any(a < 0 or a >= rank for a in axes):
         raise ValueError(f"granularity axes {sorted(axes)} out of range for rank {rank}")
-    return GranularitySpec(rank, axes)
+    return axes
 
 
 def all_specs(rank: int):
-    """Every distinct granularity for the rank (16 for rank 4, 4 for rank 2)."""
+    """Every distinct granularity for the rank, as spanned axes (16 for rank 4, 4 for rank 2)."""
     for k in range(rank + 1):
         for axes in combinations(range(rank), k):
-            yield GranularitySpec(rank, frozenset(axes))
+            yield frozenset(axes)
 
 
-def enumerate_blocks(spec: GranularitySpec, shape) -> BlockPartition:
-    """Partition `shape` into blocks under `spec`, in the reproducible BlockPartition order."""
+def enumerate_blocks(granularity, shape) -> BlockPartition:
+    """Partition `shape` into blocks under `granularity`, anything
+    parse_granularity takes, resolved at len(shape), in the reproducible
+    BlockPartition order."""
     shape = tuple(int(s) for s in shape)
-    if spec.rank != len(shape):
-        raise ValueError(f"rank mismatch: spec rank {spec.rank}, shape {shape}")
-    return BlockPartition(spec=spec, shape=shape)
+    return BlockPartition(parse_granularity(granularity, len(shape)), shape)
 
 
 def aggregate_scores(scores: np.ndarray, partition: BlockPartition) -> np.ndarray:

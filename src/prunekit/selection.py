@@ -41,9 +41,14 @@ def pruned_count(n_blocks: int, sparsity: float) -> int:
     return int(np.floor(n_blocks * sparsity / 100.0))
 
 
-def select_local(layers: list[LayerScores], sparsity: float) -> list[np.ndarray]:
-    """Per layer independently, prune the lowest-scoring blocks."""
-    return [select_global([layer], sparsity)[0] for layer in layers]
+def select_local(layers: list[LayerScores], sparsity) -> list[np.ndarray]:
+    """Per layer independently, prune the lowest-scoring blocks: `sparsity`
+    is every layer's target, or a list of one target per layer."""
+    if not isinstance(sparsity, (list, tuple)):
+        sparsity = [sparsity] * len(layers)
+    elif len(sparsity) != len(layers):
+        raise ValueError(f"per-layer list length {len(sparsity)} != layer count {len(layers)}")
+    return [select_global([layer], s)[0] for layer, s in zip(layers, sparsity)]
 
 
 def select_global(layers: list[LayerScores], sparsity: float) -> list[np.ndarray]:
@@ -95,17 +100,8 @@ def _past_nth(flags: np.ndarray, n: int) -> int:
     return lo + int(np.flatnonzero(flags[lo:hi])[n - 1]) + 1
 
 
-def select_per_layer(layers: list[LayerScores], per_layer) -> list[np.ndarray]:
-    """select_local with each layer's own target sparsity."""
-    if len(per_layer) != len(layers):
-        raise ValueError(f"per-layer list length {len(per_layer)} != layer count {len(layers)}")
-    return [select_local([layer], s)[0] for layer, s in zip(layers, per_layer)]
-
-
 def select(layers: list[LayerScores], context: ContextSpec, sparsity) -> list[np.ndarray]:
     """A list of sparsities gives each layer its own target, whatever the context."""
-    if isinstance(sparsity, (list, tuple)):
-        return select_per_layer(layers, sparsity)
-    if context.kind == "local":
-        return select_local(layers, sparsity)
-    return select_global(layers, sparsity)
+    if context.kind == "global" and not isinstance(sparsity, (list, tuple)):
+        return select_global(layers, sparsity)
+    return select_local(layers, sparsity)

@@ -112,17 +112,14 @@ class SparsifyPlan:
             raise FieldError("rewind_epoch", f"must not exceed the pruning window start {spec.start_epoch}")
 
 
-def layer_block_scores(layer, granularity: str, criterion: Criterion, rng: Rng | None) -> LayerScores:
-    spec = parse_granularity(granularity, layer.weights.ndim)
-    partition = enumerate_blocks(spec, layer.weights.shape)
-    raw = score(criterion, layer.weights, layer.history, rng)
-    return LayerScores(partition=partition, block_scores=aggregate_scores(raw, partition))
-
-
 def compute_masks(layers, granularity, context: ContextSpec, criterion: Criterion,
                   sparsity, rng: Rng | None = None) -> list[np.ndarray]:
     """Score -> aggregate -> select for a list of prunable layers."""
-    scored = [layer_block_scores(layer, granularity, criterion, rng) for layer in layers]
+    scored = []
+    for layer in layers:
+        partition = enumerate_blocks(granularity, layer.weights.shape)
+        raw = score(criterion, layer.weights, layer.history, rng)
+        scored.append(LayerScores(partition, aggregate_scores(raw, partition)))
     return select(scored, context, sparsity)
 
 
@@ -141,12 +138,12 @@ class Sparsifier:
                  rng: Rng | None = None):
         self.model = model
         self.granularity = granularity
-        self.context = context
+        self.context = ContextSpec(context)
         self.criterion = Criterion(criterion)
         self.rng = rng
 
-    def _prune(self, layers, context: str, sparsity) -> list[np.ndarray]:
-        masks = compute_masks(layers, self.granularity, ContextSpec(context), self.criterion,
+    def _prune(self, layers, sparsity) -> list[np.ndarray]:
+        masks = compute_masks(layers, self.granularity, self.context, self.criterion,
                               sparsity, self.rng)
         for layer, mask in zip(layers, masks):
             layer.mask = mask
@@ -157,13 +154,13 @@ class Sparsifier:
         layer = self.model.layers[layer_index]
         if not layer.prunable:
             raise ValueError(f"layer {layer_index} ({layer.kind}) is not prunable")
-        return self._prune([layer], "local", sparsity)[0]
+        return self._prune([layer], sparsity)[0]  # one layer: local and global agree
 
     def prune_model(self, sparsity) -> list[np.ndarray]:
         layers = self.model.prunable_layers()
         if not layers:
             raise ValueError("model has no prunable layer")
-        return self._prune(layers, self.context, sparsity)
+        return self._prune(layers, sparsity)
 
     def apply_masks(self) -> None:
         """Multiply every masked layer's weights by its current mask again."""
@@ -190,7 +187,8 @@ class SparsifyCallback(Callback):
     boundaries inside the pruning window masks are recomputed from
     scratch. With lth set, weights are reset to the rewind snapshot
     (masked) after each pruning round, and each round whose target rises
-    records a Ticket.
+    records a Ticket. Each fit starts afresh: on_train_begin clears the
+    masks, the tickets and the rewind snapshot.
     """
 
     def __init__(self, plan: SparsifyPlan, rng: Rng | None = None):
@@ -198,8 +196,6 @@ class SparsifyCallback(Callback):
         self.rng = rng
         if Criterion(plan.criterion).reads == "rng" and rng is None:
             raise ValueError(f"criterion {plan.criterion!r} reads 'rng', and none was given")
-        self.rewind_snapshot = None
-        self.tickets: list[Ticket] = []
 
     # -- internals ---------------------------------------------------------
 
@@ -279,6 +275,8 @@ class SparsifyCallback(Callback):
         rewinds = plan.lth or plan.reset_end
         self._rewind_step = plan.rewind_epoch * spe if rewinds else None
         self._model_sparsity = 0.0  # of the current masks; they change only in _update_masks
+        self.rewind_snapshot = None
+        self.tickets: list[Ticket] = []
         self._step_done(state, 0)
         self._publish(state)
 

@@ -66,13 +66,10 @@ class Callback:
 
 
 class TrainingAborted(RuntimeError):
-    """A callback raised or the loss went non-finite; training state was
-    checkpointed if a handler was given."""
+    """A callback raised or the loss went non-finite."""
 
-    def __init__(self, cause, state):
+    def __init__(self, cause):
         super().__init__(f"training aborted: {cause}")
-        self.cause = cause
-        self.state = state
 
 
 def softmax_cross_entropy(logits, labels):
@@ -144,21 +141,15 @@ def accuracy(model: Model, inputs, labels) -> float:
     return float(hits / n)
 
 
-def _abort(cause, state, abort_handler) -> TrainingAborted:
-    if abort_handler is not None:
-        abort_handler(state)
-    return TrainingAborted(cause, state)
-
-
-def _fire(callbacks, event, state, abort_handler):
+def _fire(callbacks, event, state):
     for cb in callbacks:
         try:
             getattr(cb, event)(state)
         except Exception as exc:
-            raise _abort(exc, state, abort_handler) from exc
+            raise TrainingAborted(exc) from exc
 
 
-def fit(model: Model, config: TrainConfig, callbacks=(), abort_handler=None):
+def fit(model: Model, config: TrainConfig, callbacks=()):
     """Train the model; returns (model, metric_log).
 
     Metric rows: epoch, step, train_loss, train_acc, model_sparsity,
@@ -181,10 +172,10 @@ def fit(model: Model, config: TrainConfig, callbacks=(), abort_handler=None):
         "model_sparsity": 0.0, "target_sparsity": 0.0, "log": log,
     }
 
-    _fire(callbacks, "on_train_begin", state, abort_handler)
+    _fire(callbacks, "on_train_begin", state)
     for epoch in range(config.epochs):
         state["epoch"] = epoch
-        _fire(callbacks, "on_epoch_begin", state, abort_handler)
+        _fire(callbacks, "on_epoch_begin", state)
         perm = shuffle_rng.permutation(n)
         for step in range(steps_per_epoch):
             batch = perm[step * config.batch_size:(step + 1) * config.batch_size]
@@ -192,21 +183,20 @@ def fit(model: Model, config: TrainConfig, callbacks=(), abort_handler=None):
             logits = model.forward(xb)
             loss, grad = softmax_cross_entropy(logits, yb)
             if not math.isfinite(loss):
-                raise _abort(f"non-finite train_loss {loss} at epoch {epoch}, step {step}",
-                             state, abort_handler)
+                raise TrainingAborted(f"non-finite train_loss {loss} at epoch {epoch}, step {step}")
             model.backward(grad)
             sgd_step(model, config.learning_rate, config.momentum, velocities)
             state["step"] = step
             state["global_step"] = epoch * steps_per_epoch + step + 1
             state["train_loss"] = loss
             state["train_acc"] = np.count_nonzero(logits.argmax(axis=1) == yb) / len(yb)
-            _fire(callbacks, "on_step_end", state, abort_handler)
+            _fire(callbacks, "on_step_end", state)
             log.append({
                 "epoch": epoch, "step": step,
                 "train_loss": loss, "train_acc": state["train_acc"],
                 "model_sparsity": state["model_sparsity"],
                 "target_sparsity": state["target_sparsity"],
             })
-        _fire(callbacks, "on_epoch_end", state, abort_handler)
-    _fire(callbacks, "on_train_end", state, abort_handler)
+        _fire(callbacks, "on_epoch_end", state)
+    _fire(callbacks, "on_train_end", state)
     return model, log

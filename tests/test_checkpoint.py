@@ -177,6 +177,17 @@ def test_save_refuses_a_mask_value_other_than_0_or_1(tmp_path, value):
     assert not path.exists()
 
 
+def test_save_refuses_a_layer_without_weights(tmp_path):
+    """Model.from_specs without an rng leaves weights None, which load would
+    refuse, so save refuses it before the file is opened."""
+    model = Model.from_specs([{"kind": "dense", "in": 2, "out": 3}, {"kind": "relu"}])
+    path = tmp_path / "ckpt.json"
+    with pytest.raises(ValueError) as err:
+        checkpoint.save(path, model)
+    assert str(err.value) == "layers[0].weights: None: the model was never initialized"
+    assert not path.exists()
+
+
 def pruned_model(granularity):
     """A model pruned to 60% by the Sparsifier, which masks its weights in
     place: a negative weight under a 0 bit becomes -0.0."""

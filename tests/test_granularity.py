@@ -22,12 +22,12 @@ from prunekit import (Rng, aggregate_scores, all_specs, enumerate_blocks,
     ("row", 2, {1}),
 ])
 def test_aliases(name, rank, axes):
-    assert parse_granularity(name, rank).spanned_axes == frozenset(axes)
+    assert parse_granularity(name, rank) == frozenset(axes)
 
 
 def test_parse_explicit_axes():
-    assert parse_granularity("0,2", 4).spanned_axes == frozenset({0, 2})
-    assert parse_granularity({1, 3}, 4).spanned_axes == frozenset({1, 3})
+    assert parse_granularity("0,2", 4) == frozenset({0, 2})
+    assert parse_granularity({1, 3}, 4) == frozenset({1, 3})
 
 
 def test_parse_errors():
@@ -67,6 +67,15 @@ def test_shared_kernel_blocks_match_bruteforce():
         assert sorted(part.rows(np.arange(24).reshape(shape))[o]) == groups[o]
 
 
+def test_enumerate_blocks_resolves_a_granularity_at_the_shapes_rank():
+    shape = (2, 3, 2, 2)
+    expected = enumerate_blocks(parse_granularity("filter", 4), shape)
+    for granularity in ("filter", "1,2,3", {1, 2, 3}, frozenset({1, 2, 3})):
+        assert enumerate_blocks(granularity, shape) == expected
+    assert enumerate_blocks("row", shape).spec == frozenset({3})
+    assert enumerate_blocks("row", (2, 3)).spec == frozenset({1})
+
+
 def test_rank_mismatch():
     with pytest.raises(ValueError):
         enumerate_blocks(parse_granularity("filter", 4), (2, 3))
@@ -83,7 +92,7 @@ def test_partition_properties_all_specs():
             flat = np.sort(part.rows(np.arange(total).reshape(shape)).ravel())
             np.testing.assert_array_equal(flat, np.arange(total))  # disjoint + exhaustive
             assert part.n_blocks * part.block_size == total
-            assert part.block_size == math.prod(shape[a] for a in spec.spanned_axes)
+            assert part.block_size == math.prod(shape[a] for a in spec)
 
 
 def test_full_span_is_one_block():
@@ -118,9 +127,9 @@ def test_aggregate_shape_mismatch():
 
 def index_gather(spec, shape):
     """Independent [n_blocks, block_size] flat-index array, as numpy's reshape lays it out."""
-    indexed = [ax for ax in range(len(shape)) if ax not in spec.spanned_axes]
+    indexed = [ax for ax in range(len(shape)) if ax not in spec]
     flat = np.arange(math.prod(shape)).reshape(shape)
-    return flat.transpose(indexed + sorted(spec.spanned_axes)).reshape(
+    return flat.transpose(indexed + sorted(spec)).reshape(
         math.prod(shape[ax] for ax in indexed), -1)
 
 
@@ -150,7 +159,7 @@ def _one_weight_shapes(rank):
     """(spec, shape) for every spec, each spanned axis of length 1, so every block holds one weight."""
     base = {2: (5, 3), 4: (3, 4, 2, 5)}[rank]
     for spec in all_specs(rank):
-        yield spec, tuple(1 if ax in spec.spanned_axes else s for ax, s in enumerate(base))
+        yield spec, tuple(1 if ax in spec else s for ax, s in enumerate(base))
     if rank == 4:
         yield parse_granularity("shared_kernel", 4), (1, 4, 1, 1)
         yield parse_granularity({0, 1, 2, 3}, 4), (1, 1, 1, 1)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from prunekit import (LayerScores, enumerate_blocks, parse_granularity, pruned_count,
-                      select_global, select_local, select_per_layer, sparsity_of, Rng)
+                      select_global, select_local, sparsity_of, Rng)
 
 from test_granularity import index_gather
 
@@ -99,18 +99,18 @@ def test_global_tie_break_by_position():
 
 def test_per_layer_examples():
     layers = [singleton_layer([1, 2, 3, 4]), singleton_layer([1, 2, 3, 4], 1)]
-    a, b = select_per_layer(layers, [0, 100])
+    a, b = select_local(layers, [0, 100])
     assert sparsity_of(a) == 0.0 and sparsity_of(b) == 1.0
-    a, b = select_per_layer(layers, [50, 25])
+    a, b = select_local(layers, [50, 25])
     assert int((a == 0).sum()) == 2 and int((b == 0).sum()) == 1
-    # equal entries degenerate to select_local
-    for m1, m2 in zip(select_per_layer(layers, [50, 50]), select_local(layers, 50)):
+    # a list of equal targets gives the masks of that one target
+    for m1, m2 in zip(select_local(layers, [50, 50]), select_local(layers, 50)):
         np.testing.assert_array_equal(m1, m2)
 
 
 def test_per_layer_length_mismatch():
     with pytest.raises(ValueError):
-        select_per_layer([singleton_layer([1, 2])], [10, 20])
+        select_local([singleton_layer([1, 2])], [10, 20])
 
 
 def random_instance(rng):

@@ -250,6 +250,23 @@ def test_lth_tickets_rebuild_from_returned_snapshot():
         assert accuracy(model, x_eval, y_eval) == ticket.accuracy
 
 
+def test_reused_callback_keeps_only_the_last_fits_tickets():
+    """A callback fitted twice holds the second fit's tickets and snapshot, as
+    a fresh callback fitted once on the same model does."""
+    cfg = TrainConfig(epochs=5, batch_size=32, learning_rate=0.1, seed=12, dataset=BLOBS)
+    reused, fresh = SparsifyCallback(lth_plan()), SparsifyCallback(lth_plan())
+    fit(mlp(12), cfg, callbacks=[reused])
+    fit(mlp(13), cfg, callbacks=[reused])
+    fit(mlp(13), cfg, callbacks=[fresh])
+    assert [t.round for t in reused.tickets] == [t.round for t in fresh.tickets] == [1, 2, 3, 4]
+    for a, b in zip(reused.tickets, fresh.tickets):
+        assert a.target_sparsity == b.target_sparsity and a.accuracy == b.accuracy
+        for ma, mb in zip(a.masks, b.masks, strict=True):
+            assert ma.tobytes() == mb.tobytes()
+    for (wa, ba), (wb, bb) in zip(reused.rewind_snapshot, fresh.rewind_snapshot, strict=True):
+        assert wa.tobytes() == wb.tobytes() and ba.tobytes() == bb.tobytes()
+
+
 def test_lth_weights_equal_snapshot_after_reset():
     # instrumented subclass: right after every update, weights must be
     # exactly snapshot * mask

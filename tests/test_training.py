@@ -597,17 +597,23 @@ def test_loss_decreasing_early():
     assert all(a > b for a, b in zip(per_epoch, per_epoch[1:]))
 
 
-def test_callback_error_aborts_with_checkpoint():
+def test_callback_error_aborts_at_its_epoch():
+    """A callback's error stops fit where it is raised: no later epoch begins."""
     class Boom(Callback):
+        def __init__(self):
+            self.epochs = []
+
         def on_epoch_begin(self, state):
+            self.epochs.append(state["epoch"])
             if state["epoch"] == 1:
                 raise RuntimeError("boom")
 
-    saved = []
+    boom = Boom()
     cfg = TrainConfig(epochs=3, batch_size=32, learning_rate=0.1, seed=4, dataset=BLOBS)
-    with pytest.raises(TrainingAborted):
-        fit(mlp(Rng(4)), cfg, callbacks=[Boom()], abort_handler=lambda state: saved.append(state))
-    assert len(saved) == 1 and saved[0]["epoch"] == 1
+    with pytest.raises(TrainingAborted, match="^training aborted: boom$") as err:
+        fit(mlp(Rng(4)), cfg, callbacks=[boom])
+    assert boom.epochs == [0, 1]
+    assert isinstance(err.value.__cause__, RuntimeError)
 
 
 def test_nan_weight_aborts_at_first_step():
