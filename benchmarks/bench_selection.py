@@ -22,6 +22,20 @@ Before any timing, every mask is checked against an oracle that shares no
 code with prunekit's partition or selection: block scores from a gather
 with flat indices, then a stable argsort of (score, position).
 
+The "repeat" case is per-step pruning as perfbench's mlp-perstep workload
+runs it: one Sparsifier on the dense 2-256-256-2 model (66,560 weights)
+updates its masks REPEAT_UPDATES times in a row with prune_model at
+REPEAT_SPARSITY% under weight/global and large_final. Between updates a
+fixed seeded nudge is added to the weights in place, outside the timer, so
+that every update scores moved weights. Every update's masks are first
+checked against the oracle; then each update's time and its ru_minflt
+delta, the minor page faults it took, are recorded. It runs before the
+one-update cases, whose megabyte arrays raise glibc's mmap and trim
+thresholds for the rest of the process, after which no update takes a
+page fault. Even so its faults need not be those of `prunekit run`: the
+two trees share one process's heap, and no training step allocates
+between updates.
+
 prunekit is imported from DIR/prunekit (--src, the repo's src by
 default). --baseline imports a second tree, e.g. an unpacked older
 commit, and times it in the same process: each case runs R rounds, and in
@@ -35,6 +49,7 @@ cores).
 
 import itertools
 import math
+import resource
 import statistics
 import sys
 import time
@@ -48,6 +63,11 @@ GRANULARITIES = {"weight": (), "kernel": (2, 3), "channel": (1,)}
 CONTEXTS = ("local", "global")
 SPARSITY = 70.0
 DEAD_SHARE = 0.6
+REPEAT_SPECS = [{"kind": "dense", "in": 2, "out": 256}, {"kind": "relu"},
+                {"kind": "dense", "in": 256, "out": 256}, {"kind": "relu"},
+                {"kind": "dense", "in": 256, "out": 2}]
+REPEAT_UPDATES = 200
+REPEAT_SPARSITY = 80.0
 
 
 def dead_units(rng, shape):
@@ -118,12 +138,69 @@ def update(pk, weights, granularity, context, sparsity):
     return masks, phases
 
 
+def repeat_updates(pk, nudges, check=False):
+    """REPEAT_UPDATES prune_model calls of one Sparsifier on a new seeded
+    mlp-perstep model, each after adding `nudges` to the weights: per update,
+    (seconds, minor faults). With check, every update's masks are compared
+    with the oracle's for the weights it was given, and a mismatch exits."""
+    model = pk.Model.from_specs(REPEAT_SPECS, pk.Rng(2022))
+    layers = model.prunable_layers()
+    sparsifier = pk.Sparsifier(model, "weight", "global", "large_final")
+    times = []
+    for i in range(REPEAT_UPDATES):
+        for layer, nudge in zip(layers, nudges):
+            np.add(layer.weights, nudge, out=layer.weights)
+        want = oracle_masks([layer.weights for layer in layers], (), "global",
+                            REPEAT_SPARSITY) if check else None
+        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        start = time.perf_counter()
+        masks = sparsifier.prune_model(REPEAT_SPARSITY)
+        elapsed = time.perf_counter() - start
+        times.append((elapsed, resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults))
+        if check and not all(np.array_equal(g, m) for g, m in zip(masks, want)):
+            sys.exit(f"{pk.__name__}: mask mismatch: repeat update {i}")
+    return times
+
+
+def repeat_case(trees, rounds):
+    """{label: the repeat case's record}, the trees alternating round by round."""
+    shapes = [tuple(layer.weight_shape)
+              for layer in trees[0][1].Model.from_specs(REPEAT_SPECS).prunable_layers()]
+    nudge_rng = trees[0][1].Rng(7)
+    nudges = [1e-3 * nudge_rng.normal(shape) for shape in shapes]
+    for _, pk in trees:
+        repeat_updates(pk, nudges, check=True)
+    runs = {label: [] for label, _ in trees}
+    for label, pk in harness.alternate(trees, rounds):
+        runs[label].append(repeat_updates(pk, nudges))
+    round_ms = {label: [statistics.median(t for t, _ in r) * 1e3 for r in runs[label]]
+                for label, _ in trees}
+    cases = {}
+    for label, _ in trees:
+        updates = [u for r in runs[label] for u in r]
+        cases[label] = {
+            "model": "dense 2-256-256-2", "weights": sum(math.prod(s) for s in shapes),
+            "granularity": "weight", "context": "global", "criterion": "large_final",
+            "sparsity": REPEAT_SPARSITY, "updates": REPEAT_UPDATES, "rounds": rounds,
+            "update_ms": statistics.median(t for t, _ in updates) * 1e3,
+            "round_update_ms": round_ms[label],
+            "minflt_per_update": sum(f for _, f in updates) / len(updates),
+            "round_minflt_per_update": [sum(f for _, f in r) / len(r) for r in runs[label]],
+        }
+        print(f"{label:<24}repeat {REPEAT_UPDATES} updates: "
+              f"update={cases[label]['update_ms']:.3f} ms "
+              f"minflt/update={cases[label]['minflt_per_update']:.2f}")
+    harness.report_faster(trees, round_ms, "repeat ")
+    return cases
+
+
 def main(argv=None):
     parser = harness.argument_parser(__doc__, "BENCH_selection.json",
                                      rounds_help="timing rounds per case")
     args = parser.parse_args(argv)
     trees = harness.trees(parser, args)
 
+    repeat = repeat_case(trees, args.rounds)
     rng = trees[0][1].Rng(2022)
     cases = {label: [] for label, _ in trees}
     for (dist, draw), n_target in itertools.product(DISTRIBUTIONS.items(), SIZES):
@@ -167,10 +244,15 @@ def main(argv=None):
              "time.perf_counter medians in ms over `rounds` x `reps` repetitions (one "
              "round where `rounds` is absent), masks checked against a full stable-sort "
              "oracle first; round_total_ms has each round's median whole update, and "
-             "runs written together alternate round by round. Written by "
+             "runs written together alternate round by round. `repeat`, where a run has "
+             f"it, is {REPEAT_UPDATES} updates in a row of one Sparsifier on the "
+             "mlp-perstep model: the median update in ms and the minor page faults "
+             "(ru_minflt) per update, overall and per round. Written by "
              "benchmarks/bench_selection.py.")
     harness.write_runs(args.out, about, {label: {"env": harness.env_record(),
-                                                 "cases": cases[label]} for label, _ in trees})
+                                                 "cases": cases[label],
+                                                 "repeat": repeat[label]}
+                                         for label, _ in trees})
 
 
 if __name__ == "__main__":

@@ -80,7 +80,9 @@ def report_faster(trees: list, per_round: dict, case: str) -> None:
 
 
 def env_record() -> dict:
-    """What a run was timed on: Python and numpy versions, conv backend, cores."""
+    """What a run was timed on: Python and numpy versions, conv backend, cores,
+    and the C library with any MALLOC_* settings, as the allocator decides
+    how many page faults an update's temporaries take."""
     return {
         "python": platform.python_version(),
         "numpy": np.__version__,
@@ -89,6 +91,8 @@ def env_record() -> dict:
         "cores_usable": len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else None,
         "machine": platform.machine(),
         "system": platform.system(),
+        "libc": " ".join(platform.libc_ver()).strip() or None,
+        "malloc_env": {k: v for k, v in sorted(os.environ.items()) if k.startswith("MALLOC_")},
     }
 
 

@@ -2,8 +2,11 @@
 input it reads besides the current weights: nothing, the weight history
 (the weights at the previous mask update) or an rng.
 
-Higher score = more important = kept. Pruned weights sit at zero, so
-under large_final they re-prune themselves at the next recomputation.
+Higher score = more important = kept. Pruned weights sit at zero only
+between mask updates. During training an update step recomputes the masks
+instead of re-applying them after its optimizer step, so a pruned weight
+is scored holding one unmasked SGD step, -lr * v for its velocity v
+(ROADMAP item 14); under large_final it scores lr * |v|.
 """
 
 from dataclasses import dataclass
@@ -14,12 +17,15 @@ from .rng import Rng
 from .tensor import check_congruent
 
 # criterion -> (the input it reads besides the weights, its score from the
-# weights, their magnitude and that input)
+# weights, an array holding their magnitude, which the score may overwrite,
+# and that input)
 _TABLE = {
     "random": ("rng", lambda w, magnitude, rng: rng.normal(w.shape)),
     "large_final": (None, lambda w, magnitude, _: magnitude),
-    "magnitude_increase": ("history", lambda w, magnitude, wi: magnitude - np.abs(wi)),
-    "movement": ("history", lambda w, magnitude, wi: np.abs(w - wi)),
+    "magnitude_increase": ("history", lambda w, magnitude, wi:
+                           np.subtract(magnitude, np.abs(wi), out=magnitude)),
+    "movement": ("history", lambda w, magnitude, wi:
+                 np.abs(np.subtract(w, wi, out=magnitude), out=magnitude)),
 }
 CRITERIA = tuple(_TABLE)
 
@@ -38,8 +44,10 @@ class Criterion:
 
 
 def score(criterion: Criterion, wf: np.ndarray, wi: np.ndarray | None = None,
-          rng: Rng | None = None) -> np.ndarray:
-    magnitude = np.abs(wf)
+          rng: Rng | None = None, out: np.ndarray | None = None) -> np.ndarray:
+    """The scores of the weights wf, written into `out` (shaped like wf) where
+    given; random returns a fresh draw instead."""
+    magnitude = np.abs(wf, out=out)
     if not np.isfinite(magnitude.max(initial=0.0)):  # NaN and inf both propagate through max
         raise ValueError("non-finite weight values")
     reads, rule = _TABLE[criterion.kind]

@@ -41,30 +41,34 @@ def pruned_count(n_blocks: int, sparsity: float) -> int:
     return int(np.floor(n_blocks * sparsity / 100.0))
 
 
-def select_local(layers: list[LayerScores], sparsity) -> list[np.ndarray]:
+def select_local(layers: list[LayerScores], sparsity,
+                 scratch: np.ndarray | None = None) -> list[np.ndarray]:
     """Per layer independently, prune the lowest-scoring blocks: `sparsity`
     is every layer's target, or a list of one target per layer."""
     if not isinstance(sparsity, (list, tuple)):
         sparsity = [sparsity] * len(layers)
     elif len(sparsity) != len(layers):
         raise ValueError(f"per-layer list length {len(sparsity)} != layer count {len(layers)}")
-    return [select_global([layer], s)[0] for layer, s in zip(layers, sparsity)]
+    return [select_global([layer], s, scratch)[0] for layer, s in zip(layers, sparsity)]
 
 
-def select_global(layers: list[LayerScores], sparsity: float) -> list[np.ndarray]:
-    """Prune the lowest-scoring blocks over the concatenation of all layers."""
+def select_global(layers: list[LayerScores], sparsity: float,
+                  scratch: np.ndarray | None = None) -> list[np.ndarray]:
+    """Prune the lowest-scoring blocks over the concatenation of all layers.
+    `scratch`, at least as long as the blocks, holds the partitioned copy of
+    their scores instead of a new array; the masks are new arrays either way."""
     # Negated, the k lowest scores are the k highest values, from n - k on. numpy
     # 2.x's quickselect makes no progress while its pivot is the minimum of its
     # range, and sorts the range after ~2 log2(n) wasted passes: the lowest
     # score is the one many blocks share, as pruned weights and dead units
     # score 0. Ties at the maximum cost it nothing.
-    flipped = np.empty(sum(len(layer.block_scores) for layer in layers))
+    n = sum(len(layer.block_scores) for layer in layers)
+    flipped = np.empty(n) if scratch is None else scratch[:n]
     start = 0
     for layer in layers:
         end = start + len(layer.block_scores)
         np.negative(layer.block_scores, out=flipped[start:end])
         start = end
-    n = len(flipped)
     k = pruned_count(n, sparsity)
     if k:
         flipped.partition(n - k)  # in place: positions are read from the layers below
@@ -100,8 +104,10 @@ def _past_nth(flags: np.ndarray, n: int) -> int:
     return lo + int(np.flatnonzero(flags[lo:hi])[n - 1]) + 1
 
 
-def select(layers: list[LayerScores], context: ContextSpec, sparsity) -> list[np.ndarray]:
-    """A list of sparsities gives each layer its own target, whatever the context."""
+def select(layers: list[LayerScores], context: ContextSpec, sparsity,
+           scratch: np.ndarray | None = None) -> list[np.ndarray]:
+    """A list of sparsities gives each layer its own target, whatever the context.
+    `scratch` is select_global's, as long as the blocks of all layers."""
     if context.kind == "global" and not isinstance(sparsity, (list, tuple)):
-        return select_global(layers, sparsity)
-    return select_local(layers, sparsity)
+        return select_global(layers, sparsity, scratch)
+    return select_local(layers, sparsity, scratch)

@@ -112,15 +112,47 @@ class SparsifyPlan:
             raise FieldError("rewind_epoch", f"must not exceed the pruning window start {spec.start_epoch}")
 
 
+class Workspace:
+    """The buffers a repeated mask update writes into instead of new arrays:
+    per layer, a score buffer from its partition's empty(), so aggregating
+    copies nothing, and a slot for its block means where blocks hold more
+    than one weight; and one scratch vector for the selection's partitioned
+    copy. A layer's buffers are remade when its partition changes. Masks are
+    never among them: each update returns new arrays."""
+
+    def __init__(self):
+        self._layers = {}  # id(layer) -> (partition, scores, block means or None)
+        self._scratch = np.empty(0)
+
+    def buffers(self, layer, partition) -> tuple:
+        """(scores, block means or None) for `layer` under `partition`."""
+        entry = self._layers.get(id(layer))
+        if entry is None or entry[0] != partition:
+            means = None if partition.block_size == 1 else np.empty(partition.n_blocks)
+            entry = self._layers[id(layer)] = (partition, partition.empty(), means)
+        return entry[1], entry[2]
+
+    def scratch(self, n: int) -> np.ndarray:
+        """n elements of the scratch vector, grown where it is shorter."""
+        if len(self._scratch) < n:
+            self._scratch = np.empty(n)
+        return self._scratch[:n]
+
+
 def compute_masks(layers, granularity, context: ContextSpec, criterion: Criterion,
-                  sparsity, rng: Rng | None = None) -> list[np.ndarray]:
-    """Score -> aggregate -> select for a list of prunable layers."""
+                  sparsity, rng: Rng | None = None,
+                  workspace: Workspace | None = None) -> list[np.ndarray]:
+    """Score -> aggregate -> select for a list of prunable layers, into the
+    workspace's buffers where one is given."""
     scored = []
     for layer in layers:
         partition = enumerate_blocks(granularity, layer.weights.shape)
-        raw = score(criterion, layer.weights, layer.history, rng)
-        scored.append(LayerScores(partition, aggregate_scores(raw, partition)))
-    return select(scored, context, sparsity)
+        out, means = (None, None) if workspace is None else workspace.buffers(layer, partition)
+        raw = score(criterion, layer.weights, layer.history, rng, out=out)
+        scored.append(LayerScores(partition, aggregate_scores(raw, partition, out=means)))
+    scratch = None if workspace is None else workspace.scratch(
+        sum(len(layer.block_scores) for layer in scored))
+    return select(scored, context, sparsity, scratch)
 
 
 def model_sparsity(layers) -> float:
@@ -131,8 +163,20 @@ def model_sparsity(layers) -> float:
     return float(pruned / sum(m.size for m in masks))
 
 
+# Below this many bytes of weights a prune uses no workspace: glibc (whose
+# default mmap threshold this is) serves such arrays from its free lists,
+# still in cache, while buffers kept between updates an epoch apart go cold.
+# Larger arrays it may hand back to the OS and page-fault in again at every
+# update.
+_WORKSPACE_BYTES = 128 * 1024
+
+
 class Sparsifier:
-    """Static pruning: compute masks for the current weights and apply them in place."""
+    """Static pruning: compute masks for the current weights and apply them in
+    place. A prune of at least _WORKSPACE_BYTES of weights reuses the buffers
+    of `workspace`; the first such prune makes it for the prunes after it and
+    runs on new arrays itself, as one prune alone is faster that way.
+    Dropping the workspace (None) frees the buffers."""
 
     def __init__(self, model: Model, granularity: str, context: str, criterion: str,
                  rng: Rng | None = None):
@@ -141,10 +185,16 @@ class Sparsifier:
         self.context = ContextSpec(context)
         self.criterion = Criterion(criterion)
         self.rng = rng
+        self.workspace: Workspace | None = None
 
     def _prune(self, layers, sparsity) -> list[np.ndarray]:
+        workspace = None
+        if sum(layer.weights.nbytes for layer in layers) >= _WORKSPACE_BYTES:
+            workspace = self.workspace
+            if workspace is None:
+                self.workspace = Workspace()
         masks = compute_masks(layers, self.granularity, self.context, self.criterion,
-                              sparsity, self.rng)
+                              sparsity, self.rng, workspace=workspace)
         for layer, mask in zip(layers, masks):
             layer.mask = mask
             mask_in_place(layer.weights, mask)
@@ -261,6 +311,7 @@ class SparsifyCallback(Callback):
         plan.check_model(model, state["total_epochs"])
         self._sparsifier = Sparsifier(model, plan.granularity, plan.context, plan.criterion,
                                       self.rng)
+        self._sparsifier.workspace = Workspace()  # it prunes at every update: step 0's fills it
         spec = plan.schedule
         keeps_history = self._sparsifier.criterion.reads == "history"
         for layer in model.prunable_layers():
@@ -288,5 +339,6 @@ class SparsifyCallback(Callback):
     def on_train_end(self, state):
         if self.plan.reset_end:
             self._restore(state)
+        self._sparsifier.workspace = None  # the buffers live as long as the fit, not the callback
         self._publish(state)
 

@@ -72,3 +72,15 @@ def test_scaling_preserves_order(kind):
         scaled = np.argsort(-score(crit, c * wf, c * wi), kind="stable")
         np.testing.assert_array_equal(base, scaled)
 
+
+
+@pytest.mark.parametrize("kind", ["random", "large_final", "magnitude_increase", "movement"])
+def test_out_buffer_gives_the_same_bytes(kind):
+    """With `out`, each criterion gives the bytes it gives without one; every
+    one but random writes them into `out`, whatever its memory order."""
+    rng = Rng(6)
+    wf, wi = rng.normal((4, 5)), rng.normal((4, 5))
+    want = score(Criterion(kind), wf, wi, Rng(7)).tobytes()
+    for out in (np.empty((4, 5)), np.empty((5, 4)).T):
+        got = score(Criterion(kind), wf, wi, Rng(7), out=out)
+        assert got.tobytes() == want and (got is out) == (kind != "random")

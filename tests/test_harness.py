@@ -48,3 +48,12 @@ def test_write_runs_keeps_other_labels_and_pairs_both_ways(tmp_path, capsys):
     runs = json.loads(out.read_text())["runs"]
     assert runs["single"] == {"cases": [5]} and set(runs) == {"old", "new", "base", "single"}
     assert out.read_text().endswith("}\n")
+
+
+def test_env_record_names_the_allocator_settings(monkeypatch):
+    monkeypatch.setenv("MALLOC_TRIM_THRESHOLD_", "8000000")
+    monkeypatch.setenv("MALLOC_ARENA_MAX", "2")
+    env = harness.env_record()
+    assert env["malloc_env"] == {"MALLOC_ARENA_MAX": "2", "MALLOC_TRIM_THRESHOLD_": "8000000"}
+    assert "libc" in env
+    json.dumps(env)  # every value is a JSON value

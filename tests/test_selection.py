@@ -307,3 +307,19 @@ def test_large_over_half_tied_at_an_extreme_matches_stable_sort(tie):
         for layer, mask in zip(layers, select_local(layers, s)):
             expected = _stable_sort_keep(layer.block_scores, pruned_count(len(layer.block_scores), s))
             np.testing.assert_array_equal(mask.ravel(), expected)
+
+
+def test_scratch_gives_the_same_masks_as_a_new_array():
+    """select_global and select_local partition in a given scratch vector,
+    longer than the blocks and holding stale values, and give the bytes they
+    give without one, ties included; the scores are left as they were."""
+    rng = Rng(43)
+    scratch = np.full(64 * 4 + 7, np.nan)
+    for _ in range(40):
+        layers = random_instance(rng)
+        before = [layer.block_scores.tobytes() for layer in layers]
+        s = float(rng.uniform(0, 100))
+        for select_fn in (select_global, select_local):
+            want = [m.tobytes() for m in select_fn(layers, s)]
+            assert [m.tobytes() for m in select_fn(layers, s, scratch)] == want
+        assert [layer.block_scores.tobytes() for layer in layers] == before

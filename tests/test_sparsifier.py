@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -111,6 +113,102 @@ def test_static_pruning_masks_the_model_arrays_in_place():
     arrays[1] += 1.0
     sp.apply_masks()
     assert layers[1].weights is arrays[1] and np.all(arrays[1][masks[1] == 0] == 0)
+
+
+@pytest.mark.parametrize("criterion", ["large_final", "movement"])
+def test_repeated_update_allocates_only_its_masks(criterion):
+    """Once a Sparsifier's workspace holds its buffers (the first prune makes
+    it, the second fills it), a prune_model scores and partitions in them, so
+    its allocation peak is the masks it returns. Without the workspace it is
+    about three times that: the scores, the partitioned copy and the masks."""
+    model = Model.from_specs([{"kind": "dense", "in": 2, "out": 256}, {"kind": "relu"},
+                              {"kind": "dense", "in": 256, "out": 256}, {"kind": "relu"},
+                              {"kind": "dense", "in": 256, "out": 2}], Rng(4).child("init"))
+    layers = model.prunable_layers()
+    for layer in layers:
+        layer.history = layer.weights.copy()
+    sp = Sparsifier(model, "weight", "global", criterion)
+    nudge = Rng(5)
+    for _ in range(2):
+        sp.prune_model(80)
+        for layer in layers:
+            layer.weights += 1e-3 * nudge.normal(layer.weights.shape)
+    tracemalloc.start()
+    try:
+        masks = sp.prune_model(80)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * sum(m.nbytes for m in masks)
+
+
+@pytest.mark.parametrize("granularity, context, targets", [
+    ("weight", "global", (50, 70)),
+    ("kernel", "local", (50, 70)),
+    ("channel", "global", ([50, 30], [70, 90])),  # a per-layer list; channel rows are a copy
+])
+def test_reused_sparsifier_matches_fresh_ones(granularity, context, targets):
+    """One Sparsifier, prune_layer and prune_model interleaved on its reused
+    workspace, gives every call the masks of a fresh Sparsifier and of
+    compute_masks without a workspace. Each call returns new arrays, and later
+    calls leave the earlier ones as they were. Both layers have enough
+    weights, and kernels, for the workspace to keep their scores and block
+    means."""
+    specs = [{"kind": "conv2d", "in_ch": 128, "out_ch": 128, "kx": 2, "ky": 2}, {"kind": "relu"},
+             {"kind": "conv2d", "in_ch": 128, "out_ch": 128, "kx": 2, "ky": 1}]
+    reused, fresh = (Model.from_specs(specs, Rng(8).child("init")) for _ in range(2))
+    sp = Sparsifier(reused, granularity, context, "large_final")
+    nudge = Rng(9)
+    returned = []  # (array, its bytes when returned)
+    for name, *args in [("prune_layer", 2, 30), ("prune_layer", 0, 40), ("prune_model", targets[0]),
+                        ("prune_model", targets[1]), ("prune_layer", 2, 60)]:
+        layers = [fresh.layers[args[0]]] if name == "prune_layer" else fresh.prunable_layers()
+        plain = compute_masks(layers, granularity, ContextSpec(context), Criterion("large_final"),
+                              args[-1])
+        got = getattr(sp, name)(*args)
+        want = getattr(Sparsifier(fresh, granularity, context, "large_final"), name)(*args)
+        got, want = ([m] if name == "prune_layer" else m for m in (got, want))
+        assert [m.tobytes() for m in got] == [m.tobytes() for m in want]
+        assert [m.tobytes() for m in got] == [m.tobytes() for m in plain]
+        assert not any(np.shares_memory(m, old) for m in got for old, _ in returned)
+        returned += [(m, m.tobytes()) for m in got]
+        assert all(m.tobytes() == b for m, b in returned)
+        for a, b in zip(reused.prunable_layers(), fresh.prunable_layers(), strict=True):
+            assert a.weights.tobytes() == b.weights.tobytes()
+            step = 0.01 * nudge.normal(a.weights.shape)
+            a.weights += step
+            b.weights += step
+
+
+def test_workspace_follows_a_layer_whose_shape_changes():
+    """A layer given weights of another shape gets new buffers, not the old ones."""
+    model = Model.from_specs([{"kind": "dense", "in": 256, "out": 128}], Rng(10).child("init"))
+    layer = model.layers[0]
+    sp = Sparsifier(model, "row", "global", "large_final")
+    for shape in [(256, 128), (256, 128), (128, 256), (512, 128)]:
+        if layer.weights.shape != shape:
+            layer.weights = Rng(11).normal(shape)
+        want = compute_masks([layer], "row", ContextSpec("global"), Criterion("large_final"), 50)
+        assert [m.tobytes() for m in sp.prune_model(50)] == [m.tobytes() for m in want]
+
+
+def test_callback_drops_the_workspace_when_training_ends():
+    """A model with 16,896 weights, enough for its updates to keep a workspace."""
+    callback = SparsifyCallback(SparsifyPlan(sparsity=60.0, context="global",
+                                             schedule=ScheduleSpec("gradual", update_frequency=8)))
+    model = Model.from_specs([{"kind": "dense", "in": 2, "out": 128}, {"kind": "relu"},
+                              {"kind": "dense", "in": 128, "out": 128}, {"kind": "relu"},
+                              {"kind": "dense", "in": 128, "out": 2}], Rng(3).child("init"))
+
+    class Workspaces(Callback):
+        held = []
+
+        def on_step_end(self, state):
+            self.held.append(callback._sparsifier.workspace is not None)
+
+    cfg = TrainConfig(epochs=2, batch_size=32, learning_rate=0.1, seed=8, dataset=BLOBS)
+    fit(model, cfg, callbacks=[callback, Workspaces()])
+    assert all(Workspaces.held) and callback._sparsifier.workspace is None
 
 
 def test_callback_random_criterion_needs_rng():
