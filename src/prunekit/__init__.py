@@ -14,7 +14,7 @@ from .granularity import (BlockPartition, aggregate_scores, all_specs, enumerate
 from .layers import Conv2d, Dense, Flatten, Model, ReLU
 from .rng import Rng
 from .schedule import (BUILTIN_SCHEDULES, ScheduleSpec, current_target, eval_schedule,
-                       register_custom_schedule, window_steps)
+                       window_steps)
 from .selection import (ContextSpec, LayerScores, pruned_count, select, select_global,
                         select_local)
 from .sparsifier import (Sparsifier, SparsifyCallback, SparsifyPlan, Ticket,

@@ -134,9 +134,6 @@ def cmd_schedule(args) -> int:
         print(f"error: {FieldError(SCHEDULE_FLAGS.get(exc.field, exc.field), exc.problem)}",
               file=sys.stderr)
         return 2
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     out = _out_root()
     out.mkdir(parents=True, exist_ok=True)
     _write_csv(out / f"schedule_{args.kind}.csv", ["t", "sparsity"], list(zip(ts, values)))

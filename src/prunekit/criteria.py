@@ -2,11 +2,9 @@
 input it reads besides the current weights: nothing, the weight history
 (the weights at the previous mask update) or an rng.
 
-Higher score = more important = kept. Pruned weights sit at zero only
-between mask updates. During training an update step recomputes the masks
-instead of re-applying them after its optimizer step, so a pruned weight
-is scored holding one unmasked SGD step, -lr * v for its velocity v
-(ROADMAP item 14); under large_final it scores lr * |v|.
+Higher score = more important = kept. Pruned weights are 0 when scored:
+during training every step re-applies the masks after its optimizer step,
+and only then may an update recompute them.
 """
 
 from dataclasses import dataclass

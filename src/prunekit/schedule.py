@@ -1,7 +1,8 @@
 """Sparsity schedules: a curve that maps normalized training progress t in
 [0, 1] to a fraction of the plan's target sparsity, plus the window (start
 and end epoch) that embeds the curve into a training run. A schedule holds
-no target of its own; every evaluation is given one.
+no target of its own; every evaluation is given one. The kinds are the
+closed set BUILTIN_SCHEDULES, each a pure function of its spec's fields.
 """
 
 from dataclasses import dataclass
@@ -13,9 +14,6 @@ from .fields import FieldError, integer, number
 BUILTIN_SCHEDULES = ("one_shot", "iterative", "gradual", "one_cycle", "dsd")
 
 _LOG_MAX = math.log(sys.float_info.max)  # math.exp overflows above this
-
-# name -> f(sparsity, t) for user-registered schedules
-_custom_registry: dict = {}
 
 
 @dataclass(frozen=True)
@@ -30,7 +28,7 @@ class ScheduleSpec:
 
     def __post_init__(self):
         """Check every field, naming it in the FieldError; integral floats become ints."""
-        if self.kind not in BUILTIN_SCHEDULES + tuple(_custom_registry):
+        if self.kind not in BUILTIN_SCHEDULES:
             raise FieldError("kind", f"unknown schedule {self.kind!r}")
         for name, low in (("start_epoch", 0), ("update_frequency", 1), ("n_steps", 1)):
             object.__setattr__(self, name, integer(getattr(self, name), name, low))
@@ -62,9 +60,7 @@ def eval_schedule(spec: ScheduleSpec, t: float, sparsity: float) -> float:
     if spec.kind == "one_cycle":
         a, b = spec.alpha, spec.beta
         return sparsity * (1.0 + math.exp(-a + b)) / (1.0 + math.exp(-a * t + b))
-    if spec.kind == "dsd":
-        return sparsity * (1.0 - math.cos(2.0 * math.pi * t)) / 2.0
-    return _custom_registry[spec.kind](sparsity, t)
+    return sparsity * (1.0 - math.cos(2.0 * math.pi * t)) / 2.0  # dsd
 
 
 def window_steps(spec: ScheduleSpec, steps_per_epoch: int, total_epochs: int) -> tuple[int, int]:
@@ -86,33 +82,3 @@ def current_target(spec: ScheduleSpec, sparsity: float, step: int, window: tuple
     if step < start:
         return 0.0
     return eval_schedule(spec, min(1.0, (step - start) / (end - start)), sparsity)
-
-
-def register_custom_schedule(name: str, f) -> str:
-    """Make f(sparsity, t) usable wherever a built-in schedule is.
-
-    Rejected at registration if f leaves [0, 100] at the probe points.
-    """
-    if name in BUILTIN_SCHEDULES:
-        raise ValueError(f"{name!r} is a built-in schedule")
-    for t in (0.0, 0.25, 0.5, 0.75, 1.0):
-        out = f(100.0, t)
-        if not 0.0 <= out <= 100.0:
-            raise ValueError(f"schedule {name!r} returns {out} at t={t}, outside [0, 100]")
-    _custom_registry[name] = f
-    return name
-
-
-def _gradual_paper_literal(s, t):
-    # decaying-cubic variant, kept available for comparison runs
-    return s * (1.0 - t) ** 3
-
-
-def _dsd_paper_literal(s, t):
-    if t < 0.5:
-        return (1.0 + math.cos(math.pi * (1.0 - t * 2.0))) * s / 2.0
-    return (1.0 - math.cos(math.pi * (1.0 - t * 2.0))) * s / 2.0
-
-
-register_custom_schedule("gradual_paper_literal", _gradual_paper_literal)
-register_custom_schedule("dsd_paper_literal", _dsd_paper_literal)

@@ -15,12 +15,12 @@ the rewind snapshot in its place.
 
 The callback acts once per completed step, step 0 being the start of
 training: at step rewind_epoch * steps_per_epoch it first takes the rewind
-snapshot, then it runs the mask update due at that step, if any. Masks are
-recomputed from scratch at every update; pruned weights stay zero because
-the callback has its Sparsifier re-apply the current masks after each
-optimizer step without an update. Only under a criterion that reads a
-history are the weights copied into each layer's `history` at every
-update. Every lottery ticket shares the one rewind snapshot.
+snapshot, then it runs the mask update due at that step, if any. Every
+step first re-applies the current masks, and only then may an update
+recompute them from scratch, so pruned weights are 0 when scored. Only
+under a criterion that reads a history are the weights copied into each
+layer's `history` at every update. Every lottery ticket shares the one
+rewind snapshot.
 """
 
 from dataclasses import asdict, dataclass
@@ -233,12 +233,13 @@ class SparsifyCallback(Callback):
     """Dynamic pruning attached to the training loop: a schedule around one
     Sparsifier, built from the plan when training begins.
 
-    Per optimizer step the current masks are re-applied; at schedule
-    boundaries inside the pruning window masks are recomputed from
-    scratch. With lth set, weights are reset to the rewind snapshot
-    (masked) after each pruning round, and each round whose target rises
-    records a Ticket. Each fit starts afresh: on_train_begin clears the
-    masks, the tickets and the rewind snapshot.
+    Every optimizer step re-applies the current masks; only then, at
+    schedule boundaries inside the pruning window, are masks recomputed
+    from scratch, so pruned weights are 0 when scored. With lth set,
+    weights are reset to the rewind snapshot (masked) after each pruning
+    round, and each round whose target rises records a Ticket. Each fit
+    starts afresh: on_train_begin clears the masks, the tickets and the
+    rewind snapshot.
     """
 
     def __init__(self, plan: SparsifyPlan, rng: Rng | None = None):
@@ -289,15 +290,13 @@ class SparsifyCallback(Callback):
                     accuracy=accuracy(model, state["x_eval"], state["y_eval"]),
                 ))
 
-    def _step_done(self, state, step: int) -> bool:
+    def _step_done(self, state, step: int):
         """Take the rewind snapshot if `step` is the rewind point, then run the
-        update due at `step`; True if one ran, which leaves the weights masked."""
+        update due at `step`, if any."""
         if step == self._rewind_step:
             self._snapshot(state)
-        if step not in self._update_steps:
-            return False
-        self._update_masks(state, step)
-        return True
+        if step in self._update_steps:
+            self._update_masks(state, step)
 
     def _publish(self, state):
         target = self._targets(state.get("global_step", 0))
@@ -332,8 +331,8 @@ class SparsifyCallback(Callback):
         self._publish(state)
 
     def on_step_end(self, state):
-        if not self._step_done(state, state["global_step"]):
-            self._sparsifier.apply_masks()
+        self._sparsifier.apply_masks()
+        self._step_done(state, state["global_step"])
         self._publish(state)
 
     def on_train_end(self, state):

@@ -1,10 +1,16 @@
 import base64
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from prunekit import Model, Rng, Sparsifier, checkpoint
+import prunekit
+from prunekit import (BUILTIN_SCHEDULES, Model, Rng, ScheduleSpec, Sparsifier, SparsifyPlan,
+                      checkpoint)
 from prunekit.cli import main
 
 
@@ -321,3 +327,20 @@ def test_save_refuses_a_mask_shaped_unlike_its_weights(tmp_path):
         checkpoint.save(path, model)
     assert str(err.value) == "layers[0].mask: shape [3, 3] != [2, 3]"
     assert not path.exists()
+
+
+def test_every_builtin_schedule_loads_in_a_fresh_interpreter(tmp_path):
+    """A plan's schedule is one of the built-in kinds, so a checkpoint saved
+    under any of them loads in a process that has only imported prunekit."""
+    model = Model.from_specs([{"kind": "dense", "in": 2, "out": 2}], Rng(1).child("init"))
+    paths = []
+    for kind in BUILTIN_SCHEDULES:
+        paths.append(str(tmp_path / f"{kind}.json"))
+        checkpoint.save(paths[-1], model, plan=SparsifyPlan(50.0, schedule=ScheduleSpec(kind)).to_dict())
+    code = ("import sys\nfrom prunekit import checkpoint\n"
+            "for path in sys.argv[1:]:\n    print(checkpoint.load(path).plan.schedule.kind)")
+    src = str(Path(prunekit.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-c", code, *paths], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == list(BUILTIN_SCHEDULES)

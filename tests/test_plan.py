@@ -115,6 +115,7 @@ def _schedule(**fields):
     ("output_dir", lambda d: d.update(output_dir=5)),
     ("prune.schedule.alpha", _schedule(kind="one_cycle", alpha=-1000)),
     ("prune.schedule.beta", _schedule(kind="one_cycle", beta=710)),
+    ("prune.schedule.kind", _schedule(kind="gradual_paper_literal")),
     ("prune.save_tickets", _prune(lth=True, save_tickets=True)),
     ("prnue", lambda d: d.update(prnue=d.pop("prune"))),
     ("train.learning_rte", lambda d: d["train"].update(learning_rte=0.1)),

@@ -3,8 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from prunekit import (FieldError, ScheduleSpec, current_target, eval_schedule,
-                      register_custom_schedule, window_steps)
+from prunekit import FieldError, ScheduleSpec, current_target, eval_schedule, window_steps
 
 TS = [i / 10 for i in range(11)]
 
@@ -133,36 +132,7 @@ def test_current_target_window():
     assert current_target(pai, 50.0, 0, window_steps(pai, spe, total)) == 50.0
 
 
-def test_custom_schedule_roundtrip():
-    name = register_custom_schedule("my_one_shot", lambda s, t: s)
-    spec = ScheduleSpec(name)
-    assert all(eval_schedule(spec, t, 42.0) == 42.0 for t in TS)
-
-
-def test_custom_dsd_matches_builtin():
-    register_custom_schedule("my_dsd", lambda s, t: s * (1 - math.cos(2 * math.pi * t)) / 2)
-    a = ScheduleSpec("my_dsd")
-    b = ScheduleSpec("dsd")
-    for t in np.linspace(0, 1, 101):
-        assert eval_schedule(a, t, 73.0) == eval_schedule(b, t, 73.0)
-
-
-def test_custom_constant_zero():
-    name = register_custom_schedule("never_prune", lambda s, t: 0.0)
-    spec = ScheduleSpec(name)
-    assert all(eval_schedule(spec, t, 99.0) == 0.0 for t in TS)
-
-
-def test_custom_out_of_range_rejected():
-    with pytest.raises(ValueError):
-        register_custom_schedule("bad", lambda s, t: s * 2.0)
-    with pytest.raises(ValueError):
+def test_unknown_kind_names_kind():
+    with pytest.raises(FieldError) as exc:
         ScheduleSpec("bad")
-
-
-def test_paper_literal_variants_registered():
-    g = ScheduleSpec("gradual_paper_literal")
-    assert eval_schedule(g, 0.0, 80.0) == 80.0 and eval_schedule(g, 1.0, 80.0) == 0.0
-    d = ScheduleSpec("dsd_paper_literal")
-    assert abs(eval_schedule(d, 0.25, 80.0) - 40.0) < 1e-9
-    assert abs(eval_schedule(d, 1.0, 80.0) - 80.0) < 1e-12  # second branch rises again
+    assert exc.value.field == "kind"

@@ -461,9 +461,10 @@ class FirstMasks(SparsifyCallback):
 
 class OutOfPlaceCallback(SparsifyCallback):
     """The mask lifecycle on new arrays, as an oracle for the in-place one:
-    w * m at every update and after every step, a fresh history copy per
-    update where the criterion reads one, an out-of-place rewind (no
-    tickets) and the model sparsity recomputed from the masks at every step."""
+    w * m at every update and before and after every step's update, a
+    fresh history copy per update where the criterion reads one, an
+    out-of-place rewind (no tickets) and the model sparsity recomputed from
+    the masks at every step."""
 
     def _update_masks(self, state, step):
         layers = state["model"].prunable_layers()
@@ -498,6 +499,7 @@ class OutOfPlaceCallback(SparsifyCallback):
         state["model_sparsity"] = model_sparsity(state["model"].prunable_layers())
 
     def on_step_end(self, state):
+        self._reapply(state)
         self._step_done(state, state["global_step"])
         self._reapply(state)
         self._publish(state)
