@@ -25,7 +25,10 @@ with flat indices, then a stable argsort of (score, position).
 The "repeat" case is per-step pruning as perfbench's mlp-perstep workload
 runs it: one Sparsifier on the dense 2-256-256-2 model (66,560 weights)
 updates its masks REPEAT_UPDATES times in a row with prune_model at
-REPEAT_SPARSITY% under weight/global and large_final. Between updates a
+REPEAT_SPARSITY% under weight/global and large_final. Like the training
+callback on that model, the Sparsifier is given a Workspace, so its
+updates reuse their score and scratch buffers; a tree without
+prunekit.sparsifier.Workspace runs as it is. Between updates a
 fixed seeded nudge is added to the weights in place, outside the timer, so
 that every update scores moved weights. Every update's masks are first
 checked against the oracle; then each update's time and its ru_minflt
@@ -139,13 +142,17 @@ def update(pk, weights, granularity, context, sparsity):
 
 
 def repeat_updates(pk, nudges, check=False):
-    """REPEAT_UPDATES prune_model calls of one Sparsifier on a new seeded
-    mlp-perstep model, each after adding `nudges` to the weights: per update,
+    """REPEAT_UPDATES prune_model calls of one Sparsifier, with a workspace
+    where the tree has one, on a new seeded mlp-perstep model, each after
+    adding `nudges` to the weights: per update,
     (seconds, minor faults). With check, every update's masks are compared
     with the oracle's for the weights it was given, and a mismatch exits."""
     model = pk.Model.from_specs(REPEAT_SPECS, pk.Rng(2022))
     layers = model.prunable_layers()
     sparsifier = pk.Sparsifier(model, "weight", "global", "large_final")
+    workspace = getattr(pk.sparsifier, "Workspace", None)
+    if workspace is not None:
+        sparsifier.workspace = workspace()
     times = []
     for i in range(REPEAT_UPDATES):
         for layer, nudge in zip(layers, nudges):

@@ -54,30 +54,10 @@ class BlockPartition:
     def block_size(self) -> int:
         return math.prod(self.shape[ax] for ax in self.spec)
 
-    @property
-    def _copies(self) -> bool:
-        """Whether rows() of a C-contiguous array copies it: the axes longer than
-        1 do not fall into one run of indexed axes and one of spanned axes."""
-        spanned = [ax in self.spec for ax, s in enumerate(self.shape) if s > 1]
-        return sum(a != b for a, b in zip(spanned, spanned[1:])) > 1
-
     def rows(self, a: np.ndarray) -> np.ndarray:
-        """[n_blocks, block_size] view (or reshape copy) of `a`; row means add in
-        gather order. Where the rows of a C-contiguous array are a C-order copy,
-        they are a view of an array from empty() instead."""
-        if not a.flags.c_contiguous and self._copies:
-            return np.ascontiguousarray(a.transpose(self._order)).reshape(self.n_blocks,
-                                                                          self.block_size)
-        return np.ascontiguousarray(a).transpose(self._order).reshape(self.n_blocks,
-                                                                      self.block_size)
-
-    def empty(self) -> np.ndarray:
-        """An uninitialised float64 `shape` array whose rows() is a view: stored
-        in C order where that makes rows() a view, else in block order."""
-        if not self._copies:
-            return np.empty(self.shape)
-        order = self._order
-        return np.empty([self.shape[ax] for ax in order]).transpose(np.argsort(order))
+        """[n_blocks, block_size] view (or reshape copy) of `a` in C order; row
+        means add in gather order, in an order set by that memory layout."""
+        return np.ascontiguousarray(a).transpose(self._order).reshape(self.n_blocks, self.block_size)
 
     def unrows(self, rows: np.ndarray) -> np.ndarray:
         """Inverse of rows: a C-contiguous `shape` array of rows' dtype, block i = rows[i]
@@ -128,13 +108,11 @@ def enumerate_blocks(granularity, shape) -> BlockPartition:
     return BlockPartition(parse_granularity(granularity, len(shape)), shape)
 
 
-def aggregate_scores(scores: np.ndarray, partition: BlockPartition,
-                     out: np.ndarray | None = None) -> np.ndarray:
-    """Per-block score = mean of member scores, in partition block order,
-    written into `out` (n_blocks long) where given. With one weight per block
-    the scores themselves are returned, flattened, and `out` is not used."""
+def aggregate_scores(scores: np.ndarray, partition: BlockPartition) -> np.ndarray:
+    """Per-block score = mean of member scores, in partition block order. With
+    one weight per block the scores themselves are returned, flattened."""
     if tuple(scores.shape) != partition.shape:
         raise ValueError(f"shape mismatch: scores {scores.shape}, partition {partition.shape}")
     if partition.block_size == 1:  # the mean of one value is that value
         return scores.reshape(-1)
-    return partition.rows(scores).mean(axis=1, out=out)
+    return partition.rows(scores).mean(axis=1)

@@ -114,23 +114,22 @@ class SparsifyPlan:
 
 class Workspace:
     """The buffers a repeated mask update writes into instead of new arrays:
-    per layer, a score buffer from its partition's empty(), so aggregating
-    copies nothing, and a slot for its block means where blocks hold more
-    than one weight; and one scratch vector for the selection's partitioned
-    copy. A layer's buffers are remade when its partition changes. Masks are
-    never among them: each update returns new arrays."""
+    per layer, a C-order score buffer shaped like its weights, remade when
+    their shape changes, and one scratch vector for the selection's
+    partitioned copy. Masks are never among them: each update returns new
+    arrays. SparsifyCallback makes one for a fit of at least _WORKSPACE_BYTES
+    of prunable weights."""
 
     def __init__(self):
-        self._layers = {}  # id(layer) -> (partition, scores, block means or None)
+        self._scores = {}  # id(layer) -> score buffer
         self._scratch = np.empty(0)
 
-    def buffers(self, layer, partition) -> tuple:
-        """(scores, block means or None) for `layer` under `partition`."""
-        entry = self._layers.get(id(layer))
-        if entry is None or entry[0] != partition:
-            means = None if partition.block_size == 1 else np.empty(partition.n_blocks)
-            entry = self._layers[id(layer)] = (partition, partition.empty(), means)
-        return entry[1], entry[2]
+    def scores(self, layer) -> np.ndarray:
+        """The score buffer of `layer`."""
+        buffer = self._scores.get(id(layer))
+        if buffer is None or buffer.shape != layer.weights.shape:
+            buffer = self._scores[id(layer)] = np.empty(layer.weights.shape)
+        return buffer
 
     def scratch(self, n: int) -> np.ndarray:
         """n elements of the scratch vector, grown where it is shorter."""
@@ -142,14 +141,14 @@ class Workspace:
 def compute_masks(layers, granularity, context: ContextSpec, criterion: Criterion,
                   sparsity, rng: Rng | None = None,
                   workspace: Workspace | None = None) -> list[np.ndarray]:
-    """Score -> aggregate -> select for a list of prunable layers, into the
-    workspace's buffers where one is given."""
+    """Score -> aggregate -> select for a list of prunable layers, scoring
+    into the workspace's buffers where one is given."""
     scored = []
     for layer in layers:
         partition = enumerate_blocks(granularity, layer.weights.shape)
-        out, means = (None, None) if workspace is None else workspace.buffers(layer, partition)
+        out = None if workspace is None else workspace.scores(layer)
         raw = score(criterion, layer.weights, layer.history, rng, out=out)
-        scored.append(LayerScores(partition, aggregate_scores(raw, partition, out=means)))
+        scored.append(LayerScores(partition, aggregate_scores(raw, partition)))
     scratch = None if workspace is None else workspace.scratch(
         sum(len(layer.block_scores) for layer in scored))
     return select(scored, context, sparsity, scratch)
@@ -163,20 +162,19 @@ def model_sparsity(layers) -> float:
     return float(pruned / sum(m.size for m in masks))
 
 
-# Below this many bytes of weights a prune uses no workspace: glibc (whose
-# default mmap threshold this is) serves such arrays from its free lists,
-# still in cache, while buffers kept between updates an epoch apart go cold.
-# Larger arrays it may hand back to the OS and page-fault in again at every
-# update.
+# A fit whose prunable weights total fewer bytes than this gives its
+# Sparsifier no workspace: glibc (whose default mmap threshold this is)
+# serves such arrays from its free lists, still in cache, while buffers kept
+# between updates an epoch apart go cold. Larger arrays it may hand back to
+# the OS and page-fault in again at every update.
 _WORKSPACE_BYTES = 128 * 1024
 
 
 class Sparsifier:
     """Static pruning: compute masks for the current weights and apply them in
-    place. A prune of at least _WORKSPACE_BYTES of weights reuses the buffers
-    of `workspace`; the first such prune makes it for the prunes after it and
-    runs on new arrays itself, as one prune alone is faster that way.
-    Dropping the workspace (None) frees the buffers."""
+    place. Each prune allocates its scores afresh unless a caller sets
+    `workspace`, whose buffers it then reuses; SparsifyCallback does so for
+    the length of a fit. Dropping the workspace (None) frees the buffers."""
 
     def __init__(self, model: Model, granularity: str, context: str, criterion: str,
                  rng: Rng | None = None):
@@ -188,13 +186,8 @@ class Sparsifier:
         self.workspace: Workspace | None = None
 
     def _prune(self, layers, sparsity) -> list[np.ndarray]:
-        workspace = None
-        if sum(layer.weights.nbytes for layer in layers) >= _WORKSPACE_BYTES:
-            workspace = self.workspace
-            if workspace is None:
-                self.workspace = Workspace()
         masks = compute_masks(layers, self.granularity, self.context, self.criterion,
-                              sparsity, self.rng, workspace=workspace)
+                              sparsity, self.rng, workspace=self.workspace)
         for layer, mask in zip(layers, masks):
             layer.mask = mask
             mask_in_place(layer.weights, mask)
@@ -310,10 +303,12 @@ class SparsifyCallback(Callback):
         plan.check_model(model, state["total_epochs"])
         self._sparsifier = Sparsifier(model, plan.granularity, plan.context, plan.criterion,
                                       self.rng)
-        self._sparsifier.workspace = Workspace()  # it prunes at every update: step 0's fills it
+        layers = model.prunable_layers()
+        if sum(layer.weights.nbytes for layer in layers) >= _WORKSPACE_BYTES:
+            self._sparsifier.workspace = Workspace()  # it prunes at every update: step 0's fills it
         spec = plan.schedule
         keeps_history = self._sparsifier.criterion.reads == "history"
-        for layer in model.prunable_layers():
+        for layer in layers:
             layer.history = layer.weights.copy() if keeps_history else None
             layer.mask = None
         spe = state["steps_per_epoch"]

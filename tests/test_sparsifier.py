@@ -6,7 +6,7 @@ import pytest
 from prunekit import (Callback, ContextSpec, Criterion, Model, Rng, ScheduleSpec, Sparsifier,
                       SparsifyCallback, SparsifyPlan, TrainConfig, accuracy, fit, make_dataset,
                       model_sparsity, sparsity_of, train_eval_split)
-from prunekit.sparsifier import compute_masks
+from prunekit.sparsifier import Workspace, compute_masks
 
 BLOBS = {"kind": "blobs2d", "n": 200, "separation": 4.0}
 PATTERNS = {"kind": "patterns8x8", "n": 60, "noise": 0.2}
@@ -117,10 +117,10 @@ def test_static_pruning_masks_the_model_arrays_in_place():
 
 @pytest.mark.parametrize("criterion", ["large_final", "movement"])
 def test_repeated_update_allocates_only_its_masks(criterion):
-    """Once a Sparsifier's workspace holds its buffers (the first prune makes
-    it, the second fills it), a prune_model scores and partitions in them, so
-    its allocation peak is the masks it returns. Without the workspace it is
-    about three times that: the scores, the partitioned copy and the masks."""
+    """Once a Sparsifier's workspace holds its buffers (the first prune fills
+    it), a prune_model scores and partitions in them, so its allocation peak
+    is the masks it returns. Without the workspace it is about three times
+    that: the scores, the partitioned copy and the masks."""
     model = Model.from_specs([{"kind": "dense", "in": 2, "out": 256}, {"kind": "relu"},
                               {"kind": "dense", "in": 256, "out": 256}, {"kind": "relu"},
                               {"kind": "dense", "in": 256, "out": 2}], Rng(4).child("init"))
@@ -128,11 +128,11 @@ def test_repeated_update_allocates_only_its_masks(criterion):
     for layer in layers:
         layer.history = layer.weights.copy()
     sp = Sparsifier(model, "weight", "global", criterion)
+    sp.workspace = Workspace()
+    sp.prune_model(80)
     nudge = Rng(5)
-    for _ in range(2):
-        sp.prune_model(80)
-        for layer in layers:
-            layer.weights += 1e-3 * nudge.normal(layer.weights.shape)
+    for layer in layers:
+        layer.weights += 1e-3 * nudge.normal(layer.weights.shape)
     tracemalloc.start()
     try:
         masks = sp.prune_model(80)
@@ -151,13 +151,12 @@ def test_reused_sparsifier_matches_fresh_ones(granularity, context, targets):
     """One Sparsifier, prune_layer and prune_model interleaved on its reused
     workspace, gives every call the masks of a fresh Sparsifier and of
     compute_masks without a workspace. Each call returns new arrays, and later
-    calls leave the earlier ones as they were. Both layers have enough
-    weights, and kernels, for the workspace to keep their scores and block
-    means."""
+    calls leave the earlier ones as they were."""
     specs = [{"kind": "conv2d", "in_ch": 128, "out_ch": 128, "kx": 2, "ky": 2}, {"kind": "relu"},
              {"kind": "conv2d", "in_ch": 128, "out_ch": 128, "kx": 2, "ky": 1}]
     reused, fresh = (Model.from_specs(specs, Rng(8).child("init")) for _ in range(2))
     sp = Sparsifier(reused, granularity, context, "large_final")
+    sp.workspace = Workspace()
     nudge = Rng(9)
     returned = []  # (array, its bytes when returned)
     for name, *args in [("prune_layer", 2, 30), ("prune_layer", 0, 40), ("prune_model", targets[0]),
@@ -185,6 +184,7 @@ def test_workspace_follows_a_layer_whose_shape_changes():
     model = Model.from_specs([{"kind": "dense", "in": 256, "out": 128}], Rng(10).child("init"))
     layer = model.layers[0]
     sp = Sparsifier(model, "row", "global", "large_final")
+    sp.workspace = Workspace()
     for shape in [(256, 128), (256, 128), (128, 256), (512, 128)]:
         if layer.weights.shape != shape:
             layer.weights = Rng(11).normal(shape)
@@ -192,23 +192,42 @@ def test_workspace_follows_a_layer_whose_shape_changes():
         assert [m.tobytes() for m in sp.prune_model(50)] == [m.tobytes() for m in want]
 
 
-def test_callback_drops_the_workspace_when_training_ends():
-    """A model with 16,896 weights, enough for its updates to keep a workspace."""
-    callback = SparsifyCallback(SparsifyPlan(sparsity=60.0, context="global",
-                                             schedule=ScheduleSpec("gradual", update_frequency=8)))
+def test_static_sparsifier_makes_no_workspace():
+    """Only the training callback reuses buffers: a static Sparsifier's prunes,
+    here of 132 KiB of weights, allocate afresh and leave `workspace` None."""
     model = Model.from_specs([{"kind": "dense", "in": 2, "out": 128}, {"kind": "relu"},
                               {"kind": "dense", "in": 128, "out": 128}, {"kind": "relu"},
                               {"kind": "dense", "in": 128, "out": 2}], Rng(3).child("init"))
+    assert sum(layer.weights.nbytes for layer in model.prunable_layers()) >= 128 * 1024
+    sp = Sparsifier(model, "weight", "global", "large_final")
+    sp.prune_model(50)
+    sp.prune_layer(2, 60)
+    sp.prune_model(70)
+    assert sp.workspace is None
 
-    class Workspaces(Callback):
-        held = []
 
-        def on_step_end(self, state):
-            self.held.append(callback._sparsifier.workspace is not None)
+def test_callback_drops_the_workspace_when_training_ends():
+    """A model with 16,896 weights, enough for its updates to keep a workspace
+    from train begin to train end, and one with 320, whose updates keep none."""
+    for hidden, held in [(128, True), (16, False)]:
+        callback = SparsifyCallback(SparsifyPlan(
+            sparsity=60.0, context="global", schedule=ScheduleSpec("gradual", update_frequency=8)))
+        model = Model.from_specs([{"kind": "dense", "in": 2, "out": hidden}, {"kind": "relu"},
+                                  {"kind": "dense", "in": hidden, "out": hidden}, {"kind": "relu"},
+                                  {"kind": "dense", "in": hidden, "out": 2}], Rng(3).child("init"))
+        seen = []
 
-    cfg = TrainConfig(epochs=2, batch_size=32, learning_rate=0.1, seed=8, dataset=BLOBS)
-    fit(model, cfg, callbacks=[callback, Workspaces()])
-    assert all(Workspaces.held) and callback._sparsifier.workspace is None
+        class Workspaces(Callback):
+            def on_train_begin(self, state):
+                seen.append(callback._sparsifier.workspace is not None)
+
+            def on_step_end(self, state):
+                seen.append(callback._sparsifier.workspace is not None)
+
+        cfg = TrainConfig(epochs=2, batch_size=32, learning_rate=0.1, seed=8, dataset=BLOBS)
+        fit(model, cfg, callbacks=[callback, Workspaces()])
+        assert len(seen) > 1 and set(seen) == {held}
+        assert callback._sparsifier.workspace is None
 
 
 def test_callback_random_criterion_needs_rng():
