@@ -16,19 +16,21 @@ Models:
 Before any timing, each saved file is checked to be canonical JSON (equal
 to json.dumps(json.loads(text), sort_keys=True, separators=(",", ":"))
 plus a newline) and to load back into the arrays it was written from.
-Times are time.perf_counter medians and quartiles over the repetitions, in
-ms. `save_peak_mb` is tracemalloc's peak over one further save: the most
+`save_peak_mb` is tracemalloc's peak over one further save: the most
 memory that save held at once, Python objects and numpy arrays alike.
 `bytes` is the file's size and `sha256` its hash, so runs of two source
-trees can be checked to write the same bytes, or compared by size. The run is stored under --label in the
-output JSON, next to the runs already there, with an environment record.
+trees can be checked to write the same bytes, or compared by size. The
+run is stored under --label in the output JSON, next to the runs already
+there, with an environment record.
+
 --src imports prunekit from another source tree, e.g. an unpacked older
 commit, so that both sides are measured by the same script. --baseline
-imports a second tree and times it in the same process: each model runs R
-rounds, and in every round both trees save and load `reps` times back to
-back, each going first in every other round; the quartiles are then over
-all rounds, and round_total_ms has each round's median save plus median
-load.
+imports a second tree and times it in the same process, the two trees
+alternating round by round as harness.py's docstring describes. In each
+round a tree saves `reps` times and then loads `reps` times, each after
+one untimed call. `save` and `load` hold the median and quartiles in ms
+over all rounds' calls, and round_total_ms has each round's median save
+plus median load.
 """
 
 import hashlib
@@ -37,7 +39,6 @@ import json
 import statistics
 import sys
 import tempfile
-import time
 import tracemalloc
 from pathlib import Path
 
@@ -84,20 +85,6 @@ def check(pk, path, model):
                 sys.exit(f"layers[{i}].{name} did not load back from {path}")
 
 
-def times_ms(fn, reps):
-    times = []
-    for _ in range(reps):
-        start = time.perf_counter()
-        fn()
-        times.append((time.perf_counter() - start) * 1e3)
-    return times
-
-
-def quartiles(times):
-    q1, median, q3 = statistics.quantiles(times, n=4)
-    return {"median_ms": median, "q1_ms": q1, "q3_ms": q3}
-
-
 def main(argv=None):
     parser = harness.argument_parser(__doc__, "BENCH_checkpoint.json",
                                      rounds_help="timing rounds per model")
@@ -107,8 +94,7 @@ def main(argv=None):
     cases = {label: [] for label, _ in trees}
     with tempfile.TemporaryDirectory() as tmp:
         for name, setup in MODELS.items():
-            runs = {}  # label: (checkpoint module, path, model, save kwargs, case, times)
-            round_totals = {label: [] for label, _ in trees}
+            runs = {}  # label: (checkpoint module, path, model, save kwargs, case)
             for n, (label, pk) in enumerate(trees):
                 checkpoint = importlib.import_module(".checkpoint", pk.__name__)
                 model, kwargs = build(pk, *setup)
@@ -123,18 +109,21 @@ def main(argv=None):
                         "bytes": path.stat().st_size,
                         "sha256": hashlib.sha256(path.read_bytes()).hexdigest(),
                         "reps": REPS, "rounds": args.rounds, "save_peak_mb": peak / 2**20}
-                runs[label] = (checkpoint, path, model, kwargs, case, {"save": [], "load": []})
-            for label, _ in harness.alternate(trees, args.rounds):
-                checkpoint, path, model, kwargs, case, times = runs[label]
-                this_round = {"save": times_ms(lambda: checkpoint.save(path, model, **kwargs), REPS),
-                              "load": times_ms(lambda: checkpoint.load(path), REPS)}
-                for op, got in this_round.items():
-                    times[op] += got
-                round_totals[label].append(sum(map(statistics.median, this_round.values())))
+                runs[label] = (checkpoint, path, model, kwargs, case)
+
+            def save_and_load(label, _):
+                checkpoint, path, model, kwargs, _ = runs[label]
+                return {"save": harness.timed(lambda: checkpoint.save(path, model, **kwargs), REPS),
+                        "load": harness.timed(lambda: checkpoint.load(path), REPS)}
+
+            per_round = harness.rounds(trees, args.rounds, save_and_load)
+            round_totals = {label: [sum(statistics.median(t) for t in r.values()) * 1e3
+                                    for r in per_round[label]] for label, _ in trees}
             for label, _ in trees:
-                *_, case, times = runs[label]
+                case = runs[label][-1]
                 for op in ("save", "load"):
-                    case[op] = quartiles(times[op])
+                    q1, median, q3 = harness.quartiles([t for r in per_round[label] for t in r[op]], 1e3)
+                    case[op] = {"median_ms": median, "q1_ms": q1, "q3_ms": q3}
                 case["round_total_ms"] = round_totals[label]
                 cases[label].append(case)
                 print(f"{label:<24}{name:<12} {case['weights']:>7} weights {case['bytes']:>8} B  "

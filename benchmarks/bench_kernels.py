@@ -12,28 +12,25 @@ pass reports as kernels.shape.*.
 The kernels are prunekit.kernels of the package in DIR/prunekit (--src,
 the repo's src by default), imported whole. --baseline imports a second
 tree, e.g. an unpacked older commit, and times its kernels in the same
-process: each case runs R rounds, and in every round both trees are timed
-back to back, each going first in every other round. On shared cores, two
-runs minutes apart can differ by more than two kernel versions do; a pair
-timed back to back shares most of that drift.
+process, the two trees alternating round by round as harness.py's
+docstring describes.
 
 Before any timing, every kernel is checked against direct loops over
 (i, o, u, v) that share no code with prunekit. A round is one warm-up call
-and then `reps` timed calls. Each case stores the time.perf_counter median
-and quartiles in ms per call over all rounds' calls, and the median of
-each round (round_medians_ms; round r of the two trees ran back to back).
-BLAS runs on OPENBLAS_NUM_THREADS threads, 1 unless set, as in perfbench.
-Each tree's run is stored under its label in the output JSON, next to the
-runs already there, with an environment record.
+and then `reps` timed calls. Each case stores the median and quartiles in
+ms per call over all rounds' calls, and the median of each round
+(round_medians_ms). BLAS runs on OPENBLAS_NUM_THREADS threads, 1 unless
+set, as in perfbench. Each tree's run is stored under its label in the
+output JSON, next to the runs already there, with an environment record.
 """
 
 import os
 
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
+import functools
 import statistics
 import sys
-import time
 
 import numpy as np
 
@@ -72,16 +69,6 @@ def grad_x_loops(gout, w):
     return dx
 
 
-def timings_ms(fn, args, reps):
-    fn(*args)
-    times = []
-    for _ in range(reps):
-        start = time.perf_counter()
-        fn(*args)
-        times.append((time.perf_counter() - start) * 1e3)
-    return times
-
-
 def main(argv=None):
     parser = harness.argument_parser(__doc__, "BENCH_kernels.json",
                                      rounds_help="timing rounds per kernel and shape")
@@ -104,14 +91,12 @@ def main(argv=None):
                 if not np.allclose(getattr(kernels, "conv2d_" + name)(*fargs), want,
                                    rtol=1e-10, atol=1e-10):
                     sys.exit(f"{label}: {name} at {shape} disagrees with the direct loops")
-            times = {label: [] for label, _ in trees}
-            round_medians = {label: [] for label, _ in trees}
-            for label, kernels in harness.alternate(trees, args.rounds):
-                t = timings_ms(getattr(kernels, "conv2d_" + name), fargs, reps)
-                times[label] += t
-                round_medians[label].append(statistics.median(t))
+            per_round = harness.rounds(trees, args.rounds, lambda _, kernels: harness.timed(
+                functools.partial(getattr(kernels, "conv2d_" + name), *fargs), reps))
+            round_medians = {label: [statistics.median(t) * 1e3 for t in per_round[label]]
+                             for label, _ in trees}
             for label, _ in trees:
-                q1, median, q3 = statistics.quantiles(times[label], n=4)
+                q1, median, q3 = harness.quartiles(sum(per_round[label], []), 1e3)
                 case = {"shape": shape, "kernel": name, "x": list(x_shape), "w": list(w_shape),
                         "reps": reps, "rounds": args.rounds, "median_ms": median,
                         "q1_ms": q1, "q3_ms": q3, "round_medians_ms": round_medians[label]}

@@ -41,13 +41,14 @@ between updates.
 
 prunekit is imported from DIR/prunekit (--src, the repo's src by
 default). --baseline imports a second tree, e.g. an unpacked older
-commit, and times it in the same process: each case runs R rounds, and in
-every round both trees run `reps` updates back to back, each going first
-in every other round. Times are time.perf_counter medians over all rounds'
-updates, in ms; round_total_ms has each round's median whole update. Each
-tree's run is stored under its label in the output JSON, next to the runs
-already there, with an environment record (numpy version, conv backend,
-cores).
+commit, and times it in the same process, the two trees alternating
+round by round as harness.py's docstring describes. A round of a case is
+`reps` updates, timed phase by phase inside each update, with no warm-up
+call: the oracle check before the rounds runs every tree once. Times are
+time.perf_counter medians over all rounds' updates, in ms; round_total_ms
+has each round's median whole update. Each tree's run is stored under its
+label in the output JSON, next to the runs already there, with an
+environment record (numpy version, conv backend, cores).
 """
 
 import itertools
@@ -177,9 +178,7 @@ def repeat_case(trees, rounds):
     nudges = [1e-3 * nudge_rng.normal(shape) for shape in shapes]
     for _, pk in trees:
         repeat_updates(pk, nudges, check=True)
-    runs = {label: [] for label, _ in trees}
-    for label, pk in harness.alternate(trees, rounds):
-        runs[label].append(repeat_updates(pk, nudges))
+    runs = harness.rounds(trees, rounds, lambda _, pk: repeat_updates(pk, nudges))
     round_ms = {label: [statistics.median(t for t, _ in r) * 1e3 for r in runs[label]]
                 for label, _ in trees}
     cases = {}
@@ -221,24 +220,21 @@ def main(argv=None):
                     if not all(np.array_equal(g, m) for g, m in zip(masks, want)):
                         sys.exit(f"{label}: mask mismatch: {dist} n={n} {granularity} {context}")
                 reps = max(5, min(50, 2_000_000 // n))
-                runs = {label: [] for label, _ in trees}
-                round_totals = {label: [] for label, _ in trees}
-                for label, pk in harness.alternate(trees, args.rounds):
-                    got = [update(pk, weights, granularity, context, SPARSITY)[1]
-                           for _ in range(reps)]
-                    runs[label] += got
-                    round_totals[label].append(
-                        statistics.median(sum(p.values()) for p in got) * 1e3)
+                per_round = harness.rounds(trees, args.rounds, lambda _, pk: [
+                    update(pk, weights, granularity, context, SPARSITY)[1] for _ in range(reps)])
+                round_totals = {label: [statistics.median(sum(p.values()) for p in r) * 1e3
+                                        for r in per_round[label]] for label, _ in trees}
                 for label, _ in trees:
+                    updates = sum(per_round[label], [])
                     case = {"distribution": dist, "weights": n, "granularity": granularity,
                             "context": context, "shapes": [list(w.shape) for w in weights],
                             "n_blocks": sum(len(index_gather(w.shape, spanned)) for w in weights),
                             "reps": reps, "rounds": args.rounds,
                             "round_total_ms": round_totals[label]}
-                    phases = runs[label][0]
+                    phases = updates[0]
                     for phase in phases:
-                        case[f"{phase}_ms"] = statistics.median(r[phase] for r in runs[label]) * 1e3
-                    case["total_ms"] = statistics.median(sum(r.values()) for r in runs[label]) * 1e3
+                        case[f"{phase}_ms"] = statistics.median(u[phase] for u in updates) * 1e3
+                    case["total_ms"] = statistics.median(sum(u.values()) for u in updates) * 1e3
                     cases[label].append(case)
                     print(f"{label:<24}{dist:<6} n={n:>8} {granularity:<8} {context:<6} "
                           f"blocks={case['n_blocks']:>8} "

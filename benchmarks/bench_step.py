@@ -18,12 +18,12 @@ backward_params, as Model.backward does) and sgd_step at learning rate
 
 prunekit is imported from DIR/prunekit (--src, the repo's src by
 default). --baseline imports a second tree, e.g. an unpacked older
-commit, and times it in the same process: each workload runs R rounds,
-and in every round both trees run `reps` steps back to back, each going
-first in every other round. Before any timing, one step from the same
-initial weights is run in every tree, and a second time in the first
-tree: the logits, loss, gradients and updated parameters must be
-byte-equal, and the exit message names the first array that is not.
+commit, and times it in the same process, the two trees alternating
+round by round as harness.py's docstring describes; a round is one
+warm-up step and then `reps` timed steps. Before any timing, one step
+from the same initial weights is run in every tree, and a second time in
+the first tree: the logits, loss, gradients and updated parameters must
+be byte-equal, and the exit message names the first array that is not.
 
 The eval case times accuracy (phase "accuracy") on each workload's
 untrained model over its eval split and over that split tiled 4 times
@@ -34,12 +34,12 @@ them, and its accuracy equal to their hit count over n. Each tree's
 tracemalloc peak of one accuracy call, after a warm-up call, is stored as
 peak_bytes.
 
-Each phase stores the time.perf_counter median and quartiles in us over
-all rounds' steps, and the median of each round (round_medians_us; round
-r of the two trees ran back to back). "step" is the sum of a step's
-phases. BLAS runs on OPENBLAS_NUM_THREADS threads, 1 unless set, as in
-perfbench. Each tree's run is stored under its label in the output JSON,
-next to the runs already there, with an environment record.
+Each phase, timed by the step's own clock, stores the median and
+quartiles in us over all rounds' steps, and the median of each round
+(round_medians_us). "step" is the sum of a step's phases. BLAS runs on
+OPENBLAS_NUM_THREADS threads, 1 unless set, as in perfbench. Each tree's
+run is stored under its label in the output JSON, next to the runs
+already there, with an environment record.
 """
 
 import os
@@ -70,11 +70,6 @@ WORKLOADS = {
          {"kind": "dense", "in": 256, "out": 2}],
         {"kind": "blobs2d", "n": 2000, "separation": 4.0}),
 }
-
-
-def quartiles(times):
-    """q1, median, q3; a single time is all three."""
-    return statistics.quantiles(times, n=4) if len(times) > 1 else times * 3
 
 
 class Step:
@@ -184,19 +179,12 @@ def time_eval(trees, args, cases):
             n = len(x)
             calls = {label: (lambda pk=pk, run=runs[label]: pk.accuracy(*run)) for label, pk in trees}
             peaks = {label: peak_bytes(calls[label]) for label, _ in trees}
-            times = {label: [] for label, _ in trees}
-            round_medians = {label: [] for label, _ in trees}
-            for label, _ in harness.alternate(trees, args.rounds):
-                calls[label]()  # warm-up
-                got = []
-                for _ in range(reps):
-                    start = time.perf_counter()
-                    calls[label]()
-                    got.append(time.perf_counter() - start)
-                times[label] += got
-                round_medians[label].append(statistics.median(got) * 1e6)
+            per_round = harness.rounds(trees, args.rounds,
+                                       lambda label, _: harness.timed(calls[label], reps))
+            round_medians = {label: [statistics.median(t) * 1e6 for t in per_round[label]]
+                             for label, _ in trees}
             for label, _ in trees:
-                q1, median, q3 = (t * 1e6 for t in quartiles(times[label]))
+                q1, median, q3 = harness.quartiles(sum(per_round[label], []), 1e6)
                 cases[label].append({"workload": workload, "phase": "accuracy", "batch": n,
                                      "reps": reps, "rounds": args.rounds,
                                      "median_us": median, "q1_us": q1, "q3_us": q3,
@@ -228,25 +216,26 @@ def main(argv=None):
                          f"(or from its own first run), first in {differ[0]}")
         steps = {label: Step(pk, workload, args.seed) for label, pk in trees}
         phases = steps[args.label].phases + ["step"]
-        times = {label: {p: [] for p in phases} for label, _ in trees}
-        round_medians = {p: {label: [] for label, _ in trees} for p in phases}
-        for label, _ in harness.alternate(trees, args.rounds):
+
+        def step_round(label, _):
             steps[label].run()  # warm-up
             got = {p: [] for p in phases}
             for _ in range(args.reps):
                 steps[label].run(got)
-            for p in phases:
-                times[label][p] += got[p]
-                round_medians[p][label].append(statistics.median(got[p]) * 1e6)
+            return got
+
+        per_round = harness.rounds(trees, args.rounds, step_round)
         for p in phases:
+            round_medians = {label: [statistics.median(r[p]) * 1e6 for r in per_round[label]]
+                             for label, _ in trees}
             for label, _ in trees:
-                q1, median, q3 = (t * 1e6 for t in quartiles(times[label][p]))
+                q1, median, q3 = harness.quartiles([t for r in per_round[label] for t in r[p]], 1e6)
                 cases[label].append({"workload": workload, "phase": p, "batch": BATCH,
                                      "reps": args.reps, "rounds": args.rounds,
                                      "median_us": median, "q1_us": q1, "q3_us": q3,
-                                     "round_medians_us": round_medians[p][label]})
+                                     "round_medians_us": round_medians[label]})
                 print(f"{label:<24}{workload:<13}{p:<22}{median:>9.1f} us [{q1:.1f}, {q3:.1f}]")
-            harness.report_faster(trees, round_medians[p], f"{workload:<13}{p:<22}")
+            harness.report_faster(trees, round_medians, f"{workload:<13}{p:<22}")
     time_eval(trees, args, cases)
 
     about = ("One training step at batch 32, phase by phase: each layer's forward and "

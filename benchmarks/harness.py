@@ -1,13 +1,27 @@
 """What the benchmark scripts share: their flags, loading a source tree,
-the environment record, the order in which two trees alternate, the
-"faster in N/R rounds" line and writing runs into the output JSON.
+the environment record, the paired timing protocol, the "faster in N/R
+rounds" line and writing runs into the output JSON.
 
 A script that times one tree builds its parser with argument_parser()
 and loads the tree with load_prunekit(). A script that times a pair
 passes rounds_help to argument_parser(), which adds --baseline and
---rounds, takes its trees from trees(), times them in the order of
-alternate() and reports each case with report_faster(). write_runs()
-stores every run under its label, next to the runs already in the file.
+--rounds, and takes its trees from trees(). write_runs() stores every run
+under its label, next to the runs already in the file.
+
+The paired protocol. Both trees are imported into one process, and each
+case runs R rounds through rounds(): in every round each tree runs once,
+back to back, the first tree going first in even rounds and last in odd
+ones (alternate()). On shared cores two runs minutes apart can differ by
+more than two versions of the code do; a pair timed back to back shares
+most of that drift. A round is one untimed warm-up call and then `reps`
+calls, each timed with time.perf_counter (timed()). bench_step's training
+step keeps that warm-up but times each phase by its own clock;
+bench_selection times the phases inside each update and, its trees warmed
+by the oracle check, makes no warm-up call. A case stores the median of
+all rounds' calls pooled, with their quartiles (quartiles()) in all but
+bench_selection, and the median of each round, round r of the two trees
+having run back to back; report_faster() prints in how many rounds the
+first tree's was lower.
 """
 
 import argparse
@@ -15,7 +29,9 @@ import importlib.util
 import json
 import os
 import platform
+import statistics
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -68,6 +84,32 @@ def alternate(trees: list, rounds: int):
     tree going first in even rounds and last in odd ones."""
     for r in range(rounds):
         yield from trees if r % 2 == 0 else trees[::-1]
+
+
+def rounds(trees: list, n: int, run) -> dict:
+    """{label: [run(label, tree) for each of n rounds]}, the trees taking
+    their turns in the order of alternate()."""
+    results = {label: [] for label, _ in trees}
+    for label, tree in alternate(trees, n):
+        results[label].append(run(label, tree))
+    return results
+
+
+def timed(fn, reps: int) -> list:
+    """The time.perf_counter seconds of `reps` calls of fn, after one untimed call."""
+    fn()
+    times = []
+    for _ in range(reps):
+        start = time.perf_counter()
+        fn()
+        times.append(time.perf_counter() - start)
+    return times
+
+
+def quartiles(values, scale: float = 1.0) -> tuple:
+    """q1, median and q3 of values, times scale; a single value is all three."""
+    q = statistics.quantiles(values, n=4) if len(values) > 1 else list(values) * 3
+    return tuple(v * scale for v in q)
 
 
 def report_faster(trees: list, per_round: dict, case: str) -> None:

@@ -83,11 +83,9 @@ def _write_list(fh, objects) -> None:
     fh.write(b"]")
 
 
-def _mask_entry(mask: np.ndarray, shape: tuple) -> tuple[dict, np.ndarray]:
+def _mask_entry(mask: np.ndarray) -> tuple[dict, np.ndarray]:
     """A mask's entry in the file, its bits packed beside its shape, and its
-    flat boolean keep index in C order, for weights of `shape`."""
-    if mask.shape != shape:
-        raise ValueError(f"shape {list(mask.shape)} != {list(shape)}")
+    flat boolean keep index in C order."""
     flat = np.ascontiguousarray(mask, "<f8").ravel()
     bits = flat.view("<u8")
     ones = bits == _ONE
@@ -154,15 +152,33 @@ class Checkpoint:
     meta: dict
 
 
+def _check_shapes(path: str, arrays: dict, shape: tuple) -> None:
+    """Refuse, in load's words, an array of `arrays` shaped unlike `shape`
+    (a bias unlike shape[1:2]); a missing or None array passes."""
+    for name in _ARRAYS:
+        got, want = arrays.get(name), shape[1:2] if name == "bias" else shape
+        if got is not None and got.shape != want:
+            raise FieldError(f"{path}.{name}", f"shape {list(got.shape)} != {list(want)}")
+
+
+def _snapshot_shapes(model: Model, entries: int) -> list[tuple]:
+    """The weight shapes of a rewind snapshot's entries, one per layer with
+    weights; another number of entries raises FieldError."""
+    shapes = [l.weight_shape for l in model.layers if l.weight_shape is not None]
+    if entries != len(shapes):
+        raise FieldError("rewind_snapshot", f"{entries} entries != {len(shapes)} layers with weights")
+    return shapes
+
+
 def _layer_fields(i: int, layer) -> dict:
     if layer.weights is None and layer.weight_shape is not None:
         raise FieldError(f"layers[{i}].weights", "None: the model was never initialized")
     fields = {"spec": layer.spec(), "weights": layer.weights, "bias": layer.bias}
     if layer.prunable:
-        fields["mask"], fields["history"] = None, layer.history
+        fields["mask"], fields["history"] = layer.mask, layer.history
+        _check_shapes(f"layers[{i}]", fields, layer.weight_shape)
         if layer.mask is not None:
-            fields["mask"], keep = under(f"layers[{i}].mask", _mask_entry, layer.mask,
-                                         layer.weights.shape)
+            fields["mask"], keep = under(f"layers[{i}].mask", _mask_entry, layer.mask)
             fields["weights"] = (layer.weights, keep)
     return fields
 
@@ -170,10 +186,14 @@ def _layer_fields(i: int, layer) -> dict:
 def save(path, model: Model, rewind_snapshot=None, plan: dict | None = None,
          metrics_tail: list | None = None, meta: dict | None = None) -> None:
     """Write the checkpoint; a layer with a weight shape but no weights, a
-    mask value other than 0.0 or 1.0, or a mask shaped unlike its weights
-    raises a FieldError naming the field, e.g. `layers[0].mask`, and writes
-    nothing."""
+    mask value other than 0.0 or 1.0, or an array or rewind snapshot that
+    load would refuse for its shape or length raises a FieldError naming
+    the field, e.g. `layers[0].mask`, and writes nothing."""
     layers = [_layer_fields(i, layer) for i, layer in enumerate(model.layers)]
+    if rewind_snapshot is not None:
+        shapes = _snapshot_shapes(model, len(rewind_snapshot))
+        for j, ((w, b), shape) in enumerate(zip(rewind_snapshot, shapes)):
+            _check_shapes(f"rewind_snapshot[{j}]", {"weights": w, "bias": b}, shape)
     with open(path, "wb") as fh:
         fh.write(b'{"format_version":%d,"layers":' % FORMAT_VERSION)
         _write_list(fh, layers)
@@ -240,10 +260,7 @@ def load(path) -> Checkpoint:
     model.check_shapes(None, "layers[{}].spec")  # a checkpoint records no input shape
     snapshot = doc["rewind_snapshot"]
     if snapshot is not None:
-        shapes = [l.weight_shape for l in model.layers if l.weight_shape is not None]
-        if len(under("rewind_snapshot", checked_list, snapshot)) != len(shapes):
-            raise FieldError("rewind_snapshot", f"{len(snapshot)} entries != "
-                                                f"{len(shapes)} layers with weights")
+        shapes = _snapshot_shapes(model, len(under("rewind_snapshot", checked_list, snapshot)))
         snapshot = [under(f"rewind_snapshot[{j}]", _read_snapshot_entry, entry, shape)
                     for j, (entry, shape) in enumerate(zip(snapshot, shapes))]
     plan = None if doc["plan"] is None else under("plan", SparsifyPlan.from_dict, doc["plan"])

@@ -3,7 +3,7 @@
 from dataclasses import dataclass
 import json
 
-from .datasets import check_spec, input_shape
+from .datasets import N_CLASSES, check_spec, input_shape
 from .fields import FieldError, checked_list, checked_object, integer, string, under
 from .layers import Model, layer_from_spec
 from .sparsifier import SparsifyPlan
@@ -53,7 +53,10 @@ def _parse(doc: dict, seed_override: int | None) -> ExperimentConfig:
     specs = under("model", checked_list, doc["model"], True)
     model = Model([under(f"model[{i}]", layer_from_spec, spec) for i, spec in enumerate(specs)])
     dataset = under("dataset", check_spec, doc["dataset"])
-    model.check_shapes(input_shape(dataset), "model[{}]")
+    out = model.check_shapes(input_shape(dataset), "model[{}]")
+    if len(out) != 1 or out[0] < N_CLASSES:  # the loss reads one score per class
+        raise FieldError(f"model[{len(specs) - 1}]", f"output shape {list(out)} is not a "
+                                                    f"vector of at least {N_CLASSES} class scores")
     train = under("train", lambda section: TrainConfig(
         **checked_object(section, ("epochs", "batch_size", "learning_rate", "momentum"),
                          "epochs", "batch_size", "learning_rate"),

@@ -54,4 +54,6 @@ def score(criterion: Criterion, wf: np.ndarray, wi: np.ndarray | None = None,
         raise ValueError(f"criterion {criterion.kind!r} reads {reads!r}, and none was given")
     if reads == "history":
         check_congruent(wf, wi)
+        if not np.isfinite([wi.min(initial=0.0), wi.max(initial=0.0)]).all():
+            raise ValueError("non-finite history values")  # a NaN score makes the threshold NaN
     return rule(wf, magnitude, given)

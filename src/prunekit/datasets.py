@@ -15,6 +15,8 @@ from .rng import Rng
 KIND_KEYS = {"blobs2d": ("separation",), "patterns8x8": ("noise",)}
 # one sample's input shape for each dataset kind
 INPUT_SHAPES = {"blobs2d": (2,), "patterns8x8": (1, 8, 8)}
+# every dataset kind labels its samples 0 or 1
+N_CLASSES = 2
 # keeps blobs2d's clusters linearly separable with margin > 0 for virtually
 # every seed at the default separation of 4
 BLOB_STD = 0.5

@@ -99,7 +99,9 @@ CASES = {
     "kept_only": lambda: (conv_relu_flatten(zeroed=True), {}),
     "no_masks": lambda: (conv_relu_flatten(masked=False), {}),
     "snapshot_none": lambda: (conv_relu_flatten(), {"rewind_snapshot": None}),
-    "snapshot_empty": lambda: (conv_relu_flatten(), {"rewind_snapshot": []}),
+    # an empty snapshot has one entry per layer with weights only in a model without any
+    "snapshot_empty": lambda: (Model.from_specs([{"kind": "relu"}, {"kind": "flatten"}]),
+                               {"rewind_snapshot": []}),
     "snapshot": lambda: (lambda m: (m, {"rewind_snapshot": snapshot_of(m)}))(conv_relu_flatten()),
     "nested_plan_meta_metrics": lambda: (conv_relu_flatten(), {
         "plan": {"sparsity": [10.0, 20.5], "schedule": {"kind": "gradual", "alpha": None},
@@ -326,6 +328,42 @@ def test_save_refuses_a_mask_shaped_unlike_its_weights(tmp_path):
     with pytest.raises(ValueError) as err:
         checkpoint.save(path, model)
     assert str(err.value) == "layers[0].mask: shape [3, 3] != [2, 3]"
+    assert not path.exists()
+
+
+def _set(name, value):
+    """An edit of a dense [4, 8] model: one array set to value(weights)."""
+    def edit(model, snapshot):
+        setattr(model.layers[0], name, value(model.layers[0].weights))
+        return snapshot
+    return edit
+
+
+@pytest.mark.parametrize("message, edit", [
+    ("layers[0].history: shape [8, 4] != [4, 8]", _set("history", lambda w: w.T.copy())),
+    ("layers[0].bias: shape [3] != [8]", _set("bias", lambda w: np.zeros(3))),
+    ("layers[0].weights: shape [8, 4] != [4, 8]", _set("weights", lambda w: w.T.copy())),
+    ("rewind_snapshot: 2 entries != 1 layers with weights", lambda model, snap: snap * 2),
+    ("rewind_snapshot[0].weights: shape [4, 4] != [4, 8]",
+     lambda model, snap: [(np.zeros((4, 4)), snap[0][1])]),
+    ("rewind_snapshot[0].bias: shape [4] != [8]",
+     lambda model, snap: [(snap[0][0], np.zeros(4))]),
+], ids=["history", "bias", "weights", "snapshot-length", "snapshot-weights", "snapshot-bias"])
+def test_save_refuses_what_load_refuses_for_its_shape(tmp_path, message, edit):
+    """An array or rewind snapshot that load refuses for its shape or length
+    fails the save with load's field path and message, before the file is
+    opened."""
+    model = Model.from_specs([{"kind": "dense", "in": 4, "out": 8}], Rng(3).child("init"))
+    snapshot = edit(model, [(model.layers[0].weights.copy(), model.layers[0].bias.copy())])
+    written = tmp_path / "by-hand.json"
+    written.write_text(one_shot_text(model, rewind_snapshot=snapshot))
+    with pytest.raises(ValueError) as err:
+        checkpoint.load(written)
+    assert str(err.value) == message
+    path = tmp_path / "ckpt.json"
+    with pytest.raises(ValueError) as err:
+        checkpoint.save(path, model, rewind_snapshot=snapshot)
+    assert str(err.value) == message
     assert not path.exists()
 
 

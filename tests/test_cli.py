@@ -121,6 +121,11 @@ def test_invalid_granularity_exit_2(workdir, capsys):
     ("model[2].in_ch: 4, but its input is [4]", DENSE_INTO_CONV),
     ("model[0].kx: 9, but its input is [1, 8, 8]",
      ([{"kind": "conv2d", "in_ch": 1, "out_ch": 2, "kx": 9, "ky": 3}], PATTERNS)),
+    # the loss needs one score per class, and both dataset kinds have 2 classes
+    ("model[2]: output shape [1] is not a vector of at least 2 class scores",
+     [{"kind": "dense", "in": 2, "out": 4}, {"kind": "relu"}, {"kind": "dense", "in": 4, "out": 1}]),
+    ("model[0]: output shape [2, 6, 6] is not a vector of at least 2 class scores",
+     ([{"kind": "conv2d", "in_ch": 1, "out_ch": 2, "kx": 3, "ky": 3}], PATTERNS)),
 ])
 def test_bad_model_spec_exit_2(workdir, capsys, field, model):
     model, dataset = model if isinstance(model, tuple) else (model, BASE_CONFIG["dataset"])
@@ -255,6 +260,24 @@ def test_prune_history_criterion_without_history(workdir, capsys):
         assert "movement" in err
         assert not Path(str(path) + ".pruned.json").exists()
     assert err.startswith("error: layers[0].history: equals the weights")  # the movement run
+
+
+def test_prune_refuses_a_non_finite_history(workdir, capsys):
+    """A NaN in a layer's history would make the score threshold NaN and
+    prune the whole layer (at 10% local, 3 of its 32 weights were asked
+    for): exit 1 naming the history, no file written."""
+    specs = [{"kind": "dense", "in": 4, "out": 8}, {"kind": "relu"},
+             {"kind": "dense", "in": 8, "out": 2}]
+    model = Model.from_specs(specs, Rng(4).child("init"))
+    start = Model.from_specs(specs, Rng(5).child("init"))
+    for layer, hist in zip(model.prunable_layers(), start.prunable_layers()):
+        layer.history = hist.weights
+    model.layers[0].history[0, :4] = np.nan
+    src = workdir / "nan-history.json"
+    checkpoint.save(src, model)
+    assert main(["prune", str(src), "--sparsity", "10", "--criterion", "magnitude_increase"]) == 1
+    assert capsys.readouterr().err == "error: non-finite history values\n"
+    assert sorted(workdir.iterdir()) == [src]
 
 
 @pytest.mark.parametrize("criterion", CRITERIA)

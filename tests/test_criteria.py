@@ -41,6 +41,19 @@ def test_missing_rng_raises():
         score(Criterion("random"), np.ones(3))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("kind", ["magnitude_increase", "movement"])
+def test_non_finite_history_raises(kind, bad):
+    """A NaN score would make every comparison with the threshold prune, so a
+    history holding NaN or +-inf is refused by name, as non-finite weights are."""
+    wf, wi = Rng(2).normal((4, 8)), Rng(3).normal((4, 8))
+    wi[0, 2] = bad
+    with pytest.raises(ValueError, match="non-finite history values"):
+        score(Criterion(kind), wf, wi)
+    with pytest.raises(ValueError, match="non-finite history values"):
+        score(Criterion(kind), wf, wi, out=np.empty((4, 8)))
+
+
 def test_unknown_criterion():
     with pytest.raises(ValueError):
         Criterion("second_order")

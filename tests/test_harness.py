@@ -1,5 +1,6 @@
-"""benchmarks/harness.py: round order, the checks on --rounds and --baseline,
-and how runs are merged into a benchmark's JSON file."""
+"""benchmarks/harness.py: round order, the rounds, timing and quartile
+helpers, the checks on --rounds and --baseline, and how runs are merged
+into a benchmark's JSON file."""
 
 import importlib.util
 import json
@@ -57,3 +58,32 @@ def test_env_record_names_the_allocator_settings(monkeypatch):
     assert env["malloc_env"] == {"MALLOC_ARENA_MAX": "2", "MALLOC_TRIM_THRESHOLD_": "8000000"}
     assert "libc" in env
     json.dumps(env)  # every value is a JSON value
+
+
+@pytest.mark.parametrize("trees, want", [
+    ([("new", 1)], {"new": [("new", 1, 0), ("new", 1, 1), ("new", 1, 2)]}),
+    ([("new", 1), ("base", 2)], {"new": [("new", 1, 0), ("new", 1, 3), ("new", 1, 4)],
+                                 "base": [("base", 2, 1), ("base", 2, 2), ("base", 2, 5)]}),
+])
+def test_rounds_gives_each_tree_its_results_in_alternate_order(trees, want):
+    calls = []
+
+    def run(label, tree):
+        calls.append(label)
+        return label, tree, len(calls) - 1
+
+    assert harness.rounds(trees, 3, run) == want
+    assert calls == [label for label, _ in harness.alternate(trees, 3)]
+
+
+def test_timed_times_reps_calls_after_one_untimed_call():
+    calls = []
+    times = harness.timed(lambda: calls.append(1), 4)
+    assert len(calls) == 5 and len(times) == 4
+    assert all(isinstance(t, float) and t >= 0 for t in times)
+
+
+def test_quartiles_of_one_and_several_values_scaled():
+    assert harness.quartiles([0.002], 1e3) == (2.0, 2.0, 2.0)
+    assert harness.quartiles([1.0, 2.0, 3.0, 4.0, 5.0]) == (1.5, 3.0, 4.5)
+    assert harness.quartiles([1.0, 2.0, 3.0, 4.0, 5.0], 2.0) == (3.0, 6.0, 9.0)
