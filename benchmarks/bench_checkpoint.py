@@ -15,7 +15,9 @@ Models:
 
 Before any timing, each saved file is checked to be canonical JSON (equal
 to json.dumps(json.loads(text), sort_keys=True, separators=(",", ":"))
-plus a newline) and to load back into the arrays it was written from.
+plus a newline), to load back into the arrays it was written from, and to
+be written again, byte for byte, by a save of what load gave: its model,
+rewind snapshot, plan.to_dict(), metrics tail and meta.
 `save_peak_mb` is tracemalloc's peak over one further save: the most
 memory that save held at once, Python objects and numpy arrays alike.
 `bytes` is the file's size and `sha256` its hash, so runs of two source
@@ -72,17 +74,23 @@ def build(pk, specs, granularity, context, criterion, sparsity):
     return model, {"plan": plan, "metrics_tail": tail, "meta": {"name": "bench", "seed": 1}}
 
 
-def check(pk, path, model):
+def check(pk, name, path, model):
     text = path.read_text()
     if text != json.dumps(json.loads(text), sort_keys=True, separators=(",", ":")) + "\n":
         sys.exit(f"{path} is not canonical JSON")
-    loaded = pk.checkpoint.load(path).model
-    for i, (a, b) in enumerate(zip(model.layers, loaded.layers)):
-        for name in ("weights", "bias", "mask", "history"):
-            want, got = getattr(a, name, None), getattr(b, name, None)
+    ckpt = pk.checkpoint.load(path)
+    for i, (a, b) in enumerate(zip(model.layers, ckpt.model.layers)):
+        for array in ("weights", "bias", "mask", "history"):
+            want, got = getattr(a, array, None), getattr(b, array, None)
             if (want is None) != (got is None) or (want is not None and
                                                    not np.array_equal(want, got)):
-                sys.exit(f"layers[{i}].{name} did not load back from {path}")
+                sys.exit(f"layers[{i}].{array} did not load back from {path}")
+    again = path.with_name(path.stem + "-again.json")
+    pk.checkpoint.save(again, ckpt.model, rewind_snapshot=ckpt.rewind_snapshot,
+                       plan=None if ckpt.plan is None else ckpt.plan.to_dict(),
+                       metrics_tail=ckpt.metrics_tail, meta=ckpt.meta)
+    if again.read_bytes() != path.read_bytes():
+        sys.exit(f"{name}: a save of the loaded checkpoint did not write the bytes of {path}")
 
 
 def main(argv=None):
@@ -100,7 +108,7 @@ def main(argv=None):
                 model, kwargs = build(pk, *setup)
                 path = Path(tmp) / f"{name}-{n}.json"
                 checkpoint.save(path, model, **kwargs)
-                check(pk, path, model)
+                check(pk, name, path, model)
                 tracemalloc.start()
                 checkpoint.save(path, model, **kwargs)
                 peak = tracemalloc.get_traced_memory()[1]
@@ -133,9 +141,10 @@ def main(argv=None):
 
     about = ("checkpoint.save and checkpoint.load per call: time.perf_counter median and "
              "quartiles in ms over `rounds` x `reps` calls (`reps` where `rounds` is absent), "
-             "each file checked to be canonical JSON that loads back first; round_total_ms "
-             "has each round's median save plus median load, and runs written together "
-             "alternate round by round; save_peak_mb is tracemalloc's peak over one save. "
+             "each file checked first to be canonical JSON that loads back and saves again "
+             "to the same bytes; round_total_ms has each round's median save plus median "
+             "load, and runs written together alternate round by round; save_peak_mb is "
+             "tracemalloc's peak over one save. "
              "Written by benchmarks/bench_checkpoint.py.")
     harness.write_runs(args.out, about, {label: {"env": harness.env_record(),
                                                  "cases": cases[label]} for label, _ in trees})

@@ -1,5 +1,16 @@
-"""Versioned JSON checkpoints: weights, masks, weight histories (null unless
-the criterion reads one), rewind snapshot, plan echo and a metric-log tail.
+"""Versioned JSON checkpoints: weights, masks, weight histories, the rewind
+snapshot, a plan echo and a metric-log tail.
+
+One table, `_arrays`, says which arrays an entry holds, as name -> (shape,
+may it be null), and both `save` and `load` go by it:
+- `weights` (the layer's weight shape) and `bias` (`[weight_shape[1]]`)
+  are null exactly when the layer has no weights, as relu and flatten;
+- a prunable layer adds `mask` and `history`, of the weights' shape, either
+  of which may be null: no mask yet, or a criterion that reads no history;
+- a rewind-snapshot entry, one per layer with weights, holds that layer's
+  first two rows, `weights` and `bias`, neither of them null.
+`save` refuses what the table does not allow before it opens the file,
+with the field path and message `load` gives for it.
 
 A checkpoint file is `json.dumps(doc, sort_keys=True, separators=(",", ":"))`
 plus a newline, so identical state produces byte-identical files.
@@ -14,16 +25,17 @@ plus a newline, so identical state produces byte-identical files.
   `load` unpacks the bits into the same float64 0/1 array.
 - A masked layer's `weights.data` holds only the entries whose mask bit is
   1, in C order, when every pruned entry is 0.0 or -0.0, and every entry
-  otherwise (NaN left under a mask, or weights never masked). `load` tells
-  the two apart by length, 8 bytes per kept entry or per entry, equal only
-  when every bit is 1, and loads kept-only weights with +0.0 at each pruned
-  entry, so a pruned -0.0 loses its sign.
-`save` writes the document skeleton itself and each array's base64 bytes in
-one write to a binary file, so only one weight array's encoding is held at a
-time and no text layer encodes it again.
+  otherwise (NaN left under a mask, or weights never masked). `load` reads
+  the mask first and tells the two apart by length, 8 bytes per kept entry
+  or per entry, equal only when every bit is 1, and loads kept-only weights
+  with +0.0 at each pruned entry, so a pruned -0.0 loses its sign.
+`save` writes the document through `_write_object` to a binary file, each
+array's base64 bytes in one write, so only one weight array's encoding is
+held at a time and no text layer encodes it again.
 """
 
 import base64
+from collections.abc import Iterator
 from dataclasses import dataclass
 import json
 import math
@@ -37,8 +49,47 @@ from .sparsifier import SparsifyPlan
 
 FORMAT_VERSION = 4
 _KEYS = ("format_version", "layers", "meta", "metrics_tail", "plan", "rewind_snapshot")
-_ARRAYS = ("weights", "bias", "mask", "history")  # a layer entry's arrays; mask and history if prunable
 _ONE = np.array(1.0, "<f8").view("<u8")  # the bits of 1.0; those of 0.0 are all zero
+
+
+def _arrays(layer: Layer) -> dict:
+    """The table of the arrays a layer's entry holds: name -> (shape, may it
+    be null). A rewind-snapshot entry holds its first two rows."""
+    shape = layer.weight_shape
+    if shape is None:
+        return {"weights": (None, True), "bias": (None, True)}
+    table = {"weights": (shape, False), "bias": (shape[1:2], False)}
+    if layer.prunable:
+        table.update(mask=(shape, True), history=(shape, True))
+    return table
+
+
+def _snapshot_tables(model: Model, entries: int) -> list[dict]:
+    """The tables of a rewind snapshot's entries, one per layer with weights;
+    another number of entries raises FieldError."""
+    tables = [dict(list(_arrays(l).items())[:2]) for l in model.layers if l.weight_shape is not None]
+    if entries != len(tables):
+        raise FieldError("rewind_snapshot", f"{entries} entries != {len(tables)} layers with weights")
+    return tables
+
+
+def _present(null: bool, shape, want: tuple | None, nullable: bool) -> bool:
+    """Whether an array of `shape` is there, False for a null that its table
+    row allows; what the row does not allow raises ValueError, in the same
+    words for save and load."""
+    if null and not nullable:
+        raise ValueError("expected an object, got NoneType")
+    if not null and (want is None or shape != list(want)):
+        raise ValueError(f"shape {shape} != {None if want is None else list(want)}")
+    return not null
+
+
+def _checked(path: str, arrays: dict, table: dict) -> dict:
+    """arrays, name -> array or None, each checked against its table row."""
+    for name, row in table.items():
+        a = arrays[name]
+        under(f"{path}.{name}", _present, a is None, None if a is None else list(a.shape), *row)
+    return arrays
 
 
 def _dumps(obj) -> bytes:
@@ -54,13 +105,15 @@ def _write_array(fh, a: np.ndarray, keep: np.ndarray | None = None) -> None:
         if np.count_nonzero(kept) == np.count_nonzero(data):  # NaN counts as nonzero
             data = kept
     fh.write(b'{"data":"')
-    fh.write(base64.b64encode(data.astype("<f8", copy=False).tobytes()))
+    fh.write(base64.b64encode(data.astype("<f8", copy=False)))  # read in place, not copied to bytes
     fh.write(b'","shape":' + _dumps(list(a.shape)) + b"}")
 
 
 def _write_object(fh, fields: dict) -> None:
-    """Write fields as a JSON object in sorted key order, arrays through
-    _write_array; a tuple is a masked layer's (weights, keep index)."""
+    """Write fields as a JSON object in sorted key order: an array through
+    _write_array, a tuple being a masked layer's (weights, keep index), an
+    iterator of objects as a list through _write_list, and any other value
+    in one _dumps."""
     for n, key in enumerate(sorted(fields)):
         fh.write(b"," if n else b"{")
         fh.write(f'"{key}":'.encode())
@@ -69,6 +122,8 @@ def _write_object(fh, fields: dict) -> None:
             _write_array(fh, value)
         elif isinstance(value, tuple):
             _write_array(fh, *value)
+        elif isinstance(value, Iterator):
+            _write_list(fh, value)
         else:
             fh.write(_dumps(value))
     fh.write(b"}")
@@ -94,21 +149,26 @@ def _mask_entry(mask: np.ndarray) -> tuple[dict, np.ndarray]:
     return {"bits": base64.b64encode(np.packbits(ones)).decode(), "shape": list(mask.shape)}, ones
 
 
-def _payload(obj, key: str, shape: tuple | None, what: str) -> bytes:
-    """The bytes of obj[key]'s base64, obj checked to be {key, "shape"} of
-    `shape`. A layer without weights (shape None) holds no arrays."""
-    checked_object(obj, (key, "shape"), key, "shape")
-    if shape is None or obj["shape"] != list(shape):
-        raise ValueError(f"shape {obj['shape']} != {None if shape is None else list(shape)}")
+def _payload(obj, key: str, shape: tuple | None, nullable: bool, what: str) -> bytes | None:
+    """The bytes of obj[key]'s base64, obj checked to be {key, "shape"} as
+    its table row (shape, nullable) allows; None for an allowed null."""
+    if obj is not None:
+        checked_object(obj, (key, "shape"), key, "shape")
+    if not _present(obj is None, None if obj is None else obj["shape"], shape, nullable):
+        return None
     try:
         return base64.b64decode(obj[key], validate=True)
     except (TypeError, ValueError) as exc:
         raise ValueError(f"corrupt {what}: {exc}") from None
 
 
-def _dec_floats(raw: bytes, shape: tuple, mask: np.ndarray | None = None) -> np.ndarray:
-    """A float64 array of `shape` from raw's bytes: every entry or, beside a
-    mask, the kept ones only, scattered into +0.0."""
+def _dec_floats(obj, shape: tuple | None, nullable: bool, mask=None) -> np.ndarray | None:
+    """obj decoded by its table row: None for an allowed null, else a float64
+    array of `shape` from every entry or, beside a mask, the kept ones only,
+    scattered into +0.0."""
+    raw = _payload(obj, "data", shape, nullable, "array")
+    if raw is None:
+        return None
     size = math.prod(shape)
     if len(raw) == 8 * size:
         return np.frombuffer(raw, "<f8").reshape(shape).astype(np.float64)  # a writable native copy
@@ -123,24 +183,34 @@ def _dec_floats(raw: bytes, shape: tuple, mask: np.ndarray | None = None) -> np.
     return flat.reshape(shape)
 
 
-def _dec_array(obj, shape: tuple | None, nullable: bool = True) -> np.ndarray | None:
-    """obj decoded: a float64 array of `shape`, or None where `nullable`."""
-    if obj is None and nullable:
-        return None
-    return _dec_floats(_payload(obj, "data", shape, "array"), shape)
-
-
-def _dec_mask(obj, shape: tuple) -> np.ndarray | None:
+def _dec_mask(obj, shape: tuple, nullable: bool) -> np.ndarray | None:
     """obj decoded: a float64 0/1 mask of `shape`, or None."""
-    if obj is None:
+    raw = _payload(obj, "bits", shape, nullable, "mask")
+    if raw is None:
         return None
-    packed = np.frombuffer(_payload(obj, "bits", shape, "mask"), np.uint8)
+    packed = np.frombuffer(raw, np.uint8)
     size = math.prod(shape)
     if packed.size != (size + 7) // 8:
         raise ValueError(f"corrupt mask: {packed.size} bytes for {size} bits")
     if size % 8 and packed[-1] & (0xFF >> size % 8):
         raise ValueError("corrupt mask: nonzero padding bits")
     return np.unpackbits(packed, count=size).reshape(shape).astype(np.float64)
+
+
+def _read(entry, table: dict, plan: SparsifyPlan | None = None, keys: tuple = ()) -> dict:
+    """The arrays of an entry holding `keys` and the table's, name -> array
+    or None, in table order. A mask is read first, checked to hold one value
+    in each block of the plan's granularity if there is a plan, and the
+    weights through it."""
+    checked_object(entry, keys + tuple(table), *table)
+    mask = under("mask", _dec_mask, entry["mask"], *table["mask"]) if "mask" in table else None
+    if mask is not None and plan is not None:
+        rows = enumerate_blocks(plan.granularity, mask.shape).rows(mask)
+        if np.any(rows != rows[:, :1]):
+            raise FieldError("mask", f"not block-pure under {plan.granularity!r}")
+    return {name: mask if name == "mask" else
+            under(name, _dec_floats, entry[name], *row, mask if name == "weights" else None)
+            for name, row in table.items()}
 
 
 @dataclass
@@ -152,93 +222,34 @@ class Checkpoint:
     meta: dict
 
 
-def _check_shapes(path: str, arrays: dict, shape: tuple) -> None:
-    """Refuse, in load's words, an array of `arrays` shaped unlike `shape`
-    (a bias unlike shape[1:2]); a missing or None array passes."""
-    for name in _ARRAYS:
-        got, want = arrays.get(name), shape[1:2] if name == "bias" else shape
-        if got is not None and got.shape != want:
-            raise FieldError(f"{path}.{name}", f"shape {list(got.shape)} != {list(want)}")
-
-
-def _snapshot_shapes(model: Model, entries: int) -> list[tuple]:
-    """The weight shapes of a rewind snapshot's entries, one per layer with
-    weights; another number of entries raises FieldError."""
-    shapes = [l.weight_shape for l in model.layers if l.weight_shape is not None]
-    if entries != len(shapes):
-        raise FieldError("rewind_snapshot", f"{entries} entries != {len(shapes)} layers with weights")
-    return shapes
-
-
-def _layer_fields(i: int, layer) -> dict:
-    if layer.weights is None and layer.weight_shape is not None:
-        raise FieldError(f"layers[{i}].weights", "None: the model was never initialized")
-    fields = {"spec": layer.spec(), "weights": layer.weights, "bias": layer.bias}
-    if layer.prunable:
-        fields["mask"], fields["history"] = layer.mask, layer.history
-        _check_shapes(f"layers[{i}]", fields, layer.weight_shape)
-        if layer.mask is not None:
-            fields["mask"], keep = under(f"layers[{i}].mask", _mask_entry, layer.mask)
-            fields["weights"] = (layer.weights, keep)
-    return fields
-
-
 def save(path, model: Model, rewind_snapshot=None, plan: dict | None = None,
          metrics_tail: list | None = None, meta: dict | None = None) -> None:
-    """Write the checkpoint; a layer with a weight shape but no weights, a
-    mask value other than 0.0 or 1.0, or an array or rewind snapshot that
-    load would refuse for its shape or length raises a FieldError naming
-    the field, e.g. `layers[0].mask`, and writes nothing."""
-    layers = [_layer_fields(i, layer) for i, layer in enumerate(model.layers)]
+    """Write the checkpoint. Before it opens the file, save refuses, with a
+    FieldError naming the field in load's words (e.g. `layers[0].mask`):
+    - an array its table row does not allow: None where the layer has
+      weights (its weights or bias, say, if the model was never
+      initialized), or an array shaped unlike its row;
+    - a mask holding a value other than 0.0 or 1.0;
+    - a rewind snapshot whose entry count is not the number of layers with
+      weights, or whose entry holds None or a misshapen array."""
+    layers = []
+    for i, layer in enumerate(model.layers):
+        table = _arrays(layer)
+        fields = _checked(f"layers[{i}]", {name: getattr(layer, name) for name in table}, table)
+        if fields.get("mask") is not None:
+            fields["mask"], keep = under(f"layers[{i}].mask", _mask_entry, layer.mask)
+            fields["weights"] = (layer.weights, keep)
+        fields["spec"] = layer.spec()
+        layers.append(fields)
     if rewind_snapshot is not None:
-        shapes = _snapshot_shapes(model, len(rewind_snapshot))
-        for j, ((w, b), shape) in enumerate(zip(rewind_snapshot, shapes)):
-            _check_shapes(f"rewind_snapshot[{j}]", {"weights": w, "bias": b}, shape)
+        tables = _snapshot_tables(model, len(rewind_snapshot))
+        rewind_snapshot = iter([_checked(f"rewind_snapshot[{j}]", dict(zip(table, entry)), table)
+                                for j, (entry, table) in enumerate(zip(rewind_snapshot, tables))])
     with open(path, "wb") as fh:
-        fh.write(b'{"format_version":%d,"layers":' % FORMAT_VERSION)
-        _write_list(fh, layers)
-        fh.write(b',"meta":' + _dumps(meta or {}) + b',"metrics_tail":' + _dumps(metrics_tail or [])
-                 + b',"plan":' + _dumps(plan) + b',"rewind_snapshot":')
-        if rewind_snapshot is None:
-            fh.write(b"null")
-        else:
-            _write_list(fh, ({"weights": w, "bias": b} for w, b in rewind_snapshot))
-        fh.write(b"}\n")
-
-
-def _read_layer(entry) -> tuple[Layer, bytes | None]:
-    """The layer that one entry of `layers` describes, holding its arrays,
-    and the bytes of its weights' data if they are not every entry: those
-    are decoded after the mask is checked against the plan."""
-    layer = under("spec", layer_from_spec, checked_object(entry, ("spec",) + _ARRAYS, "spec")["spec"])
-    arrays = _ARRAYS if layer.prunable else _ARRAYS[:2]
-    checked_object(entry, ("spec",) + arrays, *arrays)
-    shape = layer.weight_shape
-    raw = None
-    if entry["weights"] is not None or shape is not None:
-        raw = under("weights", _payload, entry["weights"], "data", shape, "array")
-        if len(raw) == 8 * math.prod(shape):  # every entry, which needs no mask
-            layer.weights, raw = _dec_floats(raw, shape), None
-    bias = under("bias", _dec_array, entry["bias"], None if shape is None else shape[1:2])
-    if bias is not None:
-        layer.bias = bias
-    if layer.prunable:
-        layer.mask = under("mask", _dec_mask, entry["mask"], shape)
-        layer.history = under("history", _dec_array, entry["history"], shape)
-    return layer, raw
-
-
-def _read_snapshot_entry(entry, shape: tuple) -> tuple:
-    checked_object(entry, ("weights", "bias"), "weights", "bias")
-    return (under("weights", _dec_array, entry["weights"], shape, False),
-            under("bias", _dec_array, entry["bias"], shape[1:2], False))
-
-
-def _check_blocks(mask: np.ndarray, granularity: str) -> None:
-    """Under the plan's granularity, each block of the mask holds one value."""
-    rows = enumerate_blocks(granularity, mask.shape).rows(mask)
-    if np.any(rows != rows[:, :1]):
-        raise ValueError(f"not block-pure under {granularity!r}")
+        _write_object(fh, {"format_version": FORMAT_VERSION, "layers": iter(layers),
+                           "meta": meta or {}, "metrics_tail": list(metrics_tail or ()),
+                           "plan": plan, "rewind_snapshot": rewind_snapshot})
+        fh.write(b"\n")
 
 
 def load(path) -> Checkpoint:
@@ -254,24 +265,22 @@ def load(path) -> Checkpoint:
     if doc.get("format_version") != FORMAT_VERSION:
         raise ValueError(f"unsupported checkpoint format_version {doc.get('format_version')!r}")
     checked_object(doc, _KEYS, *_KEYS)
-    entries = under("layers", checked_list, doc["layers"], True)
-    read = [under(f"layers[{i}]", _read_layer, entry) for i, entry in enumerate(entries)]
-    model = Model([layer for layer, _ in read])
-    model.check_shapes(None, "layers[{}].spec")  # a checkpoint records no input shape
-    snapshot = doc["rewind_snapshot"]
-    if snapshot is not None:
-        shapes = _snapshot_shapes(model, len(under("rewind_snapshot", checked_list, snapshot)))
-        snapshot = [under(f"rewind_snapshot[{j}]", _read_snapshot_entry, entry, shape)
-                    for j, (entry, shape) in enumerate(zip(snapshot, shapes))]
     plan = None if doc["plan"] is None else under("plan", SparsifyPlan.from_dict, doc["plan"])
+    entries = under("layers", checked_list, doc["layers"], True)
+    model = Model([under(f"layers[{i}].spec", layer_from_spec,
+                         under(f"layers[{i}]", checked_object, entry, None, "spec")["spec"])
+                   for i, entry in enumerate(entries)])
+    model.check_shapes(None, "layers[{}].spec")  # a checkpoint records no input shape
     if plan is not None:
         under("plan", plan.check_model, model)  # no epochs: a checkpoint does not know them
-    for i, (layer, raw) in enumerate(read):
-        if plan is not None and layer.prunable and layer.mask is not None:
-            under(f"layers[{i}].mask", _check_blocks, layer.mask, plan.granularity)
-        if raw is not None:  # kept entries, or a corrupt array
-            layer.weights = under(f"layers[{i}].weights", _dec_floats, raw, layer.weight_shape,
-                                  layer.mask)
+    for i, (layer, entry) in enumerate(zip(model.layers, entries)):
+        for name, array in under(f"layers[{i}]", _read, entry, _arrays(layer), plan, ("spec",)).items():
+            setattr(layer, name, array)
+    snapshot = doc["rewind_snapshot"]
+    if snapshot is not None:
+        tables = _snapshot_tables(model, len(under("rewind_snapshot", checked_list, snapshot)))
+        snapshot = [tuple(under(f"rewind_snapshot[{j}]", _read, entry, table).values())
+                    for j, (entry, table) in enumerate(zip(snapshot, tables))]
     return Checkpoint(model, snapshot, plan,
                       under("metrics_tail", checked_list, doc["metrics_tail"]),
                       under("meta", checked_object, doc["meta"]))

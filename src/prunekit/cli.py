@@ -185,6 +185,8 @@ def cmd_prune(args) -> int:
         return _flag_error(exc)
     if Criterion(plan.criterion).reads == "history":
         for i, layer in enumerate(model.layers):
+            if layer.prunable and layer.history is None:
+                raise FieldError(f"layers[{i}].history", f"null, and {plan.criterion!r} reads it")
             if layer.prunable and np.array_equal(layer.history, layer.weights):
                 raise FieldError(f"layers[{i}].history", f"equals the weights, so every "
                                                          f"{plan.criterion!r} score is 0")

@@ -187,12 +187,12 @@ def test_save_refuses_a_mask_value_other_than_0_or_1(tmp_path, value):
 
 def test_save_refuses_a_layer_without_weights(tmp_path):
     """Model.from_specs without an rng leaves weights None, which load would
-    refuse, so save refuses it before the file is opened."""
+    refuse, so save refuses it, in load's words, before the file is opened."""
     model = Model.from_specs([{"kind": "dense", "in": 2, "out": 3}, {"kind": "relu"}])
     path = tmp_path / "ckpt.json"
     with pytest.raises(ValueError) as err:
         checkpoint.save(path, model)
-    assert str(err.value) == "layers[0].weights: None: the model was never initialized"
+    assert str(err.value) == "layers[0].weights: expected an object, got NoneType"
     assert not path.exists()
 
 
@@ -348,11 +348,16 @@ def _set(name, value):
      lambda model, snap: [(np.zeros((4, 4)), snap[0][1])]),
     ("rewind_snapshot[0].bias: shape [4] != [8]",
      lambda model, snap: [(snap[0][0], np.zeros(4))]),
-], ids=["history", "bias", "weights", "snapshot-length", "snapshot-weights", "snapshot-bias"])
+    ("rewind_snapshot[0].weights: expected an object, got NoneType",
+     lambda model, snap: [(None, snap[0][1])]),
+    ("rewind_snapshot[0].bias: expected an object, got NoneType",
+     lambda model, snap: [(snap[0][0], None)]),
+], ids=["history", "bias", "weights", "snapshot-length", "snapshot-weights", "snapshot-bias",
+        "snapshot-weights-none", "snapshot-bias-none"])
 def test_save_refuses_what_load_refuses_for_its_shape(tmp_path, message, edit):
-    """An array or rewind snapshot that load refuses for its shape or length
-    fails the save with load's field path and message, before the file is
-    opened."""
+    """An array or rewind snapshot that load refuses for its shape, its
+    length or a null fails the save with load's field path and message,
+    before the file is opened."""
     model = Model.from_specs([{"kind": "dense", "in": 4, "out": 8}], Rng(3).child("init"))
     snapshot = edit(model, [(model.layers[0].weights.copy(), model.layers[0].bias.copy())])
     written = tmp_path / "by-hand.json"

@@ -242,7 +242,8 @@ def test_prune_history_criterion_without_history(workdir, capsys):
     """A checkpoint that holds no history, saved by hand or by a large_final
     run, cannot be pruned by movement; nor can one of a movement run, whose
     history is the weights at its last update, so that every score is 0 and
-    the tie rule alone would pick the blocks. Exit 1 naming it, no file written."""
+    the tie rule alone would pick the blocks. Exit 1 naming the history and
+    the criterion, before anything is pruned; no file written."""
     model = Model.from_specs(BASE_CONFIG["model"], Rng(3).child("init"))
     src = workdir / "dense.json"
     checkpoint.save(src, model)
@@ -251,15 +252,16 @@ def test_prune_history_criterion_without_history(workdir, capsys):
         "criterion": "movement", "context": "global", "schedule": {"kind": "gradual"}})
     assert main(["run", str(movement)]) == 0
     capsys.readouterr()
-    for path in (src, workdir / "blobs-gradual-seed42" / "checkpoint.json",
-                 workdir / "demo-seed99" / "checkpoint.json"):
+    for path, problem in ((src, "null"),
+                          (workdir / "blobs-gradual-seed42" / "checkpoint.json", "null"),
+                          (workdir / "demo-seed99" / "checkpoint.json", "equals the weights")):
         argv = ["prune", str(path), "--sparsity", "70", "--criterion", "movement",
                 "--context", "global"]
         assert main(argv) == 1
         err = capsys.readouterr().err
+        assert err.startswith(f"error: layers[0].history: {problem}"), err
         assert "movement" in err
         assert not Path(str(path) + ".pruned.json").exists()
-    assert err.startswith("error: layers[0].history: equals the weights")  # the movement run
 
 
 def test_prune_refuses_a_non_finite_history(workdir, capsys):
@@ -353,14 +355,25 @@ def test_lth_rewind_at_window_start(workdir):
 
 
 def test_shipped_configs(workdir):
-    """The configs in configs/ run, and inspect passes on every checkpoint they write."""
+    """The configs in configs/ run, and so does a prune of blobs-gradual's
+    checkpoint. inspect passes on every checkpoint, ticket and pruned file
+    they write, and each one, loaded and saved again, gives its own bytes."""
     assert main(["run", str(CONFIGS / "blobs_gradual.json")]) == 0
     assert main(["run", str(CONFIGS / "conv_patterns8x8.json")]) == 0
     assert main(["run", str(CONFIGS / "lth_blobs.json")]) == 0
+    pruned = workdir / "blobs-gradual-seed42" / "pruned.json"
+    assert main(["prune", str(workdir / "blobs-gradual-seed42" / "checkpoint.json"),
+                 "--context", "global", "--sparsity", "70", "--out", str(pruned)]) == 0
     written = sorted(workdir.glob("*/checkpoint.json")) + sorted(workdir.glob("*/ticket_*.json"))
     assert len(written) == 3 + 4
-    for path in written:
+    again = workdir / "again.json"
+    for path in written + [pruned]:
         assert main(["inspect", str(path)]) == 0, path
+        ckpt = checkpoint.load(path)
+        checkpoint.save(again, ckpt.model, rewind_snapshot=ckpt.rewind_snapshot,
+                        plan=None if ckpt.plan is None else ckpt.plan.to_dict(),
+                        metrics_tail=ckpt.metrics_tail, meta=ckpt.meta)
+        assert again.read_bytes() == path.read_bytes(), path
 
 
 def test_summary_gives_eval_acc_of_the_saved_weights(workdir, monkeypatch):
@@ -653,6 +666,7 @@ def test_load_rejects_unchained_layers(workdir, capsys, field, specs):
     ("plan.bogus: unknown key", _put({"sparsity": 50, "bogus": 1}, "plan")),
     ("rewind_snapshot[1].weights: expected an object, got NoneType",
      _put(None, "rewind_snapshot", 1, "weights")),
+    ("layers[0].bias: expected an object, got NoneType", _put(None, "layers", 0, "bias")),
     ("plan.granularity: granularity 'kernel' is not defined for rank 2",
      _put({"sparsity": 50, "granularity": "kernel"}, "plan")),
     ("plan.sparsity: per-layer list length 5 != prunable layer count 2",
