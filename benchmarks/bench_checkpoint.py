@@ -11,13 +11,18 @@ Models:
                magnitude_increase, saved as `prunekit prune` saves it;
   mlp_perstep  perfbench mlp-perstep's 2-256-256-2 MLP with a weight
                history, pruned to 80% under weight granularity, global
-               context and large_final, saved as `prunekit run` saves it.
+               context and large_final, saved as `prunekit run` saves it;
+  mlp_lth      the same MLP and pruning saved as `prunekit run` saves a
+               lottery-ticket run: no history, as large_final reads none,
+               beside the rewind snapshot of every layer's weights and bias
+               and a plan with lth and an iterative schedule.
 
 Before any timing, each saved file is checked to be canonical JSON (equal
 to json.dumps(json.loads(text), sort_keys=True, separators=(",", ":"))
-plus a newline), to load back into the arrays it was written from, and to
-be written again, byte for byte, by a save of what load gave: its model,
-rewind snapshot, plan.to_dict(), metrics tail and meta.
+plus a newline), to load back into the arrays it was written from, rewind
+snapshot included, and to be written again, byte for byte, by a save of
+what load gave: its model, rewind snapshot, plan.to_dict(), metrics tail
+and meta.
 `save_peak_mb` is tracemalloc's peak over one further save: the most
 memory that save held at once, Python objects and numpy arrays alike.
 `bytes` is the file's size and `sha256` its hash, so runs of two source
@@ -54,37 +59,52 @@ MLP = [{"kind": "dense", "in": 2, "out": 256}, {"kind": "relu"},
        {"kind": "dense", "in": 256, "out": 256}, {"kind": "relu"},
        {"kind": "dense", "in": 256, "out": 2}]
 REPS = 9  # saves and loads timed per model
-# name: (layer specs, granularity, context, criterion, sparsity)
+# name: (layer specs, granularity, context, criterion, sparsity, lottery-ticket run)
 MODELS = {
-    "prune_sweep": (CONV, "kernel", "global", "magnitude_increase", 70.0),
-    "mlp_perstep": (MLP, "weight", "global", "large_final", 80.0),
+    "prune_sweep": (CONV, "kernel", "global", "magnitude_increase", 70.0, False),
+    "mlp_perstep": (MLP, "weight", "global", "large_final", 80.0, False),
+    "mlp_lth": (MLP, "weight", "global", "large_final", 80.0, True),
 }
 
 
-def build(pk, specs, granularity, context, criterion, sparsity):
-    """A pruned model with a weight history, and the save() keywords for it."""
+def build(pk, specs, granularity, context, criterion, sparsity, lth):
+    """A pruned model and the save() keywords for it: the model holds a
+    weight history, or for an LTH run the keywords hold the rewind snapshot."""
     rng = pk.Rng(1)
     model = pk.Model.from_specs(specs, rng.child("init"))
     start = pk.Model.from_specs(specs, rng.child("history"))
-    for layer, hist in zip(model.prunable_layers(), start.prunable_layers()):
-        layer.history = hist.weights
+    kwargs = {"meta": {"name": "bench", "seed": 1}}
+    if lth:
+        kwargs["rewind_snapshot"] = [(l.weights, l.bias) for l in start.layers if l.weights is not None]
+    else:
+        for layer, hist in zip(model.prunable_layers(), start.prunable_layers()):
+            layer.history = hist.weights
     pk.Sparsifier(model, granularity, context, criterion).prune_model(sparsity)
-    plan = pk.SparsifyPlan(sparsity, granularity, context, criterion, schedule=None).to_dict()
-    tail = [(9, step, 0.05 + step / 1000, 1.0, sparsity, sparsity) for step in range(45, 50)]
-    return model, {"plan": plan, "metrics_tail": tail, "meta": {"name": "bench", "seed": 1}}
+    schedule = pk.ScheduleSpec("iterative", start_epoch=1, n_steps=4) if lth else None
+    kwargs["plan"] = pk.SparsifyPlan(sparsity, granularity, context, criterion,
+                                     schedule=schedule, lth=lth).to_dict()
+    kwargs["metrics_tail"] = [(9, step, 0.05 + step / 1000, 1.0, sparsity, sparsity)
+                              for step in range(45, 50)]
+    return model, kwargs
 
 
-def check(pk, name, path, model):
+def check(pk, name, path, model, snapshot):
     text = path.read_text()
     if text != json.dumps(json.loads(text), sort_keys=True, separators=(",", ":")) + "\n":
         sys.exit(f"{path} is not canonical JSON")
     ckpt = pk.checkpoint.load(path)
-    for i, (a, b) in enumerate(zip(model.layers, ckpt.model.layers)):
-        for array in ("weights", "bias", "mask", "history"):
-            want, got = getattr(a, array, None), getattr(b, array, None)
-            if (want is None) != (got is None) or (want is not None and
-                                                   not np.array_equal(want, got)):
-                sys.exit(f"layers[{i}].{array} did not load back from {path}")
+    arrays = [(f"layers[{i}].{array}", getattr(a, array, None), getattr(b, array, None))
+              for i, (a, b) in enumerate(zip(model.layers, ckpt.model.layers))
+              for array in ("weights", "bias", "mask", "history")]
+    if (snapshot is None) != (ckpt.rewind_snapshot is None) or (
+            snapshot is not None and len(snapshot) != len(ckpt.rewind_snapshot)):
+        sys.exit(f"rewind_snapshot did not load back from {path}")
+    arrays += [(f"rewind_snapshot[{j}].{array}", a, b)
+               for j, entry in enumerate(zip(snapshot or (), ckpt.rewind_snapshot or ()))
+               for array, a, b in zip(("weights", "bias"), *entry)]
+    for field, want, got in arrays:
+        if (want is None) != (got is None) or (want is not None and not np.array_equal(want, got)):
+            sys.exit(f"{field} did not load back from {path}")
     again = path.with_name(path.stem + "-again.json")
     pk.checkpoint.save(again, ckpt.model, rewind_snapshot=ckpt.rewind_snapshot,
                        plan=None if ckpt.plan is None else ckpt.plan.to_dict(),
@@ -108,7 +128,7 @@ def main(argv=None):
                 model, kwargs = build(pk, *setup)
                 path = Path(tmp) / f"{name}-{n}.json"
                 checkpoint.save(path, model, **kwargs)
-                check(pk, name, path, model)
+                check(pk, name, path, model, kwargs.get("rewind_snapshot"))
                 tracemalloc.start()
                 checkpoint.save(path, model, **kwargs)
                 peak = tracemalloc.get_traced_memory()[1]

@@ -32,6 +32,14 @@ plus a newline, so identical state produces byte-identical files.
 `save` writes the document through `_write_object` to a binary file, each
 array's base64 bytes in one write, so only one weight array's encoding is
 held at a time and no text layer encodes it again.
+
+`load` decodes each array's base64 through `_b64decode` into one fresh
+buffer, which the float64 array then views, and which a mask unpacks: a
+table, `_PAIRS`, maps each pair of characters, read as a little-endian
+uint16, to its 12 bits, and whole 4-character groups go through it in
+chunks of `_GROUPS`, each one lookup and three strided writes. A last
+group padded with "=" goes through `base64.b64decode`, and so does any
+text that the table refuses, whole, so that the error is b64decode's own.
 """
 
 import base64
@@ -50,6 +58,21 @@ from .sparsifier import SparsifyPlan
 FORMAT_VERSION = 4
 _KEYS = ("format_version", "layers", "meta", "metrics_tail", "plan", "rewind_snapshot")
 _ONE = np.array(1.0, "<f8").view("<u8")  # the bits of 1.0; those of 0.0 are all zero
+_BAD = 1 << 12  # a pair's value is at least this when a character is outside the alphabet
+_GROUPS = 1 << 13  # 4-character groups per chunk: 32 KiB of text, 128 KiB of buffers in all
+
+
+def _pair_table() -> np.ndarray:
+    """The 65,536 pairs of characters, each read as a little-endian uint16
+    (first character in the low byte), to the 12 bits they encode in
+    base64, or to at least _BAD."""
+    six = np.full(256, _BAD, np.uint16)
+    six[np.frombuffer(b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/",
+                      np.uint8)] = np.arange(64)
+    return np.bitwise_or.outer(six, np.where(six < 64, six << 6, six)).ravel()
+
+
+_PAIRS = _pair_table()
 
 
 def _arrays(layer: Layer) -> dict:
@@ -149,15 +172,61 @@ def _mask_entry(mask: np.ndarray) -> tuple[dict, np.ndarray]:
     return {"bits": base64.b64encode(np.packbits(ones)).decode(), "shape": list(mask.shape)}, ones
 
 
-def _payload(obj, key: str, shape: tuple | None, nullable: bool, what: str) -> bytes | None:
-    """The bytes of obj[key]'s base64, obj checked to be {key, "shape"} as
-    its table row (shape, nullable) allows; None for an allowed null."""
+def _decode_groups(text: str, groups: int, out: np.ndarray) -> bool:
+    """Decode the first `groups` 4-character groups of ASCII base64 `text`
+    into out[:3 * groups], _GROUPS at a time; False, with out part written,
+    if a character is outside the alphabet."""
+    size = min(groups, _GROUPS)
+    bits = np.empty(2 * size, np.uint16)  # 12 per pair of characters
+    high, low = np.empty(size, np.uint16), np.empty(size, np.uint16)
+    for start in range(0, groups, _GROUPS):
+        n = min(groups - start, _GROUPS)
+        pairs, hi, lo = bits[:2 * n], high[:n], low[:n]
+        # every uint16 indexes the table, so "clip" clips nothing; it only skips a bounds check
+        np.take(_PAIRS, np.frombuffer(text[4 * start:4 * (start + n)].encode(), "<u2"),
+                out=pairs, mode="clip")
+        if pairs.max() >= _BAD:
+            return False
+        first, second = pairs[0::2], pairs[1::2]
+        group = out[3 * start:3 * (start + n)]
+        group[0::3] = np.right_shift(first, 4, out=hi)
+        np.left_shift(first, 4, out=hi)
+        group[1::3] = np.bitwise_or(hi, np.right_shift(second, 8, out=lo), out=hi)
+        group[2::3] = second  # a uint8 store keeps the low 8 bits
+    return True
+
+
+def _b64decode(text) -> np.ndarray:
+    """base64.b64decode(text, validate=True) as a fresh writable uint8 array:
+    the same bytes, or the same error. The whole 4-character groups of an
+    ASCII str are decoded through _PAIRS, and a last group padded with "="
+    by b64decode. Any other text, or a character outside the alphabet, goes
+    to b64decode whole, so that it words the error; it also accepts a few
+    texts that the table refuses, such as "=" after a whole group."""
+    if isinstance(text, str) and text.isascii() and len(text) % 4 == 0:
+        groups = len(text) // 4 - text.endswith("=")
+        try:
+            tail = base64.b64decode(text[4 * groups:], validate=True)
+        except ValueError:
+            tail = None
+        if tail is not None:
+            out = np.empty(3 * groups + len(tail), np.uint8)
+            if _decode_groups(text, groups, out):
+                out[3 * groups:] = np.frombuffer(tail, np.uint8)
+                return out
+    return np.frombuffer(bytearray(base64.b64decode(text, validate=True)), np.uint8)
+
+
+def _payload(obj, key: str, shape: tuple | None, nullable: bool, what: str) -> np.ndarray | None:
+    """The bytes of obj[key]'s base64 as a uint8 array, obj checked to be
+    {key, "shape"} as its table row (shape, nullable) allows; None for an
+    allowed null."""
     if obj is not None:
         checked_object(obj, (key, "shape"), key, "shape")
     if not _present(obj is None, None if obj is None else obj["shape"], shape, nullable):
         return None
     try:
-        return base64.b64decode(obj[key], validate=True)
+        return _b64decode(obj[key])
     except (TypeError, ValueError) as exc:
         raise ValueError(f"corrupt {what}: {exc}") from None
 
@@ -170,25 +239,24 @@ def _dec_floats(obj, shape: tuple | None, nullable: bool, mask=None) -> np.ndarr
     if raw is None:
         return None
     size = math.prod(shape)
-    if len(raw) == 8 * size:
-        return np.frombuffer(raw, "<f8").reshape(shape).astype(np.float64)  # a writable native copy
+    if raw.size == 8 * size:  # the decoded buffer itself, converted only on a big-endian host
+        return raw.view("<f8").reshape(shape).astype(np.float64, copy=False)
     if mask is None:
-        raise ValueError(f"corrupt array: {len(raw)} bytes for {size} float64")
+        raise ValueError(f"corrupt array: {raw.size} bytes for {size} float64")
     keep = mask.ravel() != 0
     kept = np.count_nonzero(keep)
-    if len(raw) != 8 * kept:
-        raise ValueError(f"corrupt array: {len(raw)} bytes for {kept} kept or {size} float64")
+    if raw.size != 8 * kept:
+        raise ValueError(f"corrupt array: {raw.size} bytes for {kept} kept or {size} float64")
     flat = np.zeros(size)
-    flat[keep] = np.frombuffer(raw, "<f8")
+    flat[keep] = raw.view("<f8")
     return flat.reshape(shape)
 
 
 def _dec_mask(obj, shape: tuple, nullable: bool) -> np.ndarray | None:
     """obj decoded: a float64 0/1 mask of `shape`, or None."""
-    raw = _payload(obj, "bits", shape, nullable, "mask")
-    if raw is None:
+    packed = _payload(obj, "bits", shape, nullable, "mask")
+    if packed is None:
         return None
-    packed = np.frombuffer(raw, np.uint8)
     size = math.prod(shape)
     if packed.size != (size + 7) // 8:
         raise ValueError(f"corrupt mask: {packed.size} bytes for {size} bits")

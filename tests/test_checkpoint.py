@@ -306,6 +306,102 @@ def test_kept_only_weights_of_the_wrong_length_exit_1(tmp_path, monkeypatch, cap
     assert sorted(tmp_path.iterdir()) == [path]
 
 
+def b64_outcome(decode, text):
+    """decode(text)'s bytes, or the type and message of what it raised."""
+    try:
+        return bytes(decode(text))
+    except (TypeError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+def with_char(text, at, char):
+    return text[:at] + char + text[at + 1:]
+
+
+CHUNK = 4 * checkpoint._GROUPS  # characters per chunk of _b64decode
+# two and a half chunks and a group padded with "=="
+LONG = base64.b64encode(bytes(range(256)) * (3 * CHUNK // 1024 * 5 // 2) + b"z").decode()
+B64_TEXTS = {
+    **{f"bytes_{n}": base64.b64encode(bytes(range(200, 200 + n))).decode() for n in range(7)},
+    **{f"cut_{n}": "QUJDREVG"[:n] for n in range(1, 8)},
+    "long": LONG,
+    "long_unpadded": LONG[:-4],
+    "bad_in_first_chunk": with_char(LONG, 5, "!"),
+    "bad_in_middle_chunk": with_char(LONG, CHUNK + 7, "-"),
+    "bad_in_last_chunk": with_char(LONG, len(LONG) - 9, "_"),
+    "bad_in_padded_tail": with_char(LONG, len(LONG) - 3, "*"),
+    "pad_mid_string": "QUJD=QUJ",
+    "pad_inside_a_group": "QU=DQUJD",
+    "group_after_padding": "QQ==QUFB",
+    "pad_after_a_whole_group": "QUJD====",  # b64decode accepts it
+    "pad_alone": "====",
+    "pad_leading": "=QUJ",
+    "pad_three": "QUJDQ===",
+    "non_ascii": "QUJé",
+    "non_ascii_long": with_char(LONG, CHUNK + 1, "é"),
+    "newline": "QUJD\nQUJ",
+    "space": "QUJD QUJ",
+    "one_mod_4": "QUJDR",
+    "nonzero_unused_bits": "QR==",
+    "not_a_string": [0.0] * 4,
+    "null": None,
+}
+
+
+@pytest.mark.parametrize("name", B64_TEXTS)
+def test_b64decode_is_b64decode(name):
+    """_b64decode gives what base64.b64decode(text, validate=True) gives:
+    the same bytes, as a fresh writable uint8 array, or the same error."""
+    text = B64_TEXTS[name]
+    want = b64_outcome(lambda t: base64.b64decode(t, validate=True), text)
+    assert b64_outcome(checkpoint._b64decode, text) == want
+    if isinstance(want, bytes):
+        got = checkpoint._b64decode(text)
+        assert got.dtype == np.uint8 and got.flags.writeable and got.flags.c_contiguous
+
+
+def test_b64decode_is_b64decode_on_random_edits():
+    """The same on short texts with random edits: characters replaced,
+    inserted or deleted, "=" appended, or drawn at random."""
+    rng = np.random.default_rng(5)
+    chars = list("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/=!\n é-_")
+    for _ in range(2000):
+        text = base64.b64encode(rng.bytes(rng.integers(0, 40))).decode()
+        at, char, edit = int(rng.integers(0, len(text) + 1)), str(rng.choice(chars)), rng.integers(5)
+        if edit == 1:
+            text = with_char(text, at, char)
+        elif edit == 2:
+            text = text[:at] + char + text[at:]
+        elif edit == 3:
+            text = text[:at] + text[at + 1:]
+        elif edit == 4:
+            text = "".join(rng.choice(chars, rng.integers(0, 13)))
+        for extra in ("", "=" * int(rng.integers(1, 4))):
+            want = b64_outcome(lambda t: base64.b64decode(t, validate=True), text + extra)
+            assert b64_outcome(checkpoint._b64decode, text + extra) == want, text + extra
+
+
+def test_corrupt_weights_past_the_first_chunk_exit_1(tmp_path, monkeypatch, capsys):
+    """A bad character in the last whole chunk of a layer's weights: both
+    readers exit 1 naming the field, in b64decode's words, and write nothing."""
+    monkeypatch.setenv("PRUNEKIT_OUTPUT_ROOT", str(tmp_path))
+    path = tmp_path / "ckpt.json"
+    checkpoint.save(path, Model.from_specs([{"kind": "dense", "in": 16, "out": 1024}], Rng(4)))
+    doc = json.loads(path.read_text())
+    data = doc["layers"][0]["weights"]["data"]
+    assert len(data) > 2 * CHUNK and data.endswith("=")
+    doc["layers"][0]["weights"]["data"] = data = with_char(data, len(data) - 9, "!")
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError) as exc:
+        base64.b64decode(data, validate=True)
+    for command in (["inspect", str(path)], ["prune", str(path), "--sparsity", "70"]):
+        assert main(command) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: layers[0].weights: corrupt array: {exc.value}\n"
+        assert captured.out == ""
+    assert sorted(tmp_path.iterdir()) == [path]
+
+
 def test_format_3_is_refused(tmp_path, capsys):
     """A format-3 file, whose masked weights hold every entry, is not read."""
     path = tmp_path / "ckpt.json"
