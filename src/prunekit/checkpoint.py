@@ -36,10 +36,13 @@ held at a time and no text layer encodes it again.
 `load` decodes each array's base64 through `_b64decode` into one fresh
 buffer, which the float64 array then views, and which a mask unpacks: a
 table, `_PAIRS`, maps each pair of characters, read as a little-endian
-uint16, to its 12 bits, and whole 4-character groups go through it in
-chunks of `_GROUPS`, each one lookup and three strided writes. A last
-group padded with "=" goes through `base64.b64decode`, and so does any
-text that the table refuses, whole, so that the error is b64decode's own.
+uint16, to a little-endian uint32 of the pair's four output fragments, two
+for a group's first pair and two for its second, or to `_BAD`. Whole
+4-character groups go through it in chunks of `_GROUPS`, each one lookup
+into a reused buffer and three uint8 writes from its bytes, one of them
+an OR. A last group padded with "=" goes through `base64.b64decode`, and
+so does any text that the table refuses, whole, so that the error is
+b64decode's own.
 """
 
 import base64
@@ -58,18 +61,25 @@ from .sparsifier import SparsifyPlan
 FORMAT_VERSION = 4
 _KEYS = ("format_version", "layers", "meta", "metrics_tail", "plan", "rewind_snapshot")
 _ONE = np.array(1.0, "<f8").view("<u8")  # the bits of 1.0; those of 0.0 are all zero
-_BAD = 1 << 12  # a pair's value is at least this when a character is outside the alphabet
-_GROUPS = 1 << 13  # 4-character groups per chunk: 32 KiB of text, 128 KiB of buffers in all
+_BAD = 0xFFFFFFFF  # a pair with a bad character; a valid pair's byte 1 has its low 4 bits 0
+_GROUPS = 1 << 13  # 4-character groups per chunk: 32 KiB of text, 64 KiB of fragments
 
 
 def _pair_table() -> np.ndarray:
     """The 65,536 pairs of characters, each read as a little-endian uint16
-    (first character in the low byte), to the 12 bits they encode in
-    base64, or to at least _BAD."""
-    six = np.full(256, _BAD, np.uint16)
-    six[np.frombuffer(b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/",
-                      np.uint8)] = np.arange(64)
-    return np.bitwise_or.outer(six, np.where(six < 64, six << 6, six)).ravel()
+    (first character in the low byte), to a little-endian uint32 whose four
+    bytes are the pair's output fragments. With h the pair's 12 bits, a
+    group's first pair gives byte 0, h >> 4, and byte 1, (h & 15) << 4; its
+    second pair gives byte 2, h >> 8, and byte 3, h & 255. A pair with a
+    character outside the alphabet maps to _BAD. The table is one outer OR
+    of two 256-entry rows, each character's bits in those bytes as a first
+    and as a second character, all ones outside the alphabet."""
+    first, second = [_BAD] * 256, [_BAD] * 256
+    for v, c in enumerate(b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"):
+        first[c] = v << 2 | v >> 2 << 16 | (v & 3) << 30  # bytes 0, 2 and 3
+        second[c] = v >> 4 | (v & 15) << 12 | v << 24  # bytes 0, 1 and 3
+    second, first = np.array([second, first], "<u4")
+    return np.bitwise_or.outer(second, first).ravel().astype("<u4", copy=False)
 
 
 _PAIRS = _pair_table()
@@ -175,24 +185,23 @@ def _mask_entry(mask: np.ndarray) -> tuple[dict, np.ndarray]:
 def _decode_groups(text: str, groups: int, out: np.ndarray) -> bool:
     """Decode the first `groups` 4-character groups of ASCII base64 `text`
     into out[:3 * groups], _GROUPS at a time; False, with out part written,
-    if a character is outside the alphabet."""
-    size = min(groups, _GROUPS)
-    bits = np.empty(2 * size, np.uint16)  # 12 per pair of characters
-    high, low = np.empty(size, np.uint16), np.empty(size, np.uint16)
+    if a character is outside the alphabet. Each chunk is one lookup of its
+    pairs' fragments and three uint8 writes: a group's bytes are byte 0 of
+    its first pair, byte 1 of the first OR byte 2 of the second, and byte 3
+    of the second."""
+    frags = np.empty(2 * min(groups, _GROUPS), "<u4")  # 4 output fragments per pair of characters
     for start in range(0, groups, _GROUPS):
         n = min(groups - start, _GROUPS)
-        pairs, hi, lo = bits[:2 * n], high[:n], low[:n]
+        pairs, group = frags[:2 * n], out[3 * start:3 * (start + n)].reshape(n, 3)
         # every uint16 indexes the table, so "clip" clips nothing; it only skips a bounds check
         np.take(_PAIRS, np.frombuffer(text[4 * start:4 * (start + n)].encode(), "<u2"),
                 out=pairs, mode="clip")
-        if pairs.max() >= _BAD:
+        if pairs.max() == _BAD:
             return False
-        first, second = pairs[0::2], pairs[1::2]
-        group = out[3 * start:3 * (start + n)]
-        group[0::3] = np.right_shift(first, 4, out=hi)
-        np.left_shift(first, 4, out=hi)
-        group[1::3] = np.bitwise_or(hi, np.right_shift(second, 8, out=lo), out=hi)
-        group[2::3] = second  # a uint8 store keeps the low 8 bits
+        b = pairs.view(np.uint8).reshape(n, 2, 4)  # [group, first or second pair, fragment]
+        group[:, 0] = b[:, 0, 0]
+        np.bitwise_or(b[:, 0, 1], b[:, 1, 2], out=group[:, 1])
+        group[:, 2] = b[:, 1, 3]
     return True
 
 

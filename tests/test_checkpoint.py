@@ -319,6 +319,7 @@ def with_char(text, at, char):
 
 
 CHUNK = 4 * checkpoint._GROUPS  # characters per chunk of _b64decode
+ALPHABET = "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
 # two and a half chunks and a group padded with "=="
 LONG = base64.b64encode(bytes(range(256)) * (3 * CHUNK // 1024 * 5 // 2) + b"z").decode()
 B64_TEXTS = {
@@ -379,6 +380,27 @@ def test_b64decode_is_b64decode_on_random_edits():
         for extra in ("", "=" * int(rng.integers(1, 4))):
             want = b64_outcome(lambda t: base64.b64decode(t, validate=True), text + extra)
             assert b64_outcome(checkpoint._b64decode, text + extra) == want, text + extra
+
+
+def test_pair_table_decodes_every_pair_in_either_place():
+    """_PAIRS holds 65,536 little-endian uint32: _BAD for each of the 61,440
+    pairs with a character outside the alphabet, and bits 8-11 clear in
+    every valid entry, so none equals _BAD. A text holding each of the 4,096
+    valid pairs once as a group's first pair and once as its second decodes
+    through the table as b64decode decodes it."""
+    table = checkpoint._PAIRS
+    assert table.dtype.str == "<u4" and table.shape == (1 << 16,)
+    valid = np.zeros(256, bool)
+    valid[np.frombuffer(ALPHABET.encode(), np.uint8)] = True
+    valid = np.logical_and.outer(valid, valid).ravel()
+    assert np.count_nonzero(~valid) == 61440
+    assert (table[~valid] == checkpoint._BAD).all()
+    assert not (table[valid] & 0xF00).any()
+    pairs = [a + b for a in ALPHABET for b in ALPHABET]
+    text = "".join(first + second for first, second in zip(pairs, pairs[1:] + pairs[:1]))
+    out = np.empty(3 * len(pairs), np.uint8)
+    assert checkpoint._decode_groups(text, len(pairs), out)
+    assert out.tobytes() == base64.b64decode(text, validate=True)
 
 
 def test_corrupt_weights_past_the_first_chunk_exit_1(tmp_path, monkeypatch, capsys):
