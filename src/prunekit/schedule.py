@@ -2,7 +2,10 @@
 [0, 1] to a fraction of the plan's target sparsity, plus the window (start
 and end epoch) that embeds the curve into a training run. A schedule holds
 no target of its own; every evaluation is given one. The kinds are the
-closed set BUILTIN_SCHEDULES, each a pure function of its spec's fields.
+closed set BUILTIN_SCHEDULES. A kind is one row of _KINDS: the spec fields
+its curve reads besides the window, and the curve, a pure function of
+them. A spec that sets a field its kind does not read to anything but the
+default is refused.
 """
 
 from dataclasses import dataclass
@@ -11,7 +14,16 @@ import sys
 
 from .fields import FieldError, integer, number
 
-BUILTIN_SCHEDULES = ("one_shot", "iterative", "gradual", "one_cycle", "dsd")
+# kind -> (the spec fields its curve reads, curve(spec, t, sparsity))
+_KINDS = {
+    "one_shot": ((), lambda spec, t, s: s),
+    "iterative": (("n_steps",), lambda spec, t, s: (s / spec.n_steps) * math.ceil(t * spec.n_steps)),
+    "gradual": ((), lambda spec, t, s: s * (1.0 - (1.0 - t) ** 3)),
+    "one_cycle": (("alpha", "beta"), lambda spec, t, s: (
+        s * (1.0 + math.exp(-spec.alpha + spec.beta)) / (1.0 + math.exp(-spec.alpha * t + spec.beta)))),
+    "dsd": ((), lambda spec, t, s: s * (1.0 - math.cos(2.0 * math.pi * t)) / 2.0),
+}
+BUILTIN_SCHEDULES = tuple(_KINDS)
 
 _LOG_MAX = math.log(sys.float_info.max)  # math.exp overflows above this
 
@@ -36,6 +48,9 @@ class ScheduleSpec:
             object.__setattr__(self, "end_epoch", integer(self.end_epoch, "end_epoch", self.start_epoch + 1))
         for name in ("alpha", "beta"):
             object.__setattr__(self, name, number(getattr(self, name), name))
+        for name in (name for reads, _ in _KINDS.values() for name in reads):
+            if name not in _KINDS[self.kind][0] and getattr(self, name) != getattr(ScheduleSpec, name):
+                raise FieldError(name, f"not read by schedule {self.kind!r}")
         if self.kind == "one_cycle":
             # the exponent -alpha * t + beta is linear in t, so t = 0 and t = 1 bound it;
             # s * (1 + exp(beta - alpha)) must also stay finite for s up to 100, and
@@ -51,16 +66,7 @@ def eval_schedule(spec: ScheduleSpec, t: float, sparsity: float) -> float:
     """Sparsity percentage at normalized progress t towards the target `sparsity`."""
     if not 0.0 <= t <= 1.0:
         raise ValueError(f"t={t} out of [0, 1]")
-    if spec.kind == "one_shot":
-        return sparsity
-    if spec.kind == "iterative":
-        return (sparsity / spec.n_steps) * math.ceil(t * spec.n_steps)
-    if spec.kind == "gradual":
-        return sparsity * (1.0 - (1.0 - t) ** 3)
-    if spec.kind == "one_cycle":
-        a, b = spec.alpha, spec.beta
-        return sparsity * (1.0 + math.exp(-a + b)) / (1.0 + math.exp(-a * t + b))
-    return sparsity * (1.0 - math.cos(2.0 * math.pi * t)) / 2.0  # dsd
+    return _KINDS[spec.kind][1](spec, t, sparsity)
 
 
 def window_steps(spec: ScheduleSpec, steps_per_epoch: int, total_epochs: int) -> tuple[int, int]:

@@ -66,6 +66,8 @@ class SparsifyPlan:
             if not isinstance(getattr(self, name), bool):
                 raise FieldError(name, f"not a boolean: {getattr(self, name)!r}")
         self.rewind_epoch = integer(self.rewind_epoch, "rewind_epoch", low=0)
+        if self.rewind_epoch and not (self.lth or self.reset_end):
+            raise FieldError("rewind_epoch", "read only under lth or reset_end")
         # one_cycle is monotone in t: a negative alpha peaks at t = 0
         if self.schedule is not None and self.schedule.kind == "one_cycle":
             top = max(self.sparsity) if self.per_layer else self.sparsity

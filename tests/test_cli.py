@@ -193,6 +193,8 @@ def test_schedule_unknown_kind(workdir):
     (["one_cycle", "--alpha", "-1", "--sparsity", "80", "--samples", "3"], "one_cycle at t=0.0"),
     (["gradual", "--sparsity", "150"], "--sparsity"),
     (["gradual", "--n-steps", "0"], "--n-steps"),
+    (["gradual", "--alpha", "3"], "--alpha"),
+    (["one_cycle", "--n-steps", "9"], "--n-steps"),
 ])
 def test_schedule_bad_arguments_exit_2(workdir, capsys, argv, field):
     assert main(["schedule"] + argv) == 2

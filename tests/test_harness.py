@@ -1,6 +1,6 @@
 """benchmarks/harness.py: round order, the rounds, timing and quartile
 helpers, the checks on --rounds and --baseline, and how runs are merged
-into a benchmark's JSON file."""
+into a benchmark's JSON file; and benchmarks/code_lines.py's count."""
 
 import importlib.util
 import json
@@ -87,3 +87,33 @@ def test_quartiles_of_one_and_several_values_scaled():
     assert harness.quartiles([0.002], 1e3) == (2.0, 2.0, 2.0)
     assert harness.quartiles([1.0, 2.0, 3.0, 4.0, 5.0]) == (1.5, 3.0, 4.5)
     assert harness.quartiles([1.0, 2.0, 3.0, 4.0, 5.0], 2.0) == (3.0, 6.0, 9.0)
+
+
+def test_code_lines_counts_neither_blanks_comments_nor_docstrings(tmp_path, capsys):
+    spec = importlib.util.spec_from_file_location("code_lines", _PATH.parent / "code_lines.py")
+    code_lines = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(code_lines)
+    snippet = tmp_path / "snippet.py"
+    snippet.write_text('''"""A module
+docstring."""
+import os  # a comment
+
+# a comment line
+
+
+def f(x):
+    """One line."""
+    text = """two
+lines"""
+    return (x +
+            1)
+
+
+class C:
+    "a"  "b"
+''')
+    # the import, the def, the two lines of the assigned string, the
+    # return's two lines and the class line
+    assert code_lines.count(snippet) == 7
+    assert code_lines.main([str(tmp_path)]) == 0
+    assert capsys.readouterr().out.splitlines() == [f"     7  {snippet}", "     7  total"]

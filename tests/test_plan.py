@@ -71,6 +71,8 @@ def test_checkpoint_plans_load_back(workdir):
      {"sparsity": 50.0, "schedule": {"kind": "gradual", "final_sparsity": 50.0}}),
     ("plan.granularity: not a string: 3", {"sparsity": 50.0, "granularity": 3}),
     ("plan.save_tickets: unknown key", {"sparsity": 50.0, "save_tickets": True}),
+    ("plan.schedule.alpha: not read by schedule 'gradual'",
+     {"sparsity": 50.0, "schedule": {"kind": "gradual", "alpha": 3.0}}),
 ])
 def test_inspect_rejects_bad_plan(workdir, capsys, field, plan):
     path = workdir / "ckpt.json"
@@ -101,6 +103,8 @@ def _schedule(**fields):
     ("prune.rewind_epoch", _prune(lth=True, rewind_epoch=2, schedule={"kind": "gradual", "start_epoch": 1})),
     ("prune.lth", _prune(lth="false")),
     ("prune.rewind_epoch", _prune(rewind_epoch=1.5)),
+    ("prune.rewind_epoch", _prune(rewind_epoch=1)),
+    ("prune.schedule.n_steps", _schedule(kind="gradual", n_steps=3, alpha=99, beta=-5)),
     ("prune.schedule.update_frequency", _schedule(update_frequency=2.5)),
     ("prune.schedule.final_sparsity", _schedule(final_sparsity=20)),
     ("prune.schedule", _prune(schedule=None)),

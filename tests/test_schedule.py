@@ -85,7 +85,8 @@ def test_one_cycle_overflow_rejected_at_build():
                                (-1e308, 700.0, "alpha"), (-1e308, 1e308, "beta")):
         with pytest.raises(ValueError, match=f"^{field}: one_cycle overflows"):
             ScheduleSpec("one_cycle", alpha=alpha, beta=beta)
-    ScheduleSpec("gradual", alpha=-1000.0)  # only one_cycle reads alpha and beta
+    with pytest.raises(FieldError, match="^alpha: not read by schedule 'gradual'$"):  # only one_cycle reads it
+        ScheduleSpec("gradual", alpha=-1000.0)
 
 
 def test_gradual_monotone():

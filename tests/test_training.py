@@ -10,7 +10,7 @@ from prunekit import (Callback, Conv2d, Dense, FieldError, Flatten, Model, ReLU,
                       accuracy, fit, make_dataset, sgd_step)
 from prunekit import train as train_module
 from prunekit.config import load_config
-from prunekit.datasets import input_shape, train_eval_split
+from prunekit.datasets import BLOB_STD, input_shape, train_eval_split
 from prunekit.train import softmax_cross_entropy
 
 BLOBS = {"kind": "blobs2d", "n": 200, "separation": 4.0}
@@ -646,6 +646,41 @@ def test_dataset_determinism_and_split():
     np.testing.assert_array_equal(a[0], b[0])
     (xtr, ytr), (xev, yev) = train_eval_split(*a)
     assert len(ytr) == 160 and len(yev) == 40
+
+
+def _dataset_by_loop(kind, n, rng, separation=4.0, noise=0.1):
+    """The dataset drawn sample by sample, in the draw order make_dataset keeps:
+    half the labels 0 from the front, then the inputs, then one shuffle."""
+    labels = np.zeros(n, dtype=np.int64)
+    labels[n // 2:] = 1
+    if kind == "blobs2d":
+        centers = np.array([[-separation / 2.0, 0.0], [separation / 2.0, 0.0]])
+        inputs = BLOB_STD * rng.normal((n, 2)) + centers[labels]
+    else:
+        inputs = np.zeros((n, 1, 8, 8))
+        positions = rng.integers(0, 8, n)
+        for i in range(n):
+            if labels[i] == 0:
+                inputs[i, 0, positions[i], :] = 1.0
+            else:
+                inputs[i, 0, :, positions[i]] = 1.0
+        inputs += noise * rng.normal(inputs.shape)
+    perm = rng.permutation(n)
+    return inputs[perm], labels[perm]
+
+
+@pytest.mark.parametrize("n", [2, 7, 200, 4000])
+@pytest.mark.parametrize("seed", [1, 42])
+@pytest.mark.parametrize("kind, params", [
+    ("blobs2d", {}), ("blobs2d", {"separation": 2.5}),
+    ("patterns8x8", {}), ("patterns8x8", {"noise": 0.3}),
+])
+def test_dataset_draw_matches_a_per_sample_loop(kind, params, seed, n):
+    x, y = make_dataset({"kind": kind, "n": n, **params}, Rng(seed))
+    want_x, want_y = _dataset_by_loop(kind, n, Rng(seed), **params)
+    assert x.shape[1:] == input_shape({"kind": kind})
+    assert (x.dtype, y.dtype) == (want_x.dtype, want_y.dtype)
+    assert x.tobytes() == want_x.tobytes() and y.tobytes() == want_y.tobytes()
 
 
 def test_dataset_too_small():
