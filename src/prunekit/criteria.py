@@ -44,10 +44,10 @@ class Criterion:
 def score(criterion: Criterion, wf: np.ndarray, wi: np.ndarray | None = None,
           rng: Rng | None = None, out: np.ndarray | None = None) -> np.ndarray:
     """The scores of the weights wf, written into `out` (shaped like wf) where
-    given; random returns a fresh draw instead."""
+    given; random returns a fresh draw instead, leaving |wf| in `out`. A
+    non-finite history is refused here, non-finite weights by the caller:
+    compute_masks checks all of its layers' scores at once."""
     magnitude = np.abs(wf, out=out)
-    if not np.isfinite(magnitude.max(initial=0.0)):  # NaN and inf both propagate through max
-        raise ValueError("non-finite weight values")
     reads, rule = _TABLE[criterion.kind]
     given = wi if reads == "history" else rng  # a rule that reads nothing ignores it
     if reads is not None and given is None:

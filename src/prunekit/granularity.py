@@ -8,7 +8,7 @@ weights); spanning every axis makes the whole layer one block.
 Conv weights follow the [I, O, Kx, Ky] axis order, dense weights [I, O].
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations
 import math
 
@@ -38,21 +38,20 @@ _ALIASES = {2: ALIASES_RANK2, 4: ALIASES_RANK4}
 class BlockPartition:
     """Blocks of a `shape` tensor under the granularity `spec`, the set of
     axes they span: rows(a) is a transpose + reshape, one row per block,
-    lexicographic over the indexed axes; no index array is built."""
+    lexicographic over the indexed axes; no index array is built. The axis
+    order and the counts are computed once, when the partition is made."""
     spec: frozenset
     shape: tuple
+    _order: list = field(init=False, repr=False, compare=False)  # indexed axes, then spanned
+    n_blocks: int = field(init=False, repr=False, compare=False)
+    block_size: int = field(init=False, repr=False, compare=False)
 
-    @property
-    def _order(self) -> list:  # the indexed axes, then the spanned axes
-        return sorted(range(len(self.shape)), key=lambda ax: ax in self.spec)
-
-    @property
-    def n_blocks(self) -> int:
-        return math.prod(s for ax, s in enumerate(self.shape) if ax not in self.spec)
-
-    @property
-    def block_size(self) -> int:
-        return math.prod(self.shape[ax] for ax in self.spec)
+    def __post_init__(self):
+        shape, spec = self.shape, self.spec
+        object.__setattr__(self, "_order", sorted(range(len(shape)), key=lambda ax: ax in spec))
+        object.__setattr__(self, "n_blocks",
+                           math.prod(s for ax, s in enumerate(shape) if ax not in spec))
+        object.__setattr__(self, "block_size", math.prod(shape[ax] for ax in spec))
 
     def rows(self, a: np.ndarray) -> np.ndarray:
         """[n_blocks, block_size] view (or reshape copy) of `a` in C order; row
@@ -61,10 +60,11 @@ class BlockPartition:
 
     def unrows(self, rows: np.ndarray) -> np.ndarray:
         """Inverse of rows: a C-contiguous `shape` array of rows' dtype, block i = rows[i]
-        (broadcast). With one weight per block it is rows reshaped, a view where no copy is
-        needed."""
+        (broadcast). With one weight per block it is rows reshaped, a view where that
+        view is C-contiguous."""
         if self.block_size == 1:  # every spanned axis has length 1: the transpose moves nothing
-            return np.asarray(rows.reshape(self.shape), order="C")
+            out = rows.reshape(self.shape)
+            return out if out.flags.c_contiguous else out.copy()
         order = self._order
         split = np.broadcast_to(rows, (self.n_blocks, self.block_size))
         split = split.reshape([self.shape[ax] for ax in order]).transpose(np.argsort(order))
@@ -108,11 +108,13 @@ def enumerate_blocks(granularity, shape) -> BlockPartition:
     return BlockPartition(parse_granularity(granularity, len(shape)), shape)
 
 
-def aggregate_scores(scores: np.ndarray, partition: BlockPartition) -> np.ndarray:
-    """Per-block score = mean of member scores, in partition block order. With
-    one weight per block the scores themselves are returned, flattened."""
+def aggregate_scores(scores: np.ndarray, partition: BlockPartition,
+                     out: np.ndarray | None = None) -> np.ndarray:
+    """Per-block score = mean of member scores, in partition block order,
+    written into `out` (n_blocks long) where given. With one weight per block
+    and no `out`, the scores themselves are returned, flattened."""
     if tuple(scores.shape) != partition.shape:
         raise ValueError(f"shape mismatch: scores {scores.shape}, partition {partition.shape}")
-    if partition.block_size == 1:  # the mean of one value is that value
+    if partition.block_size == 1 and out is None:  # the mean of one value is that value
         return scores.reshape(-1)
-    return partition.rows(scores).mean(axis=1)
+    return partition.rows(scores).mean(axis=1, out=out)

@@ -13,6 +13,12 @@ Sparsifier masks each layer's weights array in place, in static pruning
 and in the callback alike; only an LTH rewind or reset_end puts a copy of
 the rewind snapshot in its place.
 
+A mask update scores every layer into one flat array of block scores,
+laid out once per Sparsifier and list of weight shapes (block_layout), and
+selects over that array with a fixed handful of numpy calls; only scoring,
+structured block means and writing each layer's mask loop over the layers.
+Every mask it returns is a new array of its own.
+
 The callback acts once per completed step, step 0 being the start of
 training: at step rewind_epoch * steps_per_epoch it first takes the rewind
 snapshot, then it runs the mask update due at that step, if any. Every
@@ -24,6 +30,7 @@ rewind snapshot.
 """
 
 from dataclasses import asdict, dataclass
+import math
 
 import numpy as np
 
@@ -33,7 +40,7 @@ from .granularity import enumerate_blocks, aggregate_scores, parse_granularity
 from .layers import Model
 from .rng import Rng
 from .schedule import ScheduleSpec, current_target, eval_schedule, window_steps
-from .selection import ContextSpec, LayerScores, select
+from .selection import BlockLayout, BlockScores, ContextSpec, select
 from .tensor import mask_in_place
 from .train import Callback, accuracy
 
@@ -115,45 +122,74 @@ class SparsifyPlan:
 
 
 class Workspace:
-    """The buffers a repeated mask update writes into instead of new arrays:
-    per layer, a C-order score buffer shaped like its weights, remade when
-    their shape changes, and one scratch vector for the selection's
-    partitioned copy. Masks are never among them: each update returns new
-    arrays. SparsifyCallback makes one for a fit of at least _WORKSPACE_BYTES
-    of prunable weights."""
+    """The buffers a repeated mask update writes into instead of new arrays,
+    each one flat float64 vector, remade where it is shorter than an update
+    needs: "blocks", the block scores of every layer; "scores", one layer's
+    weight scores where a block holds more than one weight; and "scratch",
+    the selection's partitioned copy. Masks are never among them: each
+    update returns new arrays. SparsifyCallback makes one for a fit of at
+    least _WORKSPACE_BYTES of prunable weights."""
 
     def __init__(self):
-        self._scores = {}  # id(layer) -> score buffer
-        self._scratch = np.empty(0)
+        self._vectors = {}  # name -> buffer
 
-    def scores(self, layer) -> np.ndarray:
-        """The score buffer of `layer`."""
-        buffer = self._scores.get(id(layer))
-        if buffer is None or buffer.shape != layer.weights.shape:
-            buffer = self._scores[id(layer)] = np.empty(layer.weights.shape)
-        return buffer
+    def vector(self, name: str, n: int) -> np.ndarray:
+        """n elements of the buffer `name`."""
+        buffer = self._vectors.get(name)
+        if buffer is None or len(buffer) < n:
+            buffer = self._vectors[name] = np.empty(n)
+        return buffer[:n]
 
-    def scratch(self, n: int) -> np.ndarray:
-        """n elements of the scratch vector, grown where it is shorter."""
-        if len(self._scratch) < n:
-            self._scratch = np.empty(n)
-        return self._scratch[:n]
+
+def _vector(workspace: Workspace | None, name: str, n: int) -> np.ndarray:
+    return np.empty(n) if workspace is None else workspace.vector(name, n)
+
+
+def block_layout(granularity, layers) -> BlockLayout:
+    """Each layer's BlockPartition under `granularity`, placed in one flat
+    array of block scores."""
+    return BlockLayout(enumerate_blocks(granularity, layer.weights.shape) for layer in layers)
 
 
 def compute_masks(layers, granularity, context: ContextSpec, criterion: Criterion,
                   sparsity, rng: Rng | None = None,
                   workspace: Workspace | None = None) -> list[np.ndarray]:
-    """Score -> aggregate -> select for a list of prunable layers, scoring
-    into the workspace's buffers where one is given."""
-    scored = []
-    for layer in layers:
-        partition = enumerate_blocks(granularity, layer.weights.shape)
-        out = None if workspace is None else workspace.scores(layer)
-        raw = score(criterion, layer.weights, layer.history, rng, out=out)
-        scored.append(LayerScores(partition, aggregate_scores(raw, partition)))
-    scratch = None if workspace is None else workspace.scratch(
-        sum(len(layer.block_scores) for layer in scored))
-    return select(scored, context, sparsity, scratch)
+    """Score -> aggregate -> select for a list of prunable layers, into one flat
+    buffer of block scores, the workspace's where one is given. `granularity`
+    is anything enumerate_blocks takes, or the block_layout of these layers'
+    shapes, which a Sparsifier resolves once. Under one weight per block each
+    layer scores straight into its view of that buffer, checked for
+    non-finite values once; otherwise each layer's weights are scored (and
+    checked) in turn and their block means written into it."""
+    layout = granularity if isinstance(granularity, BlockLayout) else block_layout(granularity,
+                                                                                  layers)
+    starts = layout.starts
+    blocks = _vector(workspace, "blocks", starts[-1])
+    if layout.one_weight_blocks:
+        views = [blocks[start:end].reshape(part.shape)
+                 for part, start, end in zip(layout.partitions, starts, starts[1:])]
+        raws = [score(criterion, layer.weights, layer.history, rng, out=view)
+                for layer, view in zip(layers, views)]
+        _refuse_non_finite(blocks)
+        for raw, view in zip(raws, views):
+            if raw is not view:  # random's draw, a new array
+                np.copyto(view, raw)
+    else:  # a layer's weight scores are dropped once aggregated, as they are large
+        for layer, part, start, end in zip(layers, layout.partitions, starts, starts[1:]):
+            view = _vector(workspace, "scores", layer.weights.size).reshape(part.shape)
+            raw = score(criterion, layer.weights, layer.history, rng, out=view)
+            _refuse_non_finite(view)
+            aggregate_scores(raw, part, out=blocks[start:end])
+    return select(BlockScores(layout, blocks), context, sparsity,
+                  None if workspace is None else workspace.vector("scratch", len(blocks)))
+
+
+def _refuse_non_finite(scores: np.ndarray) -> None:
+    """Raise unless every score is finite. score leaves |weights| where it
+    draws new random scores, and checks a history itself, so a score is
+    non-finite exactly where a weight is."""
+    if not math.isfinite(scores.max(initial=0.0)):  # NaN and inf both propagate through max
+        raise ValueError("non-finite weight values")
 
 
 def model_sparsity(layers) -> float:
@@ -174,7 +210,9 @@ _WORKSPACE_BYTES = 128 * 1024
 
 class Sparsifier:
     """Static pruning: compute masks for the current weights and apply them in
-    place. Each prune allocates its scores afresh unless a caller sets
+    place. The block layout of a list of layers is resolved at its first
+    prune and kept, keyed by the layers' weight shapes, for the Sparsifier's
+    life. Each prune allocates its scores afresh unless a caller sets
     `workspace`, whose buffers it then reuses; SparsifyCallback does so for
     the length of a fit. Dropping the workspace (None) frees the buffers."""
 
@@ -186,9 +224,14 @@ class Sparsifier:
         self.criterion = Criterion(criterion)
         self.rng = rng
         self.workspace: Workspace | None = None
+        self._layouts = {}  # the layers' weight shapes -> their block_layout
 
     def _prune(self, layers, sparsity) -> list[np.ndarray]:
-        masks = compute_masks(layers, self.granularity, self.context, self.criterion,
+        shapes = tuple(layer.weights.shape for layer in layers)
+        layout = self._layouts.get(shapes)
+        if layout is None:
+            layout = self._layouts[shapes] = block_layout(self.granularity, layers)
+        masks = compute_masks(layers, layout, self.context, self.criterion,
                               sparsity, self.rng, workspace=self.workspace)
         for layer, mask in zip(layers, masks):
             layer.mask = mask

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from prunekit import (Rng, aggregate_scores, all_specs, enumerate_blocks,
+from prunekit import (BlockPartition, Rng, aggregate_scores, all_specs, enumerate_blocks,
                       parse_granularity)
 
 
@@ -204,3 +204,27 @@ def test_one_weight_blocks_match_gather_bitwise(rank, layout):
         assert got.tobytes() == want.tobytes()
         with pytest.raises(ValueError):
             aggregate_scores(np.ones(shape + (1,)), part)
+
+
+def test_partition_counts_are_stored_and_leave_equality_alone():
+    """The axis order, n_blocks and block_size are stored when a partition is
+    made, and only `spec` and `shape` take part in its equality and hash."""
+    part = enumerate_blocks("kernel", (2, 3, 4, 5))
+    assert {"_order", "n_blocks", "block_size"} <= vars(part).keys()
+    assert (part.n_blocks, part.block_size, part._order) == (6, 20, [0, 1, 2, 3])
+    assert part == BlockPartition(frozenset({2, 3}), (2, 3, 4, 5))
+    assert hash(part) == hash(BlockPartition(frozenset({2, 3}), (2, 3, 4, 5)))
+    assert repr(part) == "BlockPartition(spec=frozenset({2, 3}), shape=(2, 3, 4, 5))"
+
+
+def test_one_weight_unrows_is_a_c_contiguous_reshape():
+    """With one weight per block, unrows of C-contiguous rows is a view of them,
+    and of strided rows a C-contiguous copy."""
+    part = enumerate_blocks("weight", (3, 4))
+    rows = np.arange(12.0)[:, None]
+    got = part.unrows(rows)
+    assert got.flags.c_contiguous and np.shares_memory(got, rows)
+    strided = np.arange(24.0)[::2, None]
+    got = part.unrows(strided)
+    assert got.flags.c_contiguous and not np.shares_memory(got, strided)
+    assert got.tobytes() == np.arange(0.0, 24.0, 2.0).reshape(3, 4).tobytes()

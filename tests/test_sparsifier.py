@@ -1,3 +1,4 @@
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -6,7 +7,12 @@ import pytest
 from prunekit import (Callback, ContextSpec, Criterion, Model, Rng, ScheduleSpec, Sparsifier,
                       SparsifyCallback, SparsifyPlan, TrainConfig, accuracy, fit, make_dataset,
                       model_sparsity, sparsity_of, train_eval_split)
+from prunekit.granularity import BlockPartition
+from prunekit.selection import LayerScores
 from prunekit.sparsifier import Workspace, compute_masks
+
+from test_granularity import index_gather
+from test_selection import _sparsity_for, bruteforce_masks
 
 BLOBS = {"kind": "blobs2d", "n": 200, "separation": 4.0}
 PATTERNS = {"kind": "patterns8x8", "n": 60, "noise": 0.2}
@@ -190,6 +196,92 @@ def test_workspace_follows_a_layer_whose_shape_changes():
             layer.weights = Rng(11).normal(shape)
         want = compute_masks([layer], "row", ContextSpec("global"), Criterion("large_final"), 50)
         assert [m.tobytes() for m in sp.prune_model(50)] == [m.tobytes() for m in want]
+
+
+MIXED = [{"kind": "conv2d", "in_ch": 2, "out_ch": 3, "kx": 3, "ky": 2}, {"kind": "relu"},
+         {"kind": "conv2d", "in_ch": 3, "out_ch": 4, "kx": 2, "ky": 2}, {"kind": "flatten"},
+         {"kind": "dense", "in": 12, "out": 5}]
+# granularities that resolve at rank 4 and at rank 2 -> their spanned axes at each rank
+BOTH_RANKS = {"weight": (set(), set()), "row": ({3}, {1}), "0": ({0}, {0}), "1": ({1}, {1}),
+              "0,1": ({0, 1}, {0, 1})}
+ORACLE_SCORES = {
+    "random": lambda w, wi, rng: rng.normal(w.shape),
+    "large_final": lambda w, wi, rng: np.abs(w),
+    "magnitude_increase": lambda w, wi, rng: np.abs(w) - np.abs(wi),
+    "movement": lambda w, wi, rng: np.abs(w - wi),
+}
+
+
+def oracle_layer_scores(layers, granularity, criterion, rng):
+    """LayerScores of every layer, from an independent score and a gather and
+    mean over flat indices, with the spanned axes written out per rank."""
+    scored = []
+    for layer in layers:
+        w = layer.weights
+        spec = frozenset(BOTH_RANKS[granularity][w.ndim == 2])
+        raw = ORACLE_SCORES[criterion](w, layer.history, rng)
+        scored.append(LayerScores(BlockPartition(spec, w.shape),
+                                  raw.ravel()[index_gather(spec, w.shape)].mean(axis=1)))
+    return scored
+
+
+def oracle_masks(layers, granularity, context, criterion, sparsity, seed):
+    scored = oracle_layer_scores(layers, granularity, criterion, Rng(seed))
+    if isinstance(sparsity, list):  # a per-layer list: each layer its own target
+        return [bruteforce_masks([layer], s, "local")[0] for layer, s in zip(scored, sparsity)]
+    return bruteforce_masks(scored, sparsity, context)
+
+
+def mixed_model(seed):
+    """The conv+conv+dense model with weights and histories on a 1/8 grid, so
+    that many blocks tie and every block mean is exact."""
+    model = Model.from_specs(MIXED, Rng(seed).child("init"))
+    layers = model.prunable_layers()
+    for i, layer in enumerate(layers):
+        layer.weights = np.round(layer.weights * 8) / 8
+        layer.history = np.round(Rng(seed + i + 1).normal(layer.weights.shape) * 4) / 8
+    return layers
+
+
+@pytest.mark.parametrize("granularity", list(BOTH_RANKS))
+@pytest.mark.parametrize("criterion", ["random", "large_final", "magnitude_increase", "movement"])
+def test_compute_masks_on_a_mixed_model_matches_the_oracle(granularity, criterion):
+    """compute_masks on a conv+conv+dense model, with and without a workspace,
+    under both contexts and a per-layer list, gives the brute-force oracle's
+    masks, and no two of the masks it returns share memory."""
+    layers = mixed_model(20)
+    workspace = Workspace()
+    for context, sparsity in itertools.product(("local", "global"), (0, 35.0, 62.5, 100,
+                                                                     [20.0, 60.0, 90.0])):
+        want = oracle_masks(layers, granularity, context, criterion, sparsity, seed=21)
+        for ws in (None, workspace):
+            got = compute_masks(layers, granularity, ContextSpec(context), Criterion(criterion),
+                                sparsity, Rng(21), ws)
+            assert [m.shape for m in got] == [m.shape for m in want]
+            assert [m.tobytes() for m in got] == [m.tobytes() for m in want], (context, sparsity)
+            assert not any(np.shares_memory(a, b) for a, b in itertools.combinations(got, 2))
+            assert not any(np.shares_memory(m, layer.weights) for m in got for layer in layers)
+
+
+@pytest.mark.parametrize("granularity", ["weight", "row"])
+def test_a_global_tie_across_a_layer_boundary_prunes_the_earliest_blocks(granularity):
+    """Every block of the mixed model scores 0.5, so the tie at the cut runs
+    from layer 0 through layer 2: the earliest k blocks are pruned, all of
+    layer 0 and the head of layer 1, and every later tied block is kept."""
+    layers = mixed_model(22)
+    for layer in layers:
+        layer.weights = np.full(layer.weights.shape, 0.5)
+    spans = [BlockPartition(frozenset(BOTH_RANKS[granularity][l.weights.ndim == 2]),
+                            l.weights.shape) for l in layers]
+    n_blocks = [p.n_blocks for p in spans]
+    sparsity = _sparsity_for(sum(n_blocks), n_blocks[0] + n_blocks[1] // 2)
+    for ws in (None, Workspace()):
+        got = compute_masks(layers, granularity, ContextSpec("global"),
+                            Criterion("large_final"), sparsity, workspace=ws)
+        want = oracle_masks(layers, granularity, "global", "large_final", sparsity, seed=0)
+        assert [m.tobytes() for m in got] == [m.tobytes() for m in want]
+        assert not got[0].any() and got[2].all()
+        assert 0 < np.count_nonzero(got[1] == 0) < got[1].size
 
 
 def test_static_sparsifier_makes_no_workspace():
