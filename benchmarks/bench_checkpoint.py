@@ -17,12 +17,15 @@ Models:
                beside the rewind snapshot of every layer's weights and bias
                and a plan with lth and an iterative schedule.
 
-Before any timing, each saved file is checked to be canonical JSON (equal
-to json.dumps(json.loads(text), sort_keys=True, separators=(",", ":"))
-plus a newline), to load back into the arrays it was written from, rewind
-snapshot included, and to be written again, byte for byte, by a save of
-what load gave: its model, rewind snapshot, plan.to_dict(), metrics tail
-and meta.
+Before any timing, each saved file is checked to be canonical: a format-5
+file's header (after its 8-byte length) must equal
+json.dumps(json.loads(header), sort_keys=True, separators=(",", ":"))
+padded with spaces to 8 bytes, and a file that starts with "{", as a tree
+of format 4 or older writes one, must equal that JSON of the whole file
+plus a newline. Each file is also checked to load back into the arrays it
+was written from, rewind snapshot included, and to be written again, byte
+for byte, by a save of what load gave: its model, rewind snapshot,
+plan.to_dict(), metrics tail and meta.
 `save_peak_mb` is tracemalloc's peak over one further save: the most
 memory that save held at once, Python objects and numpy arrays alike.
 `bytes` is the file's size and `sha256` its hash, so runs of two source
@@ -88,10 +91,19 @@ def build(pk, specs, granularity, context, criterion, sparsity, lth):
     return model, kwargs
 
 
+def canonical(raw: bytes) -> bool:
+    """Whether a checkpoint file's header, or a JSON file's whole text, is canonical."""
+    def dumps(text):
+        return json.dumps(json.loads(text), sort_keys=True, separators=(",", ":")).encode()
+    if raw.startswith(b"{"):  # format 4 or older: one JSON document and a newline
+        return raw == dumps(raw) + b"\n"
+    header = raw[8:8 + int.from_bytes(raw[:8], "little")]
+    return header == dumps(header) + b" " * (-len(dumps(header)) % 8)
+
+
 def check(pk, name, path, model, snapshot):
-    text = path.read_text()
-    if text != json.dumps(json.loads(text), sort_keys=True, separators=(",", ":")) + "\n":
-        sys.exit(f"{path} is not canonical JSON")
+    if not canonical(path.read_bytes()):
+        sys.exit(f"{path} does not have a canonical header")
     ckpt = pk.checkpoint.load(path)
     arrays = [(f"layers[{i}].{array}", getattr(a, array, None), getattr(b, array, None))
               for i, (a, b) in enumerate(zip(model.layers, ckpt.model.layers))
@@ -161,8 +173,9 @@ def main(argv=None):
 
     about = ("checkpoint.save and checkpoint.load per call: time.perf_counter median and "
              "quartiles in ms over `rounds` x `reps` calls (`reps` where `rounds` is absent), "
-             "each file checked first to be canonical JSON that loads back and saves again "
-             "to the same bytes; round_total_ms has each round's median save plus median "
+             "each file checked first to have a canonical header (canonical JSON padded "
+             "with spaces to 8 bytes; up to format 4, the whole file canonical JSON) and "
+             "to load back and save again to the same bytes; round_total_ms has each round's median save plus median "
              "load, and runs written together alternate round by round; save_peak_mb is "
              "tracemalloc's peak over one save. "
              "Written by benchmarks/bench_checkpoint.py.")

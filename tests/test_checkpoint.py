@@ -1,4 +1,3 @@
-import base64
 import json
 import os
 import subprocess
@@ -13,16 +12,25 @@ from prunekit import (BUILTIN_SCHEDULES, Model, Rng, ScheduleSpec, Sparsifier, S
                       checkpoint)
 from prunekit.cli import main
 
-
-def canonical(text):
-    return json.dumps(json.loads(text), sort_keys=True, separators=(",", ":")) + "\n"
+from checkpoint_files import header_bytes, join, split, stored
 
 
-def one_shot_text(model, rewind_snapshot=None, plan=None, metrics_tail=None, meta=None):
-    """The checkpoint document as one json.dumps call, arrays base64-encoded
-    here: float64 bytes, or for a mask one bit per entry, in C order. A
-    masked layer's weights keep only the entries its mask keeps when every
-    other entry is zero."""
+def one_shot_bytes(model, rewind_snapshot=None, plan=None, metrics_tail=None, meta=None):
+    """The checkpoint file built here in one pass: the document, each array
+    replaced by {dtype, nbytes, offset, shape}, as one json.dumps call
+    padded with spaces to 8 bytes, after its length and before the arrays'
+    bytes, in the header's order, each zero-padded to an offset that is a
+    multiple of 8. An array is float64 bytes or, for a mask, one bit per
+    entry, in C order. A masked layer's weights keep only the entries its
+    mask keeps when every other entry is zero."""
+    data = bytearray()
+
+    def entry(shape, dtype, raw):
+        data.extend(bytes(-len(data) % 8))
+        offset = len(data)
+        data.extend(raw)
+        return {"dtype": dtype, "nbytes": len(raw), "offset": offset, "shape": list(shape)}
+
     def array(a, mask=None):
         if a is None:
             return None
@@ -31,31 +39,31 @@ def one_shot_text(model, rewind_snapshot=None, plan=None, metrics_tail=None, met
             pairs = list(zip(values, mask.ravel()))
             if all(v == 0 for v, m in pairs if m == 0):  # NaN != 0
                 values = [v for v, m in pairs if m == 1]
-        data = base64.b64encode(np.array(values, dtype="<f8").tobytes()).decode()
-        return {"shape": list(a.shape), "data": data}
+        return entry(a.shape, "<f8", np.array(values, dtype="<f8").tobytes())
 
     def mask(m):
         if m is None:
             return None
         bits = "".join("1" if v == 1 else "0" for v in m.ravel())
         bits += "0" * (-len(bits) % 8)
-        packed = bytes(int(bits[i:i + 8], 2) for i in range(0, len(bits), 8))
-        return {"shape": list(m.shape), "bits": base64.b64encode(packed).decode()}
+        return entry(m.shape, "|u1", bytes(int(bits[i:i + 8], 2) for i in range(0, len(bits), 8)))
 
     layers = []
-    for layer in model.layers:
-        entry = {"spec": layer.spec(), "weights": array(layer.weights, getattr(layer, "mask", None)),
-                 "bias": None if layer.bias is None or layer.weights is None
-                         else array(layer.bias)}
+    for layer in model.layers:  # each entry's arrays in key order: bias, history, mask, weights
+        fields = {"spec": layer.spec(),
+                  "bias": None if layer.bias is None or layer.weights is None else array(layer.bias)}
         if layer.prunable:
-            entry["mask"] = mask(layer.mask)
-            entry["history"] = array(layer.history)
-        layers.append(entry)
+            fields["history"] = array(layer.history)
+            fields["mask"] = mask(layer.mask)
+        fields["weights"] = array(layer.weights, getattr(layer, "mask", None))
+        layers.append(fields)
+    snapshot = None if rewind_snapshot is None else [
+        {"bias": array(b), "weights": array(w)} for w, b in rewind_snapshot]
     doc = {"format_version": checkpoint.FORMAT_VERSION, "layers": layers,
-           "rewind_snapshot": None if rewind_snapshot is None else
-           [{"weights": array(w), "bias": array(b)} for w, b in rewind_snapshot],
-           "plan": plan, "metrics_tail": metrics_tail or [], "meta": meta or {}}
-    return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+           "rewind_snapshot": snapshot, "plan": plan,
+           "metrics_tail": [list(row) for row in metrics_tail or []], "meta": meta or {}}
+    header = header_bytes(doc)
+    return len(header).to_bytes(8, "little") + header + bytes(data)
 
 
 def conv_relu_flatten(masked=True, zeroed=False):
@@ -109,8 +117,7 @@ CASES = {
         "meta": {"seed": 3, "name": "x", "nested": {"b": [1, {"z": 0.1, "a": True}]}},
         "metrics_tail": [(0, 1, 0.25, 1e-300, 50.0), (0, 2, 1 / 3, 2.0, 50.0)]}),
     "non_finite_weights": lambda: (non_finite(), {"meta": {"aborted": True}}),
-    # 8 bytes a weight: sizes 0, 2 and 1 mod 3 end their base64 in no, one and two "=";
-    # their masks take 1 byte, the first 3, 4 and 5 bits set
+    # masks of 3, 4 and 5 bits, each 1 byte and 7 bytes of zero padding
     "pad_none": lambda: (dense_of(3), {}),
     "pad_one": lambda: (dense_of(4), {}),
     "pad_two": lambda: (dense_of(5), {}),
@@ -119,12 +126,32 @@ CASES = {
 
 @pytest.mark.parametrize("case", CASES)
 def test_save_writes_canonical_json(tmp_path, case):
+    """The header is canonical JSON padded with spaces to 8 bytes, and the
+    file is what the one-pass writer above builds."""
     model, kwargs = CASES[case]()
     path = tmp_path / "ckpt.json"
     checkpoint.save(path, model, **kwargs)
-    text = path.read_text()
-    assert text == canonical(text)
-    assert text == one_shot_text(model, **kwargs)
+    raw = path.read_bytes()
+    doc, data = split(path)
+    assert raw[8:len(raw) - len(data)] == header_bytes(doc)
+    assert raw == one_shot_bytes(model, **kwargs)
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_loaded_arrays_are_writable_and_aligned(tmp_path, case):
+    """Every array load returns, rewind snapshot included, is float64,
+    writable, C-contiguous and 8-byte aligned."""
+    model, kwargs = CASES[case]()
+    path = tmp_path / "ckpt.json"
+    checkpoint.save(path, model, **dict(kwargs, plan=None))  # one case's plan is save's only
+    ckpt = checkpoint.load(path)
+    arrays = [getattr(layer, name, None) for layer in ckpt.model.layers
+              for name in ("weights", "bias", "mask", "history")]
+    arrays += [a for entry in ckpt.rewind_snapshot or () for a in entry]
+    for a in arrays:
+        if a is not None:
+            assert a.dtype == np.float64 and a.flags.writeable and a.flags.c_contiguous
+            assert a.flags.aligned and a.ctypes.data % 8 == 0
 
 
 def test_non_finite_weights_round_trip(tmp_path):
@@ -135,7 +162,8 @@ def test_non_finite_weights_round_trip(tmp_path):
     def no_constants(name):
         raise AssertionError(f"non-standard JSON constant {name} in the file")
 
-    json.loads(path.read_text(), parse_constant=no_constants)
+    raw = path.read_bytes()
+    json.loads(raw[8:8 + int.from_bytes(raw[:8], "little")], parse_constant=no_constants)
     loaded = checkpoint.load(path).model
     for a, b in zip(model.layers, loaded.layers):
         for name in ("weights", "bias", "mask", "history"):
@@ -160,12 +188,12 @@ def two_dense(mask_value):
 
 @pytest.mark.parametrize("size", range(1, 25))
 def test_mask_bits_round_trip(tmp_path, size):
-    """Masks of every size mod 8, packed into 1-3 bytes (every base64 padding),
-    load back bit-exact, and a save of the loaded model writes the same bytes."""
+    """Masks of every size mod 8, packed into 1-3 bytes, load back bit-exact,
+    and a save of the loaded model writes the same bytes."""
     model = dense_of(size, (Rng(size).normal((1, size)) > 0).astype(float))
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     checkpoint.save(a, model)
-    assert a.read_text() == one_shot_text(model)
+    assert a.read_bytes() == one_shot_bytes(model)
     loaded = checkpoint.load(a).model.layers[0].mask
     assert loaded.dtype == np.float64 and loaded.flags.writeable
     assert loaded.tobytes() == model.layers[0].mask.tobytes()
@@ -210,8 +238,8 @@ def pruned_model(granularity):
 
 
 def stored_bytes(path, layer):
-    """The decoded bytes of layer `layer`'s weights.data in the file at path."""
-    return base64.b64decode(json.loads(path.read_text())["layers"][layer]["weights"]["data"])
+    """The bytes of layer `layer`'s weights in the file at path."""
+    return stored(path, "layers", layer, "weights")
 
 
 @pytest.mark.parametrize("granularity", ["weight", "kernel"])
@@ -222,7 +250,7 @@ def test_kept_only_weights_round_trip(tmp_path, granularity):
     model = pruned_model(granularity)
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     checkpoint.save(a, model)
-    assert a.read_text() == one_shot_text(model)
+    assert a.read_bytes() == one_shot_bytes(model)
     loaded = checkpoint.load(a).model
     for i, layer in enumerate(model.layers):
         if not layer.prunable:
@@ -246,7 +274,7 @@ def test_kept_only_weights_at_a_uniform_mask(tmp_path, bit):
     model.layers[0].weights *= bit
     path = tmp_path / "ckpt.json"
     checkpoint.save(path, model)
-    assert path.read_text() == one_shot_text(model)
+    assert path.read_bytes() == one_shot_bytes(model)
     assert len(stored_bytes(path, 0)) == (48 if bit else 0)
     got = checkpoint.load(path).model.layers[0].weights
     assert got.tobytes() == (model.layers[0].weights + 0.0).tobytes()
@@ -278,24 +306,24 @@ def test_nonzero_pruned_weight_stores_every_entry(tmp_path, value):
     model.layers[0].weights[0, 1] = value
     path = tmp_path / "ckpt.json"
     checkpoint.save(path, model)
-    assert path.read_text() == one_shot_text(model)
+    assert path.read_bytes() == one_shot_bytes(model)
     assert stored_bytes(path, 0) == model.layers[0].weights.astype("<f8").tobytes()
     assert checkpoint.load(path).model.layers[0].weights.tobytes() == model.layers[0].weights.tobytes()
 
 
 @pytest.mark.parametrize("change", [-8, 8], ids=["short", "long"])
 def test_kept_only_weights_of_the_wrong_length_exit_1(tmp_path, monkeypatch, capsys, change):
-    """Kept-only data one float64 short or long matches neither count: both
+    """Kept-only weights one float64 short or long match neither count: both
     readers exit 1 naming the field, and write nothing."""
     monkeypatch.setenv("PRUNEKIT_OUTPUT_ROOT", str(tmp_path))
     model = pruned_model("weight")
     path = tmp_path / "ckpt.json"
     checkpoint.save(path, model)
-    raw = stored_bytes(path, 2)
-    doc = json.loads(path.read_text())
-    doc["layers"][2]["weights"]["data"] = base64.b64encode(
-        raw[:change] if change < 0 else raw + raw[:change]).decode()
-    path.write_text(json.dumps(doc))
+    doc, data = split(path)
+    weights = doc["layers"][2]["weights"]  # the last array in the file
+    assert weights["offset"] + weights["nbytes"] == len(data)
+    weights["nbytes"] += change
+    join(path, doc, data + bytes(max(change, 0)))
     kept = np.count_nonzero(model.layers[2].mask)
     for command in (["inspect", str(path)], ["prune", str(path), "--sparsity", "70"]):
         assert main(command) == 1
@@ -306,135 +334,78 @@ def test_kept_only_weights_of_the_wrong_length_exit_1(tmp_path, monkeypatch, cap
     assert sorted(tmp_path.iterdir()) == [path]
 
 
-def b64_outcome(decode, text):
-    """decode(text)'s bytes, or the type and message of what it raised."""
-    try:
-        return bytes(decode(text))
-    except (TypeError, ValueError) as exc:
-        return type(exc), str(exc)
-
-
-def with_char(text, at, char):
-    return text[:at] + char + text[at + 1:]
-
-
-CHUNK = 4 * checkpoint._GROUPS  # characters per chunk of _b64decode
-ALPHABET = "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
-# two and a half chunks and a group padded with "=="
-LONG = base64.b64encode(bytes(range(256)) * (3 * CHUNK // 1024 * 5 // 2) + b"z").decode()
-B64_TEXTS = {
-    **{f"bytes_{n}": base64.b64encode(bytes(range(200, 200 + n))).decode() for n in range(7)},
-    **{f"cut_{n}": "QUJDREVG"[:n] for n in range(1, 8)},
-    "long": LONG,
-    "long_unpadded": LONG[:-4],
-    "bad_in_first_chunk": with_char(LONG, 5, "!"),
-    "bad_in_middle_chunk": with_char(LONG, CHUNK + 7, "-"),
-    "bad_in_last_chunk": with_char(LONG, len(LONG) - 9, "_"),
-    "bad_in_padded_tail": with_char(LONG, len(LONG) - 3, "*"),
-    "pad_mid_string": "QUJD=QUJ",
-    "pad_inside_a_group": "QU=DQUJD",
-    "group_after_padding": "QQ==QUFB",
-    "pad_after_a_whole_group": "QUJD====",  # b64decode accepts it
-    "pad_alone": "====",
-    "pad_leading": "=QUJ",
-    "pad_three": "QUJDQ===",
-    "non_ascii": "QUJé",
-    "non_ascii_long": with_char(LONG, CHUNK + 1, "é"),
-    "newline": "QUJD\nQUJ",
-    "space": "QUJD QUJ",
-    "one_mod_4": "QUJDR",
-    "nonzero_unused_bits": "QR==",
-    "not_a_string": [0.0] * 4,
-    "null": None,
-}
-
-
-@pytest.mark.parametrize("name", B64_TEXTS)
-def test_b64decode_is_b64decode(name):
-    """_b64decode gives what base64.b64decode(text, validate=True) gives:
-    the same bytes, as a fresh writable uint8 array, or the same error."""
-    text = B64_TEXTS[name]
-    want = b64_outcome(lambda t: base64.b64decode(t, validate=True), text)
-    assert b64_outcome(checkpoint._b64decode, text) == want
-    if isinstance(want, bytes):
-        got = checkpoint._b64decode(text)
-        assert got.dtype == np.uint8 and got.flags.writeable and got.flags.c_contiguous
-
-
-def test_b64decode_is_b64decode_on_random_edits():
-    """The same on short texts with random edits: characters replaced,
-    inserted or deleted, "=" appended, or drawn at random."""
-    rng = np.random.default_rng(5)
-    chars = list("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/=!\n é-_")
-    for _ in range(2000):
-        text = base64.b64encode(rng.bytes(rng.integers(0, 40))).decode()
-        at, char, edit = int(rng.integers(0, len(text) + 1)), str(rng.choice(chars)), rng.integers(5)
-        if edit == 1:
-            text = with_char(text, at, char)
-        elif edit == 2:
-            text = text[:at] + char + text[at:]
-        elif edit == 3:
-            text = text[:at] + text[at + 1:]
-        elif edit == 4:
-            text = "".join(rng.choice(chars, rng.integers(0, 13)))
-        for extra in ("", "=" * int(rng.integers(1, 4))):
-            want = b64_outcome(lambda t: base64.b64decode(t, validate=True), text + extra)
-            assert b64_outcome(checkpoint._b64decode, text + extra) == want, text + extra
-
-
-def test_pair_table_decodes_every_pair_in_either_place():
-    """_PAIRS holds 65,536 little-endian uint32: _BAD for each of the 61,440
-    pairs with a character outside the alphabet, and bits 8-11 clear in
-    every valid entry, so none equals _BAD. A text holding each of the 4,096
-    valid pairs once as a group's first pair and once as its second decodes
-    through the table as b64decode decodes it."""
-    table = checkpoint._PAIRS
-    assert table.dtype.str == "<u4" and table.shape == (1 << 16,)
-    valid = np.zeros(256, bool)
-    valid[np.frombuffer(ALPHABET.encode(), np.uint8)] = True
-    valid = np.logical_and.outer(valid, valid).ravel()
-    assert np.count_nonzero(~valid) == 61440
-    assert (table[~valid] == checkpoint._BAD).all()
-    assert not (table[valid] & 0xF00).any()
-    pairs = [a + b for a in ALPHABET for b in ALPHABET]
-    text = "".join(first + second for first, second in zip(pairs, pairs[1:] + pairs[:1]))
-    out = np.empty(3 * len(pairs), np.uint8)
-    assert checkpoint._decode_groups(text, len(pairs), out)
-    assert out.tobytes() == base64.b64decode(text, validate=True)
-
-
 def test_corrupt_weights_past_the_first_chunk_exit_1(tmp_path, monkeypatch, capsys):
-    """A bad character in the last whole chunk of a layer's weights: both
-    readers exit 1 naming the field, in b64decode's words, and write nothing."""
+    """A file cut short inside a layer's 128 KiB of weights, past their
+    first 32 KiB: both readers exit 1 naming the field, and write nothing."""
     monkeypatch.setenv("PRUNEKIT_OUTPUT_ROOT", str(tmp_path))
     path = tmp_path / "ckpt.json"
     checkpoint.save(path, Model.from_specs([{"kind": "dense", "in": 16, "out": 1024}], Rng(4)))
-    doc = json.loads(path.read_text())
-    data = doc["layers"][0]["weights"]["data"]
-    assert len(data) > 2 * CHUNK and data.endswith("=")
-    doc["layers"][0]["weights"]["data"] = data = with_char(data, len(data) - 9, "!")
-    path.write_text(json.dumps(doc))
-    with pytest.raises(ValueError) as exc:
-        base64.b64decode(data, validate=True)
+    doc, data = split(path)
+    weights = doc["layers"][0]["weights"]
+    assert (weights["offset"], weights["nbytes"], len(data)) == (8192, 131072, 8192 + 131072)
+    join(path, doc, data[:8192 + 40000])
     for command in (["inspect", str(path)], ["prune", str(path), "--sparsity", "70"]):
         assert main(command) == 1
         captured = capsys.readouterr()
-        assert captured.err == f"error: layers[0].weights: corrupt array: {exc.value}\n"
+        assert captured.err == ("error: layers[0].weights.nbytes: 131072 at offset 8192 past the "
+                                "end of the file, 48192 bytes after the header\n")
         assert captured.out == ""
     assert sorted(tmp_path.iterdir()) == [path]
 
 
 def test_format_3_is_refused(tmp_path, capsys):
-    """A format-3 file, whose masked weights hold every entry, is not read."""
+    """A format-3 file, one JSON document whose masked weights hold every
+    entry, is not read."""
     path = tmp_path / "ckpt.json"
     checkpoint.save(path, conv_relu_flatten())
-    doc = json.loads(path.read_text())
+    doc, _ = split(path)
     doc["format_version"] = 3
     path.write_text(json.dumps(doc))
     with pytest.raises(ValueError, match="^unsupported checkpoint format_version 3$"):
         checkpoint.load(path)
     assert main(["inspect", str(path)]) == 1
     assert capsys.readouterr().err == "error: unsupported checkpoint format_version 3\n"
+
+
+FORMAT_4 = ('{"format_version":4,"layers":[{"bias":{"data":"AAAAAAAAAAA=","shape":[1]},'
+            '"history":null,"mask":null,"spec":{"in":1,"kind":"dense","out":1},'
+            '"weights":{"data":"AAAAAAAA8D8=","shape":[1,1]}}],"meta":{},"metrics_tail":[],'
+            '"plan":null,"rewind_snapshot":null}\n')
+
+
+@pytest.mark.parametrize("raw", [FORMAT_4.encode(), FORMAT_4.replace("8D8=", "\xff\xfe").encode("latin-1")],
+                         ids=["as_written", "not_utf8"])
+def test_format_4_is_refused(tmp_path, capsys, raw):
+    """A format-4 file, one canonical JSON document with base64 arrays, is
+    not read, even with bytes that are not UTF-8 in a string: no reader of
+    format 5 decodes base64."""
+    path = tmp_path / "ckpt.json"
+    path.write_bytes(raw)
+    for command in (["inspect", str(path)], ["prune", str(path), "--sparsity", "50"]):
+        assert main(command) == 1
+        assert capsys.readouterr().err == "error: unsupported checkpoint format_version 4\n"
+    assert sorted(tmp_path.iterdir()) == [path]
+
+
+@pytest.mark.parametrize("raw, problem", [
+    (b"", "0 bytes, cut short in its header"),
+    (b"\x08\0\0", "3 bytes, cut short in its header"),
+    (b"\x10" + bytes(7) + b"{}      ", "16 bytes, cut short in its header"),
+    (b"\xff" * 8 + b"{}", "10 bytes, cut short in its header"),
+    (b"\x08" + bytes(7) + b"\xff\xfe{}    ", "Expecting value at offset 8"),
+    (b"\x08" + bytes(7) + b'{"a":   ', "Expecting value at offset 16"),
+    (b"{\xff\xfe", "Expecting property name enclosed in double quotes at offset 1"),
+    (b"\0\x71\x02" + bytes(5) + b"[" * 80000 + b"]" * 80000, "JSON nested too deeply"),
+    (b'{"a":' + b"[" * 80000 + b"]" * 80000 + b"}", "JSON nested too deeply"),
+], ids=["empty", "short_length", "short_header", "huge_length", "not_utf8", "not_json",
+        "brace_not_utf8", "deep", "brace_deep"])
+def test_unreadable_header_exits_1(tmp_path, capsys, raw, problem):
+    """A file whose header cannot be read, from its 8-byte length on, exits
+    1 naming the file, never with a traceback."""
+    path = tmp_path / "ckpt.json"
+    path.write_bytes(raw)
+    assert main(["inspect", str(path)]) == 1
+    assert capsys.readouterr().err == f"error: corrupt checkpoint {path}: {problem}\n"
 
 
 def test_save_refuses_a_mask_shaped_unlike_its_weights(tmp_path):
@@ -479,7 +450,7 @@ def test_save_refuses_what_load_refuses_for_its_shape(tmp_path, message, edit):
     model = Model.from_specs([{"kind": "dense", "in": 4, "out": 8}], Rng(3).child("init"))
     snapshot = edit(model, [(model.layers[0].weights.copy(), model.layers[0].bias.copy())])
     written = tmp_path / "by-hand.json"
-    written.write_text(one_shot_text(model, rewind_snapshot=snapshot))
+    written.write_bytes(one_shot_bytes(model, rewind_snapshot=snapshot))
     with pytest.raises(ValueError) as err:
         checkpoint.load(written)
     assert str(err.value) == message

@@ -1,4 +1,3 @@
-import base64
 import json
 import os
 from pathlib import Path
@@ -12,7 +11,10 @@ from prunekit.config import load_config
 from prunekit.criteria import CRITERIA, Criterion
 from prunekit.layers import Model
 from prunekit.rng import Rng
+from prunekit.selection import CONTEXTS
 from prunekit.sparsifier import SparsifyCallback, model_sparsity
+
+from checkpoint_files import at, edit_array, edit_header, file_bytes, join, split
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -298,8 +300,9 @@ def test_history_kept_only_where_the_criterion_reads_it(workdir, monkeypatch, cr
     monkeypatch.setattr(SparsifyCallback, "on_step_end", on_step_end)
     assert main(["run", str(write_config(workdir / "cfg.json", prune={"criterion": criterion}))]) == 0
     assert len(kept) == 2 * 4 * 5 and set(kept) == {reads_history}  # 2 layers, 4 epochs of 5 steps
-    text = (workdir / "demo-seed42" / "checkpoint.json").read_text()
-    assert text.count('"history":null') == (0 if reads_history else 2)
+    doc, _ = split(workdir / "demo-seed42" / "checkpoint.json")
+    assert [entry["history"] is None for entry in doc["layers"] if "history" in entry] == [
+        not reads_history] * 2
     layers = checkpoint.load(workdir / "demo-seed42" / "checkpoint.json").model.prunable_layers()
     assert [layer.history is not None for layer in layers] == [reads_history] * 2
 
@@ -356,6 +359,15 @@ def test_lth_rewind_at_window_start(workdir):
             np.testing.assert_array_equal(layer.bias, shared_b)
 
 
+def _saves_back(path, again):
+    """A save, to `again`, of what checkpoint.load read from path writes path's bytes."""
+    ckpt = checkpoint.load(path)
+    checkpoint.save(again, ckpt.model, rewind_snapshot=ckpt.rewind_snapshot,
+                    plan=None if ckpt.plan is None else ckpt.plan.to_dict(),
+                    metrics_tail=ckpt.metrics_tail, meta=ckpt.meta)
+    return again.read_bytes() == path.read_bytes()
+
+
 def test_shipped_configs(workdir):
     """The configs in configs/ run, and so does a prune of blobs-gradual's
     checkpoint. inspect passes on every checkpoint, ticket and pruned file
@@ -368,14 +380,51 @@ def test_shipped_configs(workdir):
                  "--context", "global", "--sparsity", "70", "--out", str(pruned)]) == 0
     written = sorted(workdir.glob("*/checkpoint.json")) + sorted(workdir.glob("*/ticket_*.json"))
     assert len(written) == 3 + 4
-    again = workdir / "again.json"
     for path in written + [pruned]:
         assert main(["inspect", str(path)]) == 0, path
-        ckpt = checkpoint.load(path)
-        checkpoint.save(again, ckpt.model, rewind_snapshot=ckpt.rewind_snapshot,
-                        plan=None if ckpt.plan is None else ckpt.plan.to_dict(),
-                        metrics_tail=ckpt.metrics_tail, meta=ckpt.meta)
-        assert again.read_bytes() == path.read_bytes(), path
+        assert _saves_back(path, workdir / "again.json"), path
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid value:RuntimeWarning")
+def test_every_written_checkpoint_saves_back_to_its_bytes(workdir):
+    """Each file that run, an LTH run, a crashed run and prune write, loaded
+    and saved again, gives its own bytes: dense and conv models, with and
+    without a history, kept-only and whole weights, every granularity and
+    context that prune takes."""
+    configs = {
+        "dense": {"prune": {"criterion": "movement"}},
+        "lth": {"train": {"epochs": 5, "batch_size": 32, "learning_rate": 0.1},
+                "prune": {"sparsity": 80, "context": "global", "lth": True,
+                          "schedule": {"kind": "iterative", "n_steps": 4, "start_epoch": 1}}},
+        "crash": {"train": {"epochs": 2, "batch_size": 32, "learning_rate": 1e300}},
+        "conv": {"model": FUZZ_MODEL},
+    }
+    for name, overrides in configs.items():
+        cfg = write_config(workdir / f"{name}.json", output_dir=name, **overrides)
+        if name == "conv":  # write_config would merge the blobs fields into the dataset
+            cfg.write_text(json.dumps(dict(json.loads(cfg.read_text()), dataset=dict(PATTERNS, n=40))))
+        assert main(["run", str(cfg)]) == (1 if name == "crash" else 0)
+    # a conv-only model with a history, saved as perfbench's prune-sweep saves one
+    specs = [{"kind": "conv2d", "in_ch": 2, "out_ch": 4, "kx": 3, "ky": 3}, {"kind": "relu"},
+             {"kind": "conv2d", "in_ch": 4, "out_ch": 3, "kx": 2, "ky": 2}]
+    model, start = Model.from_specs(specs, Rng(1)), Model.from_specs(specs, Rng(2))
+    for layer, first in zip(model.prunable_layers(), start.prunable_layers()):
+        layer.history = first.weights
+    (workdir / "convs").mkdir()
+    checkpoint.save(workdir / "convs" / "checkpoint.json", model)
+    prunes = [("dense", g, c, "large_final") for g in ("weight", "row", "column") for c in CONTEXTS]
+    prunes += [("conv", g, c, "large_final") for g in ("weight", "0", "1") for c in CONTEXTS]
+    prunes += [("convs", g, c, "magnitude_increase") for g in ("kernel", "filter", "channel")
+               for c in CONTEXTS]
+    for name, granularity, context, criterion in prunes:
+        assert main(["prune", str(workdir / name / "checkpoint.json"), "--sparsity", "60",
+                     "--granularity", granularity, "--context", context, "--criterion", criterion,
+                     "--out", str(workdir / name / f"pruned-{granularity}-{context}.json")]) == 0
+    written = sorted(workdir.glob("*/*.json"))
+    assert [p.name for p in written].count("crash_checkpoint.json") == 1
+    assert len(written) == 4 + 4 + 1 + len(prunes)
+    for path in written:
+        assert _saves_back(path, workdir / "again.json"), path
 
 
 def test_summary_gives_eval_acc_of_the_saved_weights(workdir, monkeypatch):
@@ -416,9 +465,8 @@ def test_run_writes_tickets_only_under_lth(workdir):
         layers = checkpoint.load(path).model.prunable_layers()
         assert float(row.split(",")[3]) == model_sparsity(layers)
         # a ticket's weights are the snapshot under its masks: only the kept ones are stored
-        stored = [base64.b64decode(entry["weights"]["data"])
-                  for entry in json.loads(path.read_text())["layers"] if entry["weights"]]
-        assert [len(raw) for raw in stored] == [8 * np.count_nonzero(l.mask) for l in layers]
+        stored = [entry["weights"]["nbytes"] for entry in split(path)[0]["layers"] if entry["weights"]]
+        assert stored == [8 * np.count_nonzero(l.mask) for l in layers]
 
 
 def test_inspect_dense(workdir, capsys):
@@ -446,8 +494,7 @@ def test_inspect_tampered_mask(workdir, capsys):
     checkpoint.save(src, model)
     out = workdir / "pruned.json"
     main(["prune", str(src), "--sparsity", "50", "--granularity", "row", "--out", str(out)])
-    doc = _edit_bits(_flip_first_bit, "layers", 0, "mask")(json.loads(out.read_text()))
-    out.write_text(json.dumps(doc))
+    _edit_bits(_flip_first_bit, "layers", 0, "mask")(out)
     again = workdir / "again.json"
     for command in (["inspect", str(out)], ["prune", str(out), "--sparsity", "50", "--out", str(again)]):
         assert main(command) == 1
@@ -525,67 +572,51 @@ def _reshaped(array, shape):
      lambda d: d["rewind_snapshot"][0].update(
          bias=_reshaped(d["rewind_snapshot"][0]["bias"], [4, 4]))),
     ("rewind_snapshot: 1 entries != 2 layers with weights",
-     lambda d: d["rewind_snapshot"].pop()),
+     lambda d: d.update(rewind_snapshot=d["rewind_snapshot"][:1])),
 ])
 def test_load_rejects_shape_mismatch(workdir, capsys, field, edit):
     path = workdir / "ckpt.json"
     _shape_test_checkpoint(path)
     assert main(["inspect", str(path)]) == 0
     capsys.readouterr()
-    doc = json.loads(path.read_text())
-    edit(doc)
-    path.write_text(json.dumps(doc))
+    edit_header(path, edit)
     for command in (["inspect", str(path)], ["prune", str(path), "--sparsity", "50"]):
         assert main(command) == 1
         assert f"error: {field}" in capsys.readouterr().err
 
 
 def _drop(*path):
-    """An edit that deletes the field at `path` and returns the document."""
-    def edit(doc):
-        obj = doc
-        for key in path[:-1]:
-            obj = obj[key]
-        del obj[path[-1]]
-        return doc
+    """An edit of a checkpoint file that deletes the header field at `path`."""
+    def edit(file):
+        def drop(doc):
+            del at(doc, *path[:-1])[path[-1]]
+        edit_header(file, drop)
     return edit
 
 
 def _put(value, *path):
-    """An edit that sets the field at `path` to `value` and returns the document."""
-    def edit(doc):
-        obj = doc
-        for key in path[:-1]:
-            obj = obj[key]
-        obj[path[-1]] = value
-        return doc
-    return edit
-
-
-def _edit_data(change, *path, key="data"):
-    """An edit that replaces the base64 data (or, with key "bits", a mask's
-    bits) of the array at `path` by change(data)."""
-    def edit(doc):
-        array = doc
-        for step in path:
-            array = array[step]
-        array[key] = change(array[key])
-        return doc
+    """An edit of a checkpoint file that sets the header field at `path` to `value`."""
+    def edit(file):
+        def put(doc):
+            at(doc, *path[:-1])[path[-1]] = value
+        edit_header(file, put)
     return edit
 
 
 def _edit_bits(change, *path):
-    """An edit that replaces the packed bytes of the mask at `path` by change(bytes)."""
-    return _edit_data(lambda bits: base64.b64encode(change(base64.b64decode(bits))).decode(),
-                      *path, key="bits")
+    """An edit of a checkpoint file that replaces the packed bytes of the mask
+    at `path` by change(bytes), of the same length."""
+    def edit(file):
+        edit_array(file, change, *path)
+    return edit
 
 
 def _float_mask(layer):
-    """An edit that stores layer `layer`'s mask as format 2 did: float64 data, not bits."""
-    def edit(doc):
-        weights = doc["layers"][layer]["weights"]
-        doc["layers"][layer]["mask"] = {"data": weights["data"], "shape": weights["shape"]}
-        return doc
+    """An edit that stores layer `layer`'s mask as format 2 did: an object of
+    base64 float64 `data` and `shape`, not bits."""
+    def edit(file):
+        edit_header(file, lambda doc: doc["layers"][layer].update(
+            mask={"data": "AAAAAAAA8D8=", "shape": doc["layers"][layer]["weights"]["shape"]}))
     return edit
 
 
@@ -603,13 +634,13 @@ def _flip_first_bit(packed):
     ("layers[0].spec.out: not an integer: 'x'", _put("x", "layers", 0, "spec", "out")),
     ("layers[1].spec.kind: unknown layer kind 'gelu'", _put("gelu", "layers", 1, "spec", "kind")),
     ("layers[2].weights: missing", _drop("layers", 2, "weights")),
-    ("layers[2].weights.data: missing", _drop("layers", 2, "weights", "data")),
+    ("layers[2].weights.offset: missing", _drop("layers", 2, "weights", "offset")),
     ("layers[0].mask.shape: missing", _drop("layers", 0, "mask", "shape")),
     ("rewind_snapshot[0].weights: missing", _drop("rewind_snapshot", 0, "weights")),
     ("rewind_snapshot[1].bias: missing", _drop("rewind_snapshot", 1, "bias")),
     ("rewind_snapshot[1]: expected an object, got list", _put([], "rewind_snapshot", 1)),
     ("plan: expected an object, got list", _put([], "plan")),
-    ("checkpoint: expected an object, got list", lambda d: [d]),
+    ("checkpoint: expected an object, got list", lambda file: edit_header(file, lambda d: [d])),
     ("layers[0].spec.out: not an integer: inf", _put(float("inf"), "layers", 0, "spec", "out")),
     ("layers[0].spec.out: not an integer: 2.7", _put(2.7, "layers", 0, "spec", "out")),
     ("layers[0].spec.out: not an integer: '16'", _put("16", "layers", 0, "spec", "out")),
@@ -617,16 +648,17 @@ def _flip_first_bit(packed):
     ("layers[0].spec.out: not a positive integer: -1", _put(-1, "layers", 0, "spec", "out")),
     ("layers[0].spec.in: not a positive integer: 0", _put(0, "layers", 0, "spec", "in")),
     ("layers[0].spec: array is too big", _put(2**62, "layers", 0, "spec", "out")),
-    ("layers[0].weights: corrupt array:",  # a character outside the alphabet
-     _edit_data(lambda data: data[:4] + "!" + data[4:], "layers", 0, "weights")),
+    ("layers[0].weights: corrupt array:",  # 1 float64 for a [2, 16] array
+     _put(8, "layers", 0, "weights", "nbytes")),
     ("layers[2].history: corrupt array:",  # 255 bytes, not a whole number of float64
-     _edit_data(lambda data: data[:-4], "layers", 2, "history")),
+     _put(255, "layers", 2, "history", "nbytes")),
     ("layers[2].weights: corrupt array:",  # 15 float64 for a [16, 2] array
-     _edit_data(lambda data: data[:160], "layers", 2, "weights")),
-    ("layers[0].mask: corrupt mask: Incorrect padding",
-     _edit_data(lambda bits: bits[:-1], "layers", 0, "mask", key="bits")),
-    ("rewind_snapshot[0].bias: corrupt array:",  # a version-1 array: a list of numbers
-     _put([0.0] * 16, "rewind_snapshot", 0, "bias", "data")),
+     _put(120, "layers", 2, "weights", "nbytes")),
+    ("layers[0].mask: corrupt mask: 3 bytes for 32 bits", _put(3, "layers", 0, "mask", "nbytes")),
+    ("rewind_snapshot[0].bias: corrupt array:",  # no float64 for a [16] array
+     _put(0, "rewind_snapshot", 0, "bias", "nbytes")),
+    ("rewind_snapshot[0].bias: expected an object, got list",  # a version-1 array: a list of numbers
+     _put([0.0] * 16, "rewind_snapshot", 0, "bias")),
     ("unsupported checkpoint format_version 1", _put(1, "format_version")),
     ("layers[0].spec.stride: unknown key", _put(2, "layers", 0, "spec", "stride")),
     ("layers: must be a non-empty list", _put([], "layers")),
@@ -634,8 +666,7 @@ def _flip_first_bit(packed):
 def test_load_rejects_missing_field(workdir, capsys, field, edit):
     path = workdir / "ckpt.json"
     _shape_test_checkpoint(path)
-    doc = edit(json.loads(path.read_text()))
-    path.write_text(json.dumps(doc))
+    edit(path)
     for command in (["inspect", str(path)], ["prune", str(path), "--sparsity", "50"]):
         assert main(command) == 1
         err = capsys.readouterr().err
@@ -661,7 +692,9 @@ def test_load_rejects_unchained_layers(workdir, capsys, field, specs):
     ("bogus: unknown key", _put(1, "bogus")),
     ("layers[0].masks: unknown key", _put(1, "layers", 0, "masks")),
     ("layers[1].mask: unknown key", _put(None, "layers", 1, "mask")),  # relu holds no mask
-    ("layers[0].weights.dtype: unknown key", _put("<f8", "layers", 0, "weights", "dtype")),
+    ("layers[0].weights.data: unknown key", _put("AAAA", "layers", 0, "weights", "data")),
+    ("layers[0].weights.dtype: '|u1' != '<f8'", _put("|u1", "layers", 0, "weights", "dtype")),
+    ("layers[0].mask.dtype: '<f8' != '|u1'", _put("<f8", "layers", 0, "mask", "dtype")),
     ("rewind_snapshot[0].x: unknown key", _put(1, "rewind_snapshot", 0, "x")),
     ("metrics_tail: expected a list, got int", _put(5, "metrics_tail")),
     ("meta: expected an object, got NoneType", _put(None, "meta")),
@@ -675,13 +708,13 @@ def test_load_rejects_unchained_layers(workdir, capsys, field, specs):
      _put({"sparsity": [10, 20, 30, 40, 50]}, "plan")),
     ("layers[0].mask.data: unknown key", _float_mask(0)),
     ("layers[2].mask: not block-pure under 'row'",  # one zero in a row of ones
-     lambda d: _put({"sparsity": 50, "granularity": "row"}, "plan")(
-         _edit_bits(_flip_first_bit, "layers", 2, "mask")(d))),
+     lambda file: (_put({"sparsity": 50, "granularity": "row"}, "plan")(file),
+                   _edit_bits(_flip_first_bit, "layers", 2, "mask")(file))),
 ])
 def test_load_rejects_unknown_keys_and_mistyped_parts(workdir, capsys, field, edit):
     path = workdir / "ckpt.json"
     _shape_test_checkpoint(path)
-    path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+    edit(path)
     for command in (["inspect", str(path)], ["prune", str(path), "--sparsity", "50"]):
         assert main(command) == 1
         err = capsys.readouterr().err
@@ -697,12 +730,9 @@ ODD_MODEL = [{"kind": "dense", "in": 3, "out": 5}, {"kind": "relu"},
      _edit_bits(lambda b: b[:-1] + bytes([b[-1] | 1]), "layers", 0, "mask")),
     ("layers[2].mask: corrupt mask: nonzero padding bits",
      _edit_bits(lambda b: b[:-1] + bytes([b[-1] | 0x20]), "layers", 2, "mask")),
-    ("layers[0].mask: corrupt mask: 1 bytes for 15 bits",
-     _edit_bits(lambda b: b[:-1], "layers", 0, "mask")),
-    ("layers[2].mask: corrupt mask: 3 bytes for 10 bits",
-     _edit_bits(lambda b: b + b"\0", "layers", 2, "mask")),
-    ("layers[0].mask: corrupt mask:",  # a character outside the alphabet
-     _edit_data(lambda bits: "!" + bits[1:], "layers", 0, "mask", key="bits")),
+    ("layers[0].mask: corrupt mask: 1 bytes for 15 bits", _put(1, "layers", 0, "mask", "nbytes")),
+    ("layers[2].mask: corrupt mask: 3 bytes for 10 bits", _put(3, "layers", 2, "mask", "nbytes")),
+    ("layers[0].mask: corrupt mask:", _put(0, "layers", 0, "mask", "nbytes")),  # no bytes
     ("unsupported checkpoint format_version 2", _put(2, "format_version")),
 ])
 def test_load_rejects_corrupt_mask_bits(workdir, capsys, field, edit):
@@ -713,7 +743,7 @@ def test_load_rejects_corrupt_mask_bits(workdir, capsys, field, edit):
         layer.mask = (Rng(4).normal(layer.weights.shape) > 0).astype(float)
     path = workdir / "ckpt.json"
     checkpoint.save(path, model)
-    path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+    edit(path)
     for command in (["inspect", str(path)], ["prune", str(path), "--sparsity", "50"]):
         assert main(command) == 1
         captured = capsys.readouterr()
@@ -755,26 +785,71 @@ def _checkpoint_keys(obj, path=""):
                 yield from _checkpoint_keys(value, at)
 
 
+def _layout_corruptions(doc, data, rng):
+    """(field, file bytes) for each corruption of where a checkpoint's arrays
+    lie, doc and data being its header document and the bytes after it.
+    For each array: its offset moved by 1 or 8 bytes or swapped with the
+    next array's, its nbytes past the end of the file or off its table row,
+    its dtype swapped, and the file cut inside it. Then: the file cut inside
+    its header, bytes after the last array, nonzero padding after a mask,
+    and headers that are not canonical."""
+    entries = [(at, holder[key]) for at, holder, key in _checkpoint_keys(doc)
+               if isinstance(holder[key], dict) and "offset" in holder[key]]
+    swapped = {"<f8": "|u1", "|u1": "<f8"}
+    cases = []
+    for n, (at, entry) in enumerate(entries):
+        valid = dict(entry)
+        nbytes, offset = valid["nbytes"], valid["offset"]
+        edits = [(f"{at}.offset", {"offset": offset + [-8, -1, 1, 8][int(rng.integers(0, 4))]}),
+                 (f"{at}.nbytes", {"nbytes": len(data) - offset + 8}),
+                 (f"{at}: corrupt", {"nbytes": nbytes - (1 if valid["dtype"] == "|u1" else 8)}),
+                 (f"{at}.dtype", {"dtype": swapped[valid["dtype"]]})]
+        for field, change in edits:
+            entry.update(change)
+            cases.append((field, file_bytes(doc, data)))
+            entry.update(valid)
+        if n + 1 < len(entries):  # out of order
+            after = entries[n + 1][1]
+            entry["offset"], after["offset"] = after["offset"], offset
+            cases.append((f"{at}.offset", file_bytes(doc, data)))
+            entry["offset"], after["offset"] = offset, entry["offset"]
+        cases.append((f"{at}.nbytes", file_bytes(doc, data[:offset + int(rng.integers(0, nbytes))])))
+    header = file_bytes(doc, b"")
+    cases.append(("corrupt checkpoint", header[:int(rng.integers(0, len(header)))]))
+    cases.append(("checkpoint: 8 bytes after the last array", file_bytes(doc, data + bytes(8))))
+    for (at, entry), (after, _) in zip(entries, entries[1:]):
+        if entry["nbytes"] % 8:
+            padded = bytearray(data)
+            padded[entry["offset"] + entry["nbytes"]] = 1
+            cases.append((f"{after}.offset: nonzero padding", file_bytes(doc, padded)))
+    for text in (json.dumps(doc), json.dumps(dict(reversed(doc.items())), separators=(",", ":")),
+                 json.dumps(doc, sort_keys=True, separators=(",", ":")) + " " * 8):
+        text += " " * (-len(text) % 8)
+        cases.append(("checkpoint: header is not", file_bytes(doc, data, text.encode())))
+    return cases
+
+
 @pytest.mark.parametrize("seed", [1, 2])
 def test_checkpoint_fuzz(workdir, capsys, seed):
-    """Corrupt one key of a valid checkpoint at a time -- drop it, give it a
-    value of another JSON type, add an unknown sibling: `inspect` and `prune`
-    each exit 1 naming it, with no traceback."""
+    """Corrupt one key of a valid checkpoint's header at a time -- drop it,
+    give it a value of another JSON type, add an unknown sibling -- and then
+    where its arrays lie, one corruption at a time: `inspect` and `prune`
+    each exit 1 naming the field, with no traceback."""
     path = workdir / "ckpt.json"
     _fuzz_checkpoint(path)
     pruned = workdir / "pruned.json"
     for command in (["inspect", str(path)], ["prune", str(path), "--sparsity", "50", "--out", str(pruned)]):
         assert main(command) == 0
     capsys.readouterr()
-    doc = json.loads(path.read_text())
+    doc, data = split(path)
     rng = Rng(seed)
     cases = 0
     keys = list(_checkpoint_keys(doc))
-    assert {at for at, _, _ in keys} >= {"layers[0].mask.bits", "layers[3].mask.bits",
-                                          "layers[0].weights.data", "layers[3].weights.data"}
+    assert {at for at, _, _ in keys} >= {"layers[0].mask.nbytes", "layers[3].mask.offset",
+                                          "layers[0].weights.dtype", "layers[3].weights.shape"}
     for i in (0, 3):  # kept-only: fewer float64 than the layer has weights
         weights = doc["layers"][i]["weights"]
-        assert len(base64.b64decode(weights["data"])) < 8 * np.prod(weights["shape"])
+        assert weights["nbytes"] < 8 * np.prod(weights["shape"])
     for at, holder, key in keys:
         valid = holder[key]
         wrong = [v for v in WRONG_TYPES if type(v) is not type(valid)]
@@ -783,7 +858,7 @@ def test_checkpoint_fuzz(workdir, capsys, seed):
         corruptions = [
             ("drop", at),
             (wrong[int(rng.integers(0, len(wrong)))],
-             parent if key in ("data", "bits", "shape") else at),  # an array's parts are one field
+             parent if key == "shape" else at),  # an array's shape is checked as the array's
             ("sibling", f"{parent}.{sibling}" if parent else sibling),
         ]
         for corruption, field in corruptions:
@@ -793,7 +868,7 @@ def test_checkpoint_fuzz(workdir, capsys, seed):
                 holder[sibling] = 1
             else:
                 holder[key] = corruption
-            path.write_text(json.dumps(doc))
+            join(path, doc, data)
             holder.pop(sibling, None)
             holder[key] = valid
             if key == "format_version" and corruption != "sibling":  # checked before any key
@@ -805,6 +880,15 @@ def test_checkpoint_fuzz(workdir, capsys, seed):
                 assert "Traceback" not in err
             cases += 1
     assert cases > 150
+    layout = _layout_corruptions(doc, data, rng)
+    assert len(layout) > 70
+    for field, raw in layout:
+        path.write_bytes(raw)
+        for command in (["inspect", str(path)], ["prune", str(path), "--sparsity", "50"]):
+            assert main(command) == 1, field
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: {field}"), (field, err)
+            assert "Traceback" not in err
     assert sorted(p.name for p in workdir.iterdir()) == ["ckpt.json", "pruned.json"]
 
 

@@ -8,6 +8,7 @@ from prunekit import (Model, Rng, ScheduleSpec, SparsifyCallback, SparsifyPlan, 
 from prunekit.cli import main
 from prunekit.config import load_config
 
+from checkpoint_files import split
 from test_cli import BASE_CONFIG, workdir, write_config  # noqa: F401 (workdir is a fixture)
 
 BLOBS = {"kind": "blobs2d", "n": 200, "separation": 4.0}
@@ -38,8 +39,7 @@ def test_to_dict_round_trip(plan):
 
 
 def _plan_in(path):
-    with open(path) as fh:
-        return SparsifyPlan.from_dict(json.load(fh)["plan"])
+    return SparsifyPlan.from_dict(split(path)[0]["plan"])
 
 
 def test_checkpoint_plans_load_back(workdir):
