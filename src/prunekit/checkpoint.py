@@ -45,10 +45,27 @@ unpacking and a kept-only scatter allocate. It refuses, naming the field,
 a header that is not canonical and an array whose dtype or nbytes its
 table row does not allow, whose offset is not where the previous array
 ends rounded up to 8 bytes, with zero bytes between, or that runs past
-the end of the file, and bytes after the last array. A file that starts with "{" is one of formats 1 to 4, one JSON
-document, which no reader of format 5 reads.
+the end of the file, and bytes after the last array.
+
+A file that starts with "{" is one of formats 1 to 4, one JSON document.
+Formats 1 to 3 are refused. Format 4, canonical JSON plus a newline,
+holds the same document with each array as `{"data": "<base64>",
+"shape": [...]}`, or `{"bits": "<base64>", "shape": [...]}` for a mask,
+of the same bytes as format 5's, and `load` still reads it: `_Text.take`
+stands in for `_Data.take`, so every rule and refusal but those of the
+header and the layout is the same, and a save of what it loads writes
+format 5. Its base64 goes through `_b64decode` into one fresh buffer per
+array: a table, `_PAIRS`, maps each pair of characters, read as a
+little-endian uint16, to a little-endian uint32 of the pair's four output
+fragments, two for a group's first pair and two for its second, or to
+`_BAD`. Whole 4-character groups go through it in chunks of `_GROUPS`,
+each one lookup into a reused buffer and three uint8 writes from its
+bytes, one of them an OR. A last group padded with "=" goes through
+`base64.b64decode`, and so does any text that the table refuses, whole,
+so that the error is b64decode's own.
 """
 
+import base64
 from dataclasses import dataclass
 import json
 import math
@@ -64,6 +81,28 @@ FORMAT_VERSION = 5
 _KEYS = ("format_version", "layers", "meta", "metrics_tail", "plan", "rewind_snapshot")
 _ENTRY = ("dtype", "nbytes", "offset", "shape")  # an array's entry in the header
 _ONE = np.array(1.0, "<f8").view("<u8")  # the bits of 1.0; those of 0.0 are all zero
+_BAD = 0xFFFFFFFF  # a pair with a bad character; a valid pair's byte 1 has its low 4 bits 0
+_GROUPS = 1 << 13  # 4-character groups per chunk: 32 KiB of text, 64 KiB of fragments
+
+
+def _pair_table() -> np.ndarray:
+    """The 65,536 pairs of characters, each read as a little-endian uint16
+    (first character in the low byte), to a little-endian uint32 whose four
+    bytes are the pair's output fragments. With h the pair's 12 bits, a
+    group's first pair gives byte 0, h >> 4, and byte 1, (h & 15) << 4; its
+    second pair gives byte 2, h >> 8, and byte 3, h & 255. A pair with a
+    character outside the alphabet maps to _BAD. The table is one outer OR
+    of two 256-entry rows, each character's bits in those bytes as a first
+    and as a second character, all ones outside the alphabet."""
+    first, second = [_BAD] * 256, [_BAD] * 256
+    for v, c in enumerate(b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"):
+        first[c] = v << 2 | v >> 2 << 16 | (v & 3) << 30  # bytes 0, 2 and 3
+        second[c] = v >> 4 | (v & 15) << 12 | v << 24  # bytes 0, 1 and 3
+    second, first = np.array([second, first], "<u4")
+    return np.bitwise_or.outer(second, first).ravel().astype("<u4", copy=False)
+
+
+_PAIRS = _pair_table()
 
 
 def _arrays(layer: Layer) -> dict:
@@ -199,7 +238,69 @@ class _Data:
         return np.frombuffer(self.buf, np.uint8, nbytes, at)
 
 
-def _dec_floats(data: _Data, obj, shape: tuple | None, nullable: bool, mask=None) -> np.ndarray | None:
+def _decode_groups(text: str, groups: int, out: np.ndarray) -> bool:
+    """Decode the first `groups` 4-character groups of ASCII base64 `text`
+    into out[:3 * groups], _GROUPS at a time; False, with out part written,
+    if a character is outside the alphabet. Each chunk is one lookup of its
+    pairs' fragments and three uint8 writes: a group's bytes are byte 0 of
+    its first pair, byte 1 of the first OR byte 2 of the second, and byte 3
+    of the second."""
+    frags = np.empty(2 * min(groups, _GROUPS), "<u4")  # 4 output fragments per pair of characters
+    for start in range(0, groups, _GROUPS):
+        n = min(groups - start, _GROUPS)
+        pairs, group = frags[:2 * n], out[3 * start:3 * (start + n)].reshape(n, 3)
+        # every uint16 indexes the table, so "clip" clips nothing; it only skips a bounds check
+        np.take(_PAIRS, np.frombuffer(text[4 * start:4 * (start + n)].encode(), "<u2"),
+                out=pairs, mode="clip")
+        if pairs.max() == _BAD:
+            return False
+        b = pairs.view(np.uint8).reshape(n, 2, 4)  # [group, first or second pair, fragment]
+        group[:, 0] = b[:, 0, 0]
+        np.bitwise_or(b[:, 0, 1], b[:, 1, 2], out=group[:, 1])
+        group[:, 2] = b[:, 1, 3]
+    return True
+
+
+def _b64decode(text) -> np.ndarray:
+    """base64.b64decode(text, validate=True) as a fresh writable uint8 array:
+    the same bytes, or the same error. The whole 4-character groups of an
+    ASCII str are decoded through _PAIRS, and a last group padded with "="
+    by b64decode. Any other text, or a character outside the alphabet, goes
+    to b64decode whole, so that it words the error; it also accepts a few
+    texts that the table refuses, such as "=" after a whole group."""
+    if isinstance(text, str) and text.isascii() and len(text) % 4 == 0:
+        groups = len(text) // 4 - text.endswith("=")
+        try:
+            tail = base64.b64decode(text[4 * groups:], validate=True)
+        except ValueError:
+            tail = None
+        if tail is not None:
+            out = np.empty(3 * groups + len(tail), np.uint8)
+            if _decode_groups(text, groups, out):
+                out[3 * groups:] = np.frombuffer(tail, np.uint8)
+                return out
+    return np.frombuffer(bytearray(base64.b64decode(text, validate=True)), np.uint8)
+
+
+class _Text:
+    """A format-4 file's arrays, each base64 text in its own entry."""
+
+    def take(self, obj, shape: tuple | None, nullable: bool, dtype: str) -> np.ndarray | None:
+        """obj's bytes as a fresh uint8 array, obj checked to be {"data",
+        "shape"}, or {"bits", "shape"} for a mask, as its table row (shape,
+        nullable) allows; None for an allowed null."""
+        key, what = ("data", "array") if dtype == "<f8" else ("bits", "mask")
+        if obj is not None:
+            checked_object(obj, (key, "shape"), key, "shape")
+        if not _present(obj is None, None if obj is None else obj["shape"], shape, nullable):
+            return None
+        try:
+            return _b64decode(obj[key])
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"corrupt {what}: {exc}") from None
+
+
+def _dec_floats(data: _Data | _Text, obj, shape: tuple | None, nullable: bool, mask=None) -> np.ndarray | None:
     """obj read by its table row: None for an allowed null, else a float64
     array of `shape` from every entry or, beside a mask, the kept ones only,
     scattered into +0.0."""
@@ -207,7 +308,7 @@ def _dec_floats(data: _Data, obj, shape: tuple | None, nullable: bool, mask=None
     if raw is None:
         return None
     size = math.prod(shape)
-    if raw.size == 8 * size:  # the file's own bytes, converted only on a big-endian host
+    if raw.size == 8 * size:  # the bytes read, converted only on a big-endian host
         return raw.view("<f8").reshape(shape).astype(np.float64, copy=False)
     if mask is None:
         raise ValueError(f"corrupt array: {raw.size} bytes for {size} float64")
@@ -220,7 +321,7 @@ def _dec_floats(data: _Data, obj, shape: tuple | None, nullable: bool, mask=None
     return flat.reshape(shape)
 
 
-def _dec_mask(data: _Data, obj, shape: tuple, nullable: bool) -> np.ndarray | None:
+def _dec_mask(data: _Data | _Text, obj, shape: tuple, nullable: bool) -> np.ndarray | None:
     """obj read: a float64 0/1 mask of `shape`, or None."""
     packed = data.take(obj, shape, nullable, "|u1")
     if packed is None:
@@ -233,7 +334,7 @@ def _dec_mask(data: _Data, obj, shape: tuple, nullable: bool) -> np.ndarray | No
     return np.unpackbits(packed, count=size).reshape(shape).astype(np.float64)
 
 
-def _read(data: _Data, entry, table: dict, plan: SparsifyPlan | None = None,
+def _read(data: _Data | _Text, entry, table: dict, plan: SparsifyPlan | None = None,
           keys: tuple = ()) -> dict:
     """The arrays of an entry holding `keys` and the table's, name -> array
     or None, in table order. They are read in header order, which reads a
@@ -309,16 +410,17 @@ def load(path) -> Checkpoint:
         # text did; read into place, each later static prune page-faulted 400 times more
         buf = bytearray(fh.read())
     if buf.startswith(b"{"):  # formats 1 to 4, each one JSON document
-        version = _parse(path, buf, 0).get("format_version")
-        raise ValueError(f"unsupported checkpoint format_version {version!r}")
-    start = 8 + int.from_bytes(buf[:8], "little")
-    if len(buf) < 8 or start > len(buf):
-        raise ValueError(f"corrupt checkpoint {path}: {len(buf)} bytes, cut short in its header")
-    header = bytes(buf[8:start])
-    doc = under("checkpoint", checked_object, _parse(path, header, 8))
-    if doc.get("format_version") != FORMAT_VERSION:
+        doc, data, version = _parse(path, buf, 0), _Text(), 4
+    else:
+        start = 8 + int.from_bytes(buf[:8], "little")
+        if len(buf) < 8 or start > len(buf):
+            raise ValueError(f"corrupt checkpoint {path}: {len(buf)} bytes, cut short in its header")
+        header = bytes(buf[8:start])
+        doc, data, version = _parse(path, header, 8), _Data(buf, start), FORMAT_VERSION
+    under("checkpoint", checked_object, doc)
+    if doc.get("format_version") != version:
         raise ValueError(f"unsupported checkpoint format_version {doc.get('format_version')!r}")
-    if header != _header(doc):
+    if version == FORMAT_VERSION and header != _header(doc):
         raise FieldError("checkpoint", "header is not its canonical JSON padded with spaces to 8 bytes")
     checked_object(doc, _KEYS, *_KEYS)
     plan = None if doc["plan"] is None else under("plan", SparsifyPlan.from_dict, doc["plan"])
@@ -329,7 +431,6 @@ def load(path) -> Checkpoint:
     model.check_shapes(None, "layers[{}].spec")  # a checkpoint records no input shape
     if plan is not None:
         under("plan", plan.check_model, model)  # no epochs: a checkpoint does not know them
-    data = _Data(buf, start)
     for i, (layer, entry) in enumerate(zip(model.layers, entries)):
         for name, array in under(f"layers[{i}]", _read, data, entry, _arrays(layer), plan,
                                  ("spec",)).items():
@@ -339,7 +440,7 @@ def load(path) -> Checkpoint:
         tables = _snapshot_tables(model, len(under("rewind_snapshot", checked_list, snapshot)))
         snapshot = [tuple(under(f"rewind_snapshot[{j}]", _read, data, entry, table).values())
                     for j, (entry, table) in enumerate(zip(snapshot, tables))]
-    if len(buf) != data.end:  # the last array, float64 weights, ends 8-byte aligned
+    if version == FORMAT_VERSION and len(buf) != data.end:  # the last array, float64 weights, ends 8-byte aligned
         raise FieldError("checkpoint", f"{len(buf) - data.end} bytes after the last array")
     return Checkpoint(model, snapshot, plan,
                       under("metrics_tail", checked_list, doc["metrics_tail"]),

@@ -2,6 +2,7 @@
 prunekit.checkpoint: an 8-byte little-endian header length, a header of
 canonical JSON padded with spaces to 8 bytes, then the arrays' bytes."""
 
+import base64
 import json
 from pathlib import Path
 
@@ -61,3 +62,24 @@ def edit_array(path, change, *keys) -> None:
     assert len(new) == entry["nbytes"]
     data[span] = new
     join(path, doc, data)
+
+
+def format_4_text(path) -> str:
+    """The format-4 file of the same state as the format-5 file at path:
+    the header document, version 4, with each array entry replaced by
+    {"data": base64 of its bytes, "shape"}, "bits" in place of "data" for a
+    mask, as canonical JSON plus a newline."""
+    doc, data = split(path)
+
+    def array(entry):
+        if not isinstance(entry, dict) or sorted(entry) != ["dtype", "nbytes", "offset", "shape"]:
+            return entry
+        raw = bytes(data[entry["offset"]:entry["offset"] + entry["nbytes"]])
+        return {"bits" if entry["dtype"] == "|u1" else "data": base64.b64encode(raw).decode(),
+                "shape": entry["shape"]}
+
+    for entries in (doc["layers"], doc["rewind_snapshot"] or ()):
+        for fields in entries:
+            fields.update({name: array(value) for name, value in fields.items()})
+    doc["format_version"] = 4
+    return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"

@@ -1,3 +1,4 @@
+import base64
 import json
 import os
 import subprocess
@@ -12,7 +13,7 @@ from prunekit import (BUILTIN_SCHEDULES, Model, Rng, ScheduleSpec, Sparsifier, S
                       checkpoint)
 from prunekit.cli import main
 
-from checkpoint_files import header_bytes, join, split, stored
+from checkpoint_files import format_4_text, header_bytes, join, split, stored
 
 
 def one_shot_bytes(model, rewind_snapshot=None, plan=None, metrics_tail=None, meta=None):
@@ -334,6 +335,103 @@ def test_kept_only_weights_of_the_wrong_length_exit_1(tmp_path, monkeypatch, cap
     assert sorted(tmp_path.iterdir()) == [path]
 
 
+def b64_outcome(decode, text):
+    """decode(text)'s bytes, or the type and message of what it raised."""
+    try:
+        return bytes(decode(text))
+    except (TypeError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+def with_char(text, at, char):
+    return text[:at] + char + text[at + 1:]
+
+
+CHUNK = 4 * checkpoint._GROUPS  # characters per chunk of _b64decode
+ALPHABET = "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
+# two and a half chunks and a group padded with "=="
+LONG = base64.b64encode(bytes(range(256)) * (3 * CHUNK // 1024 * 5 // 2) + b"z").decode()
+B64_TEXTS = {
+    **{f"bytes_{n}": base64.b64encode(bytes(range(200, 200 + n))).decode() for n in range(7)},
+    **{f"cut_{n}": "QUJDREVG"[:n] for n in range(1, 8)},
+    "long": LONG,
+    "long_unpadded": LONG[:-4],
+    "bad_in_first_chunk": with_char(LONG, 5, "!"),
+    "bad_in_middle_chunk": with_char(LONG, CHUNK + 7, "-"),
+    "bad_in_last_chunk": with_char(LONG, len(LONG) - 9, "_"),
+    "bad_in_padded_tail": with_char(LONG, len(LONG) - 3, "*"),
+    "pad_mid_string": "QUJD=QUJ",
+    "pad_inside_a_group": "QU=DQUJD",
+    "group_after_padding": "QQ==QUFB",
+    "pad_after_a_whole_group": "QUJD====",  # b64decode accepts it
+    "pad_alone": "====",
+    "pad_leading": "=QUJ",
+    "pad_three": "QUJDQ===",
+    "non_ascii": "QUJé",
+    "non_ascii_long": with_char(LONG, CHUNK + 1, "é"),
+    "newline": "QUJD\nQUJ",
+    "space": "QUJD QUJ",
+    "one_mod_4": "QUJDR",
+    "nonzero_unused_bits": "QR==",
+    "not_a_string": [0.0] * 4,
+    "null": None,
+}
+
+
+@pytest.mark.parametrize("name", B64_TEXTS)
+def test_b64decode_is_b64decode(name):
+    """_b64decode gives what base64.b64decode(text, validate=True) gives:
+    the same bytes, as a fresh writable uint8 array, or the same error."""
+    text = B64_TEXTS[name]
+    want = b64_outcome(lambda t: base64.b64decode(t, validate=True), text)
+    assert b64_outcome(checkpoint._b64decode, text) == want
+    if isinstance(want, bytes):
+        got = checkpoint._b64decode(text)
+        assert got.dtype == np.uint8 and got.flags.writeable and got.flags.c_contiguous
+
+
+def test_b64decode_is_b64decode_on_random_edits():
+    """The same on short texts with random edits: characters replaced,
+    inserted or deleted, "=" appended, or drawn at random."""
+    rng = np.random.default_rng(5)
+    chars = list("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/=!\n é-_")
+    for _ in range(2000):
+        text = base64.b64encode(rng.bytes(rng.integers(0, 40))).decode()
+        at, char, edit = int(rng.integers(0, len(text) + 1)), str(rng.choice(chars)), rng.integers(5)
+        if edit == 1:
+            text = with_char(text, at, char)
+        elif edit == 2:
+            text = text[:at] + char + text[at:]
+        elif edit == 3:
+            text = text[:at] + text[at + 1:]
+        elif edit == 4:
+            text = "".join(rng.choice(chars, rng.integers(0, 13)))
+        for extra in ("", "=" * int(rng.integers(1, 4))):
+            want = b64_outcome(lambda t: base64.b64decode(t, validate=True), text + extra)
+            assert b64_outcome(checkpoint._b64decode, text + extra) == want, text + extra
+
+
+def test_pair_table_decodes_every_pair_in_either_place():
+    """_PAIRS holds 65,536 little-endian uint32: _BAD for each of the 61,440
+    pairs with a character outside the alphabet, and bits 8-11 clear in
+    every valid entry, so none equals _BAD. A text holding each of the 4,096
+    valid pairs once as a group's first pair and once as its second decodes
+    through the table as b64decode decodes it."""
+    table = checkpoint._PAIRS
+    assert table.dtype.str == "<u4" and table.shape == (1 << 16,)
+    valid = np.zeros(256, bool)
+    valid[np.frombuffer(ALPHABET.encode(), np.uint8)] = True
+    valid = np.logical_and.outer(valid, valid).ravel()
+    assert np.count_nonzero(~valid) == 61440
+    assert (table[~valid] == checkpoint._BAD).all()
+    assert not (table[valid] & 0xF00).any()
+    pairs = [a + b for a in ALPHABET for b in ALPHABET]
+    text = "".join(first + second for first, second in zip(pairs, pairs[1:] + pairs[:1]))
+    out = np.empty(3 * len(pairs), np.uint8)
+    assert checkpoint._decode_groups(text, len(pairs), out)
+    assert out.tobytes() == base64.b64decode(text, validate=True)
+
+
 def test_corrupt_weights_past_the_first_chunk_exit_1(tmp_path, monkeypatch, capsys):
     """A file cut short inside a layer's 128 KiB of weights, past their
     first 32 KiB: both readers exit 1 naming the field, and write nothing."""
@@ -373,18 +471,57 @@ FORMAT_4 = ('{"format_version":4,"layers":[{"bias":{"data":"AAAAAAAAAAA=","shape
             '"plan":null,"rewind_snapshot":null}\n')
 
 
-@pytest.mark.parametrize("raw", [FORMAT_4.encode(), FORMAT_4.replace("8D8=", "\xff\xfe").encode("latin-1")],
-                         ids=["as_written", "not_utf8"])
-def test_format_4_is_refused(tmp_path, capsys, raw):
-    """A format-4 file, one canonical JSON document with base64 arrays, is
-    not read, even with bytes that are not UTF-8 in a string: no reader of
-    format 5 decodes base64."""
+def test_format_4_is_read(tmp_path, monkeypatch, capsys):
+    """A format-4 file, one canonical JSON document with base64 arrays,
+    loads, both readers read it, and prune writes format 5."""
+    monkeypatch.setenv("PRUNEKIT_OUTPUT_ROOT", str(tmp_path))
+    path, pruned = tmp_path / "ckpt.json", tmp_path / "pruned.json"
+    path.write_text(FORMAT_4)
+    layer = checkpoint.load(path).model.layers[0]
+    assert layer.weights.tolist() == [[1.0]] and layer.bias.tolist() == [0.0]
+    assert main(["inspect", str(path)]) == 0
+    assert main(["prune", str(path), "--sparsity", "0", "--out", str(pruned)]) == 0
+    capsys.readouterr()
+    assert split(pruned)[0]["format_version"] == checkpoint.FORMAT_VERSION
+    assert checkpoint.load(pruned).model.layers[0].weights.tolist() == [[1.0]]
+
+
+def test_format_4_with_bytes_not_utf8_exits_1(tmp_path, monkeypatch, capsys):
+    """A format-4 file with bytes that are not UTF-8 in an array's base64
+    exits 1 naming the field, in b64decode's words, and writes nothing."""
+    monkeypatch.setenv("PRUNEKIT_OUTPUT_ROOT", str(tmp_path))
     path = tmp_path / "ckpt.json"
-    path.write_bytes(raw)
+    path.write_bytes(FORMAT_4.replace("8D8=", "\xff\xfe").encode("latin-1"))
     for command in (["inspect", str(path)], ["prune", str(path), "--sparsity", "50"]):
         assert main(command) == 1
-        assert capsys.readouterr().err == "error: unsupported checkpoint format_version 4\n"
+        assert capsys.readouterr().err == ("error: layers[0].weights: corrupt array: string argument "
+                                           "should contain only ASCII characters\n")
     assert sorted(tmp_path.iterdir()) == [path]
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_format_4_file_loads_as_its_format_5_file(tmp_path, case):
+    """The format-4 file of a state, as format 4's writer wrote it, loads
+    the same arrays, plan, meta and metrics tail as the format-5 file of
+    that state, and a save of what it loads writes the format-5 file."""
+    model, kwargs = CASES[case]()
+    a, b, again = tmp_path / "a.json", tmp_path / "b.json", tmp_path / "again.json"
+    checkpoint.save(a, model, **dict(kwargs, plan=None))  # one case's plan is save's only
+    b.write_text(format_4_text(a))
+    want, got = checkpoint.load(a), checkpoint.load(b)
+    for x, y in zip(want.model.layers, got.model.layers, strict=True):
+        assert x.spec() == y.spec()
+        for name in ("weights", "bias", "mask", "history"):
+            u, v = getattr(x, name, None), getattr(y, name, None)
+            assert (u is None) == (v is None), name
+            if u is not None:
+                assert (u.dtype, u.shape, u.tobytes()) == (v.dtype, v.shape, v.tobytes()), name
+    assert [[a.tobytes() for a in e] for e in want.rewind_snapshot or ()] == \
+        [[a.tobytes() for a in e] for e in got.rewind_snapshot or ()]
+    assert (want.plan, want.meta, want.metrics_tail) == (got.plan, got.meta, got.metrics_tail)
+    checkpoint.save(again, got.model, rewind_snapshot=got.rewind_snapshot,
+                    metrics_tail=got.metrics_tail, meta=got.meta)
+    assert again.read_bytes() == a.read_bytes()
 
 
 @pytest.mark.parametrize("raw, problem", [
