@@ -42,10 +42,12 @@ little-endian header length, the header, and then each array's bytes.
 `load` reads the file once into a bytearray, and every array stored whole
 views it, writable, 8-byte aligned and never copied; only a mask's
 unpacking and a kept-only scatter allocate. It refuses, naming the field,
-a header that is not canonical and an array whose dtype or nbytes its
-table row does not allow, whose offset is not where the previous array
-ends rounded up to 8 bytes, with zero bytes between, or that runs past
-the end of the file, and bytes after the last array.
+a header that is not canonical; a size (of a spec, a shape, an nbytes or
+an offset) that is not a JSON integer, since 24.0 would load as 24 and
+save back as 24; an array whose dtype or nbytes its table row does not
+allow, whose offset is not where the previous array ends rounded up to 8
+bytes, with zero bytes between, or that runs past the end of the file;
+and bytes after the last array.
 
 A file that starts with "{" is one of formats 1 to 4, one JSON document.
 Formats 1 to 3 are refused. Format 4, canonical JSON plus a newline,
@@ -54,15 +56,8 @@ holds the same document with each array as `{"data": "<base64>",
 of the same bytes as format 5's, and `load` still reads it: `_Text.take`
 stands in for `_Data.take`, so every rule and refusal but those of the
 header and the layout is the same, and a save of what it loads writes
-format 5. Its base64 goes through `_b64decode` into one fresh buffer per
-array: a table, `_PAIRS`, maps each pair of characters, read as a
-little-endian uint16, to a little-endian uint32 of the pair's four output
-fragments, two for a group's first pair and two for its second, or to
-`_BAD`. Whole 4-character groups go through it in chunks of `_GROUPS`,
-each one lookup into a reused buffer and three uint8 writes from its
-bytes, one of them an OR. A last group padded with "=" goes through
-`base64.b64decode`, and so does any text that the table refuses, whole,
-so that the error is b64decode's own.
+format 5. Each array's base64 goes through `base64.b64decode(text,
+validate=True)` into a fresh buffer, and its error is b64decode's own.
 """
 
 import base64
@@ -81,28 +76,6 @@ FORMAT_VERSION = 5
 _KEYS = ("format_version", "layers", "meta", "metrics_tail", "plan", "rewind_snapshot")
 _ENTRY = ("dtype", "nbytes", "offset", "shape")  # an array's entry in the header
 _ONE = np.array(1.0, "<f8").view("<u8")  # the bits of 1.0; those of 0.0 are all zero
-_BAD = 0xFFFFFFFF  # a pair with a bad character; a valid pair's byte 1 has its low 4 bits 0
-_GROUPS = 1 << 13  # 4-character groups per chunk: 32 KiB of text, 64 KiB of fragments
-
-
-def _pair_table() -> np.ndarray:
-    """The 65,536 pairs of characters, each read as a little-endian uint16
-    (first character in the low byte), to a little-endian uint32 whose four
-    bytes are the pair's output fragments. With h the pair's 12 bits, a
-    group's first pair gives byte 0, h >> 4, and byte 1, (h & 15) << 4; its
-    second pair gives byte 2, h >> 8, and byte 3, h & 255. A pair with a
-    character outside the alphabet maps to _BAD. The table is one outer OR
-    of two 256-entry rows, each character's bits in those bytes as a first
-    and as a second character, all ones outside the alphabet."""
-    first, second = [_BAD] * 256, [_BAD] * 256
-    for v, c in enumerate(b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"):
-        first[c] = v << 2 | v >> 2 << 16 | (v & 3) << 30  # bytes 0, 2 and 3
-        second[c] = v >> 4 | (v & 15) << 12 | v << 24  # bytes 0, 1 and 3
-    second, first = np.array([second, first], "<u4")
-    return np.bitwise_or.outer(second, first).ravel().astype("<u4", copy=False)
-
-
-_PAIRS = _pair_table()
 
 
 def _arrays(layer: Layer) -> dict:
@@ -126,14 +99,26 @@ def _snapshot_tables(model: Model, entries: int) -> list[dict]:
     return tables
 
 
+def _int(value, field: str, low: int | None = None) -> int:
+    """fields.integer(value, field, low), but refusing an integral float,
+    which a config may hold: a checkpoint writes every size as an int, so
+    24.0 would not save back to its bytes."""
+    if isinstance(value, float):
+        raise FieldError(field, f"not an integer: {value!r}")
+    return integer(value, field, low)
+
+
 def _present(null: bool, shape, want: tuple | None, nullable: bool) -> bool:
     """Whether an array of `shape` is there, False for a null that its table
     row allows; what the row does not allow raises ValueError, in the same
-    words for save and load."""
+    words for save and load, and a size of the shape that is not an int,
+    FieldError("shape")."""
     if null and not nullable:
         raise ValueError("expected an object, got NoneType")
     if not null and (want is None or shape != list(want)):
         raise ValueError(f"shape {shape} != {None if want is None else list(want)}")
+    for size in () if null else shape:  # [2.0, 3.0] == [2, 3], but saves as [2, 3]
+        _int(size, "shape")
     return not null
 
 
@@ -224,7 +209,7 @@ class _Data:
             return None
         if obj["dtype"] != dtype:
             raise FieldError("dtype", f"{obj['dtype']!r} != {dtype!r}")
-        nbytes, offset = integer(obj["nbytes"], "nbytes", 0), integer(obj["offset"], "offset", 0)
+        nbytes, offset = _int(obj["nbytes"], "nbytes", 0), _int(obj["offset"], "offset", 0)
         at = self.end + -self.end % 8
         if offset != at - self.start:
             raise FieldError("offset", f"{offset} != {at - self.start}, the previous array's "
@@ -236,50 +221,6 @@ class _Data:
                                        f"{len(self.buf) - self.start} bytes after the header")
         self.end = at + nbytes
         return np.frombuffer(self.buf, np.uint8, nbytes, at)
-
-
-def _decode_groups(text: str, groups: int, out: np.ndarray) -> bool:
-    """Decode the first `groups` 4-character groups of ASCII base64 `text`
-    into out[:3 * groups], _GROUPS at a time; False, with out part written,
-    if a character is outside the alphabet. Each chunk is one lookup of its
-    pairs' fragments and three uint8 writes: a group's bytes are byte 0 of
-    its first pair, byte 1 of the first OR byte 2 of the second, and byte 3
-    of the second."""
-    frags = np.empty(2 * min(groups, _GROUPS), "<u4")  # 4 output fragments per pair of characters
-    for start in range(0, groups, _GROUPS):
-        n = min(groups - start, _GROUPS)
-        pairs, group = frags[:2 * n], out[3 * start:3 * (start + n)].reshape(n, 3)
-        # every uint16 indexes the table, so "clip" clips nothing; it only skips a bounds check
-        np.take(_PAIRS, np.frombuffer(text[4 * start:4 * (start + n)].encode(), "<u2"),
-                out=pairs, mode="clip")
-        if pairs.max() == _BAD:
-            return False
-        b = pairs.view(np.uint8).reshape(n, 2, 4)  # [group, first or second pair, fragment]
-        group[:, 0] = b[:, 0, 0]
-        np.bitwise_or(b[:, 0, 1], b[:, 1, 2], out=group[:, 1])
-        group[:, 2] = b[:, 1, 3]
-    return True
-
-
-def _b64decode(text) -> np.ndarray:
-    """base64.b64decode(text, validate=True) as a fresh writable uint8 array:
-    the same bytes, or the same error. The whole 4-character groups of an
-    ASCII str are decoded through _PAIRS, and a last group padded with "="
-    by b64decode. Any other text, or a character outside the alphabet, goes
-    to b64decode whole, so that it words the error; it also accepts a few
-    texts that the table refuses, such as "=" after a whole group."""
-    if isinstance(text, str) and text.isascii() and len(text) % 4 == 0:
-        groups = len(text) // 4 - text.endswith("=")
-        try:
-            tail = base64.b64decode(text[4 * groups:], validate=True)
-        except ValueError:
-            tail = None
-        if tail is not None:
-            out = np.empty(3 * groups + len(tail), np.uint8)
-            if _decode_groups(text, groups, out):
-                out[3 * groups:] = np.frombuffer(tail, np.uint8)
-                return out
-    return np.frombuffer(bytearray(base64.b64decode(text, validate=True)), np.uint8)
 
 
 class _Text:
@@ -295,18 +236,14 @@ class _Text:
         if not _present(obj is None, None if obj is None else obj["shape"], shape, nullable):
             return None
         try:
-            return _b64decode(obj[key])
+            return np.frombuffer(bytearray(base64.b64decode(obj[key], validate=True)), np.uint8)
         except (TypeError, ValueError) as exc:
             raise ValueError(f"corrupt {what}: {exc}") from None
 
 
-def _dec_floats(data: _Data | _Text, obj, shape: tuple | None, nullable: bool, mask=None) -> np.ndarray | None:
-    """obj read by its table row: None for an allowed null, else a float64
-    array of `shape` from every entry or, beside a mask, the kept ones only,
-    scattered into +0.0."""
-    raw = data.take(obj, shape, nullable, "<f8")
-    if raw is None:
-        return None
+def _dec_floats(raw: np.ndarray, shape: tuple, mask=None) -> np.ndarray:
+    """An array's bytes as a float64 array of `shape`, from every entry or,
+    beside a mask, the kept ones only, scattered into +0.0."""
     size = math.prod(shape)
     if raw.size == 8 * size:  # the bytes read, converted only on a big-endian host
         return raw.view("<f8").reshape(shape).astype(np.float64, copy=False)
@@ -321,11 +258,8 @@ def _dec_floats(data: _Data | _Text, obj, shape: tuple | None, nullable: bool, m
     return flat.reshape(shape)
 
 
-def _dec_mask(data: _Data | _Text, obj, shape: tuple, nullable: bool) -> np.ndarray | None:
-    """obj read: a float64 0/1 mask of `shape`, or None."""
-    packed = data.take(obj, shape, nullable, "|u1")
-    if packed is None:
-        return None
+def _dec_mask(packed: np.ndarray, shape: tuple) -> np.ndarray:
+    """A mask's packed bits as a float64 0/1 mask of `shape`."""
     size = math.prod(shape)
     if packed.size != (size + 7) // 8:
         raise ValueError(f"corrupt mask: {packed.size} bytes for {size} bits")
@@ -342,18 +276,19 @@ def _read(data: _Data | _Text, entry, table: dict, plan: SparsifyPlan | None = N
     block of the plan's granularity if there is a plan, and the weights
     are read through it."""
     checked_object(entry, keys + tuple(table), *table)
-    arrays = {}
-    for name in sorted(table):
-        if name == "mask":
-            arrays[name] = mask = under(name, _dec_mask, data, entry[name], *table[name])
-            if mask is not None and plan is not None:
+    arrays = dict.fromkeys(table)  # None until read: an allowed null stays None
+    for name, (shape, nullable) in sorted(table.items()):
+        raw = under(name, data.take, entry[name], shape, nullable, "|u1" if name == "mask" else "<f8")
+        if raw is not None and name == "mask":
+            arrays[name] = mask = under(name, _dec_mask, raw, shape)
+            if plan is not None:
                 rows = enumerate_blocks(plan.granularity, mask.shape).rows(mask)
                 if np.any(rows != rows[:, :1]):
                     raise FieldError("mask", f"not block-pure under {plan.granularity!r}")
-        else:
-            arrays[name] = under(name, _dec_floats, data, entry[name], *table[name],
+        elif raw is not None:
+            arrays[name] = under(name, _dec_floats, raw, shape,
                                  arrays.get("mask") if name == "weights" else None)
-    return {name: arrays[name] for name in table}
+    return arrays
 
 
 @dataclass
@@ -432,6 +367,8 @@ def load(path) -> Checkpoint:
     if plan is not None:
         under("plan", plan.check_model, model)  # no epochs: a checkpoint does not know them
     for i, (layer, entry) in enumerate(zip(model.layers, entries)):
+        for key in layer.spec_keys:  # layer_from_spec, as a config's reader, takes 16.0 as 16
+            under(f"layers[{i}].spec", _int, entry["spec"][key], key)
         for name, array in under(f"layers[{i}]", _read, data, entry, _arrays(layer), plan,
                                  ("spec",)).items():
             setattr(layer, name, array)

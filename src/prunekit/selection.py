@@ -150,7 +150,8 @@ def _past_nth(flags: np.ndarray, n: int) -> int:
 def select(layers, context: ContextSpec, sparsity,
            scratch: np.ndarray | None = None) -> list[np.ndarray]:
     """The masks of `layers`, a BlockScores or a list of LayerScores. A list of
-    sparsities gives each layer its own target, whatever the context.
+    sparsities gives each layer its own target, as the local context does
+    (SparsifyPlan refuses one beside any other context).
     `scratch` is select_global's, as long as the blocks of all layers."""
     if context.kind == "global" and not isinstance(sparsity, (list, tuple)):
         return select_global(layers, sparsity, scratch)

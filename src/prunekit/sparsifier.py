@@ -68,6 +68,9 @@ class SparsifyPlan:
             self.sparsity = percent(self.sparsity, "sparsity")
         string(self.granularity, "granularity")
         under("context", ContextSpec, self.context)
+        if self.per_layer and self.context != "local":
+            raise FieldError("context", f"{self.context!r} beside a per-layer sparsity list, "
+                                        f"which gives each layer its own target: only 'local' does")
         under("criterion", Criterion, self.criterion)
         for name in ("lth", "reset_end"):
             if not isinstance(getattr(self, name), bool):

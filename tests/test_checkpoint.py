@@ -343,12 +343,23 @@ def b64_outcome(decode, text):
         return type(exc), str(exc)
 
 
+def take_text(text):
+    """text read as a format-4 array entry of shape [1] by _Text.take."""
+    return checkpoint._Text().take({"data": text, "shape": [1]}, (1,), False, "<f8")
+
+
+def b64_want(text):
+    """What take_text gives for text: base64.b64decode(text, validate=True)'s
+    bytes, or a ValueError "corrupt array: " and b64decode's message."""
+    want = b64_outcome(lambda t: base64.b64decode(t, validate=True), text)
+    return want if isinstance(want, bytes) else (ValueError, f"corrupt array: {want[1]}")
+
+
 def with_char(text, at, char):
     return text[:at] + char + text[at + 1:]
 
 
-CHUNK = 4 * checkpoint._GROUPS  # characters per chunk of _b64decode
-ALPHABET = "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
+CHUNK = 4 * 8192  # characters in 8,192 4-character groups
 # two and a half chunks and a group padded with "=="
 LONG = base64.b64encode(bytes(range(256)) * (3 * CHUNK // 1024 * 5 // 2) + b"z").decode()
 B64_TEXTS = {
@@ -380,13 +391,14 @@ B64_TEXTS = {
 
 @pytest.mark.parametrize("name", B64_TEXTS)
 def test_b64decode_is_b64decode(name):
-    """_b64decode gives what base64.b64decode(text, validate=True) gives:
-    the same bytes, as a fresh writable uint8 array, or the same error."""
+    """A format-4 array's text decodes as base64.b64decode(text,
+    validate=True) does: the same bytes, as a fresh writable uint8 array,
+    or its error as "corrupt array: " and b64decode's message."""
     text = B64_TEXTS[name]
-    want = b64_outcome(lambda t: base64.b64decode(t, validate=True), text)
-    assert b64_outcome(checkpoint._b64decode, text) == want
+    want = b64_want(text)
+    assert b64_outcome(take_text, text) == want
     if isinstance(want, bytes):
-        got = checkpoint._b64decode(text)
+        got = take_text(text)
         assert got.dtype == np.uint8 and got.flags.writeable and got.flags.c_contiguous
 
 
@@ -407,29 +419,7 @@ def test_b64decode_is_b64decode_on_random_edits():
         elif edit == 4:
             text = "".join(rng.choice(chars, rng.integers(0, 13)))
         for extra in ("", "=" * int(rng.integers(1, 4))):
-            want = b64_outcome(lambda t: base64.b64decode(t, validate=True), text + extra)
-            assert b64_outcome(checkpoint._b64decode, text + extra) == want, text + extra
-
-
-def test_pair_table_decodes_every_pair_in_either_place():
-    """_PAIRS holds 65,536 little-endian uint32: _BAD for each of the 61,440
-    pairs with a character outside the alphabet, and bits 8-11 clear in
-    every valid entry, so none equals _BAD. A text holding each of the 4,096
-    valid pairs once as a group's first pair and once as its second decodes
-    through the table as b64decode decodes it."""
-    table = checkpoint._PAIRS
-    assert table.dtype.str == "<u4" and table.shape == (1 << 16,)
-    valid = np.zeros(256, bool)
-    valid[np.frombuffer(ALPHABET.encode(), np.uint8)] = True
-    valid = np.logical_and.outer(valid, valid).ravel()
-    assert np.count_nonzero(~valid) == 61440
-    assert (table[~valid] == checkpoint._BAD).all()
-    assert not (table[valid] & 0xF00).any()
-    pairs = [a + b for a in ALPHABET for b in ALPHABET]
-    text = "".join(first + second for first, second in zip(pairs, pairs[1:] + pairs[:1]))
-    out = np.empty(3 * len(pairs), np.uint8)
-    assert checkpoint._decode_groups(text, len(pairs), out)
-    assert out.tobytes() == base64.b64decode(text, validate=True)
+            assert b64_outcome(take_text, text + extra) == b64_want(text + extra), text + extra
 
 
 def test_corrupt_weights_past_the_first_chunk_exit_1(tmp_path, monkeypatch, capsys):

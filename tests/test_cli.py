@@ -603,6 +603,18 @@ def _put(value, *path):
     return edit
 
 
+def _floated(*path):
+    """An edit of a checkpoint file that writes the header field at `path`,
+    an integer or a list of them, as floats of the same values."""
+    def edit(file):
+        def put(doc):
+            value = at(doc, *path)
+            at(doc, *path[:-1])[path[-1]] = ([float(v) for v in value] if isinstance(value, list)
+                                             else float(value))
+        edit_header(file, put)
+    return edit
+
+
 def _edit_bits(change, *path):
     """An edit of a checkpoint file that replaces the packed bytes of the mask
     at `path` by change(bytes), of the same length."""
@@ -645,6 +657,12 @@ def _flip_first_bit(packed):
     ("layers[0].spec.out: not an integer: 2.7", _put(2.7, "layers", 0, "spec", "out")),
     ("layers[0].spec.out: not an integer: '16'", _put("16", "layers", 0, "spec", "out")),
     ("layers[0].spec.in: not an integer: True", _put(True, "layers", 0, "spec", "in")),
+    # an integral float loads as its int, but would not save back to the file's bytes
+    ("layers[0].spec.out: not an integer: 16.0", _floated("layers", 0, "spec", "out")),
+    ("layers[0].weights.shape: not an integer: 2.0", _floated("layers", 0, "weights", "shape")),
+    ("layers[0].bias.nbytes: not an integer: 128.0", _floated("layers", 0, "bias", "nbytes")),
+    ("layers[0].weights.offset: not an integer: 392.0",
+     _floated("layers", 0, "weights", "offset")),
     ("layers[0].spec.out: not a positive integer: -1", _put(-1, "layers", 0, "spec", "out")),
     ("layers[0].spec.in: not a positive integer: 0", _put(0, "layers", 0, "spec", "in")),
     ("layers[0].spec: array is too big", _put(2**62, "layers", 0, "spec", "out")),

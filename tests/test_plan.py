@@ -27,7 +27,7 @@ def test_plan_sparsity_is_the_only_target():
 
 @pytest.mark.parametrize("plan", [
     SparsifyPlan(80.0, schedule=ScheduleSpec("gradual", end_epoch=3)),
-    SparsifyPlan((10, 90), "row", "global", "movement",
+    SparsifyPlan((10, 90), "row", "local", "movement",
                  ScheduleSpec("one_cycle", start_epoch=1, end_epoch=3, update_frequency=2, alpha=10, beta=5),
                  lth=True, rewind_epoch=1, reset_end=True),
     SparsifyPlan(0, "1,2", schedule=None),
@@ -73,6 +73,8 @@ def test_checkpoint_plans_load_back(workdir):
     ("plan.save_tickets: unknown key", {"sparsity": 50.0, "save_tickets": True}),
     ("plan.schedule.alpha: not read by schedule 'gradual'",
      {"sparsity": 50.0, "schedule": {"kind": "gradual", "alpha": 3.0}}),
+    ("plan.context: 'global' beside a per-layer sparsity list, which gives each layer its own "
+     "target: only 'local' does", {"sparsity": [50.0, 50.0], "context": "global"}),
 ])
 def test_inspect_rejects_bad_plan(workdir, capsys, field, plan):
     path = workdir / "ckpt.json"
@@ -98,6 +100,7 @@ def _schedule(**fields):
     ("train", lambda d: d.update(train=7)),
     ("prune.sparsity", _prune(sparsity="abc")),
     ("prune.sparsity", _prune(sparsity=[50, 50, 50])),
+    ("prune.context", _prune(sparsity=[50, 50], context="global")),
     ("prune.schedule.end_epoch", _schedule(end_epoch=9)),
     ("prune.schedule.start_epoch", _schedule(start_epoch=4)),
     ("prune.rewind_epoch", _prune(lth=True, rewind_epoch=2, schedule={"kind": "gradual", "start_epoch": 1})),
@@ -154,7 +157,7 @@ FUZZ_CONFIG = {
               {"kind": "dense", "in": 8, "out": 2}],
     "dataset": BLOBS,
     "train": {"epochs": 4, "batch_size": 16, "learning_rate": 0.1, "momentum": 0.5},
-    "prune": {"sparsity": 50, "granularity": "weight", "context": "global",
+    "prune": {"sparsity": 50, "granularity": "weight", "context": "local",
               "criterion": "large_final", "lth": True, "rewind_epoch": 1, "reset_end": False,
               "schedule": {"kind": "iterative", "start_epoch": 1, "end_epoch": 3,
                            "update_frequency": 2, "n_steps": 2, "alpha": 14.0, "beta": 6.0}},
