@@ -5,8 +5,9 @@ One table, `_arrays`, says which arrays an entry holds, as name -> (shape,
 may it be null), and both `save` and `load` go by it:
 - `weights` (the layer's weight shape) and `bias` (`[weight_shape[1]]`)
   are null exactly when the layer has no weights, as relu and flatten;
-- a prunable layer adds `mask` and `history`, of the weights' shape, either
-  of which may be null: no mask yet, or a criterion that reads no history;
+- a layer with weights (every one is prunable) adds `mask` and `history`,
+  of the weights' shape, either of which may be null: no mask yet, or a
+  criterion that reads no history;
 - a rewind-snapshot entry, one per layer with weights, holds that layer's
   first two rows, `weights` and `bias`, neither of them null.
 `save` refuses what the table does not allow before it opens the file,
@@ -84,10 +85,8 @@ def _arrays(layer: Layer) -> dict:
     shape = layer.weight_shape
     if shape is None:
         return {"weights": (None, True), "bias": (None, True)}
-    table = {"weights": (shape, False), "bias": (shape[1:2], False)}
-    if layer.prunable:
-        table.update(mask=(shape, True), history=(shape, True))
-    return table
+    return {"weights": (shape, False), "bias": (shape[1:2], False),
+            "mask": (shape, True), "history": (shape, True)}
 
 
 def _snapshot_tables(model: Model, entries: int) -> list[dict]:

@@ -10,8 +10,9 @@ Two entry points:
                         after each pruning round) and keeps the tickets
 
 Sparsifier masks each layer's weights array in place, in static pruning
-and in the callback alike; only an LTH rewind or reset_end puts a copy of
-the rewind snapshot in its place.
+and in the callback alike, and an LTH rewind or reset_end copies the rewind
+snapshot's values into the same arrays: a fit never replaces a parameter
+array.
 
 A mask update scores every layer into one flat array of block scores,
 laid out once per Sparsifier and list of weight shapes (block_layout), and
@@ -21,7 +22,8 @@ Every mask it returns is a new array of its own.
 
 The callback acts once per completed step, step 0 being the start of
 training: at step rewind_epoch * steps_per_epoch it first takes the rewind
-snapshot, then it runs the mask update due at that step, if any. Every
+snapshot, then it runs the mask update due at that step, if any, and last
+it publishes the step's target and model sparsity into the state. Every
 step first re-applies the current masks, and only then may an update
 recompute them from scratch, so pruned weights are 0 when scored. Only
 under a criterion that reads a history are the weights copied into each
@@ -217,7 +219,13 @@ class Sparsifier:
     prune and kept, keyed by the layers' weight shapes, for the Sparsifier's
     life. Each prune allocates its scores afresh unless a caller sets
     `workspace`, whose buffers it then reuses; SparsifyCallback does so for
-    the length of a fit. Dropping the workspace (None) frees the buffers."""
+    the length of a fit. Dropping the workspace (None) frees the buffers.
+
+    prune_model's `sparsity` is one target for every layer, pruned together
+    under a global context, or a list of one target per prunable layer,
+    which prunes each layer to its own target under any context: a list
+    beside "global" prunes as "local" does. Only SparsifyPlan refuses that
+    pairing."""
 
     def __init__(self, model: Model, granularity: str, context: str, criterion: str,
                  rng: Rng | None = None):
@@ -291,17 +299,12 @@ class SparsifyCallback(Callback):
 
     # -- internals ---------------------------------------------------------
 
-    def _snapshot(self, state):
-        self.rewind_snapshot = [(l.weights.copy(), l.bias.copy()) for l in state["model"].layers
-                                if l.weights is not None]
-
     def _restore(self, state):
-        """Put copies of the rewind snapshot in the model, masked by the current masks."""
-        params = iter(self.rewind_snapshot)
-        for layer in state["model"].layers:
-            if layer.weights is not None:
-                w, b = next(params)
-                layer.weights, layer.bias = w.copy(), b.copy()
+        """Copy the rewind snapshot into the model's weights and biases, then
+        mask them by the current masks."""
+        for layer, (w, b) in zip(state["model"].prunable_layers(), self.rewind_snapshot):
+            np.copyto(layer.weights, w)
+            np.copyto(layer.bias, b)
         self._sparsifier.apply_masks()
 
     def _targets(self, step: int):
@@ -332,15 +335,15 @@ class SparsifyCallback(Callback):
                 ))
 
     def _step_done(self, state, step: int):
-        """Take the rewind snapshot if `step` is the rewind point, then run the
-        update due at `step`, if any."""
+        """Take the rewind snapshot if `step` is the rewind point, run the
+        update due at `step`, if any, and publish the step's target_sparsity
+        and model_sparsity."""
         if step == self._rewind_step:
-            self._snapshot(state)
+            self.rewind_snapshot = [(l.weights.copy(), l.bias.copy())
+                                    for l in state["model"].prunable_layers()]
         if step in self._update_steps:
             self._update_masks(state, step)
-
-    def _publish(self, state):
-        target = self._targets(state.get("global_step", 0))
+        target = self._targets(step)
         state["target_sparsity"] = float(np.mean(target)) if self.plan.per_layer else target
         state["model_sparsity"] = self._model_sparsity
 
@@ -371,16 +374,13 @@ class SparsifyCallback(Callback):
         self.rewind_snapshot = None
         self.tickets: list[Ticket] = []
         self._step_done(state, 0)
-        self._publish(state)
 
     def on_step_end(self, state):
         self._sparsifier.apply_masks()
         self._step_done(state, state["global_step"])
-        self._publish(state)
 
     def on_train_end(self, state):
         if self.plan.reset_end:
             self._restore(state)
         self._sparsifier.workspace = None  # the buffers live as long as the fit, not the callback
-        self._publish(state)
 

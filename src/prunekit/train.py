@@ -87,24 +87,24 @@ def softmax_cross_entropy(logits, labels):
 
 
 def sgd_step(model: Model, lr: float, momentum: float, velocities: dict) -> None:
-    """w <- w - lr * v with v the momentum-accumulated gradient. At momentum 0,
-    v is the gradient and no velocity is kept: 0 * v + g differs from g only
-    for g = -0.0, which no BLAS-computed weight gradient is, and subtracting
-    -0.0 instead of +0.0 changes no bias that started at +0.0."""
+    """w <- w - lr * v and b <- b - lr * v_b, one path for every layer with
+    weights. v is the gradient at momentum 0, and no velocity is kept;
+    otherwise it is the layer's velocity, kept in `velocities` by layer
+    index, after v <- momentum * v + g. (0 * v + g differs from g only for
+    g = -0.0, which no BLAS-computed weight gradient is, and subtracting
+    -0.0 instead of +0.0 changes no bias that started at +0.0.)"""
     for idx, layer in enumerate(model.layers):
         if layer.weights is None:
             continue
-        if not momentum:
-            layer.weights -= lr * layer.grad_w
-            layer.bias -= lr * layer.grad_b
-            continue
-        if idx not in velocities:
-            velocities[idx] = (np.zeros_like(layer.weights), np.zeros_like(layer.bias))
-        vw, vb = velocities[idx]
-        vw *= momentum
-        vw += layer.grad_w
-        vb *= momentum
-        vb += layer.grad_b
+        vw, vb = layer.grad_w, layer.grad_b
+        if momentum:
+            if idx not in velocities:
+                velocities[idx] = (np.zeros_like(layer.weights), np.zeros_like(layer.bias))
+            vw, vb = velocities[idx]
+            vw *= momentum
+            vw += layer.grad_w
+            vb *= momentum
+            vb += layer.grad_b
         layer.weights -= lr * vw
         layer.bias -= lr * vb
 
@@ -153,8 +153,18 @@ def fit(model: Model, config: TrainConfig, callbacks=()):
     """Train the model; returns (model, metric_log).
 
     Metric rows: epoch, step, train_loss, train_acc, model_sparsity,
-    target_sparsity. The sparsity fields default to 0 and are filled in
-    by a sparsify callback through the state dict.
+    target_sparsity, one per optimizer step.
+
+    Every hook receives one state dict, whose keys are all there from
+    on_train_begin on. fit writes each of them:
+    - model, config: its arguments;
+    - steps_per_epoch, total_epochs, x_eval, y_eval: once, before training;
+    - epoch: before each on_epoch_begin;
+    - global_step (0 at on_train_begin), train_loss and train_acc (the last
+      batch's, None before the first step): before each on_step_end;
+    - model_sparsity, target_sparsity: 0.0, once. A sparsify callback
+      rewrites them at on_train_begin and at each on_step_end, and each
+      metric row copies them after the step's callbacks.
     """
     rng = Rng(config.seed)
     data = make_dataset(config.dataset, rng.child("data"))
@@ -166,10 +176,10 @@ def fit(model: Model, config: TrainConfig, callbacks=()):
     velocities: dict = {}
     log: list[dict] = []
     state = {
-        "model": model, "config": config, "epoch": 0, "step": 0, "global_step": 0,
+        "model": model, "config": config, "epoch": 0, "global_step": 0,
         "steps_per_epoch": steps_per_epoch, "total_epochs": config.epochs,
-        "x_train": x_train, "y_train": y_train, "x_eval": x_eval, "y_eval": y_eval,
-        "model_sparsity": 0.0, "target_sparsity": 0.0, "log": log,
+        "x_eval": x_eval, "y_eval": y_eval, "train_loss": None, "train_acc": None,
+        "model_sparsity": 0.0, "target_sparsity": 0.0,
     }
 
     _fire(callbacks, "on_train_begin", state)
@@ -186,7 +196,6 @@ def fit(model: Model, config: TrainConfig, callbacks=()):
                 raise TrainingAborted(f"non-finite train_loss {loss} at epoch {epoch}, step {step}")
             model.backward(grad)
             sgd_step(model, config.learning_rate, config.momentum, velocities)
-            state["step"] = step
             state["global_step"] = epoch * steps_per_epoch + step + 1
             state["train_loss"] = loss
             state["train_acc"] = np.count_nonzero(logits.argmax(axis=1) == yb) / len(yb)

@@ -605,21 +605,19 @@ class OutOfPlaceCallback(SparsifyCallback):
             if layer.mask is not None:
                 layer.weights = layer.weights * layer.mask
 
-    def _publish(self, state):
-        super()._publish(state)
+    def _step_done(self, state, step):
+        super()._step_done(state, step)
         state["model_sparsity"] = model_sparsity(state["model"].prunable_layers())
 
     def on_step_end(self, state):
         self._reapply(state)
         self._step_done(state, state["global_step"])
         self._reapply(state)
-        self._publish(state)
 
     def on_train_end(self, state):
         if self.plan.reset_end:
             self._restore(state, masked=True)
             self._reapply(state)
-        self._publish(state)
 
 
 def _model_bytes(model) -> bytes:
@@ -694,3 +692,59 @@ def test_callback_keeps_weights_and_history_arrays():
     model, log = fit(mlp(22), cfg, callbacks=[SparsifyCallback(plan), probe])
     assert len(probe.same) == len(log) and all(probe.same)
     assert model_sparsity(model.prunable_layers()) > 0.5
+
+
+@pytest.mark.parametrize("plan", [
+    lth_plan(),
+    SparsifyPlan(sparsity=70.0, reset_end=True, rewind_epoch=1,
+                 schedule=ScheduleSpec("gradual", start_epoch=1, update_frequency=2)),
+])
+def test_rewinds_keep_the_parameter_arrays(plan):
+    """An LTH rewind and reset_end copy the snapshot into the weights and
+    biases the layers started with: after fit each is the same array."""
+    class Arrays(Callback):
+        def on_train_begin(self, state):
+            self.layers = state["model"].prunable_layers()
+            self.arrays = [(layer.weights, layer.bias) for layer in self.layers]
+
+    probe, cb = Arrays(), SparsifyCallback(plan)
+    cfg = TrainConfig(epochs=5, batch_size=32, learning_rate=0.1, momentum=0.5, seed=23, dataset=BLOBS)
+    fit(mlp(23), cfg, callbacks=[probe, cb])
+    assert cb.rewind_snapshot is not None
+    assert len(probe.layers) == 2
+    for layer, (w, b), (snap_w, snap_b) in zip(probe.layers, probe.arrays, cb.rewind_snapshot,
+                                               strict=True):
+        assert layer.weights is w and layer.bias is b
+        assert w is not snap_w and b is not snap_b
+
+
+# The keys fit's docstring documents for the state every hook receives.
+STATE_KEYS = {"model", "config", "epoch", "global_step", "steps_per_epoch", "total_epochs",
+              "x_eval", "y_eval", "train_loss", "train_acc", "model_sparsity", "target_sparsity"}
+
+
+@pytest.mark.parametrize("plan", [None, lth_plan(), SparsifyPlan(sparsity=[30.0, 70.0])])
+def test_state_holds_the_documented_keys(plan):
+    """At on_train_begin, every on_step_end and on_train_end, after any
+    sparsify callback has run, the state holds exactly the documented keys."""
+    class Keys(Callback):
+        def __init__(self):
+            self.seen = []
+
+        def on_train_begin(self, state):
+            self.seen.append(("on_train_begin", set(state)))
+
+        def on_step_end(self, state):
+            self.seen.append(("on_step_end", set(state)))
+
+        def on_train_end(self, state):
+            self.seen.append(("on_train_end", set(state)))
+
+    probe = Keys()
+    callbacks = [probe] if plan is None else [SparsifyCallback(plan), probe]
+    cfg = TrainConfig(epochs=5, batch_size=32, learning_rate=0.1, seed=24, dataset=BLOBS)
+    _, log = fit(mlp(24), cfg, callbacks=callbacks)
+    events = [event for event, _ in probe.seen]
+    assert events == ["on_train_begin"] + ["on_step_end"] * len(log) + ["on_train_end"]
+    for event, keys in probe.seen:
+        assert keys == STATE_KEYS, event
