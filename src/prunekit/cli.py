@@ -3,10 +3,15 @@
 Subcommands: run, schedule, prune, inspect. Exit codes: 0 success,
 1 runtime failure, 2 config/usage error. PRUNEKIT_OUTPUT_ROOT overrides
 the output root directory; --seed overrides the config seed.
+
+main(argv) may be called repeatedly in one process: the parser is built
+once, and each subcommand is looked up by name (cmd_<command>) in this
+module at call time, so a patched cmd_* takes effect on the next call.
 """
 
 import argparse
 import csv
+import functools
 import os
 import sys
 from pathlib import Path
@@ -205,6 +210,7 @@ def cmd_inspect(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="prunekit",
                                      description="declarative sparsification experiments")
@@ -213,7 +219,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="train with optional dynamic pruning")
     p_run.add_argument("config")
     p_run.add_argument("--seed", type=int, default=None)
-    p_run.set_defaults(func=cmd_run)
 
     p_sched = sub.add_parser("schedule", help="sample a schedule to CSV + SVG")
     p_sched.add_argument("kind")
@@ -222,7 +227,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sched.add_argument("--alpha", type=float, default=ScheduleSpec.alpha)
     p_sched.add_argument("--beta", type=float, default=ScheduleSpec.beta)
     p_sched.add_argument("--n-steps", type=int, default=ScheduleSpec.n_steps)
-    p_sched.set_defaults(func=cmd_schedule)
 
     p_prune = sub.add_parser("prune", help="statically prune a checkpoint")
     p_prune.add_argument("checkpoint")
@@ -232,19 +236,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_prune.add_argument("--criterion", default=SparsifyPlan.criterion, choices=CRITERIA)
     p_prune.add_argument("--seed", type=int, default=0)
     p_prune.add_argument("--out", default=None)
-    p_prune.set_defaults(func=cmd_prune)
 
     p_inspect = sub.add_parser("inspect", help="report checkpoint contents and integrity")
     p_inspect.add_argument("checkpoint")
-    p_inspect.set_defaults(func=cmd_inspect)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return globals()[f"cmd_{args.command}"](args)
     except ConfigError as exc:
         print(str(exc), file=sys.stderr)
         return 2

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from prunekit import accuracy, checkpoint, make_dataset, train, train_eval_split
-from prunekit.cli import main
+from prunekit.cli import build_parser, main
 from prunekit.config import load_config
 from prunekit.criteria import CRITERIA, Criterion
 from prunekit.layers import Model
@@ -521,6 +521,30 @@ def test_prune_reports_what_inspect_reports(workdir, capsys, specs, granularity)
     assert capsys.readouterr().out == report
     assert report.splitlines()[-1].startswith("global sparsity: ")
     assert f"layer {len(specs) - 1} (" in report
+
+
+def test_cached_parser_keeps_no_state_between_commands(workdir, capsys):
+    """One parser serves every main call in a process: a flag, a usage error
+    or --help in one command leaves nothing behind for the next."""
+    assert build_parser() is build_parser()
+    src = workdir / "dense.json"
+    checkpoint.save(src, Model.from_specs(BASE_CONFIG["model"], Rng(8).child("init")))
+    assert main(["inspect", str(src)]) == 0
+    report = capsys.readouterr().out
+    outs = {}
+    for name, seed in (("seed3", ["--seed", "3"]), ("default", []), ("seed0", ["--seed", "0"])):
+        outs[name] = workdir / f"{name}.json"
+        assert main(["prune", str(src), "--sparsity", "50", "--criterion", "random", *seed,
+                     "--out", str(outs[name])]) == 0
+    assert outs["default"].read_bytes() == outs["seed0"].read_bytes()
+    assert outs["default"].read_bytes() != outs["seed3"].read_bytes()
+    for argv, code in ((["prune"], 2), (["inspect", "--help"], 0)):
+        with pytest.raises(SystemExit) as exit_:
+            main(argv)
+        assert exit_.value.code == code
+    capsys.readouterr()
+    assert main(["inspect", str(src)]) == 0
+    assert capsys.readouterr().out == report
 
 
 def test_inspect_corrupt_file(workdir, capsys):
