@@ -6,7 +6,7 @@ Usage:
 
 Each case is a model of two conv layers, [c, 2c, 3, 3] and [2c, c, 3, 3],
 at about 10^4, 10^5 and 10^6 weights, pruned to SPARSITY percent with the
-large_final criterion under weight/kernel/channel granularity and
+large_final criterion under weight/row/kernel/channel granularity and
 local/global context, for three weight distributions: "grid" is N(0, 1/8)
 rounded to multiples of 1/64, so many blocks tie and the tie-break by block
 position is exercised; "normal" is N(0, 1/8) as drawn, where ties are rare;
@@ -71,7 +71,7 @@ import numpy as np
 import harness
 
 SIZES = (10_000, 100_000, 1_000_000)
-GRANULARITIES = {"weight": (), "kernel": (2, 3), "channel": (1,)}
+GRANULARITIES = {"weight": (), "row": (3,), "kernel": (2, 3), "channel": (1,)}
 CONTEXTS = ("local", "global")
 SPARSITY = 70.0
 DEAD_SHARE = 0.6

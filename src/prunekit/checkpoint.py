@@ -281,8 +281,8 @@ def _read(data: _Data | _Text, entry, table: dict, plan: SparsifyPlan | None = N
         if raw is not None and name == "mask":
             arrays[name] = mask = under(name, _dec_mask, raw, shape)
             if plan is not None:
-                rows = enumerate_blocks(plan.granularity, mask.shape).rows(mask)
-                if np.any(rows != rows[:, :1]):
+                part = enumerate_blocks(plan.granularity, mask.shape)
+                if not np.array_equal(mask, part.unrows(part.rows(mask)[:, :1])):
                     raise FieldError("mask", f"not block-pure under {plan.granularity!r}")
         elif raw is not None:
             arrays[name] = under(name, _dec_floats, raw, shape,

@@ -6,6 +6,7 @@ import pytest
 
 from prunekit import (BlockPartition, Rng, aggregate_scores, all_specs, enumerate_blocks,
                       parse_granularity)
+from prunekit.granularity import _CHUNK_BYTES, _SHORT_BLOCK
 
 
 @pytest.mark.parametrize("name,rank,axes", [
@@ -228,3 +229,61 @@ def test_one_weight_unrows_is_a_c_contiguous_reshape():
     got = part.unrows(strided)
     assert got.flags.c_contiguous and not np.shares_memory(got, strided)
     assert got.tobytes() == np.arange(0.0, 24.0, 2.0).reshape(3, 4).tobytes()
+
+
+def _hard_rows(n, size, seed):
+    """[n, size] scores whose sums depend on the order they are added in:
+    magnitudes from 1e-300 to 1e300 with both signs, subnormals, +-0.0, +-inf
+    and NaNs of both signs; every 11th row holds -0.0 only."""
+    rng = np.random.default_rng(seed)
+    rows = rng.normal(size=(n, size)) * 10.0 ** rng.integers(-300, 301, size=(n, size))
+    special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 5e-324, -5e-324,
+                        2.5e-320, -2.2e-308, 1e-300, 1e300, -1e300, 1.0])
+    picked = rng.random((n, size)) < 0.2
+    rows[picked] = rng.choice(special, size=int(picked.sum()))
+    rows[::11] = -0.0
+    return rows
+
+
+@pytest.mark.parametrize("size", range(1, _SHORT_BLOCK + 5))
+@pytest.mark.parametrize("layout", ["C", "F"])
+def test_aggregate_is_numpys_row_mean_byte_for_byte(size, layout):
+    """aggregate_scores has the bytes of numpy's mean(axis=1) of the same
+    rows at every block size up to 4 past the longest one summed column by
+    column, for C-contiguous rows ("row", the trailing axis) and F-ordered
+    ones ("column", the leading axis), on inputs where the order of the adds
+    shows, over more rows than one chunk holds. If a numpy release sums rows
+    in another order, this fails. One weight per block and no `out` return
+    the scores themselves, whose -0.0 the mean would turn into +0.0 (see
+    test_one_weight_blocks_match_gather_bitwise)."""
+    n = _CHUNK_BYTES // (8 * size) + 5
+    spec = "row" if layout == "C" else "column"
+    for seed in range(3):
+        scores = _hard_rows(n, size, seed)
+        if layout == "F":
+            scores = np.ascontiguousarray(scores.T)
+        part = enumerate_blocks(spec, scores.shape)
+        rows = part.rows(scores)
+        assert rows.flags.c_contiguous if layout == "C" else rows.flags.f_contiguous
+        with np.errstate(all="ignore"):
+            want = rows.mean(axis=1).tobytes()
+            if size > 1:
+                assert aggregate_scores(scores, part).tobytes() == want
+            out = np.full(part.n_blocks, 7.0)
+            assert aggregate_scores(scores, part, out=out) is out and out.tobytes() == want
+
+
+@pytest.mark.parametrize("rank,shape", [(2, (5, 3)), (2, (1, 4)), (4, (3, 4, 2, 5)),
+                                        (4, (2, 1, 3, 1))])
+def test_trailing_span_unrows_is_the_broadcast_copy(rank, shape):
+    """Under every trailing span, unrows of one column per block equals the
+    C-contiguous copy of that column broadcast over each block, in dtype
+    and bytes."""
+    for k in range(rank + 1):
+        part = enumerate_blocks(range(rank - k, rank), shape)
+        for keep in (np.arange(part.n_blocks) % 3 != 0, Rng(16).normal(part.n_blocks)):
+            want = np.broadcast_to(keep[:, None], (part.n_blocks, part.block_size))
+            want = np.array(want.reshape(shape), order="C")
+            got = part.unrows(keep[:, None])
+            assert got.dtype == want.dtype and got.flags.c_contiguous
+            assert got.tobytes() == want.tobytes()
