@@ -51,17 +51,12 @@ bytes, with zero bytes between, or that runs past the end of the file;
 and bytes after the last array.
 
 A file that starts with "{" is one of formats 1 to 4, one JSON document.
-Formats 1 to 3 are refused. Format 4, canonical JSON plus a newline,
-holds the same document with each array as `{"data": "<base64>",
-"shape": [...]}`, or `{"bits": "<base64>", "shape": [...]}` for a mask,
-of the same bytes as format 5's, and `load` still reads it: `_Text.take`
-stands in for `_Data.take`, so every rule and refusal but those of the
-header and the layout is the same, and a save of what it loads writes
-format 5. Each array's base64 goes through `base64.b64decode(text,
-validate=True)` into a fresh buffer, and its error is b64decode's own.
+It is parsed, so that one that is not JSON is refused as a corrupt
+checkpoint naming the file offset, and then refused as `unsupported
+checkpoint format_version <v>`; none of its arrays is read. README
+("CLI") says how to convert a format-4 file.
 """
 
-import base64
 from dataclasses import dataclass
 import json
 import math
@@ -222,24 +217,6 @@ class _Data:
         return np.frombuffer(self.buf, np.uint8, nbytes, at)
 
 
-class _Text:
-    """A format-4 file's arrays, each base64 text in its own entry."""
-
-    def take(self, obj, shape: tuple | None, nullable: bool, dtype: str) -> np.ndarray | None:
-        """obj's bytes as a fresh uint8 array, obj checked to be {"data",
-        "shape"}, or {"bits", "shape"} for a mask, as its table row (shape,
-        nullable) allows; None for an allowed null."""
-        key, what = ("data", "array") if dtype == "<f8" else ("bits", "mask")
-        if obj is not None:
-            checked_object(obj, (key, "shape"), key, "shape")
-        if not _present(obj is None, None if obj is None else obj["shape"], shape, nullable):
-            return None
-        try:
-            return np.frombuffer(bytearray(base64.b64decode(obj[key], validate=True)), np.uint8)
-        except (TypeError, ValueError) as exc:
-            raise ValueError(f"corrupt {what}: {exc}") from None
-
-
 def _dec_floats(raw: np.ndarray, shape: tuple, mask=None) -> np.ndarray:
     """An array's bytes as a float64 array of `shape`, from every entry or,
     beside a mask, the kept ones only, scattered into +0.0."""
@@ -267,7 +244,7 @@ def _dec_mask(packed: np.ndarray, shape: tuple) -> np.ndarray:
     return np.unpackbits(packed, count=size).reshape(shape).astype(np.float64)
 
 
-def _read(data: _Data | _Text, entry, table: dict, plan: SparsifyPlan | None = None,
+def _read(data: _Data, entry, table: dict, plan: SparsifyPlan | None = None,
           keys: tuple = ()) -> dict:
     """The arrays of an entry holding `keys` and the table's, name -> array
     or None, in table order. They are read in header order, which reads a
@@ -340,21 +317,21 @@ def load(path) -> Checkpoint:
     `layers[0].spec.out: missing`; a header that cannot be read raises
     ValueError, `corrupt checkpoint <path>: ...`."""
     with open(path, "rb") as fh:
-        # read, then copied: the freed bytes raise glibc's mmap threshold, as format 4's
-        # text did; read into place, each later static prune page-faulted 400 times more
+        # read, then copied: freeing the bytes read raises glibc's mmap threshold; read into
+        # place, each later static prune page-faulted 400 times more
         buf = bytearray(fh.read())
-    if buf.startswith(b"{"):  # formats 1 to 4, each one JSON document
-        doc, data, version = _parse(path, buf, 0), _Text(), 4
+    if buf.startswith(b"{"):  # formats 1 to 4, one JSON document each: no header, refused below
+        doc, header = _parse(path, buf, 0), None
     else:
         start = 8 + int.from_bytes(buf[:8], "little")
         if len(buf) < 8 or start > len(buf):
             raise ValueError(f"corrupt checkpoint {path}: {len(buf)} bytes, cut short in its header")
         header = bytes(buf[8:start])
-        doc, data, version = _parse(path, header, 8), _Data(buf, start), FORMAT_VERSION
+        doc, data = _parse(path, header, 8), _Data(buf, start)
     under("checkpoint", checked_object, doc)
-    if doc.get("format_version") != version:
+    if header is None or doc.get("format_version") != FORMAT_VERSION:
         raise ValueError(f"unsupported checkpoint format_version {doc.get('format_version')!r}")
-    if version == FORMAT_VERSION and header != _header(doc):
+    if header != _header(doc):
         raise FieldError("checkpoint", "header is not its canonical JSON padded with spaces to 8 bytes")
     checked_object(doc, _KEYS, *_KEYS)
     plan = None if doc["plan"] is None else under("plan", SparsifyPlan.from_dict, doc["plan"])
@@ -376,7 +353,7 @@ def load(path) -> Checkpoint:
         tables = _snapshot_tables(model, len(under("rewind_snapshot", checked_list, snapshot)))
         snapshot = [tuple(under(f"rewind_snapshot[{j}]", _read, data, entry, table).values())
                     for j, (entry, table) in enumerate(zip(snapshot, tables))]
-    if version == FORMAT_VERSION and len(buf) != data.end:  # the last array, float64 weights, ends 8-byte aligned
+    if len(buf) != data.end:  # the last array, float64 weights, ends 8-byte aligned
         raise FieldError("checkpoint", f"{len(buf) - data.end} bytes after the last array")
     return Checkpoint(model, snapshot, plan,
                       under("metrics_tail", checked_list, doc["metrics_tail"]),

@@ -237,7 +237,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_prune.add_argument("--seed", type=int, default=0)
     p_prune.add_argument("--out", default=None)
 
-    p_inspect = sub.add_parser("inspect", help="report checkpoint contents and integrity")
+    p_inspect = sub.add_parser("inspect", help="report checkpoint contents and check their structure")
     p_inspect.add_argument("checkpoint")
     return parser
 
