@@ -16,7 +16,9 @@ process, the two trees alternating round by round as harness.py's
 docstring describes.
 
 Before any timing, every kernel is checked against direct loops over
-(i, o, u, v) that share no code with prunekit. A round is one warm-up call
+(i, o, u, v) that share no code with prunekit, and under --baseline each
+tree's output must have the bytes of the first tree's: otherwise the run
+exits naming the tree, the kernel and the shape. A round is one warm-up call
 and then `reps` timed calls. Each case stores the median and quartiles in
 ms per call over all rounds' calls, and the median of each round
 (round_medians_ms). BLAS runs on OPENBLAS_NUM_THREADS threads, 1 unless
@@ -87,10 +89,13 @@ def main(argv=None):
                                  ("grad_w", grad_w_loops, (x, gout)),
                                  ("grad_x", grad_x_loops, (gout, w))):
             want = ref(*fargs)
-            for label, kernels in trees:
-                if not np.allclose(getattr(kernels, "conv2d_" + name)(*fargs), want,
-                                   rtol=1e-10, atol=1e-10):
+            outputs = [getattr(kernels, "conv2d_" + name)(*fargs) for _, kernels in trees]
+            for (label, _), got in zip(trees, outputs):
+                if not np.allclose(got, want, rtol=1e-10, atol=1e-10):
                     sys.exit(f"{label}: {name} at {shape} disagrees with the direct loops")
+                if got.tobytes() != outputs[0].tobytes():
+                    sys.exit(f"{label}: {name} at {shape} differs from {trees[0][0]}'s output "
+                             "in its bytes")
             per_round = harness.rounds(trees, args.rounds, lambda _, kernels: harness.timed(
                 functools.partial(getattr(kernels, "conv2d_" + name), *fargs), reps))
             round_medians = {label: [statistics.median(t) * 1e3 for t in per_round[label]]
@@ -106,9 +111,10 @@ def main(argv=None):
 
     about = ("Conv kernels per call: time.perf_counter median and quartiles in ms over "
              "`rounds` x `reps` calls (one round where `rounds` is absent), each kernel "
-             "checked against direct loops first; round_medians_ms has each round's "
-             "median, and runs written together alternate round by round. Written by "
-             "benchmarks/bench_kernels.py.")
+             "checked against direct loops first and, in runs written together, each "
+             "tree's output checked byte-equal to the first tree's; round_medians_ms "
+             "has each round's median, and runs written together alternate round by "
+             "round. Written by benchmarks/bench_kernels.py.")
     env = {**harness.env_record(), "blas_threads": os.environ["OPENBLAS_NUM_THREADS"]}
     harness.write_runs(args.out, about,
                        {label: {"env": env, "cases": cases[label]} for label, _ in trees})

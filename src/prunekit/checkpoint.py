@@ -53,8 +53,10 @@ and bytes after the last array.
 A file that starts with "{" is one of formats 1 to 4, one JSON document.
 It is parsed, so that one that is not JSON is refused as a corrupt
 checkpoint naming the file offset, and then refused as `unsupported
-checkpoint format_version <v>`; none of its arrays is read. README
-("CLI") says how to convert a format-4 file.
+checkpoint format_version <v>`; none of its arrays is read. One that says
+format_version 5 is refused as a corrupt checkpoint that is one JSON
+document, not a format-5 file, rather than as an unsupported version.
+README ("CLI") says how to convert a format-4 file.
 """
 
 from dataclasses import dataclass
@@ -329,6 +331,9 @@ def load(path) -> Checkpoint:
         header = bytes(buf[8:start])
         doc, data = _parse(path, header, 8), _Data(buf, start)
     under("checkpoint", checked_object, doc)
+    if header is None and doc.get("format_version") == FORMAT_VERSION:
+        raise ValueError(f"corrupt checkpoint {path}: one JSON document, "
+                         f"not a format-{FORMAT_VERSION} file")
     if header is None or doc.get("format_version") != FORMAT_VERSION:
         raise ValueError(f"unsupported checkpoint format_version {doc.get('format_version')!r}")
     if header != _header(doc):

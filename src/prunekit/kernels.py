@@ -21,11 +21,28 @@ columns it is given instead of building them again, summing over
 (Ho, Wo, N). Conv2d keeps a training forward's columns until its backward
 and keeps none from an eval forward.
 
-grad_x loops over the Kx*Ky kernel offsets instead and adds one
-[I, Ho*Wo*N] matmul per offset into a shifted window of the [I, H, W, N]
-gradient, whose runs are Wo*N doubles long. Each offset multiplies a
-contiguous [I, O] slice of one transposed copy of the weights, made once
-per call; BLAS gets the same matrix as from the strided w[:, :, u, v].
+grad_x loops over the Kx*Ky kernel offsets instead. Each offset
+multiplies a contiguous [I, O] slice of one transposed copy of the
+weights, made once per call, by the output gradient one output row at a
+time, through matmul's batch axis: Ho products [I, O] @ [O, Wo*N]. Each
+row's product is written into a zeroed buffer laid out as the flat
+[I, H*W*N] gradient, where that row of the gradient starts; the (Ky-1)*N
+doubles after each row and the last Kx-1 rows of each channel are never
+written. Offset (u, v) moves every product element by the same
+(u*W + v)*N doubles, so the buffer is added to the gradient as one
+contiguous 1-D run, not as Ho*I strided rows of a 4-D window, which cost
+about 3x as much per double at conv-train's shapes.
+
+The bytes are those of one [I, O] @ [O, Ho*Wo*N] matmul per offset added
+into its window. The gradient starts at +0.0, a sum that starts at +0.0
+never becomes -0.0 under round-to-nearest, and adding +0.0 to anything
+but -0.0 (NaN and inf included) leaves it as it is: the buffer's unwritten
++0.0 change nothing, and each element gets the same products in the same
+(u, v) order. A row's product is a Wo*N-column slice of the whole one,
+with the same bits wherever BLAS computes those columns as it does in the
+whole product. OpenBLAS 0.3.31 on an AVX-512 x86-64 host does wherever
+Wo*N is a multiple of 8, as at any batch that is; at other widths, such as
+a training split's last batch of one row, the last bits can differ.
 """
 
 import numpy as np
@@ -80,13 +97,24 @@ def conv2d_grad_w(x, gout, cols=None):
 
 def conv2d_grad_x(gout, w):
     """dx [N, I, H, W], a view of [I, H, W, N] memory: each offset's
-    w[:, :, u, v] @ g lands in its shifted window."""
+    w[:, :, u, v] @ g, computed one output row at a time into a zeroed
+    width-padded buffer, is added to the flat gradient as one contiguous
+    run shifted by (u*W + v)*N."""
     n, o, ho, wo = gout.shape
     ci, _, kx, ky = w.shape
-    g = chwn(gout).reshape(o, -1)
+    h, wd = ho + kx - 1, wo + ky - 1
+    r, span = h * wd * n, ho * wd * n  # one channel of dx; the rows an offset's product reaches
+    g = chwn(gout).reshape(o, ho, wo * n).transpose(1, 0, 2)  # [Ho, O, Wo*N], a view
     wt = np.ascontiguousarray(w.transpose(2, 3, 0, 1))  # wt[u, v] is w[:, :, u, v], contiguous
-    dx = np.zeros((ci, ho + kx - 1, wo + ky - 1, n))
+    prod = np.zeros((ci, r))
+    # rows[p, i] is the Wo*N run of prod where dx[i, p] starts: [Ho, I, Wo*N]
+    rows = prod[:, :span].reshape(ci, ho, wd * n)[:, :, :wo * n].transpose(1, 0, 2)
+    body = prod.reshape(-1)[:(ci - 1) * r + span]  # the rest of prod is never written
+    dx = np.zeros(ci * r + (ky - 1) * n)  # room for the last shift's add of body
     for u in range(kx):
         for v in range(ky):
-            dx[:, u:u + ho, v:v + wo] += (wt[u, v] @ g).reshape(ci, ho, wo, n)
-    return dx.transpose(3, 0, 1, 2)
+            np.matmul(wt[u, v], g, out=rows)
+            s = (u * wd + v) * n
+            win = dx[s:s + body.size]
+            win += body
+    return dx[:ci * r].reshape(ci, h, wd, n).transpose(3, 0, 1, 2)

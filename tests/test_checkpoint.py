@@ -378,6 +378,32 @@ def test_formats_3_and_4_are_refused(tmp_path, monkeypatch, capsys, version):
     assert sorted(tmp_path.iterdir()) == [path]
 
 
+@pytest.mark.parametrize("header_only", [False, True], ids=["bare", "saved_header"])
+def test_one_json_document_saying_format_5_is_refused_as_not_format_5(
+        tmp_path, monkeypatch, capsys, header_only):
+    """A file that starts with "{" and says format_version 5, bare or a
+    saved file's header without its length and arrays, is refused as one
+    JSON document rather than as an unsupported format_version 5: load
+    raises, and inspect and prune exit 1 and write nothing."""
+    monkeypatch.setenv("PRUNEKIT_OUTPUT_ROOT", str(tmp_path))
+    path = tmp_path / "ckpt.json"
+    if header_only:
+        checkpoint.save(path, conv_relu_flatten())
+        path.write_text(json.dumps(split(path)[0]))
+    else:
+        path.write_text('{"format_version": 5, "layers": []}')
+    message = f"corrupt checkpoint {path}: one JSON document, not a format-5 file"
+    with pytest.raises(ValueError) as err:
+        checkpoint.load(path)
+    assert str(err.value) == message
+    for command in (["inspect", str(path)], ["prune", str(path), "--sparsity", "50"]):
+        assert main(command) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n"
+        assert captured.out == ""
+    assert sorted(tmp_path.iterdir()) == [path]
+
+
 @pytest.mark.parametrize("raw, problem", [
     (b"", "0 bytes, cut short in its header"),
     (b"\x08\0\0", "3 bytes, cut short in its header"),

@@ -1,9 +1,12 @@
 """benchmarks/harness.py: round order, the rounds, timing and quartile
 helpers, the checks on --rounds and --baseline, and how runs are merged
-into a benchmark's JSON file; and benchmarks/code_lines.py's count."""
+into a benchmark's JSON file; benchmarks/code_lines.py's count; and
+bench_kernels.py's refusal of a baseline whose kernel bytes differ."""
 
 import importlib.util
 import json
+import os
+import shutil
 from pathlib import Path
 
 import pytest
@@ -117,3 +120,26 @@ class C:
     assert code_lines.count(snippet) == 7
     assert code_lines.main([str(tmp_path)]) == 0
     assert capsys.readouterr().out.splitlines() == [f"     7  {snippet}", "     7  total"]
+
+
+def test_bench_kernels_refuses_to_time_trees_whose_outputs_differ_in_bytes(
+        tmp_path, monkeypatch):
+    """A baseline whose conv2d_forward is one ulp off still agrees with the
+    direct loops, but its bytes differ from the first tree's: the run exits
+    naming the tree, the kernel and the shape, before any timing or write."""
+    shutil.copytree(_PATH.parent.parent / "src" / "prunekit", tmp_path / "base" / "prunekit")
+    with open(tmp_path / "base" / "prunekit" / "kernels.py", "a") as fh:
+        fh.write("\n_forward = conv2d_forward\n\n\n"
+                 "def conv2d_forward(x, w, b=None, return_columns=False):\n"
+                 "    return np.nextafter(_forward(x, w, b), np.inf)\n")
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", os.environ.get("OPENBLAS_NUM_THREADS", "1"))
+    monkeypatch.syspath_prepend(str(_PATH.parent))
+    spec = importlib.util.spec_from_file_location("bench_kernels", _PATH.parent / "bench_kernels.py")
+    bench_kernels = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench_kernels)
+    out = tmp_path / "BENCH_kernels.json"
+    with pytest.raises(SystemExit) as exc:
+        bench_kernels.main(["--label", "new", "--baseline", f"base={tmp_path / 'base'}",
+                            "--reps", "2", "--out", str(out)])
+    assert exc.value.code == "base: forward at conv_train_1 differs from new's output in its bytes"
+    assert not out.exists()

@@ -54,16 +54,24 @@ def grad_x_loops(gout, w):
     return dx
 
 
-def grad_x_strided_weights(gout, w):
-    """conv2d_grad_x with each offset's matmul on the strided view w[:, :, u, v]."""
+def grad_x_window_adds(gout, w, copy_weights=True):
+    """grad_x as one [I, O] @ [O, Ho*Wo*N] matmul per offset, added into the
+    offset's strided window of dx [I, H, W, N]; each offset's weights are a
+    contiguous copy of w[:, :, u, v], or the strided view itself."""
     n, o, ho, wo = gout.shape
     ci, _, kx, ky = w.shape
     g = np.ascontiguousarray(gout.transpose(1, 2, 3, 0)).reshape(o, -1)
     dx = np.zeros((ci, ho + kx - 1, wo + ky - 1, n))
     for u in range(kx):
         for v in range(ky):
-            dx[:, u:u + ho, v:v + wo] += (w[:, :, u, v] @ g).reshape(ci, ho, wo, n)
+            wuv = np.ascontiguousarray(w[:, :, u, v]) if copy_weights else w[:, :, u, v]
+            dx[:, u:u + ho, v:v + wo] += (wuv @ g).reshape(ci, ho, wo, n)
     return dx.transpose(3, 0, 1, 2)
+
+
+def grad_x_strided_weights(gout, w):
+    """conv2d_grad_x with each offset's matmul on the strided view w[:, :, u, v]."""
+    return grad_x_window_adds(gout, w, copy_weights=False)
 
 
 def _case(x_shape, w_shape, seed=0):
@@ -138,12 +146,42 @@ def test_bias_and_reused_columns_change_no_bits():
     assert kernels.conv2d_grad_w(x, gout, cols).tobytes() == kernels.conv2d_grad_w(x, gout).tobytes()
 
 
-@pytest.mark.parametrize("x_shape, w_shape", [
+# the four shapes pinned first, then every other shape above, bench_kernels'
+# "large" and a 5x5 kernel
+GRAD_X_BITS_SHAPES = [
     BATCH32_SHAPES["conv_train_layer1"], BATCH32_SHAPES["conv_train_layer2"],
-    SHAPES["kernel_1x1"], SHAPES["kernel_3x2"]])
+    SHAPES["kernel_1x1"], SHAPES["kernel_3x2"],
+    *(shapes for name, shapes in SHAPES.items() if name not in ("kernel_1x1", "kernel_3x2")),
+    ((32, 8, 28, 28), (8, 16, 3, 3)), ((32, 8, 12, 12), (8, 16, 5, 5))]
+
+
+# At in_channels_1 each offset's strided [1, 3] weight row gives BLAS's gemv
+# other bits than the contiguous copy conv2d_grad_x multiplies (up to
+# 8.9e-16 apart in dx); the next test pins that shape against window adds
+# of copied weights.
+@pytest.mark.parametrize("x_shape, w_shape",
+                         [s for s in GRAD_X_BITS_SHAPES if s != SHAPES["in_channels_1"]])
 def test_grad_x_bits_equal_strided_weight_matmuls(x_shape, w_shape):
     _, w, gout = _case(x_shape, w_shape)
-    assert kernels.conv2d_grad_x(gout, w).tobytes() == grad_x_strided_weights(gout, w).tobytes()
+    got, want = kernels.conv2d_grad_x(gout, w), grad_x_strided_weights(gout, w)
+    assert got.tobytes() == want.tobytes()
+    assert got.strides == want.strides
+
+
+@pytest.mark.parametrize("x_shape, w_shape", GRAD_X_BITS_SHAPES)
+def test_grad_x_bits_equal_window_adds_of_copied_weights(x_shape, w_shape):
+    _, w, gout = _case(x_shape, w_shape)
+    assert kernels.conv2d_grad_x(gout, w).tobytes() == grad_x_window_adds(gout, w).tobytes()
+
+
+def test_grad_x_bits_equal_strided_weight_matmuls_with_nan_and_inf_weights():
+    _, w, gout = _case(*BATCH32_SHAPES["conv_train_layer2"])
+    w[1, 2, 0, 1] = np.nan
+    w[5, 7, 2, 2] = np.inf
+    with np.errstate(invalid="ignore"):
+        got, want = kernels.conv2d_grad_x(gout, w), grad_x_strided_weights(gout, w)
+    assert np.isnan(got).any() and np.isinf(got).any()
+    assert got.tobytes() == want.tobytes()
 
 
 def test_columns_viewing_the_input_are_read_only():
@@ -187,6 +225,19 @@ def test_grad_w_reads_batch_innermost_gout_and_columns_without_a_copy():
     peak = tracemalloc.get_traced_memory()[1]
     tracemalloc.stop()
     assert peak < gout.nbytes / 2  # dw is 9 kB, gout 64 kB and the columns 330 kB
+
+
+def test_grad_x_holds_the_gradient_and_one_buffer_of_its_size():
+    _, w, gout = _case(*BATCH32_SHAPES["conv_train_layer2"])
+    g = np.ascontiguousarray(gout.transpose(1, 2, 3, 0)).transpose(3, 0, 1, 2)
+    tracemalloc.start()
+    dx = kernels.conv2d_grad_x(g, w)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    # dx and the zeroed product buffer are 74 kB each and the weight copy
+    # 9 kB: the peak measured 159 kB; window adds of a new 33 kB product per
+    # offset peak at 183 kB
+    assert peak < 2 * dx.nbytes + 2 * w.nbytes
 
 
 def test_forward_hand_value():
